@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check lint chaos chaos-peer bench bench-compare bench-json bench-gate serve-smoke peer-smoke pin-smoke
+.PHONY: build test check lint chaos chaos-peer bench bench-build bench-compare bench-json bench-gate serve-smoke peer-smoke pin-smoke
 
 build:
 	$(GO) build ./...
@@ -12,12 +12,21 @@ test:
 # then race-test the delegation transport and the packages built on it —
 # ring (the shared slot/ring primitives), core (the DPS runtime), wire
 # (the peer links), ffwd (the baseline), and obs — whose correctness
-# depends on concurrent access.
-check:
+# depends on concurrent access. bench-build goes first, because none of the
+# root-module commands below compiles the benchmark module.
+check: bench-build
 	$(GO) vet ./...
 	$(GO) run ./cmd/dpslint
 	$(GO) build ./...
 	$(GO) test -race ./internal/ring/... ./internal/core/... ./internal/obs/... ./internal/ffwd/... ./internal/wire/...
+
+# bench-build vets and unit-tests benchmark/, which is a Go module of its own
+# (dps/benchmark, replace dps => ../): the root module's build and tests never
+# compile it, so a signature change in mcd, server, wire or core can break the
+# repository's end-to-end benchmark without any other target noticing. -short
+# skips its smoke run; nothing is measured here.
+bench-build:
+	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
 
 # lint machine-checks the delegation runtime's concurrency and hot-path
 # invariants: cache-line padding, atomic/plain access mixing, 0-alloc

@@ -29,7 +29,8 @@
 // accessed by a multi-threaded locality must themselves be concurrent.
 //
 // See Thread for the full operation API: Execute/Ready (asynchronous
-// completion records), ExecuteSync, ExecuteAsync (fire-and-forget with
+// completion records; ExecuteInto puts the record in caller storage and
+// allocates nothing), ExecuteSync, ExecuteAsync (fire-and-forget with
 // Flush publication and Drain barriers), ExecuteLocal (run read-only ops
 // on the caller), and ExecuteAll (broadcast/range operations with user
 // aggregation). Consecutive same-partition operations from one thread are
@@ -50,7 +51,8 @@ type (
 	Thread = core.Thread
 	// Partition is one namespace partition bound to a locality.
 	Partition = core.Partition
-	// Completion is the completion record returned by Thread.Execute.
+	// Completion is the completion record returned by Thread.Execute and
+	// filled in by Thread.ExecuteInto.
 	Completion = core.Completion
 	// Op is a data-structure operation executed by DPS.
 	Op = core.Op

@@ -253,13 +253,14 @@ func TestPeerServingWhileAwaiting(t *testing.T) {
 		}
 	}
 	m := rt.Metrics().Totals
-	if m.RemoteSends != 400 {
-		t.Fatalf("RemoteSends = %d, want 400", m.RemoteSends)
+	// The thread that finishes first unregisters and empties its locality:
+	// the other's remaining operations run inline instead of being sent, and
+	// a request already in flight is executed by its sender.
+	if m.RemoteSends+m.LocalExecs != 400 || m.RemoteSends < 200 {
+		t.Fatalf("RemoteSends+LocalExecs = %d+%d, want 400 with at least 200 sent", m.RemoteSends, m.LocalExecs)
 	}
-	// A request in flight when its destination locality empties (the peer
-	// finished first and unregistered) is executed by its sender instead.
-	if m.Served+m.Rescued != 400 {
-		t.Fatalf("Served+Rescued = %d+%d, want 400", m.Served, m.Rescued)
+	if m.Served+m.Rescued != m.RemoteSends {
+		t.Fatalf("Served+Rescued = %d+%d, want RemoteSends = %d", m.Served, m.Rescued, m.RemoteSends)
 	}
 }
 

@@ -2,11 +2,31 @@ package core
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
+
+// sumPartitions adds up the per-partition counters field by field. It walks
+// Metrics by reflection — every field is a uint64 counter — so a counter
+// added to the schema is summed without this test being told about it.
+func sumPartitions(t *testing.T, s Snapshot) Metrics {
+	t.Helper()
+	var sum Metrics
+	sv := reflect.ValueOf(&sum).Elem()
+	for _, pm := range s.PerPartition {
+		pv := reflect.ValueOf(pm.Totals)
+		for i := 0; i < sv.NumField(); i++ {
+			if sv.Field(i).Kind() != reflect.Uint64 {
+				t.Fatalf("Metrics.%s is not a uint64 counter", sv.Type().Field(i).Name)
+			}
+			sv.Field(i).SetUint(sv.Field(i).Uint() + pv.Field(i).Uint())
+		}
+	}
+	return sum
+}
 
 // TestPerPartitionAttribution checks that the per-partition breakdown sums
 // to the aggregate and that counters land on the partitions the events
@@ -35,21 +55,12 @@ func TestPerPartitionAttribution(t *testing.T) {
 	stop()
 
 	s := rt.Metrics()
-	var sum Metrics
 	for i, pm := range s.PerPartition {
 		if pm.Partition != i {
 			t.Errorf("PerPartition[%d].Partition = %d", i, pm.Partition)
 		}
-		sum.LocalExecs += pm.LocalExecs
-		sum.RemoteSends += pm.RemoteSends
-		sum.AsyncSends += pm.AsyncSends
-		sum.Served += pm.Served
-		sum.RingFullWaits += pm.RingFullWaits
-		sum.Rescued += pm.Rescued
-		sum.RingScansSkipped += pm.RingScansSkipped
-		sum.DoorbellWakes += pm.DoorbellWakes
 	}
-	if sum != s.Totals {
+	if sum := sumPartitions(t, s); sum != s.Totals {
 		t.Fatalf("per-partition sum %+v != totals %+v", sum, s.Totals)
 	}
 	// t0 is bound to locality 0: its local execs hit partition 0, its
@@ -119,18 +130,7 @@ func TestAttributionUnderChurn(t *testing.T) {
 	wg.Wait()
 
 	s := rt.Metrics()
-	var sum Metrics
-	for _, pm := range s.PerPartition {
-		sum.LocalExecs += pm.LocalExecs
-		sum.RemoteSends += pm.RemoteSends
-		sum.AsyncSends += pm.AsyncSends
-		sum.Served += pm.Served
-		sum.RingFullWaits += pm.RingFullWaits
-		sum.Rescued += pm.Rescued
-		sum.RingScansSkipped += pm.RingScansSkipped
-		sum.DoorbellWakes += pm.DoorbellWakes
-	}
-	if sum != s.Totals {
+	if sum := sumPartitions(t, s); sum != s.Totals {
 		t.Fatalf("per-partition sum %+v != totals %+v", sum, s.Totals)
 	}
 	if got := s.Totals.LocalExecs + s.Totals.RemoteSends; got != issued.Load() {
@@ -170,6 +170,7 @@ func TestUseAfterUnregisterPanics(t *testing.T) {
 		fn()
 	}
 	expectPanic("Execute", func() { th.Execute(1, opGet, Args{}) })
+	expectPanic("ExecuteInto", func() { th.ExecuteInto(new(Completion), 1, opGet, Args{}) })
 	expectPanic("ExecuteSync", func() { th.ExecuteSync(1, opGet, Args{}) })
 	expectPanic("ExecuteAsync", func() { th.ExecuteAsync(1, opGet, Args{}) })
 	expectPanic("ExecuteLocal", func() { th.ExecuteLocal(1, opGet, Args{}) })

@@ -24,9 +24,9 @@ func opPanic(p *Partition, key uint64, args *Args) Result {
 // through the panic policy instead, and the server must keep serving.
 func TestAsyncPanicRoutedToPolicyNotServer(t *testing.T) {
 	t.Parallel()
-	var got atomic.Pointer[PanicInfo]
+	got := make(chan PanicInfo, 1) // one panic is raised
 	rt, err := New(Config{Partitions: 2, Init: newCounterInit(), OnPanic: func(info PanicInfo) {
-		got.Store(&info)
+		got <- info
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -43,12 +43,17 @@ func TestAsyncPanicRoutedToPolicyNotServer(t *testing.T) {
 	t0.ExecuteAsync(key, opPanic, Args{})
 	t0.Drain()
 
-	info := got.Load()
-	if info == nil {
+	// Drain returns once the server has released the slot, and the server
+	// releases before it routes the panic (a handler that itself panics
+	// must not wedge the sender), so the handler may not have run yet.
+	var info PanicInfo
+	select {
+	case info = <-got:
+	case <-time.After(5 * time.Second):
 		t.Fatal("panic handler never called")
 	}
 	if info.Value != "boom" || !info.Async || info.Partition != 1 || info.Key != key {
-		t.Fatalf("PanicInfo = %+v", *info)
+		t.Fatalf("PanicInfo = %+v", info)
 	}
 	// The serving thread survived: it still executes new delegations.
 	if res := t0.ExecuteSync(key, opPut, Args{U: [4]uint64{3}}); res.Err != nil || res.U != 3 {

@@ -15,6 +15,13 @@
 // execution of read-mostly operations, and broadcast/range operations are
 // provided as extensions (§4.4).
 //
+// The paper's API (§3.1) is execute → completion record → await_completion.
+// Thread.Execute is that call with the record on the heap; Thread.ExecuteInto
+// is the allocation-free Execute — the record goes into storage the caller
+// owns, so a thread can hold a wave of delegations in flight and collect
+// them in any order; ExecuteSync is execute followed at once by the await,
+// its record on the stack.
+//
 // The public entry point for applications is the root dps package, which
 // re-exports this one.
 package core
@@ -453,6 +460,10 @@ func New(cfg Config) (*Runtime, error) {
 
 // Partitions returns the partition count.
 func (rt *Runtime) Partitions() int { return len(rt.parts) }
+
+// RingDepth is the slot count of each (thread, partition) ring — and so the
+// number of unconsumed ExecuteInto completions one thread may hold.
+func (rt *Runtime) RingDepth() int { return rt.cfg.RingDepth }
 
 // Partition returns partition i.
 func (rt *Runtime) Partition(i int) *Partition { return rt.parts[i] }

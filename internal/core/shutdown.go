@@ -49,12 +49,16 @@ func (rt *Runtime) Shutdown(timeout time.Duration) (ShutdownReport, error) {
 
 	deadline := time.Now().Add(timeout)
 	var drained atomic.Int64
-	done := make(chan struct{})
+	done := make(chan bool, 1) // the sweep's one verdict: quiescent or not
 	go rt.shutdownSweep(deadline, &drained, done)
 
+	// A sweep that gave up at the deadline reports so itself: its exit and
+	// the timer below fire together, and which one the select sees is
+	// arbitrary.
 	timedOut := false
 	select {
-	case <-done:
+	case quiescent := <-done:
+		timedOut = !quiescent
 	case <-time.After(time.Until(deadline)):
 		timedOut = true
 	}
@@ -91,8 +95,9 @@ func (rt *Runtime) Shutdown(timeout time.Duration) (ShutdownReport, error) {
 // Shutdown.
 //
 //dps:domain=sweeper
-func (rt *Runtime) shutdownSweep(deadline time.Time, drained *atomic.Int64, done chan<- struct{}) {
-	defer close(done)
+func (rt *Runtime) shutdownSweep(deadline time.Time, drained *atomic.Int64, done chan<- bool) {
+	quiescent := false
+	defer func() { done <- quiescent }()
 	// The sweep executes operations without holding a registered thread
 	// id: it uses the recorder row reserved past MaxThreads for metric
 	// attribution and its own quiescence-domain registration for SMR.
@@ -118,6 +123,7 @@ func (rt *Runtime) shutdownSweep(deadline time.Time, drained *atomic.Int64, done
 		nlive := rt.nlive
 		rt.mu.Unlock()
 		if nlive == 0 && rt.occupancy() == 0 {
+			quiescent = true
 			return
 		}
 		// Nothing to drain but not quiescent yet: threads are still

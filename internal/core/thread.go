@@ -131,10 +131,10 @@ const serveFullScanEvery = 64
 // reports (and Result returns) the operation's outcome once the owning
 // locality has executed it.
 //
-// Completion is used both by pointer (Execute's asynchronous records) and
-// by value: the synchronous paths (ExecuteSync, ExecutePartition,
-// ExecuteAll) build stack completions and await them in place, so a remote
-// synchronous delegation performs no heap allocation.
+// Completion is used both by pointer (Execute's heap records, ExecuteInto's
+// caller-owned ones) and by value: the synchronous paths (ExecuteSync,
+// ExecutePartition, ExecuteAll) build stack completions and await them in
+// place, so a remote synchronous delegation performs no heap allocation.
 type Completion struct {
 	// slot is the in-ring message, nil if the operation completed inline
 	// (local execution), in which case res already holds the result.
@@ -245,18 +245,47 @@ func (t *Thread) runLocal(p *Partition, key uint64, op Op, args *Args) Result {
 // burst is published at the latest when any completion is polled, another
 // partition is targeted, or the burst fills.
 //
+// Execute heap-allocates the completion record; ExecuteInto is the same
+// call with the record in caller storage.
+//
 //dps:domain=sender
 func (t *Thread) Execute(key uint64, op Op, args Args) *Completion {
+	c := new(Completion)
+	t.ExecuteInto(c, key, op, args)
+	return c
+}
+
+// ExecuteInto is the allocation-free Execute: the completion record is
+// written into c, storage the caller owns (a stack value, an array it
+// reuses), so a thread can keep several delegations in flight — issue a
+// wave of operations, then await them in any order — without touching the
+// heap. c is overwritten; it must not be a completion that is still
+// pending.
+//
+// A completion holds its burst slot until its result is consumed (Ready
+// returning true, Result, ResultTimeout), so a thread may hold at most
+// Runtime.RingDepth unconsumed completions: one more send toward a
+// partition whose ring is filled with the thread's own unconsumed results
+// would wait in the ring-full path for a slot only the thread itself can
+// free. That ring-full wait is bounded by the stall-rescue machinery, not by
+// a later ResultTimeout.
+//
+//dps:noalloc
+//dps:domain=sender
+func (t *Thread) ExecuteInto(c *Completion, key uint64, op Op, args Args) {
 	t.checkLive()
 	p := t.partitionFor(key)
+	*c = Completion{t: t}
 	if p.peer != nil {
 		sent := t.rt.rec.Start()
 		a := args
 		tok, err := t.stageRemote(p, key, op, &a, false)
 		if err != nil {
-			return &Completion{t: t, res: Result{Err: err}, done: true}
+			c.res, c.done = Result{Err: err}, true
+			return
 		}
-		return &Completion{t: t, wtok: tok, wp: p, sent: sent}
+		c.wtok, c.wp, c.sent = tok, p, sent
+		return
 	}
 	if p.id == t.locality || p.workers.Load() == 0 {
 		// Local key — or a locality with no threads to serve it, where
@@ -264,16 +293,18 @@ func (t *Thread) Execute(key uint64, op Op, args Args) *Completion {
 		// terms) is the only way to make progress. The copy confines
 		// args' escape to this branch.
 		a := args
-		return &Completion{t: t, res: t.execInline(p, key, op, &a), done: true}
+		c.res, c.done = t.execInline(p, key, op, &a), true
+		return
 	}
 	sent := t.rt.rec.Start()
 	s, idx := t.pack(p, key, op, args, false, time.Time{})
 	if s == nil {
 		releasePayload(&args)
-		return &Completion{t: t, res: Result{Err: ErrClosed}, done: true}
+		c.res, c.done = Result{Err: ErrClosed}, true
+		return
 	}
 	t.rt.rec.Add(t.id, p.id, obs.RemoteSend, 1)
-	return &Completion{slot: s, idx: idx, t: t, sent: sent}
+	c.slot, c.idx, c.sent = s, idx, sent
 }
 
 // ExecuteSync is Execute followed by completion (§3.1 notes the synchronous
@@ -1135,7 +1166,7 @@ func (c *Completion) Ready() (Result, bool) {
 // shut down while the operation is pending, Result returns a Result whose
 // Err is ErrClosed.
 //
-//dps:noalloc via ExecuteSync
+//dps:noalloc
 //dps:domain=sender
 func (c *Completion) Result() Result {
 	// Deadline-free twin of resultDeadline: the unbounded await is the
@@ -1164,9 +1195,15 @@ func (c *Completion) Result() Result {
 // may still execute later, its result is discarded, and its burst entry is
 // reclaimed by the issuing thread once the server releases the slot.
 //
+//dps:noalloc
 //dps:domain=sender
 func (c *Completion) ResultTimeout(timeout time.Duration) (Result, error) {
-	return c.resultDeadline(time.Now().Add(timeout))
+	// A completion that is already ready — every later member of a wave
+	// whose first await did the waiting — never reads the clock.
+	if res, ok := c.Ready(); ok {
+		return res, closedErr(res)
+	}
+	return c.awaitDeadline(time.Now().Add(timeout))
 }
 
 // resultDeadline awaits the completion until deadline (zero: forever),
@@ -1176,6 +1213,14 @@ func (c *Completion) resultDeadline(deadline time.Time) (Result, error) {
 	if res, ok := c.Ready(); ok {
 		return res, closedErr(res)
 	}
+	return c.awaitDeadline(deadline)
+}
+
+// awaitDeadline is resultDeadline past the first poll: the completion was
+// not ready, so block (parking, serving) until it is or deadline passes.
+//
+//dps:noalloc via ResultTimeout
+func (c *Completion) awaitDeadline(deadline time.Time) (Result, error) {
 	if !c.wtok.Zero() {
 		return c.resultWire(deadline)
 	}

@@ -113,6 +113,8 @@ func (d *DPS) Runtime() *core.Runtime { return d.rt }
 type DPSHandle struct {
 	t *core.Thread
 	d *DPS
+	// wave holds the completion records of the gets Wave has in flight.
+	wave [MaxWave]core.Completion
 }
 
 // Register binds the caller to the least-loaded locality.
@@ -218,6 +220,76 @@ func (h *DPSHandle) GetTimeout(key uint64, timeout time.Duration) ([]byte, bool,
 	}
 	v, ok := valOK(res)
 	return v, ok, nil
+}
+
+// Wave runs ops as gets with all of them in flight at once: every get is
+// issued (consecutive same-partition gets share a burst slot, peer-owned
+// ones a wire frame) before the first is awaited, then the results are
+// collected in request order. timeout bounds each await as GetTimeout does
+// (0: wait forever). At most min(MaxWave, ring depth) gets are in flight — a
+// completion holds its ring slot until collected, so a deeper wave could
+// wait on a slot only this handle can free — and longer op lists run as
+// consecutive waves.
+//
+//dps:noalloc
+func (h *DPSHandle) Wave(ops []WaveOp, timeout time.Duration) {
+	depth := min(MaxWave, h.t.Runtime().RingDepth())
+	for len(ops) > 0 {
+		n := min(len(ops), depth)
+		h.collectWave(ops[:n], h.issueWave(ops[:n]), timeout)
+		ops = ops[n:]
+	}
+}
+
+// issueWave starts every op's get. LocalGets lookups of locally-owned
+// partitions run here, on the calling thread; the returned mask has bit i set
+// for each op answered that way.
+//
+//dps:noalloc via Wave
+func (h *DPSHandle) issueWave(ops []WaveOp) (answered uint16) {
+	rt := h.t.Runtime()
+	for i := range ops {
+		o := &ops[i]
+		if h.d.localGets && !rt.PartitionForKey(o.Key).Remote() {
+			o.Val, o.OK = valOK(h.t.ExecuteLocal(o.Key, opGet, core.Args{}))
+			o.Err = nil
+			answered |= 1 << i
+			continue
+		}
+		h.t.ExecuteInto(&h.wave[i], o.Key, opGet, core.Args{})
+	}
+	return answered
+}
+
+// collectWave awaits the delegated gets in request order.
+//
+//dps:noalloc via Wave
+func (h *DPSHandle) collectWave(ops []WaveOp, answered uint16, timeout time.Duration) {
+	for i := range ops {
+		if answered&(1<<i) != 0 {
+			continue
+		}
+		c := &h.wave[i]
+		var res core.Result
+		var err error
+		if timeout > 0 {
+			res, err = c.ResultTimeout(timeout)
+		} else {
+			res = c.Result()
+		}
+		if err == nil {
+			// opGet reports no errors of its own: an Err here is the
+			// transport's (shutdown, peer down, unregistered op).
+			err = res.Err
+		}
+		o := &ops[i]
+		o.Val, o.OK, o.Err = nil, false, err
+		if err == nil {
+			o.Val, o.OK = valOK(res)
+		}
+		// Drop the record's reference to the value bytes.
+		*c = core.Completion{}
+	}
 }
 
 func valOK(res core.Result) ([]byte, bool) {

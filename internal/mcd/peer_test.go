@@ -68,6 +68,19 @@ func TestDPSPeerStore(t *testing.T) {
 	}
 	sess.Drain()
 
+	// A wave spans both tiers: gets of local partitions ride the rings,
+	// gets of peer-owned ones pack into wire bursts, one call collects both.
+	ops := make([]WaveOp, n)
+	for k := range ops {
+		ops[k].Key = uint64(k)
+	}
+	sess.(Waver).Wave(ops)
+	for _, o := range ops {
+		if o.Err != nil || !o.OK || string(o.Val) != "v2" {
+			t.Fatalf("wave get %d: v=%q ok=%v err=%v", o.Key, o.Val, o.OK, o.Err)
+		}
+	}
+
 	// Ownership really is split: the serving store holds the remote
 	// partitions' items, the client holds the rest, nothing is counted
 	// twice and nothing was lost.

@@ -70,6 +70,33 @@ type Session interface {
 	Close()
 }
 
+// MaxWave is the largest wave worth queueing: Wave issues at most this many
+// gets before it starts collecting (fewer when the runtime's rings are
+// shallower), so a caller that batches up to MaxWave ops gets them all in
+// flight at once.
+const MaxWave = 16
+
+// WaveOp is one get of a wave: the caller sets Key, Wave fills the rest with
+// what Session.Get would have returned.
+type WaveOp struct {
+	Key uint64
+	Val []byte
+	OK  bool
+	Err error
+}
+
+// Waver is the optional Session extension of the variants whose gets are
+// delegations (dps, dps-parsec): Wave issues every op's get before awaiting
+// any, so the owning localities serve them concurrently and the caller pays
+// one wait for the wave instead of one per key. Results land in request
+// order; gets of one key keep their order relative to this session's earlier
+// sets (per-partition FIFO from one sender). Callers discover it by type
+// assertion and fall back to a Get loop — which is what a wave would be on
+// the variants that execute gets inline.
+type Waver interface {
+	Wave(ops []WaveOp)
+}
+
 // Config parameterizes Open across all variants. The zero value is usable:
 // every field has a default.
 type Config struct {
@@ -516,6 +543,9 @@ func (s *dpsSession) Get(key uint64) ([]byte, bool, error) {
 	v, ok := s.h.Get(key)
 	return v, ok, nil
 }
+
+// Wave implements Waver; each get is bounded by OpTimeout like Get.
+func (s *dpsSession) Wave(ops []WaveOp) { s.h.Wave(ops, s.opTimeout) }
 
 func (s *dpsSession) Set(key uint64, val []byte) error {
 	if s.opTimeout > 0 {

@@ -42,6 +42,12 @@ var errConnClose = errors.New("server: close connection")
 // session goes back to the pool, and buffered responses flush in one
 // syscall. The session is only held while commands are in hand, so
 // thousands of mostly-idle connections share a handful of store sessions.
+//
+// Within a batch, consecutive get/gets keys queue into a wave instead of
+// executing one by one: closeWave issues them all through the session's
+// mcd.Waver, awaits them, and renders their replies in request order. Any
+// other command, a malformed line, a full queue and the batch boundary close
+// the wave first, so nothing is ever written ahead of a queued get's reply.
 type conn struct {
 	srv *Server
 	nc  net.Conn
@@ -50,11 +56,27 @@ type conn struct {
 	bw  *bufio.Writer
 	cmd *command
 	// sess is the pool session held for the current batch (nil between
-	// batches); ops counts the commands it has executed this batch.
-	sess mcd.Session
-	ops  uint64
+	// batches); ops counts the commands it has executed this batch. waver is
+	// sess's wave interface, nil when the variant executes gets inline —
+	// those sessions are served key by key.
+	sess  mcd.Session
+	waver mcd.Waver
+	ops   uint64
+	// The open wave: wave[i] is the store op of queued key wgets[i], whose
+	// bytes were copied into wkeys (the read buffer they were parsed from is
+	// refilled before the wave closes).
+	wave  []mcd.WaveOp
+	wgets []waveGet
+	wkeys []byte
 	// scratch assembles entry buffers and response headers.
 	scratch []byte
+}
+
+// waveGet is the protocol side of one queued get key.
+type waveGet struct {
+	off, end int  // the key is wkeys[off:end]
+	withCAS  bool // gets: the VALUE line carries the cas unique
+	last     bool // last key of its command: END follows its reply
 }
 
 func (c *conn) serve() {
@@ -66,8 +88,13 @@ func (c *conn) serve() {
 		c.srv.wg.Done()
 	}()
 	for {
-		if err := c.armReadDeadline(); err != nil {
-			return
+		// Only a read that finds the buffer empty is sure to wait on the
+		// socket, so only that one re-arms the idle deadline; a command whose
+		// tail is still in flight stays bounded by the deadline armed here.
+		if c.br.Buffered() == 0 {
+			if err := c.armReadDeadline(); err != nil {
+				return
+			}
 		}
 		line, err := c.readLine()
 		if err != nil {
@@ -110,8 +137,10 @@ func (c *conn) armReadDeadline() error {
 // boundaries or mid-command, and mid-command failures abandon the command).
 func (c *conn) handleReadError(err error) {
 	if errors.Is(err, bufio.ErrBufferFull) {
-		c.srv.stats.ProtocolErrors.Add(1)
-		_, _ = c.bw.Write(respLineTooLong)
+		if c.closeWave() == nil {
+			c.srv.stats.ProtocolErrors.Add(1)
+			_, _ = c.bw.Write(respLineTooLong)
+		}
 		c.endBatch()
 	}
 }
@@ -139,6 +168,10 @@ func (c *conn) session() (mcd.Session, error) {
 		case s := <-c.srv.pool:
 			c.sess = s
 			c.ops = 0
+			if c.waver, _ = s.(mcd.Waver); c.waver != nil && c.wave == nil {
+				c.wave = make([]mcd.WaveOp, 0, mcd.MaxWave)
+				c.wgets = make([]waveGet, 0, mcd.MaxWave)
+			}
 		case <-c.srv.closed:
 			return nil, errConnClose
 		}
@@ -158,22 +191,24 @@ func (c *conn) releaseSession() {
 	c.srv.stats.Batches.Add(1)
 	c.srv.stats.BatchedOps.Add(c.ops)
 	c.srv.pool <- c.sess
-	c.sess = nil
+	c.sess, c.waver = nil, nil
 	c.ops = 0
 }
 
-// endBatch closes a pipelined batch: release the session, flush buffered
-// responses under the write deadline. Returns false when the flush fails
-// (peer gone) and the connection should close.
+// endBatch closes a pipelined batch: answer the open wave, release the
+// session, flush buffered responses under the write deadline. Returns false
+// when the store is shutting down or the flush fails (peer gone) and the
+// connection should close.
 func (c *conn) endBatch() bool {
+	storeUp := c.closeWave() == nil
 	c.releaseSession()
 	if c.bw.Buffered() == 0 {
-		return true
+		return storeUp
 	}
 	if c.srv.cfg.WriteTimeout > 0 {
 		_ = c.nc.SetWriteDeadline(time.Now().Add(c.srv.cfg.WriteTimeout))
 	}
-	return c.bw.Flush() == nil
+	return c.bw.Flush() == nil && storeUp
 }
 
 // dispatch parses and executes one command line. A non-nil return closes
@@ -182,12 +217,19 @@ func (c *conn) dispatch(line []byte) error {
 	if c.srv.chaos != nil {
 		c.srv.chaos.BeforeOp()
 	}
-	if err := parseCommand(line, c.cmd); err != nil {
-		return c.commandError(err)
+	perr := parseCommand(line, c.cmd)
+	if perr == nil && (c.cmd.op == opGet || c.cmd.op == opGets) {
+		return c.doGet(c.cmd.op == opGets)
+	}
+	// Everything but a well-formed get is a barrier: the queued gets are
+	// answered before this command executes or its error line is written.
+	if err := c.closeWave(); err != nil {
+		return err
+	}
+	if perr != nil {
+		return c.commandError(perr)
 	}
 	switch c.cmd.op {
-	case opGet, opGets:
-		return c.doGet(c.cmd.op == opGets)
 	case opSet, opAdd:
 		return c.doStore()
 	case opDelete:
@@ -250,37 +292,104 @@ func (c *conn) storeError(err error) error {
 
 // doGet serves get/gets: one VALUE block per present key, END last. Keys
 // whose stored entry embeds a different protocol key (FNV collision) are
-// reported as misses rather than leaking a foreign value.
+// reported as misses rather than leaking a foreign value. On a session that
+// can run waves the keys are only queued here; closeWave answers them.
 func (c *conn) doGet(withCAS bool) error {
 	sess, err := c.session()
 	if err != nil {
 		return err
 	}
-	for _, key := range c.cmd.keys {
-		c.srv.stats.CmdGet.Add(1)
-		c.ops++
-		entry, ok, err := sess.Get(hashKey(key))
-		if err != nil {
-			if err2 := c.storeError(err); err2 != nil {
-				return err2
+	keys := c.cmd.keys
+	if c.waver != nil {
+		for i, key := range keys {
+			if len(c.wave) == cap(c.wave) {
+				if err := c.closeWave(); err != nil {
+					return err
+				}
 			}
-			continue
+			off := len(c.wkeys)
+			c.wkeys = append(c.wkeys, key...)
+			c.wave = append(c.wave, mcd.WaveOp{Key: hashKey(key)})
+			c.wgets = append(c.wgets, waveGet{off: off, end: len(c.wkeys), withCAS: withCAS, last: i == len(keys)-1})
 		}
-		flags, storedKey, data, valid := decodeEntry(entry)
-		if !ok || !valid || !bytesEqual(storedKey, key) {
-			c.srv.stats.GetMisses.Add(1)
-			continue
-		}
-		c.srv.stats.GetHits.Add(1)
-		c.writeValue(key, flags, data, withCAS, entryCAS(entry))
+		return nil
 	}
+	var n getCounts
+	for _, key := range keys {
+		var o mcd.WaveOp
+		o.Val, o.OK, o.Err = sess.Get(hashKey(key))
+		if err := c.writeGet(key, withCAS, &o, &n); err != nil {
+			return err
+		}
+	}
+	c.countGets(n)
 	_, _ = c.bw.Write(respEnd)
 	return nil
 }
 
+// closeWave answers the queued gets: one Wave call puts them all in flight,
+// then the replies are rendered in request order — a failed get's error line
+// in its key's place, like the key-by-key path. Returns errConnClose when the
+// store shut down under the wave. No-op without an open wave.
+func (c *conn) closeWave() error {
+	if len(c.wave) == 0 {
+		return nil
+	}
+	c.waver.Wave(c.wave)
+	var n getCounts
+	var closed error
+	for i := range c.wave {
+		g := c.wgets[i]
+		if closed = c.writeGet(c.wkeys[g.off:g.end], g.withCAS, &c.wave[i], &n); closed != nil {
+			break
+		}
+		if g.last {
+			_, _ = c.bw.Write(respEnd)
+		}
+	}
+	c.countGets(n)
+	clear(c.wave) // the ops pin their value bytes
+	c.wave, c.wgets, c.wkeys = c.wave[:0], c.wgets[:0], c.wkeys[:0]
+	return closed
+}
+
+// getCounts tallies rendered get keys so the shared counters take one add
+// per command or wave, not one per key.
+type getCounts struct{ keys, hits, misses uint64 }
+
+// writeGet renders one looked-up key and tallies it: its VALUE block on a
+// hit, nothing on a miss, the store's error line on a failed lookup
+// (returning errConnClose when that failure is shutdown).
+func (c *conn) writeGet(key []byte, withCAS bool, o *mcd.WaveOp, n *getCounts) error {
+	n.keys++
+	if o.Err != nil {
+		return c.storeError(o.Err)
+	}
+	flags, storedKey, data, valid := decodeEntry(o.Val)
+	if !o.OK || !valid || !bytesEqual(storedKey, key) {
+		n.misses++
+		return nil
+	}
+	n.hits++
+	c.writeValue(key, flags, data, withCAS, o.Val)
+	return nil
+}
+
+func (c *conn) countGets(n getCounts) {
+	c.ops += n.keys
+	c.srv.stats.CmdGet.Add(n.keys)
+	if n.hits > 0 {
+		c.srv.stats.GetHits.Add(n.hits)
+	}
+	if n.misses > 0 {
+		c.srv.stats.GetMisses.Add(n.misses)
+	}
+}
+
 // writeValue emits one "VALUE <key> <flags> <bytes> [<cas>]\r\n<data>\r\n"
-// block, assembling the header in the connection's scratch buffer.
-func (c *conn) writeValue(key []byte, flags uint32, data []byte, withCAS bool, cas uint64) {
+// block, assembling the header in the connection's scratch buffer. The cas
+// unique hashes the whole stored entry, so only gets pays for it.
+func (c *conn) writeValue(key []byte, flags uint32, data []byte, withCAS bool, entry []byte) {
 	h := append(c.scratch[:0], "VALUE "...)
 	h = append(h, key...)
 	h = append(h, ' ')
@@ -289,7 +398,7 @@ func (c *conn) writeValue(key []byte, flags uint32, data []byte, withCAS bool, c
 	h = strconv.AppendUint(h, uint64(len(data)), 10)
 	if withCAS {
 		h = append(h, ' ')
-		h = strconv.AppendUint(h, cas, 10)
+		h = strconv.AppendUint(h, entryCAS(entry), 10)
 	}
 	h = append(h, '\r', '\n')
 	c.scratch = h[:0]
@@ -309,8 +418,12 @@ func (c *conn) doStore() error {
 	if c.cmd.bytes > c.srv.cfg.MaxValue {
 		return c.discardOversized()
 	}
+	// key aliases the read buffer, which reading the data block may refill
+	// and slide: hash it now, and from here on use the copy inside entry.
+	hk := hashKey(key)
 	entry := make([]byte, entrySize(len(key), c.cmd.bytes))
 	off := putEntryHeader(entry, c.cmd.flags, key)
+	key = entry[entryHeaderLen:off]
 	if _, err := io.ReadFull(c.br, entry[off:]); err != nil {
 		return errConnClose
 	}
@@ -329,7 +442,6 @@ func (c *conn) doStore() error {
 		return err
 	}
 	c.ops++
-	hk := hashKey(key)
 	if c.cmd.op == opAdd {
 		// add stores only when absent. The check and the store are two
 		// delegations, so concurrent adds of one key can both report

@@ -53,8 +53,9 @@ var (
 
 // command is a parsed request line. It is reused across commands on a
 // connection: keys alias the connection's read buffer and are only valid
-// until the next buffered read, so storage commands copy the key into the
-// entry buffer before reading the data block.
+// until the next buffered read, so storage commands hash the key and copy it
+// into the entry buffer before reading the data block, and queued gets copy
+// theirs into the wave.
 type command struct {
 	op      opcode
 	keys    [][]byte

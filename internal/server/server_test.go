@@ -26,6 +26,14 @@ func newTestServer(t *testing.T, variant string, cfg Config) (*Server, mcd.Store
 	if err != nil {
 		t.Fatal(err)
 	}
+	return serveStore(t, store, cfg), store
+}
+
+// serveStore starts a server over store on a loopback port. The test's
+// cleanup shuts the server down and closes the store — after the connections
+// dialed later have closed, so the drain never waits out an idle client.
+func serveStore(t *testing.T, store mcd.Store, cfg Config) *Server {
+	t.Helper()
 	cfg.Store = store
 	if cfg.Sessions == 0 {
 		cfg.Sessions = 2
@@ -43,7 +51,7 @@ func newTestServer(t *testing.T, variant string, cfg Config) (*Server, mcd.Store
 		_ = srv.Shutdown(5 * time.Second)
 		_ = store.Close()
 	})
-	return srv, store
+	return srv
 }
 
 func dial(t *testing.T, srv *Server) net.Conn {
@@ -228,38 +236,45 @@ func TestBadDataChunk(t *testing.T) {
 	_ = srv
 }
 
-// TestStats exercises the stats command's counter block.
+// TestStats exercises the stats command's counter block, on a variant served
+// key by key and on one served in waves (whose get counters are added once
+// per wave): the totals must not differ.
 func TestStats(t *testing.T) {
-	srv, _ := newTestServer(t, "stock", Config{})
-	nc := dial(t, srv)
-	roundTrip(t, nc, "set s 0 0 1\r\nx\r\n", "STORED\r\n")
-	roundTrip(t, nc, "get s\r\nget t\r\n", "VALUE s 0 1\r\nx\r\nEND\r\nEND\r\n")
-	if _, err := io.WriteString(nc, "stats\r\n"); err != nil {
-		t.Fatal(err)
-	}
-	br := bufio.NewReader(nc)
-	stats := map[string]string{}
-	for {
-		line, err := br.ReadString('\n')
-		if err != nil {
-			t.Fatal(err)
-		}
-		if line == "END\r\n" {
-			break
-		}
-		var name, val string
-		if _, err := fmt.Sscanf(line, "STAT %s %s", &name, &val); err != nil {
-			t.Fatalf("bad stat line %q", line)
-		}
-		stats[name] = val
-	}
-	for name, want := range map[string]string{
-		"cmd_get": "2", "cmd_set": "1", "get_hits": "1", "get_misses": "1",
-		"curr_connections": "1", "curr_items": "1", "protocol_errors": "0",
-	} {
-		if stats[name] != want {
-			t.Errorf("STAT %s = %s, want %s (all: %v)", name, stats[name], want, stats)
-		}
+	for _, variant := range []string{"stock", "dps"} {
+		t.Run(variant, func(t *testing.T) {
+			srv, _ := newTestServer(t, variant, Config{})
+			nc := dial(t, srv)
+			roundTrip(t, nc, "set s 0 0 1\r\nx\r\n", "STORED\r\n")
+			roundTrip(t, nc, "get s\r\nget t s u\r\n", "VALUE s 0 1\r\nx\r\nEND\r\nVALUE s 0 1\r\nx\r\nEND\r\n")
+			if _, err := io.WriteString(nc, "stats\r\n"); err != nil {
+				t.Fatal(err)
+			}
+			br := bufio.NewReader(nc)
+			stats := map[string]string{}
+			for {
+				line, err := br.ReadString('\n')
+				if err != nil {
+					t.Fatal(err)
+				}
+				if line == "END\r\n" {
+					break
+				}
+				var name, val string
+				if _, err := fmt.Sscanf(line, "STAT %s %s", &name, &val); err != nil {
+					t.Fatalf("bad stat line %q", line)
+				}
+				stats[name] = val
+			}
+			for name, want := range map[string]string{
+				"cmd_get": "4", "cmd_set": "1", "get_hits": "2", "get_misses": "2",
+				"curr_connections": "1", "curr_items": "1", "protocol_errors": "0",
+				"batches": "2", "batched_ops": "5",
+			} {
+				if stats[name] != want {
+					t.Errorf("STAT %s = %s, want %s (all: %v)", name, stats[name], want, stats)
+				}
+			}
+		})
 	}
 }
 
