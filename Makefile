@@ -13,12 +13,16 @@ test:
 # ring (the shared slot/ring primitives), core (the DPS runtime), wire
 # (the peer links), ffwd (the baseline), and obs — whose correctness
 # depends on concurrent access. bench-build goes first, because none of the
-# root-module commands below compiles the benchmark module.
+# root-module commands below compiles the benchmark module. The last line
+# repeats the concurrent data-structure suites at three GOMAXPROCS settings:
+# their interleavings, and so their failures, depend on the host's CPU count
+# (the lock-free skip list hung about one run in sixty on 2 CPUs only).
 check: bench-build
 	$(GO) vet ./...
 	$(GO) run ./cmd/dpslint
 	$(GO) build ./...
 	$(GO) test -race ./internal/ring/... ./internal/core/... ./internal/obs/... ./internal/ffwd/... ./internal/wire/...
+	$(GO) test -count=20 -cpu 1,2,4 ./internal/skiplist ./internal/dpsds
 
 # bench-build vets and unit-tests benchmark/, which is a Go module of its own
 # (dps/benchmark, replace dps => ../): the root module's build and tests never

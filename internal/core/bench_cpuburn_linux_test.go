@@ -15,15 +15,13 @@ import (
 // nothing is delegated, as process CPU-milliseconds per wall-second
 // (getrusage delta over the timed window; each iteration is a 5ms sleep,
 // so ns/op is flat by construction and the cpu-ms/s metric carries the
-// result). Three idle strategies:
+// result). Two idle strategies:
 //
 //   - spin: Serve+Gosched hot loop — the dedicated-server upper bound,
 //     one full core (~1000 cpu-ms/s).
-//   - poll1ms: sleep 1ms between empty serve passes — the pre-parking
-//     polling strategy (mcd's serve loop polled this way).
-//   - parked: ServeWait with the 50ms park timeout mcd's serve loop now
-//     uses — the parked waiter; the doorbell wakes it directly, so idling
-//     costs only the periodic stall-check timeouts.
+//   - parked: ServeWait with the 50ms park timeout mcd's serve loop uses —
+//     the parked waiter; the doorbell wakes it directly, so idling costs
+//     only the periodic stall-check timeouts.
 //
 // Linux-only: the measurement needs getrusage, and this is also the only
 // platform where pinning makes the numbers mean anything.
@@ -36,13 +34,6 @@ func BenchmarkIdleCPUBurn(b *testing.B) {
 			for !stopped.Load() {
 				if srv.Serve() == 0 {
 					runtime.Gosched()
-				}
-			}
-		}},
-		{"poll1ms", func(srv *Thread, stopped *atomic.Bool) {
-			for !stopped.Load() {
-				if srv.Serve() == 0 {
-					time.Sleep(time.Millisecond)
 				}
 			}
 		}},

@@ -448,7 +448,7 @@ func TestRescueRevivingServerGapBranch(t *testing.T) {
 	m.ops[0].fire = true
 	s1.Publish()
 
-	t0.rescue(s1)         // blocking-claim rescue: must hit the gap and return
+	t0.rescue(p, s1)      // blocking-claim rescue: must hit the gap and return
 	t0.forceRescue(p, s1) // stall-escalation rescue: same gap, same bail-out
 	if !s1.Pending() {
 		t.Fatal("rescue served past the gap")

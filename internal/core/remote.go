@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"runtime"
 	"sync"
 	"time"
 	"unsafe"
@@ -180,10 +179,13 @@ type wireRef struct {
 }
 
 // stageRemote stages one operation toward peer-owned partition p on the
-// thread's link to that peer, flushing any open burst on a different
-// link first (one open wire burst per thread, mirroring the one open
-// ring burst). The staged bytes are copied immediately; args may be
-// reused when stageRemote returns.
+// thread's link to that peer — issue's stage step for the wire tier, as
+// pack is for the rings — flushing any open burst on a different link first
+// (one open wire burst per thread, mirroring the one open ring burst). The
+// staged bytes are copied immediately; args may be reused when stageRemote
+// returns. A fire-and-forget token joins the Drain barrier: completion
+// frames (even for fire ops) are how the sender learns the peer consumed
+// the burst.
 //
 //dps:noalloc via ExecuteSync
 func (t *Thread) stageRemote(p *Partition, key uint64, op Op, args *Args, fire bool) (wire.Tok, error) {
@@ -216,8 +218,12 @@ func (t *Thread) stageRemote(p *Partition, key uint64, op Op, args *Args, fire b
 	t.wopen = l
 	t.rt.rec.Add(t.id, p.id, obs.RemoteOps, 1)
 	t.rt.rec.Add(t.id, p.id, obs.RemoteBytes, uint64(47+len(data)))
-	if t.rt.tracing {
-		t.rt.tracer.OnSend(t.id, p.id, key, !fire)
+	if fire {
+		//dps:alloc-ok amortized growth of the wire outstanding list, same budget as noteOutstanding
+		t.woutstanding = append(t.woutstanding, wireRef{tok: tok, p: p})
+		if len(t.woutstanding) >= wireDrainHighWater {
+			t.drainWire()
+		}
 	}
 	return tok, nil
 }
@@ -233,121 +239,23 @@ func (t *Thread) flushWire() {
 	}
 }
 
-// Wire-wait escalation: unlike the in-process waiter, a wire wait cannot
-// park — no peer process can reach this runtime's parker to wake it — so
-// it keeps the pre-parking exponential-sleep schedule, bounded by the
-// deadline.
-const (
-	// wireSleepStep is how many pauses pass between sleep doublings.
-	wireSleepStep = 16
-	// wireMaxSleepShift caps the sleep at 1µs << 7 = 128µs.
-	wireMaxSleepShift = 7
-	// wireStallWindow is how many pauses pass between PeerStalls marks,
-	// roughly 30-60ms of observed silence at the capped sleep.
-	wireStallWindow = 256
-)
-
-// awaitTok blocks until a wire token resolves, serving the caller's own
-// locality meanwhile — the §4.3 overlap holds across tiers: a thread
-// waiting on a peer process still executes work delegated to it. It does
-// not use the in-process waiter: that escalation samples the destination
-// partition's serving-progress clock, which never advances for a
-// partition served in another process, its remedy (forced rescue) cannot
-// cross the boundary, and no peer can wake a parked waiter here. The
-// wire's remedies are the deadline (zero means the peer's configured
-// timeout — wire waits are never unbounded) and the link's own failure
-// detection; a stall window with no frame counts PeerStalls.
-func (t *Thread) awaitTok(tok wire.Tok, deadline time.Time, p *Partition) (Result, error) {
-	if deadline.IsZero() {
-		deadline = time.Now().Add(p.peer.Timeout())
-	}
-	idle := 0
-	//dps:spin-ok bounded by the deadline above (zero deadline takes the peer timeout); escalates Gosched → exponential sleep
-	for {
-		if res, ok := tok.Ready(); ok {
-			tok.Finish()
-			return res, closedErr(res)
-		}
-		if t.rt.down.Load() {
-			tok.Finish()
-			return Result{Err: ErrClosed}, ErrClosed
-		}
-		if t.serve() > 0 {
-			idle = 0
-			continue
-		}
-		idle++
-		if idle <= waitSpinYield {
-			runtime.Gosched()
-			continue
-		}
-		if time.Now().After(deadline) {
-			tok.Finish()
-			t.rt.rec.Add(t.id, p.id, obs.Abandoned, 1)
-			return Result{Err: ErrTimeout}, ErrTimeout
-		}
-		if idle%wireStallWindow == 0 {
-			t.rt.rec.Add(t.id, p.id, obs.PeerStalls, 1)
-			if t.rt.tracing {
-				t.rt.tracer.OnStall(t.id, p.id, 0)
-			}
-		}
-		shift := (idle - waitSpinYield) / wireSleepStep
-		if shift > wireMaxSleepShift {
-			shift = wireMaxSleepShift
-		}
-		time.Sleep(time.Microsecond << shift)
-	}
-}
-
-// remoteSync delegates one synchronous operation across the process
-// boundary and awaits it. Zero deadline applies the peer's timeout.
-func (t *Thread) remoteSync(p *Partition, key uint64, op Op, args *Args, deadline time.Time) (Result, error) {
-	sent := t.rt.rec.Start()
-	tok, err := t.stageRemote(p, key, op, args, false)
-	if err != nil {
-		return Result{Err: err}, err
-	}
-	t.flushOpen()
-	res, err := t.awaitTok(tok, deadline, p)
-	d := t.rt.rec.Since(sent)
-	t.rt.rec.Observe(t.id, obs.HistSyncDelegation, d)
-	if t.rt.tracing {
-		t.rt.tracer.OnComplete(t.id, p.id, key, d)
-	}
-	return res, err
-}
-
-// remoteAsync delegates one fire-and-forget operation across the process
-// boundary. The token joins the Drain barrier: completion frames (even
-// for fire ops) are how the sender learns the peer consumed the burst.
-func (t *Thread) remoteAsync(p *Partition, key uint64, op Op, args *Args) {
-	tok, err := t.stageRemote(p, key, op, args, true)
-	if err != nil {
-		t.rt.rec.Add(t.id, p.id, obs.Abandoned, 1)
-		return
-	}
-	//dps:alloc-ok amortized growth of the wire outstanding list, same budget as noteOutstanding
-	t.woutstanding = append(t.woutstanding, wireRef{tok: tok, p: p})
-	if len(t.woutstanding) >= wireDrainHighWater {
-		t.drainWire()
-	}
-}
-
 // wireDrainHighWater bounds the outstanding wire-token list: past it the
 // sender collects completions before staging more, the wire tier's
 // back-pressure (the analogue of the ring-full wait).
 const wireDrainHighWater = 4 * wire.MaxBurst
 
-// drainWire awaits every outstanding wire token. Timeouts and closed
-// links resolve the tokens with errors — the barrier never wedges on a
-// dead peer; awaitTok's deadline (the peer's timeout) bounds each wait
-// and the whole list is finite.
+// drainWire awaits every outstanding wire token. The barrier never wedges
+// on a dead peer: a closed link resolves its tokens with errors, the bound
+// on every wait for a peer process ends the rest, and the list is finite. A
+// token given up on counts as Abandoned.
 func (t *Thread) drainWire() {
 	t.flushWire()
 	for i := range t.woutstanding {
 		r := &t.woutstanding[i]
-		t.awaitTok(r.tok, time.Time{}, r.p)
+		if !t.awaitServed(r.p, target{tok: r.tok}) {
+			t.rt.rec.Add(t.id, r.p.id, obs.Abandoned, 1)
+		}
+		r.tok.Finish()
 		*r = wireRef{}
 	}
 	t.woutstanding = t.woutstanding[:0]

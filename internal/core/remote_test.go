@@ -3,13 +3,13 @@ package core
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"dps/internal/chaos"
-	"dps/internal/ring"
 )
 
 // The remote tests run a two-node cluster inside one test process: a
@@ -29,6 +29,9 @@ const (
 	codePut uint16 = 1
 	codeGet uint16 = 2
 	codeLen uint16 = 3
+	// codeBlock is remoteBlock, which holds its server until the test that
+	// made blockPeer closes it.
+	codeBlock uint16 = 5
 )
 
 // remotePut stores a copy of the value: the wire hands ops a decode
@@ -57,7 +60,7 @@ func registerTestOps(t *testing.T, rt *Runtime) {
 	for _, r := range []struct {
 		code uint16
 		op   Op
-	}{{codePut, remotePut}, {codeGet, remoteGet}, {codeLen, remoteLen}} {
+	}{{codePut, remotePut}, {codeGet, remoteGet}, {codeLen, remoteLen}, {codeBlock, remoteBlock}} {
 		if err := rt.RegisterOp(r.code, r.op); err != nil {
 			t.Fatalf("RegisterOp(%d): %v", r.code, err)
 		}
@@ -345,39 +348,266 @@ func TestRemoteMetrics(t *testing.T) {
 	}
 }
 
-// TestTransportConformance drives the in-process and wire tiers through
-// the shared ring.Transport contract and expects identical behavior.
-func TestTransportConformance(t *testing.T) {
-	_, th := startCluster(t, nil)
-	tr := th.Transport()
-	for name, part := range map[string]int{"local": 0, "wire": 2} {
-		key := uint64(part)
-		val := []byte(fmt.Sprintf("conform-%s", name))
-		tok, err := tr.Stage(ring.StagedOp{Part: part, Code: codePut, Key: key, Data: val})
-		if err != nil {
-			t.Fatalf("%s stage put: %v", name, err)
+// sendTracer records the sender-side hooks; OnServe arrives from other
+// threads, hence the lock.
+type sendTracer struct {
+	NopTracer
+	mu        sync.Mutex
+	sends     []traceEvent
+	completes []traceEvent
+}
+
+type traceEvent struct {
+	part int
+	key  uint64
+	sync bool
+}
+
+func (tr *sendTracer) OnSend(tid, part int, key uint64, sync bool) {
+	tr.mu.Lock()
+	tr.sends = append(tr.sends, traceEvent{part, key, sync})
+	tr.mu.Unlock()
+}
+
+func (tr *sendTracer) OnComplete(tid, part int, key uint64, d time.Duration) {
+	tr.mu.Lock()
+	tr.completes = append(tr.completes, traceEvent{part, key, true})
+	tr.mu.Unlock()
+}
+
+// take returns and clears what was recorded for partition part.
+func (tr *sendTracer) take(part int) (sends, completes []traceEvent) {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	for _, e := range tr.sends {
+		if e.part == part {
+			sends = append(sends, e)
 		}
-		if err := tr.Flush(); err != nil {
-			t.Fatalf("%s flush: %v", name, err)
+	}
+	for _, e := range tr.completes {
+		if e.part == part {
+			completes = append(completes, e)
 		}
-		if _, err := tok.Await(time.Time{}); err != nil {
-			t.Fatalf("%s await put: %v", name, err)
+	}
+	tr.sends, tr.completes = nil, nil
+	return sends, completes
+}
+
+// TestSendFormsOnBothTiers runs every public form of a delegation toward a
+// partition reached over a ring and toward one reached over the wire, and
+// expects the same behaviour from all of them: read-your-writes, one OnSend
+// and one OnComplete carrying the operation's partition and key, one
+// sync-delegation latency sample — and, toward the peer, an unregistered op
+// refused with ErrOpNotRegistered before anything is sent.
+func TestSendFormsOnBothTiers(t *testing.T) {
+	tr := &sendTracer{}
+	client, th := startCluster(t, func(cfg *Config) { cfg.Tracer = tr })
+	if th.Locality() != 0 {
+		t.Fatalf("test thread registered at locality %d, want 0", th.Locality())
+	}
+	defer startServer(t, client, 1)()
+
+	const wait = 2 * time.Second
+	lo := func(part int) uint64 { l, _ := client.Partition(part).Range(); return l }
+	forms := []struct {
+		name string
+		// key is the key the form sends for partition part, given a free choice k.
+		key func(part int, k uint64) uint64
+		// delegated is how many partitions one call delegates to.
+		delegated uint64
+		run       func(part int, key uint64, op Op, args Args) (Result, error)
+	}{
+		{"ExecuteSync", nil, 1, func(part int, key uint64, op Op, args Args) (Result, error) {
+			return th.ExecuteSync(key, op, args), nil
+		}},
+		{"ExecuteSyncTimeout", nil, 1, func(part int, key uint64, op Op, args Args) (Result, error) {
+			return th.ExecuteSyncTimeout(key, op, args, wait)
+		}},
+		{"ExecuteInto+Result", nil, 1, func(part int, key uint64, op Op, args Args) (Result, error) {
+			var c Completion
+			th.ExecuteInto(&c, key, op, args)
+			return c.Result(), nil
+		}},
+		{"ExecuteInto+ResultTimeout", nil, 1, func(part int, key uint64, op Op, args Args) (Result, error) {
+			var c Completion
+			th.ExecuteInto(&c, key, op, args)
+			return c.ResultTimeout(wait)
+		}},
+		{"ExecutePartition", nil, 1, func(part int, key uint64, op Op, args Args) (Result, error) {
+			return th.ExecutePartition(part, key, op, args), nil
+		}},
+		{"ExecuteAll", func(part int, k uint64) uint64 { return lo(part) }, rtParts - 1,
+			func(part int, key uint64, op Op, args Args) (Result, error) {
+				return th.ExecuteAll(op, args, func(results []Result) Result { return results[part] }), nil
+			}},
+	}
+	samples := func() uint64 { return client.Metrics().Latency.SyncDelegation.Count }
+	// expectOne checks one synchronous operation's footprint on partition part.
+	expectOne := func(label string, part int, key uint64, before, delegated uint64) {
+		t.Helper()
+		sends, completes := tr.take(part)
+		want := traceEvent{part, key, true}
+		if len(sends) != 1 || sends[0] != want {
+			t.Errorf("%s: OnSend events %+v, want exactly %+v", label, sends, want)
 		}
-		tok, err = tr.Stage(ring.StagedOp{Part: part, Code: codeGet, Key: key})
-		if err != nil {
-			t.Fatalf("%s stage get: %v", name, err)
+		if len(completes) != 1 || completes[0] != want {
+			t.Errorf("%s: OnComplete events %+v, want exactly %+v", label, completes, want)
 		}
-		tr.Flush()
-		res, err := tok.Await(time.Now().Add(2 * time.Second))
-		if err != nil || res.U != 1 {
-			t.Fatalf("%s await get: U=%d err=%v", name, res.U, err)
+		if got := samples() - before; got != delegated {
+			t.Errorf("%s: %d sync-delegation samples, want %d", label, got, delegated)
 		}
-		if got := res.P.([]byte); !bytes.Equal(got, val) {
-			t.Fatalf("%s get = %q, want %q", name, got, val)
+	}
+
+	for tier, part := range map[string]int{"ring": 1, "peer": 2} {
+		for i, f := range forms {
+			label := tier + "/" + f.name
+			key := uint64(part + rtParts*(i+1))
+			if f.key != nil {
+				key = f.key(part, key)
+			}
+			val := []byte(label)
+
+			before := samples()
+			if res, err := f.run(part, key, remotePut, Args{P: val}); err != nil || res.Err != nil {
+				t.Fatalf("%s put: res.Err=%v err=%v", label, res.Err, err)
+			}
+			expectOne(label+" put", part, key, before, f.delegated)
+
+			before = samples()
+			res, err := f.run(part, key, remoteGet, Args{})
+			if err != nil || res.Err != nil || res.U != 1 || !bytes.Equal(res.P.([]byte), val) {
+				t.Fatalf("%s get: U=%d P=%q res.Err=%v err=%v, want %q", label, res.U, res.P, res.Err, err, val)
+			}
+			expectOne(label+" get", part, key, before, f.delegated)
+
+			if tier != "peer" {
+				continue
+			}
+			res, _ = f.run(part, key, opMissing, Args{})
+			if !errors.Is(res.Err, ErrOpNotRegistered) {
+				t.Errorf("%s unregistered op: res.Err=%v, want ErrOpNotRegistered", label, res.Err)
+			}
+			if sends, completes := tr.take(part); len(sends)+len(completes) != 0 {
+				t.Errorf("%s unregistered op: traced %+v %+v, want nothing sent", label, sends, completes)
+			}
 		}
-		if _, err := tr.Stage(ring.StagedOp{Part: part, Code: 999}); !errors.Is(err, ErrOpNotRegistered) {
-			t.Fatalf("%s unknown code: %v", name, err)
+
+		// ExecuteAsync + Drain: one asynchronous OnSend, no completion, no
+		// latency sample, and the write is there after the barrier.
+		label := tier + "/ExecuteAsync+Drain"
+		key := uint64(part + rtParts*(len(forms)+1))
+		tr.take(part)
+		before := samples()
+		th.ExecuteAsync(key, remotePut, Args{P: []byte(label)})
+		th.Drain()
+		sends, completes := tr.take(part)
+		if want := (traceEvent{part, key, false}); len(sends) != 1 || sends[0] != want || len(completes) != 0 {
+			t.Errorf("%s: OnSend %+v OnComplete %+v, want one %+v and no completion", label, sends, completes, want)
 		}
+		if got := samples() - before; got != 0 {
+			t.Errorf("%s: %d sync-delegation samples, want 0", label, got)
+		}
+		if res := th.ExecuteSync(key, remoteGet, Args{}); res.U != 1 || !bytes.Equal(res.P.([]byte), []byte(label)) {
+			t.Errorf("%s: get after Drain: U=%d P=%q err=%v", label, res.U, res.P, res.Err)
+		}
+		if tier == "peer" {
+			abandoned := client.Metrics().Totals.Abandoned
+			th.ExecuteAsync(key, opMissing, Args{})
+			if got := client.Metrics().Totals.Abandoned - abandoned; got != 1 {
+				t.Errorf("%s unregistered op: Abandoned rose by %d, want 1", label, got)
+			}
+		}
+	}
+}
+
+// blockPeer is closed to release remoteBlock; the test that sends the op
+// makes it.
+var blockPeer chan struct{}
+
+func remoteBlock(p *Partition, key uint64, a *Args) Result {
+	<-blockPeer
+	return Result{}
+}
+
+// busyOp occupies its server for 20µs: long enough that the sender of a
+// stream of them refills its ring faster than one server drains it, so that
+// server never sees an empty serve pass.
+func busyOp(p *Partition, key uint64, a *Args) Result {
+	for start := time.Now(); time.Since(start) < 20*time.Microsecond; {
+	}
+	return Result{}
+}
+
+// TestRemoteTimeoutWhileServing: a wait on a connected peer that never
+// answers must time out even though the waiter's own locality has a steady
+// stream of delegated work to serve in the meantime.
+func TestRemoteTimeoutWhileServing(t *testing.T) {
+	blockPeer = make(chan struct{})
+	client, waiter := startCluster(t, nil)
+	if waiter.Locality() != 0 {
+		t.Fatalf("waiter registered at locality %d, want 0", waiter.Locality())
+	}
+	flooder, err := client.RegisterAt(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The flooder keeps the waiter's locality supplied with work; only the
+	// waiter can serve it.
+	var stop atomic.Bool
+	flooded := make(chan struct{})
+	go func() {
+		defer close(flooded)
+		defer flooder.Unregister()
+		for i := uint64(0); !stop.Load(); i++ {
+			flooder.ExecuteAsync(rtParts*(i%64), busyOp, Args{})
+		}
+	}()
+	// Runs before startCluster's cleanup: release the peer's server, and
+	// serve the flooder's last operations until it has unregistered.
+	t.Cleanup(func() {
+		stop.Store(true)
+		close(blockPeer)
+		for {
+			select {
+			case <-flooded:
+				return
+			default:
+				waiter.Serve()
+			}
+		}
+	})
+
+	const timeout = 50 * time.Millisecond
+	abandoned := client.Metrics().Totals.Abandoned
+	type outcome struct {
+		res     Result
+		err     error
+		elapsed time.Duration
+	}
+	got := make(chan outcome, 1)
+	go func() {
+		start := time.Now()
+		res, err := waiter.ExecuteSyncTimeout(2, remoteBlock, Args{}, timeout)
+		got <- outcome{res, err, time.Since(start)}
+	}()
+	var o outcome
+	select {
+	case o = <-got:
+	case <-time.After(5 * time.Second):
+		// Without its stream of work the wait does reach its deadline check;
+		// let it, so the thread is back in this goroutine's hands.
+		stop.Store(true)
+		<-got
+		t.Fatalf("ExecuteSyncTimeout(%v) still waiting after 5s while its locality had work", timeout)
+	}
+	if !errors.Is(o.err, ErrTimeout) || !errors.Is(o.res.Err, ErrTimeout) {
+		t.Fatalf("res.Err=%v err=%v, want ErrTimeout", o.res.Err, o.err)
+	}
+	if o.elapsed > 4*timeout {
+		t.Errorf("timed out after %v, want within %v", o.elapsed, 4*timeout)
+	}
+	if d := client.Metrics().Totals.Abandoned - abandoned; d != 1 {
+		t.Errorf("Abandoned rose by %d, want 1", d)
 	}
 }
 

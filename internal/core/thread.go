@@ -135,11 +135,21 @@ const serveFullScanEvery = 64
 // caller-owned ones) and by value: the synchronous paths (ExecuteSync,
 // ExecutePartition, ExecuteAll) build stack completions and await them in
 // place, so a remote synchronous delegation performs no heap allocation.
+//
+// A completion has one life whichever tier carried the operation: issue
+// fills it, it is pending until the ring slot's toggle clears or the wire
+// token's burst resolves, and then exactly one of finish (the result is
+// consumed) or abandon (the wait was given up) makes it done.
 type Completion struct {
-	// slot is the in-ring message, nil if the operation completed inline
-	// (local execution), in which case res already holds the result.
-	slot *slot
-	t    *Thread
+	t *Thread
+	// p and key are the operation's destination partition and key.
+	p   *Partition
+	key uint64
+	// target is what the operation rides in — a ring slot or a wire token —
+	// and is zero once the completion is done (at issue already, for an
+	// operation that ran inline or was never staged; res then holds the
+	// outcome).
+	target
 	// idx is the operation's entry index within the slot's burst.
 	idx  int
 	res  Result
@@ -147,12 +157,6 @@ type Completion struct {
 	// sent is the send-side clock stamp for the send→completion latency
 	// histogram (zero for inline completions or with timing disabled).
 	sent obs.Stamp
-
-	// wtok/wp carry a cross-process completion: when wtok is non-zero the
-	// operation rode the wire tier to peer-owned partition wp and slot is
-	// nil. The polling and blocking paths dispatch on it.
-	wtok wire.Tok
-	wp   *Partition
 }
 
 // ID returns the thread's runtime-unique id.
@@ -232,6 +236,65 @@ func (t *Thread) runLocal(p *Partition, key uint64, op Op, args *Args) Result {
 	return op(p, key, args)
 }
 
+// issue is the one send path behind every Execute variant: it routes the
+// operation to partition p and fills c. An operation on the caller's own
+// locality — or on a locality with no threads to serve it, where inline
+// execution (a remote-memory access in the paper's terms) is the only way
+// to make progress — runs at once and c is done. Otherwise it is staged
+// toward p, into the thread's link to the owning peer process or into the
+// open burst of its ring to p, the send is counted and traced, and c is
+// pending. A non-nil error means the operation was never staged (an
+// unregistered op or a closed link toward a peer; shutdown or the deadline
+// while the ring was full): c is done with that error as its result, an
+// arena payload the operation carried is back in its pool, and a
+// fire-and-forget drop shows in the Abandoned counter.
+//
+// issue does not publish: the operation sits in an open burst until a
+// flush point. fire marks a fire-and-forget operation, which the Drain
+// barrier tracks and whose c the caller discards; deadline (zero: none)
+// bounds the ring-full wait. The argument copies confine args' escape to
+// the branch that needs its address.
+//
+//dps:noalloc via ExecuteSync
+//dps:domain=sender
+func (t *Thread) issue(c *Completion, p *Partition, key uint64, op Op, args Args, fire bool, deadline time.Time) error {
+	*c = Completion{t: t, p: p, key: key}
+	if p.peer == nil && (p.id == t.locality || p.workers.Load() == 0) {
+		a := args
+		c.res, c.done = t.execInline(p, key, op, &a), true
+		return nil
+	}
+	if !fire {
+		c.sent = t.rt.rec.Start()
+	}
+	var err error
+	if p.peer != nil {
+		a := args
+		c.tok, err = t.stageRemote(p, key, op, &a, fire)
+	} else if c.slot, c.idx = t.pack(p, key, op, args, fire, deadline); c.slot == nil {
+		err = ErrTimeout
+		if t.rt.down.Load() {
+			err = ErrClosed
+		}
+	} else if fire {
+		t.rt.rec.Add(t.id, p.id, obs.AsyncSend, 1)
+	} else {
+		t.rt.rec.Add(t.id, p.id, obs.RemoteSend, 1)
+	}
+	if err != nil {
+		releasePayload(&args)
+		if fire {
+			t.rt.rec.Add(t.id, p.id, obs.Abandoned, 1)
+		}
+		c.res, c.done = Result{Err: err}, true
+		return err
+	}
+	if t.rt.tracing {
+		t.rt.tracer.OnSend(t.id, p.id, key, !fire)
+	}
+	return nil
+}
+
 // Execute performs op on the data associated with key (§3.1's
 // completion_rec_t execute(dps, key, op, args...)). If key belongs to the
 // calling thread's locality the operation runs immediately as a function
@@ -274,37 +337,7 @@ func (t *Thread) Execute(key uint64, op Op, args Args) *Completion {
 //dps:domain=sender
 func (t *Thread) ExecuteInto(c *Completion, key uint64, op Op, args Args) {
 	t.checkLive()
-	p := t.partitionFor(key)
-	*c = Completion{t: t}
-	if p.peer != nil {
-		sent := t.rt.rec.Start()
-		a := args
-		tok, err := t.stageRemote(p, key, op, &a, false)
-		if err != nil {
-			c.res, c.done = Result{Err: err}, true
-			return
-		}
-		c.wtok, c.wp, c.sent = tok, p, sent
-		return
-	}
-	if p.id == t.locality || p.workers.Load() == 0 {
-		// Local key — or a locality with no threads to serve it, where
-		// inline execution (a remote-memory access in the paper's
-		// terms) is the only way to make progress. The copy confines
-		// args' escape to this branch.
-		a := args
-		c.res, c.done = t.execInline(p, key, op, &a), true
-		return
-	}
-	sent := t.rt.rec.Start()
-	s, idx := t.pack(p, key, op, args, false, time.Time{})
-	if s == nil {
-		releasePayload(&args)
-		c.res, c.done = Result{Err: ErrClosed}, true
-		return
-	}
-	t.rt.rec.Add(t.id, p.id, obs.RemoteSend, 1)
-	c.slot, c.idx, c.sent = s, idx, sent
+	t.issue(c, t.partitionFor(key), key, op, args, false, time.Time{})
 }
 
 // ExecuteSync is Execute followed by completion (§3.1 notes the synchronous
@@ -318,28 +351,8 @@ func (t *Thread) ExecuteInto(c *Completion, key uint64, op Op, args Args) {
 //dps:domain=sender
 func (t *Thread) ExecuteSync(key uint64, op Op, args Args) Result {
 	t.checkLive()
-	p := t.partitionFor(key)
-	if p.peer != nil {
-		a := args
-		res, _ := t.remoteSync(p, key, op, &a, time.Time{})
-		return res
-	}
-	if p.id == t.locality || p.workers.Load() == 0 {
-		a := args
-		return t.execInline(p, key, op, &a)
-	}
-	sent := t.rt.rec.Start()
-	s, idx := t.pack(p, key, op, args, false, time.Time{})
-	if s == nil {
-		// The operation was never staged (shutdown raced the send); an
-		// arena payload it carried must go back to its pool here — no
-		// serve path will ever consume it.
-		releasePayload(&args)
-		return Result{Err: ErrClosed}
-	}
-	t.flushOpen()
-	t.rt.rec.Add(t.id, p.id, obs.RemoteSend, 1)
-	c := Completion{slot: s, idx: idx, t: t, sent: sent}
+	var c Completion
+	t.issue(&c, t.partitionFor(key), key, op, args, false, time.Time{})
 	return c.Result()
 }
 
@@ -359,28 +372,17 @@ func (t *Thread) ExecuteSync(key uint64, op Op, args Args) Result {
 func (t *Thread) ExecuteSyncTimeout(key uint64, op Op, args Args, timeout time.Duration) (Result, error) {
 	t.checkLive()
 	p := t.partitionFor(key)
-	if p.peer != nil {
-		a := args
-		return t.remoteSync(p, key, op, &a, time.Now().Add(timeout))
+	var deadline time.Time
+	if p.id != t.locality {
+		// A key of the caller's own locality never waits; it does not pay
+		// for a clock read either.
+		deadline = time.Now().Add(timeout)
 	}
-	if p.id == t.locality || p.workers.Load() == 0 {
-		a := args
-		return t.execInline(p, key, op, &a), nil
+	var c Completion
+	if err := t.issue(&c, p, key, op, args, false, deadline); err != nil {
+		return c.res, err
 	}
-	deadline := time.Now().Add(timeout)
-	sent := t.rt.rec.Start()
-	s, idx := t.pack(p, key, op, args, false, deadline)
-	if s == nil {
-		releasePayload(&args)
-		if t.rt.down.Load() {
-			return Result{Err: ErrClosed}, ErrClosed
-		}
-		return Result{}, ErrTimeout
-	}
-	t.flushOpen()
-	t.rt.rec.Add(t.id, p.id, obs.RemoteSend, 1)
-	c := Completion{slot: s, idx: idx, t: t, sent: sent}
-	return c.resultDeadline(deadline)
+	return c.await(deadline)
 }
 
 // ExecuteAsync delegates op without a completion record (§4.4): it returns
@@ -397,26 +399,8 @@ func (t *Thread) ExecuteSyncTimeout(key uint64, op Op, args Args, timeout time.D
 //dps:domain=sender
 func (t *Thread) ExecuteAsync(key uint64, op Op, args Args) {
 	t.checkLive()
-	p := t.partitionFor(key)
-	if p.peer != nil {
-		a := args
-		t.remoteAsync(p, key, op, &a)
-		return
-	}
-	if p.id == t.locality || p.workers.Load() == 0 {
-		a := args
-		t.execInline(p, key, op, &a)
-		return
-	}
-	s, _ := t.pack(p, key, op, args, true, time.Time{})
-	if s == nil {
-		// Shutdown raced the send; the operation is dropped, and the drop
-		// is visible in the Abandoned counter.
-		releasePayload(&args)
-		t.rt.rec.Add(t.id, p.id, obs.Abandoned, 1)
-		return
-	}
-	t.rt.rec.Add(t.id, p.id, obs.AsyncSend, 1)
+	var c Completion
+	t.issue(&c, t.partitionFor(key), key, op, args, true, time.Time{})
 }
 
 // ExecuteLocal runs op on the calling thread regardless of which locality
@@ -433,8 +417,7 @@ func (t *Thread) ExecuteLocal(key uint64, op Op, args Args) Result {
 	if p.peer != nil {
 		// The shard lives in another process; local execution is
 		// impossible, so the operation delegates like ExecuteSync.
-		res, _ := t.remoteSync(p, key, op, &args, time.Time{})
-		return res
+		return t.ExecutePartition(p.id, key, op, args)
 	}
 	return t.execInline(p, key, op, &args)
 }
@@ -448,25 +431,8 @@ func (t *Thread) ExecuteLocal(key uint64, op Op, args Args) Result {
 //dps:domain=sender
 func (t *Thread) ExecutePartition(part int, key uint64, op Op, args Args) Result {
 	t.checkLive()
-	p := t.rt.parts[part]
-	if p.peer != nil {
-		a := args
-		res, _ := t.remoteSync(p, key, op, &a, time.Time{})
-		return res
-	}
-	if p.id == t.locality || p.workers.Load() == 0 {
-		a := args
-		return t.execInline(p, key, op, &a)
-	}
-	sent := t.rt.rec.Start()
-	s, idx := t.pack(p, key, op, args, false, time.Time{})
-	if s == nil {
-		releasePayload(&args)
-		return Result{Err: ErrClosed}
-	}
-	t.flushOpen()
-	t.rt.rec.Add(t.id, p.id, obs.RemoteSend, 1)
-	c := Completion{slot: s, idx: idx, t: t, sent: sent}
+	var c Completion
+	t.issue(&c, t.rt.parts[part], key, op, args, false, time.Time{})
 	return c.Result()
 }
 
@@ -479,52 +445,21 @@ func (t *Thread) ExecutePartition(part int, key uint64, op Op, args Args) Result
 //dps:domain=sender
 func (t *Thread) ExecuteAll(op Op, args Args, agg func(results []Result) Result) Result {
 	t.checkLive()
-	n := len(t.rt.parts)
-	completions := make([]Completion, n)
-	// Delegate to remote partitions first so they proceed in parallel
-	// with our local share. A nil slot marks "not delegated".
-	for i, p := range t.rt.parts {
-		if p.peer != nil {
-			sent := t.rt.rec.Start()
-			a := args
-			tok, err := t.stageRemote(p, p.lo, op, &a, false)
-			if err != nil {
-				completions[i] = Completion{t: t, res: Result{Err: err}, done: true}
-				continue
-			}
-			completions[i] = Completion{t: t, wtok: tok, wp: p, sent: sent}
-			continue
-		}
-		if p.id == t.locality || p.workers.Load() == 0 {
-			continue
-		}
-		sent := t.rt.rec.Start()
-		s, idx := t.pack(p, p.lo, op, args, false, time.Time{})
-		if s == nil {
-			completions[i] = Completion{t: t, res: Result{Err: ErrClosed}, done: true}
-			continue
-		}
-		t.flushOpen()
-		t.rt.rec.Add(t.id, p.id, obs.RemoteSend, 1)
-		completions[i] = Completion{slot: s, idx: idx, t: t, sent: sent}
-	}
-	// Publish any open wire burst so peer shares proceed while the local
-	// share executes.
-	t.flushWire()
-	results := make([]Result, n)
-	for i, p := range t.rt.parts {
-		if completions[i].slot == nil && completions[i].wtok.Zero() && !completions[i].done {
-			a := args
-			results[i] = t.execInline(p, p.lo, op, &a)
+	parts := t.rt.parts
+	completions := make([]Completion, len(parts))
+	// Every other partition first, published before the caller's own share
+	// runs, so the delegated shares proceed in parallel with it.
+	for i, p := range parts {
+		if i != t.locality {
+			t.issue(&completions[i], p, p.lo, op, args, false, time.Time{})
 		}
 	}
+	t.flushOpen()
+	own := parts[t.locality]
+	t.issue(&completions[own.id], own, own.lo, op, args, false, time.Time{})
+	results := make([]Result, len(parts))
 	for i := range completions {
-		switch {
-		case completions[i].slot != nil || !completions[i].wtok.Zero():
-			results[i] = completions[i].Result()
-		case completions[i].done:
-			results[i] = completions[i].res
-		}
+		results[i] = completions[i].Result()
 	}
 	if agg == nil {
 		return Result{}
@@ -564,14 +499,15 @@ func (t *Thread) Drain() {
 	t.checkLive()
 	t.flushOpen()
 	for _, s := range t.outstanding {
-		t.awaitServed(s)
+		t.awaitServed(s.Payload().part, target{slot: s})
 	}
 	for i := range t.outstanding {
 		t.outstanding[i] = nil
 	}
 	t.outstanding = t.outstanding[:0]
 	for len(t.abandoned) > 0 {
-		t.awaitServed(t.abandoned[0].s)
+		s := t.abandoned[0].s
+		t.awaitServed(s.Payload().part, target{slot: s})
 		if t.reapAbandoned() == 0 && t.rt.down.Load() {
 			break
 		}
@@ -581,28 +517,28 @@ func (t *Thread) Drain() {
 	}
 }
 
-// awaitServed blocks until s has been executed (toggle cleared), serving
-// the caller's locality meanwhile and escalating through the adaptive
-// waiter when no progress is visible. Returns early on shutdown.
-func (t *Thread) awaitServed(s *slot) {
-	if s == nil || !s.Pending() {
-		return
+// awaitServed blocks until on — a fire-and-forget burst toward p, which no
+// completion awaits — has been executed, serving the caller's locality
+// meanwhile and escalating through the waiter when no progress is visible.
+// It reports false when it stopped waiting first: the runtime shut down, or
+// the bound on a wait for a peer process expired.
+func (t *Thread) awaitServed(p *Partition, on target) bool {
+	if !on.pending() {
+		return true
 	}
-	p := s.Payload().part
-	w := newWaiter(t, p)
-	for s.Pending() {
-		if t.rt.down.Load() {
-			return
+	w := newWaiter(t, p, on, time.Time{})
+	for on.pending() {
+		if t.rt.down.Load() || w.expired() {
+			return false
 		}
 		if t.serve() > 0 {
 			w.reset()
 			continue
 		}
-		if p.workers.Load() == 0 {
-			t.rescue(s)
-		}
-		w.pause(s)
+		t.rescue(p, on.slot)
+		w.pause()
 	}
+	return true
 }
 
 // compactOutstanding drops slots whose bursts have already been served.
@@ -648,9 +584,6 @@ func (t *Thread) pack(p *Partition, key uint64, op Op, args Args, fire bool, dea
 				m.tracked = true
 				t.noteOutstanding(s)
 			}
-			if t.rt.tracing {
-				t.rt.tracer.OnSend(t.id, p.id, key, !fire)
-			}
 			if int(m.n) == burstSize {
 				t.flushOpen()
 			}
@@ -675,9 +608,6 @@ func (t *Thread) pack(p *Partition, key uint64, op Op, args Args, fire bool, dea
 	if fire {
 		m.tracked = true
 		t.noteOutstanding(s)
-	}
-	if t.rt.tracing {
-		t.rt.tracer.OnSend(t.id, p.id, key, !fire)
 	}
 	if burstSize == 1 {
 		t.flushOpen()
@@ -774,7 +704,7 @@ func (t *Thread) claimSlot(p *Partition, deadline time.Time) *slot {
 			return s
 		}
 		if w.t == nil {
-			w = newWaiter(t, p)
+			w = newWaiter(t, p, target{slot: s}, deadline)
 		}
 		// Ring full (next slot still owned by the server side, or a
 		// result unconsumed): serve our own locality instead of spinning.
@@ -787,20 +717,15 @@ func (t *Thread) claimSlot(p *Partition, deadline time.Time) *slot {
 		if t.reapAbandoned() > 0 {
 			continue
 		}
-		if rt.down.Load() {
-			return nil
-		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
+		if rt.down.Load() || w.expired() {
 			return nil
 		}
 		if t.serve() > 0 {
 			w.reset()
 			continue
 		}
-		if p.workers.Load() == 0 {
-			t.rescue(r.SendSlot())
-		}
-		w.pause(s)
+		t.rescue(p, s)
+		w.pause()
 	}
 }
 
@@ -935,15 +860,15 @@ func (t *Thread) forceFullScan() {
 	t.servePass |= serveFullScanEvery - 1
 }
 
-// rescue handles the abandoned-locality case: if every thread of s's
-// destination locality has unregistered while s is still pending, nobody
-// will ever serve it. The sender then executes its own ring to that
+// rescue handles the abandoned-locality case: if every thread of p, the
+// locality s was sent to, has unregistered while s is still pending, nobody
+// will ever serve it (s is nil for a wait on a peer process, which no
+// rescue reaches). The sender then executes its own ring to that
 // partition inline (a remote-memory access in the paper's terms, but the
 // only way to preserve liveness). The blocking claim is safe: serve claims
 // are only held for the duration of a bounded drain batch.
-func (t *Thread) rescue(s *slot) {
-	p := s.Payload().part
-	if p == nil || p.workers.Load() != 0 || !s.Pending() {
+func (t *Thread) rescue(p *Partition, s *slot) {
+	if s == nil || p.workers.Load() != 0 || !s.Pending() {
 		return
 	}
 	r := p.rings[t.id].Load()
@@ -1131,31 +1056,27 @@ func (c *Completion) Ready() (Result, bool) {
 	if c.done {
 		return c.res, true
 	}
-	if c.t.unregistered {
+	t := c.t
+	if t.unregistered {
 		panic(ErrUnregistered)
 	}
-	c.t.flushOpen()
-	if !c.wtok.Zero() {
-		return c.readyWire()
-	}
-	for i := 0; i < c.t.rt.cfg.CheckRatio; i++ {
-		if !c.slot.Pending() {
+	t.flushOpen()
+	for i := 0; i < t.rt.cfg.CheckRatio; i++ {
+		if !c.pending() {
 			c.finish()
 			return c.res, true
 		}
-		c.t.serve()
+		t.serve()
 	}
-	c.t.rescue(c.slot)
-	if !c.slot.Pending() {
+	t.rescue(c.p, c.slot)
+	if !c.pending() {
 		c.finish()
 		return c.res, true
 	}
-	if c.t.rt.down.Load() {
+	if t.rt.down.Load() {
 		// The shutdown sweep abandoned this request; unwind with a
 		// closed-runtime result rather than spinning forever.
-		c.slot = nil
-		c.res = Result{Err: ErrClosed}
-		c.done = true
+		c.abandon(ErrClosed)
 		return c.res, true
 	}
 	return Result{}, false
@@ -1164,28 +1085,14 @@ func (c *Completion) Ready() (Result, bool) {
 // Result blocks until the operation has executed and returns its result,
 // serving the calling thread's locality while it waits. If the runtime is
 // shut down while the operation is pending, Result returns a Result whose
-// Err is ErrClosed.
+// Err is ErrClosed. A wait on a peer process is bounded by the peer's
+// configured timeout and then resolves with ErrTimeout, like ResultTimeout.
 //
 //dps:noalloc
 //dps:domain=sender
 func (c *Completion) Result() Result {
-	// Deadline-free twin of resultDeadline: the unbounded await is the
-	// hot path (every ExecuteSync), so it skips the per-iteration
-	// deadline checks entirely.
-	if res, ok := c.Ready(); ok {
-		return res
-	}
-	if !c.wtok.Zero() {
-		res, _ := c.resultWire(time.Time{})
-		return res
-	}
-	w := newWaiter(c.t, c.slot.Payload().part)
-	for {
-		w.pause(c.slot)
-		if res, ok := c.Ready(); ok {
-			return res
-		}
-	}
+	res, _ := c.await(time.Time{})
+	return res
 }
 
 // ResultTimeout is Result with a deadline. The error is nil when the
@@ -1203,97 +1110,39 @@ func (c *Completion) ResultTimeout(timeout time.Duration) (Result, error) {
 	if res, ok := c.Ready(); ok {
 		return res, closedErr(res)
 	}
-	return c.awaitDeadline(time.Now().Add(timeout))
+	return c.await(time.Now().Add(timeout))
 }
 
-// resultDeadline awaits the completion until deadline (zero: forever),
-// serving the caller's locality and escalating through the adaptive waiter
-// while it waits.
-func (c *Completion) resultDeadline(deadline time.Time) (Result, error) {
+// await blocks until the completion is done or deadline passes (zero: no
+// deadline, beyond the bound every wait on a peer process has), serving the
+// caller's locality between polls and pausing through the waiter.
+//
+//dps:noalloc via ExecuteSync
+func (c *Completion) await(deadline time.Time) (Result, error) {
 	if res, ok := c.Ready(); ok {
 		return res, closedErr(res)
 	}
-	return c.awaitDeadline(deadline)
-}
-
-// awaitDeadline is resultDeadline past the first poll: the completion was
-// not ready, so block (parking, serving) until it is or deadline passes.
-//
-//dps:noalloc via ResultTimeout
-func (c *Completion) awaitDeadline(deadline time.Time) (Result, error) {
-	if !c.wtok.Zero() {
-		return c.resultWire(deadline)
-	}
-	w := newWaiter(c.t, c.slot.Payload().part)
+	w := newWaiter(c.t, c.p, c.target, deadline)
 	for {
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			c.abandon()
+		if w.expired() {
+			c.abandon(ErrTimeout)
 			return c.res, ErrTimeout
 		}
-		w.pause(c.slot)
+		w.pause()
 		if res, ok := c.Ready(); ok {
 			return res, closedErr(res)
 		}
 	}
 }
 
-// readyWire polls a cross-process completion, serving the caller's
-// locality between polls — Ready's contract, dispatched on the wire
-// token. The in-process rescue has no wire analogue; liveness there is
-// the deadline machinery's job (resultWire, remoteSync).
-func (c *Completion) readyWire() (Result, bool) {
-	for i := 0; i < c.t.rt.cfg.CheckRatio; i++ {
-		if res, ok := c.wtok.Ready(); ok {
-			c.finishWire(res)
-			return c.res, true
-		}
-		c.t.serve()
-	}
-	if c.t.rt.down.Load() {
-		c.wtok.Finish()
-		c.wtok = wire.Tok{}
-		c.res = Result{Err: ErrClosed}
-		c.done = true
-		return c.res, true
-	}
-	return Result{}, false
-}
-
-// resultWire awaits a cross-process completion (Result/resultDeadline's
-// wire arm). A zero deadline applies the peer's timeout: wire awaits are
-// never unbounded.
-func (c *Completion) resultWire(deadline time.Time) (Result, error) {
-	res, err := c.t.awaitTok(c.wtok, deadline, c.wp)
-	c.wtok = wire.Tok{}
-	c.res = res
-	c.done = true
-	rt := c.t.rt
-	d := rt.rec.Since(c.sent)
-	rt.rec.Observe(c.t.id, obs.HistSyncDelegation, d)
-	if rt.tracing {
-		rt.tracer.OnComplete(c.t.id, c.wp.id, 0, d)
-	}
-	return res, err
-}
-
-// finishWire resolves a cross-process completion from a polled result.
-func (c *Completion) finishWire(res Result) {
-	c.wtok.Finish()
-	c.wtok = wire.Tok{}
-	c.res = res
-	c.done = true
-	rt := c.t.rt
-	d := rt.rec.Since(c.sent)
-	rt.rec.Observe(c.t.id, obs.HistSyncDelegation, d)
-	if rt.tracing {
-		rt.tracer.OnComplete(c.t.id, c.wp.id, 0, d)
-	}
-}
-
 // closedErr maps a transport-synthesized result (shutdown or a dead
 // peer link) to its error return; op-level errors stay in the Result.
+//
+//dps:noalloc via ExecuteSync
 func closedErr(res Result) error {
 	switch {
+	case res.Err == nil:
+		return nil
 	case errors.Is(res.Err, ErrClosed):
 		return ErrClosed
 	case errors.Is(res.Err, ErrPeerDown):
@@ -1305,18 +1154,55 @@ func closedErr(res Result) error {
 	}
 }
 
-// abandon gives up on a pending completion after a timeout. The in-flight
-// request cannot be recalled — the server side may execute it at any
-// moment — and its entry cannot be reclaimed until the server releases the
-// slot, so the (slot, index) pair moves to the thread's abandoned list for
-// reapAbandoned to consume later. The completion itself resolves to
-// ErrTimeout.
-func (c *Completion) abandon() {
-	c.t.abandoned = append(c.t.abandoned, abandonedRef{s: c.slot, idx: c.idx})
-	c.t.rt.rec.Add(c.t.id, c.slot.Payload().part.id, obs.Abandoned, 1)
-	c.slot = nil
-	c.res = Result{Err: ErrTimeout}
-	c.done = true
+// finish consumes the executed operation's result: it copies the result out
+// of the burst entry, clearing the entry's references (so it doesn't pin
+// the result for GC until reuse) and consuming the entry (the slot becomes
+// claimable once its last live entry is consumed) — or out of the wire
+// token's burst, marking the token finished — records the send→completion
+// latency, and re-raises any panic captured from the operation.
+//
+//dps:noalloc via ExecuteSync
+func (c *Completion) finish() {
+	var pv any
+	if c.slot != nil {
+		m := c.slot.Payload()
+		e := &m.ops[c.idx]
+		c.res, pv = e.res, e.panicVal
+		e.res, e.panicVal = Result{}, nil
+		m.live--
+	} else {
+		c.res, _ = c.tok.Ready()
+		c.tok.Finish()
+	}
+	c.target, c.done = target{}, true
+	rt := c.t.rt
+	d := rt.rec.Since(c.sent)
+	rt.rec.Observe(c.t.id, obs.HistSyncDelegation, d)
+	if rt.tracing {
+		rt.tracer.OnComplete(c.t.id, c.p.id, c.key, d)
+	}
+	if pv != nil {
+		panic(pv)
+	}
+}
+
+// abandon gives up on a pending completion, which resolves to err: ErrTimeout
+// past a deadline, ErrClosed after shutdown. The in-flight request cannot be
+// recalled — the server side may execute it at any moment. On a ring its
+// entry cannot be reclaimed until the server releases the slot, so the
+// (slot, index) pair moves to the thread's abandoned list for reapAbandoned
+// to consume later; a wire token is marked finished, and the response frame
+// finds nobody waiting.
+func (c *Completion) abandon(err error) {
+	t := c.t
+	if c.slot != nil {
+		t.abandoned = append(t.abandoned, abandonedRef{s: c.slot, idx: c.idx})
+	} else {
+		c.tok.Finish()
+	}
+	t.rt.rec.Add(t.id, c.p.id, obs.Abandoned, 1)
+	c.target = target{}
+	c.res, c.done = Result{Err: err}, true
 }
 
 // reapAbandoned reclaims abandoned entries whose servers have finished
@@ -1354,34 +1240,4 @@ func (t *Thread) reapAbandoned() int {
 	}
 	t.abandoned = kept
 	return reaped
-}
-
-// finish copies the result out of the completion's burst entry, clears the
-// entry's references (so it doesn't pin the result for GC until reuse),
-// consumes the entry (the slot becomes claimable once its last live entry
-// is consumed), records the send→completion latency, and re-raises any
-// panic captured from the operation.
-//
-//dps:noalloc via ExecuteSync
-func (c *Completion) finish() {
-	m := c.slot.Payload()
-	e := &m.ops[c.idx]
-	c.res = e.res
-	pv := e.panicVal
-	part := m.part
-	key := e.key
-	e.res = Result{}
-	e.panicVal = nil
-	m.live--
-	c.done = true
-	c.slot = nil
-	rt := c.t.rt
-	d := rt.rec.Since(c.sent)
-	rt.rec.Observe(c.t.id, obs.HistSyncDelegation, d)
-	if rt.tracing {
-		rt.tracer.OnComplete(c.t.id, part.id, key, d)
-	}
-	if pv != nil {
-		panic(pv)
-	}
 }

@@ -8,11 +8,11 @@ import (
 )
 
 // Parker gives each waiter (one per registered thread) a futex-style park
-// slot: a padded state word plus a one-token wake channel. It replaces the
-// sleep-escalation stages of the adaptive waiter — instead of sleeping a
-// blind quantum and re-polling, an idle thread parks on its slot and the
-// event that makes progress possible (a doorbell Set for its locality, a
-// server draining its ring, shutdown) wakes it directly. Waking costs the
+// slot: a padded state word plus a one-token wake channel. Instead of
+// sleeping a blind quantum and re-polling, an idle thread parks on its slot
+// and the event that makes progress possible (a doorbell Set for its
+// locality, a server draining its ring, a peer link's reader resolving its
+// burst, shutdown) wakes it directly. Waking costs the
 // waker one swap on a line it otherwise never touches, and only when a
 // waiter is actually armed does it touch the channel.
 //

@@ -3,6 +3,7 @@ package ring
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -67,29 +68,37 @@ func TestParkerCancel(t *testing.T) {
 	}
 }
 
+// TestParkerConcurrentWakeNeverLoses runs the documented protocol in
+// lockstep rounds: the waker publishes its condition (seq) and then calls
+// Wake; the waiter arms, re-checks the condition, and only then parks. A
+// Wake that lands between Prepare's arming and its drain of stale tokens
+// loses its token by design — the re-check is what sees that round.
 func TestParkerConcurrentWakeNeverLoses(t *testing.T) {
 	p := NewParker(1)
 	const rounds = 500
+	var seq, ack atomic.Int64 // rounds published by the waker, observed by the waiter
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		defer ack.Store(rounds) // releases the waker on the failure path too
 		var timer *time.Timer
-		for i := 0; i < rounds; i++ {
+		for i := int64(0); i < rounds; i++ {
 			p.Prepare(0)
-			// The waker's signal: it bumps state before Wake, we re-check
-			// between Prepare and Park. 10s timeout = test failure, not
-			// the protocol's liveness story.
-			if !p.Park(0, &timer, 10*time.Second) {
+			if seq.Load() > i {
+				p.Cancel(0)
+			} else if !p.Park(0, &timer, 10*time.Second) {
+				// 10s timeout = test failure, not the protocol's liveness story.
 				t.Errorf("round %d: park timed out — lost wakeup", i)
 				return
 			}
+			ack.Store(i + 1)
 		}
 	}()
-	for i := 0; i < rounds; i++ {
-		for !p.Wake(0) {
-			// Not armed yet (or previous token still being consumed):
-			// yield until the waiter arms.
+	for i := int64(0); i < rounds; i++ {
+		seq.Store(i + 1)
+		p.Wake(0)
+		for ack.Load() <= i {
 			runtime.Gosched()
 		}
 	}

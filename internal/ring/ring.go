@@ -13,6 +13,31 @@
 // the padding and ordering rules are audited in one place instead of
 // drifting across packages.
 //
+// # The five-step protocol
+//
+// Every delegation tier runs the same five steps: claim a burst container,
+// pack operations into it, publish it (with a doorbell, so the serving side
+// finds it without scanning), have the owning locality serve it, and
+// complete each operation back to the sender. Nothing is visible to the
+// serving side before the publish, and every blocking call on the sending
+// thread publishes first, so a packed operation is never held back by an
+// idle sender.
+//
+// In process (this package + internal/core): claim is the toggle discipline
+// on the sender's next ring slot, pack fills the slot's inline burst vector,
+// publish is Slot.Publish followed by Doorbell.Set, serve is TryClaim/Drain
+// on the receiving locality, and completion is the toggle release observed
+// by the sender's poll — or by its Parker slot, when it parked.
+//
+// Across processes (internal/wire): claim borrows a frame buffer, pack
+// appends encoded entries (StagedOp is the operation in the form that can
+// cross), publish writes one length-prefixed frame to the peer's TCP
+// connection (the frame itself is the doorbell — the peer's read loop wakes
+// on arrival), serve is the peer process decoding the burst and applying it
+// through its normal serve path, and completion is a response frame matched
+// to the request's sequence number, after which the link's reader wakes the
+// sender's Parker slot.
+//
 // # Ownership protocol
 //
 // A slot's toggle word carries ownership: the sender populates the payload

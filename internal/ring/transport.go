@@ -1,9 +1,6 @@
 package ring
 
-import (
-	"errors"
-	"time"
-)
+import "errors"
 
 // Canonical delegation errors. They live here — the package every transport
 // tier builds on — so the cross-process tier (internal/wire) can map link
@@ -31,51 +28,6 @@ var (
 	ErrPeerDown = errors.New("dps: peer link down")
 )
 
-// Transport is the sender-side contract every delegation tier implements:
-// the five-step protocol the paper's shared-memory rings embody — claim a
-// burst container, pack operations into it, publish it (with a doorbell so
-// the serving side finds it without scanning), have the owning locality
-// serve it, and complete each operation back to the sender — restated so
-// the same steps can cross a process boundary.
-//
-// Tier 1 (in-process, this package + internal/core): claim is the toggle
-// discipline on the sender's next ring slot, pack fills the slot's inline
-// burst vector, publish is Slot.Publish followed by Doorbell.Set, serve is
-// TryClaim/Drain on the receiving locality, and completion is the toggle
-// release observed by the sender's poll. This tier's hot path is not
-// virtualized: internal/core binds local partitions to the concrete ring
-// types at compile time (0 B/op, pinned), and exposes the interface view
-// through an adapter used by the conformance tests.
-//
-// Tier 2 (cross-process, internal/wire): claim borrows a frame buffer from
-// the transport's pool, pack appends encoded entries, publish writes one
-// length-prefixed frame to the peer's TCP connection (the frame itself is
-// the doorbell — the peer's read loop wakes on arrival), serve is the peer
-// process decoding the burst and applying it through its normal serve
-// path, and completion is a response frame matched to the request's
-// sequence number.
-//
-// Stage stages one operation toward its partition, joining the open burst
-// when one targets the same partition and claiming a fresh one otherwise.
-// The returned Token awaits the operation's completion; fire-and-forget
-// stages (op.Fire) may still return a token — awaiting it is the Drain
-// barrier — but its result carries no data. Stage does not publish: Flush
-// does, and every blocking call on the owning thread must flush first, so
-// packed operations cannot be held back by an idle sender.
-type Transport interface {
-	// Stage stages op into the transport's open burst, claiming a new
-	// burst if none is open (or if the open one targets a different
-	// partition). It returns a completion token. Stage fails with
-	// ErrClosed once the transport is closed.
-	Stage(op StagedOp) (Token, error)
-	// Flush publishes the open burst, if any: tier 1 publishes the slot
-	// and rings the destination doorbell; tier 2 writes the frame.
-	Flush() error
-	// Close releases the transport. Pending completions resolve with
-	// ErrClosed.
-	Close() error
-}
-
 // StagedOp is one operation in transport-neutral form: the op code
 // resolved through the runtime's operation registry (functions cannot
 // cross a process boundary), the key, the paper's four word-sized
@@ -97,15 +49,4 @@ type StagedOp struct {
 	// Fire marks a fire-and-forget operation: the sender will not read
 	// the result, and the serving side may drop it.
 	Fire bool
-}
-
-// Token is one staged operation's completion handle. Ready polls without
-// blocking; Await blocks until the completion arrives, the deadline
-// expires (ErrTimeout — zero deadline means the transport's default
-// bound), or the transport closes (ErrClosed). Implementations resolve
-// transport-level failures into the Result's Err as well as the error
-// return, so polling via Ready observes them too.
-type Token interface {
-	Ready() (Result, bool)
-	Await(deadline time.Time) (Result, error)
 }

@@ -58,8 +58,13 @@ retry:
 			for {
 				curRef := cur.ref[lvl].Load()
 				for curRef.marked {
-					// Help unlink cur at this level.
-					if !pred.ref[lvl].CompareAndSwap(predRef, &lfRef{next: curRef.next}) {
+					// Help unlink cur at this level — but only through an
+					// unmarked pred. predRef may be marked (pred was reached
+					// from the level above, or reloaded below, while its own
+					// removal was under way), and swapping an unmarked box
+					// over it would put a removed node back in the list.
+					// From the head, pred itself is met as a marked cur.
+					if predRef.marked || !pred.ref[lvl].CompareAndSwap(predRef, &lfRef{next: curRef.next}) {
 						continue retry
 					}
 					predRef = pred.ref[lvl].Load()
@@ -127,7 +132,7 @@ func (s *LockFree) Insert(key, val uint64) bool {
 		for lvl := 1; lvl < topLevel; lvl++ {
 			for {
 				nRef := n.ref[lvl].Load()
-				if nRef.marked {
+				if nRef.marked || n.ref[0].Load().marked {
 					return true // being removed already; stop linking
 				}
 				pred, succ := preds[lvl], succs[lvl]

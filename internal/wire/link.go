@@ -84,9 +84,20 @@ type Pending struct {
 	// been consumed and the burst never resolved (a lost frame), the
 	// burst is forgotten so the pending table cannot grow without bound.
 	consumed atomic.Int32
+
+	// wake/wslot name the staging thread's park slot (Link.WakeOn), woken
+	// when the burst resolves. Nil for a link nobody parks on.
+	wake  *ring.Parker
+	wslot int
+
+	// resent is set by the redialer before it first writes the frame, and
+	// ordered before any resolve by the pending-table lock. Such a frame is
+	// never recycled: the redialer's write may still be reading it when
+	// the burst's last consumer returns.
+	resent bool
 }
 
-// resolve publishes the response frame's results and wakes awaiters.
+// resolve publishes the response frame's results.
 //
 //dps:publish
 func (p *Pending) resolve(f *Frame) {
@@ -108,7 +119,7 @@ func (p *Pending) resolve(f *Frame) {
 		p.res[i].Err = toError(r.Err)
 	}
 	p.state.Store(1)
-	close(p.done)
+	p.wakeAwaiters()
 }
 
 // fail resolves every operation in the burst with err.
@@ -119,12 +130,23 @@ func (p *Pending) fail(err error) {
 		p.res[i] = ring.Result{Err: err}
 	}
 	p.state.Store(1)
-	close(p.done)
+	p.wakeAwaiters()
 }
 
-// Tok is one staged operation's completion handle — the concrete type
-// core stores so the await hot path costs no interface boxing. It
-// implements ring.Token.
+// wakeAwaiters follows the state store of resolve and fail: it releases
+// Tok.Await's blocked callers and wakes the staging thread if it parked on
+// its Parker slot. The parked thread armed its slot before re-checking
+// state, so the store above is either seen by that re-check or followed by
+// this wake.
+func (p *Pending) wakeAwaiters() {
+	close(p.done)
+	if p.wake != nil {
+		p.wake.Wake(p.wslot)
+	}
+}
+
+// Tok is one staged operation's completion handle, a plain value core
+// stores inside its own completion record.
 type Tok struct {
 	p *Pending
 	i int32
@@ -149,10 +171,10 @@ func (t Tok) Ready() (ring.Result, bool) {
 func (t Tok) Finish() { t.consume() }
 
 // consume records that this token's await has returned. The last
-// consumer of a resolved burst recycles its frame buffer (nothing can
-// retransmit a resolved burst, so the consumer is the sole owner); the
-// last consumer of a burst that never resolved forgets it so the
-// pending table stays bounded under lost frames.
+// consumer of a resolved burst recycles its frame buffer unless the
+// redialer ever wrote it (retransmission is the cold path; the GC takes
+// those); the last consumer of a burst that never resolved forgets it so
+// the pending table stays bounded under lost frames.
 func (t Tok) consume() {
 	p := t.p
 	if p.consumed.Add(1) != p.n || p.pc == nil {
@@ -162,9 +184,10 @@ func (t Tok) consume() {
 		p.pc.forget(uint64(p.seq))
 		return
 	}
-	f := p.frame
+	if !p.resent {
+		p.pc.putBuf(p.frame)
+	}
 	p.frame = nil
-	p.pc.putBuf(f)
 }
 
 // Await blocks until the burst resolves or the deadline expires. A zero
@@ -244,6 +267,10 @@ type Link struct {
 	retryOK bool
 	//dps:owned-by=sender
 	pend *Pending
+
+	// wake/wslot are copied into every burst the link claims (WakeOn).
+	wake  *ring.Parker
+	wslot int
 }
 
 // NewLink builds a sender view pinned to connection tid mod pool. All
@@ -257,6 +284,11 @@ func (pr *Peer) NewLink(tid int) *Link {
 		part: -1,
 	}
 }
+
+// WakeOn makes every burst the link stages from now on wake slot of pk when
+// it resolves or fails, so the link's owner can park on that slot instead
+// of polling its tokens. Call it once, before the first Stage.
+func (l *Link) WakeOn(pk *ring.Parker, slot int) { l.wake, l.wslot = pk, slot }
 
 // Open reports whether the link holds an open (unpublished) burst.
 //
@@ -325,7 +357,7 @@ func (l *Link) claim(part int) {
 	l.part = part
 	l.n = 0
 	l.retryOK = true
-	l.pend = &Pending{done: make(chan struct{})}
+	l.pend = &Pending{done: make(chan struct{}), wake: l.wake, wslot: l.wslot}
 }
 
 // Flush publishes the open burst, if any: the frame's length and op
@@ -360,26 +392,3 @@ func (l *Link) Flush() error {
 func (l *Link) Close() error {
 	return l.Flush()
 }
-
-// Tok satisfies ring.Token, so wire completions flow through the same
-// contract as in-process ones.
-var _ ring.Token = Tok{}
-
-// Transport returns the link's ring.Transport view — the interface the
-// conformance suite (and partition-agnostic callers) program against.
-// The runtime's hot paths keep the concrete Link/Tok types; the adapter
-// exists for the contract, not the fast path.
-func (l *Link) Transport() ring.Transport { return linkTransport{l} }
-
-type linkTransport struct{ l *Link }
-
-func (lt linkTransport) Stage(op ring.StagedOp) (ring.Token, error) {
-	tok, err := lt.l.Stage(op)
-	if err != nil {
-		return nil, err
-	}
-	return tok, nil
-}
-
-func (lt linkTransport) Flush() error { return lt.l.Flush() }
-func (lt linkTransport) Close() error { return lt.l.Close() }

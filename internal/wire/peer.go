@@ -716,10 +716,11 @@ func (pc *pconn) redial() {
 				p.fail(ring.ErrTimeout)
 				continue
 			}
-			// Snapshot the frame before registering p: the instant the
-			// write lands, the reader may resolve p and its last consumer
-			// recycles p.frame.
+			// Snapshot the frame and mark it resent before registering p:
+			// the instant the write lands, the reader may resolve p and
+			// its last consumer clears p.frame.
 			frame := p.frame
+			p.resent = true
 			p.attempts++
 			pc.pmu.Lock()
 			p.gen = gen

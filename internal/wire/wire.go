@@ -1,6 +1,6 @@
 // Package wire is the DPS runtime's second delegation tier: the same
 // claim / pack / publish+doorbell / serve / complete protocol the
-// in-process rings implement (see ring.Transport), carried across a
+// in-process rings implement (see package ring), carried across a
 // process boundary as length-prefixed frames over TCP.
 //
 // The mapping is deliberate. A frame is a published slot: the sender
