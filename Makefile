@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check lint chaos chaos-peer bench bench-build bench-compare bench-json bench-gate serve-smoke peer-smoke pin-smoke
+.PHONY: build test check lint chaos chaos-peer bench bench-build bench-compare bench-pair bench-json bench-gate serve-smoke peer-smoke pin-smoke
 
 build:
 	$(GO) build ./...
@@ -11,17 +11,18 @@ test:
 # check is the pre-PR gate (run by CI): vet, lint and build everything,
 # then race-test the delegation transport and the packages built on it —
 # ring (the shared slot/ring primitives), core (the DPS runtime), wire
-# (the peer links), ffwd (the baseline), and obs — whose correctness
-# depends on concurrent access. bench-build goes first, because none of the
-# root-module commands below compiles the benchmark module. The last line
-# repeats the concurrent data-structure suites at three GOMAXPROCS settings:
+# (the peer links), ffwd (the baseline), obs, mcd (the stores) and server (the
+# front door) — whose correctness depends on concurrent access. bench-build
+# goes first, because none of the root-module commands below compiles the
+# benchmark module. The last line repeats the concurrent data-structure
+# suites at three GOMAXPROCS settings:
 # their interleavings, and so their failures, depend on the host's CPU count
 # (the lock-free skip list hung about one run in sixty on 2 CPUs only).
 check: bench-build
 	$(GO) vet ./...
 	$(GO) run ./cmd/dpslint
 	$(GO) build ./...
-	$(GO) test -race ./internal/ring/... ./internal/core/... ./internal/obs/... ./internal/ffwd/... ./internal/wire/...
+	$(GO) test -race ./internal/ring/... ./internal/core/... ./internal/obs/... ./internal/ffwd/... ./internal/wire/... ./internal/mcd/... ./internal/server/...
 	$(GO) test -count=20 -cpu 1,2,4 ./internal/skiplist ./internal/dpsds
 
 # bench-build vets and unit-tests benchmark/, which is a Go module of its own
@@ -87,12 +88,26 @@ bench:
 	$(GO) run ./cmd/dpsbench -all
 
 # bench-compare runs the delegation-latency benchmarks with allocation
-# reporting: the core transport benchmark plus the root-level paper-figure
+# reporting: the core transport benchmark, the wire tier's loopback round trip
+# (1 and 2 senders, at 1 and 2 Ps), plus the root-level paper-figure
 # benchmarks (Fig. 3 round-trip, peer-serve ablation). Use it before and
 # after transport changes; EXPERIMENTS.md records the reference numbers.
 bench-compare:
 	$(GO) test -run '^$$' -bench 'BenchmarkDelegation' -benchmem ./internal/core/
+	$(GO) test -run '^$$' -bench 'BenchmarkPeerSyncRTT' -benchmem -cpu 1,2 ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkFig3DelegationRoundTrip|BenchmarkAblationPeerServe' -benchmem -benchtime=0.5s .
+
+# bench-pair is the comparison a performance claim rests on: BASE (a git
+# revision, cloned into a temporary directory) against this working tree,
+# PAIRS alternating runs of benchmark/ per workload, seed i for pair i, with a
+# gain / worse / unresolved verdict per workload and end-to-end metric. Four
+# workloads at the defaults take about 35 minutes. See scripts/bench_pair.sh.
+WORKLOAD ?= all
+PAIRS ?= 10
+SECONDS ?= 18
+bench-pair:
+	@test -n "$(BASE)" || { echo "usage: make bench-pair BASE=<rev> [WORKLOAD=<name>] [PAIRS=10] [SECONDS=18]"; exit 2; }
+	bash scripts/bench_pair.sh $(BASE) $(WORKLOAD) $(PAIRS) $(SECONDS)
 
 # bench-json runs the delegation transport benchmarks (the core latency
 # variants, the idle-sender doorbell scaling set, the parked-waiter

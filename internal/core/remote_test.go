@@ -32,6 +32,7 @@ const (
 	// codeBlock is remoteBlock, which holds its server until the test that
 	// made blockPeer closes it.
 	codeBlock uint16 = 5
+	codeEcho  uint16 = 6
 )
 
 // remotePut stores a copy of the value: the wire hands ops a decode
@@ -55,12 +56,18 @@ func remoteLen(p *Partition, key uint64, a *Args) Result {
 	return Result{U: uint64(len(p.Data().(map[uint64][]byte)))}
 }
 
-func registerTestOps(t *testing.T, rt *Runtime) {
+// remoteEcho returns its argument. The bytes alias the wire's decode buffer,
+// which the peer server encodes the response from before its next read.
+func remoteEcho(p *Partition, key uint64, a *Args) Result {
+	return Result{U: key, P: a.P}
+}
+
+func registerTestOps(t testing.TB, rt *Runtime) {
 	t.Helper()
 	for _, r := range []struct {
 		code uint16
 		op   Op
-	}{{codePut, remotePut}, {codeGet, remoteGet}, {codeLen, remoteLen}, {codeBlock, remoteBlock}} {
+	}{{codePut, remotePut}, {codeGet, remoteGet}, {codeLen, remoteLen}, {codeBlock, remoteBlock}, {codeEcho, remoteEcho}} {
 		if err := rt.RegisterOp(r.code, r.op); err != nil {
 			t.Fatalf("RegisterOp(%d): %v", r.code, err)
 		}
@@ -72,7 +79,7 @@ func mapInit(p *Partition) any { return make(map[uint64][]byte) }
 // startCluster builds the pair. The client owns partitions 0..1 locally
 // and delegates 2..3 to the server. Returned cleanup order matters: the
 // test closes client before server.
-func startCluster(t *testing.T, clientCfg func(*Config)) (client *Runtime, clientThread *Thread) {
+func startCluster(t testing.TB, clientCfg func(*Config)) (client *Runtime, clientThread *Thread) {
 	t.Helper()
 	server, err := New(Config{Partitions: rtParts, Hash: rtHash, Init: mapInit})
 	if err != nil {

@@ -12,8 +12,14 @@ import (
 // ring-full send path — on either tier pauses through one waiter, which
 // escalates in two stages:
 //
-//  1. pure Gosched for the first waitSpinYield pauses (the common case:
-//     the reply is a few polls away, and blocking would add latency);
+//  1. pure Gosched for the waiter's spin budget, which depends on what
+//     resolves its target. A ring slot is released by a serving goroutine
+//     that needs a processor, and a yield hands it ours: the reply is a few
+//     polls away and blocking would add latency, so the budget is
+//     waitSpinYield pauses. A wire token is resolved by a socket turning
+//     readable, and Go polls the network only from a processor with nothing
+//     to run — a yielding waiter keeps the poll from happening — so the
+//     budget is the few pauses of wire.AwaitSpin;
 //  2. parking: the waiter arms its ring.Parker slot, advertises itself in
 //     its locality's parked set, re-checks its wake condition (so a wake
 //     that raced the arming is never lost), and blocks until it is woken —
@@ -38,7 +44,8 @@ import (
 // Any progress (local serves, or partition progress between samples)
 // resets the waiter to stage 1.
 const (
-	// waitSpinYield is how many pauses stay pure Gosched before parking.
+	// waitSpinYield is how many pauses of a wait on a ring slot stay pure
+	// Gosched before parking (a wait on a wire token: wire.AwaitSpin).
 	waitSpinYield = 64
 	// waitParkMin is the first park timeout; it doubles each park.
 	waitParkMin = 64 * time.Microsecond
@@ -80,12 +87,14 @@ func (g target) pending() bool {
 }
 
 // waiter tracks one wait episode: for target on, sent to partition p, until
-// deadline (zero: none). The zero value is not usable; build with newWaiter.
+// deadline (zero: none), yielding for its first spin pauses. The zero value is
+// not usable; build with newWaiter.
 type waiter struct {
 	t        *Thread
 	p        *Partition
 	on       target
 	deadline time.Time
+	spin     int
 	idle     int
 	parks    int
 	timeout  time.Duration
@@ -96,12 +105,18 @@ type waiter struct {
 // newWaiter starts a wait episode. A wait on a partition owned by a peer
 // process is never unbounded — no rescue reaches into that process, so a
 // connected peer that stops answering would hold the waiter forever — and
-// takes the peer's configured timeout when the caller sets no deadline.
+// takes the peer's configured timeout when the caller sets no deadline. The
+// same wait is resolved by the network, not by a goroutine a yield could
+// run, and spins for wire.AwaitSpin pauses only.
 func newWaiter(t *Thread, p *Partition, on target, deadline time.Time) waiter {
-	if deadline.IsZero() && p.peer != nil {
-		deadline = time.Now().Add(p.peer.Timeout())
+	spin := waitSpinYield
+	if p.peer != nil {
+		spin = wire.AwaitSpin
+		if deadline.IsZero() {
+			deadline = time.Now().Add(p.peer.Timeout())
+		}
 	}
-	return waiter{t: t, p: p, on: on, deadline: deadline}
+	return waiter{t: t, p: p, on: on, deadline: deadline, spin: spin}
 }
 
 // expired reports whether the episode's deadline has passed. Wait loops
@@ -111,11 +126,12 @@ func newWaiter(t *Thread, p *Partition, on target, deadline time.Time) waiter {
 // a virtualized host), and the spin stage is where the wait's latency is
 // decided, so there the clock is read on every waitClockEvery-th pause only
 // — the first after every reset included — and past it on every pause; the
-// deadline is noticed at most waitClockEvery-1 yields late.
+// deadline is noticed at most waitClockEvery-1 yields late, or the waiter's
+// whole spin budget when that is shorter.
 //
 //dps:noalloc via ExecuteSync
 func (w *waiter) expired() bool {
-	if w.deadline.IsZero() || (w.idle <= waitSpinYield && w.idle%waitClockEvery != 0) {
+	if w.deadline.IsZero() || (w.idle <= w.spin && w.idle%waitClockEvery != 0) {
 		return false
 	}
 	// time.Until reads the monotonic clock alone, half the cost of time.Now.
@@ -132,7 +148,7 @@ func (w *waiter) reset() { w.idle, w.parks, w.timeout, w.sampled = 0, 0, 0, fals
 //dps:noalloc via ExecuteSync
 func (w *waiter) pause() {
 	w.idle++
-	if w.idle <= waitSpinYield {
+	if w.idle <= w.spin {
 		// The stall check cannot trigger in the spin stage: it samples
 		// only on park boundaries.
 		runtime.Gosched()

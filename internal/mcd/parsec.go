@@ -109,6 +109,9 @@ func (p *ParSec) Get(key uint64) ([]byte, bool) {
 // over the memory cap.
 func (p *ParSec) Set(key uint64, val []byte) error {
 	e := &psEntry{key: key, val: append([]byte(nil), val...)}
+	// Sized before e is published: once the bucket lock drops, a concurrent
+	// Set of the same key may unlink e and its retire callback clear e.val.
+	size := int64(len(e.val))
 	b := &p.buckets[p.bucketIdx(key)]
 	b.mu.Lock()
 	// Unlink any existing binding for key.
@@ -116,7 +119,7 @@ func (p *ParSec) Set(key uint64, val []byte) error {
 	e.next.Store(b.head.Load())
 	b.head.Store(e)
 	b.mu.Unlock()
-	p.used.Add(int64(len(e.val)) - removedBytes)
+	p.used.Add(size - removedBytes)
 	p.count.Add(1)
 	for p.used.Load() > p.capBytes {
 		if !p.evictOne() {

@@ -190,17 +190,29 @@ func (t Tok) consume() {
 	p.frame = nil
 }
 
+// AwaitSpin is how many times a wait for a peer's response yields before it
+// blocks — Tok.Await here, and the pauses of core's waiter on a wire token.
+// What resolves such a wait is a socket turning readable, and Go polls the
+// network only from a processor with nothing left to run: a goroutine that
+// keeps yielding is always runnable, so while every waiter spins nobody calls
+// the netpoller and the response sits in the socket. A few yields still catch
+// a response already on its way up through the link reader; past them,
+// blocking is what lets it arrive. The value is measured, not derived
+// (EXPERIMENTS.md "Wire waits and the netpoller": 0 costs latency, 64 costs
+// throughput).
+const AwaitSpin = 4
+
 // Await blocks until the burst resolves or the deadline expires. A zero
 // deadline applies the peer's default timeout (the liveness backstop —
 // wire awaits are never unbounded, because no rescue path can reach into
 // a peer process's shard). Each token must be awaited exactly once; the
 // runtime's sync and drain paths do so.
 //
-// The wait spins briefly — responses to an attentive peer commonly
-// return in microseconds — then parks on the resolve channel.
+// The wait yields AwaitSpin times, then blocks on the resolve channel, which
+// frees its processor to poll the network for the response.
 func (t Tok) Await(deadline time.Time) (ring.Result, error) {
 	p := t.p
-	for spin := 0; spin < 64; spin++ {
+	for spin := 0; spin < AwaitSpin; spin++ {
 		if p.state.Load() != 0 {
 			t.consume()
 			return p.res[t.i], p.res[t.i].Err

@@ -417,7 +417,8 @@ func (pc *pconn) ensureConn() (net.Conn, error) {
 	// Validate the peer's hello before exposing the connection: version
 	// and cluster shape mismatches are configuration errors and must not
 	// look like transient link failures.
-	if err := pc.readHello(c); err != nil {
+	fr := newFrameReader(c)
+	if err := pc.readHello(c, fr); err != nil {
 		c.Close()
 		return nil, err
 	}
@@ -440,7 +441,7 @@ func (pc *pconn) ensureConn() (net.Conn, error) {
 	pc.pmu.Unlock()
 	pc.c = c
 	pc.lastRecv.Store(time.Now().UnixNano())
-	go pc.readLoop(c, gen)
+	go pc.readLoop(c, fr, gen)
 	if cfg.HeartbeatInterval > 0 {
 		go pc.heartbeat(c, gen)
 	}
@@ -448,18 +449,15 @@ func (pc *pconn) ensureConn() (net.Conn, error) {
 }
 
 // readHello reads and validates the hello frame the serving side leads
-// with.
-func (pc *pconn) readHello(c net.Conn) error {
+// with, through the frame reader the connection's read loop carries on with.
+func (pc *pconn) readHello(c net.Conn, fr *frameReader) error {
 	cfg := &pc.peer.cfg
 	c.SetReadDeadline(time.Now().Add(cfg.DialTimeout))
 	defer c.SetReadDeadline(time.Time{})
-	var buf [4 + hdrSize + 8 + 4*256]byte
 	var f Frame
-	n, err := readFrame(c, buf[:0], &f)
-	if err != nil || f.Type != FrameHello {
+	if _, _, err := fr.next(&f); err != nil || f.Type != FrameHello {
 		return ring.ErrPeerDown
 	}
-	_ = n
 	if f.Hello.Version != Version {
 		return fmt.Errorf("wire: peer %s speaks protocol v%d, want v%d", cfg.Addr, f.Hello.Version, Version)
 	}
@@ -478,56 +476,24 @@ func (pc *pconn) readHello(c net.Conn) error {
 	return nil
 }
 
-// readFrame reads one complete frame from c into buf and decodes it.
-// buf's capacity is reused; the decoded frame sub-slices it.
-func readFrame(c net.Conn, buf []byte, f *Frame) ([]byte, error) {
-	buf = grow(buf[:0], 4)
-	if err := readFull(c, buf); err != nil {
-		return buf, err
-	}
-	total, err := FrameLen(buf)
-	if err != nil {
-		return buf, err
-	}
-	buf = grow(buf, total-4)
-	if err := readFull(c, buf[4:]); err != nil {
-		return buf, err
-	}
-	if _, err := DecodeFrame(buf, f); err != nil {
-		return buf, err
-	}
-	return buf, nil
-}
-
-// readFull fills b from c (io.ReadFull without the interface hop).
-func readFull(c net.Conn, b []byte) error {
-	for len(b) > 0 {
-		n, err := c.Read(b)
-		if err != nil {
-			return err
-		}
-		b = b[n:]
-	}
-	return nil
-}
-
 // readLoop resolves in-flight bursts as their response frames arrive.
 // One goroutine per established connection; it exits when the connection
 // dies (moving retryable pendings to the retry queue) or is superseded.
-// Every inbound frame — response or pong — refreshes the liveness clock.
-func (pc *pconn) readLoop(c net.Conn, gen uint64) {
-	var buf []byte
+// Every arrival — responses or pongs, however many frames one read
+// delivered — refreshes the liveness clock once.
+func (pc *pconn) readLoop(c net.Conn, fr *frameReader, gen uint64) {
 	var f Frame
 	for {
-		var err error
-		buf, err = readFrame(c, buf, &f)
+		size, fresh, err := fr.next(&f)
 		if err != nil {
 			pc.linkDown(c, gen)
 			return
 		}
-		pc.lastRecv.Store(time.Now().UnixNano())
+		if fresh {
+			pc.lastRecv.Store(time.Now().UnixNano())
+		}
 		pc.peer.framesRecvd.Add(1)
-		pc.peer.bytesRecvd.Add(uint64(len(buf)))
+		pc.peer.bytesRecvd.Add(uint64(size))
 		if f.Type == FramePong {
 			continue
 		}

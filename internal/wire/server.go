@@ -119,15 +119,14 @@ func (s *Server) serveConn(c net.Conn) {
 		return
 	}
 	var (
-		rbuf []byte
+		fr   = newFrameReader(c)
 		wbuf []byte
 		resp []RespOp
 		f    Frame
 		src  uint64
 	)
 	for {
-		rbuf, err = readFrame(c, rbuf, &f)
-		if err != nil {
+		if _, _, err = fr.next(&f); err != nil {
 			return
 		}
 		switch f.Type {
