@@ -46,10 +46,11 @@ lint:
 # chaos runs the fault-injection suite under the race detector: the
 # injector's own tests plus the runtime's chaos and rescue scenarios
 # (dropped claims, forced full rings, injected panics, wedged localities,
-# shutdown under load). Run it after touching any delegation wait loop.
+# shutdown under load) and the table tests of the one drain, the one wait
+# loop and the one park. Run it after touching any of the three.
 chaos:
 	$(GO) test -race -timeout 120s ./internal/chaos/...
-	$(GO) test -race -timeout 120s -run 'TestChaos|TestRescue' -v ./internal/core/... ./internal/server/...
+	$(GO) test -race -timeout 120s -run 'TestChaos|TestRescue|TestOne' -v ./internal/core/... ./internal/server/...
 
 # chaos-peer runs the peer-link fault suite under the race detector: the
 # wire transport's full suite (reconnect after server restart, heartbeat
@@ -69,12 +70,11 @@ chaos-peer:
 serve-smoke:
 	bash scripts/serve_smoke.sh
 
-# pin-smoke boots cmd/mcdserver with -pin-servers (dedicated serving
-# threads locked to locality-owned CPUs), drives it briefly over real
-# sockets, then SIGTERMs and asserts a clean drain — proving pinning,
-# parked serving, and graceful shutdown compose. See scripts/pin_smoke.sh.
+# pin-smoke is serve-smoke with the server booted under -pin-servers
+# (dedicated serving threads locked to locality-owned CPUs) — proving
+# pinning, parked serving, and graceful shutdown compose.
 pin-smoke:
-	bash scripts/pin_smoke.sh
+	bash scripts/serve_smoke.sh -pin-servers
 
 # peer-smoke is the wire tier's end-to-end gate: two dpsnode processes
 # with split partition ownership over real TCP, verifying cross-process
@@ -101,13 +101,16 @@ bench-compare:
 # revision, cloned into a temporary directory) against this working tree,
 # PAIRS alternating runs of benchmark/ per workload, seed i for pair i, with a
 # gain / worse / unresolved verdict per workload and end-to-end metric. Four
-# workloads at the defaults take about 35 minutes. See scripts/bench_pair.sh.
+# workloads at the defaults take about 35 minutes. MICRO=1 compares
+# internal/core's delegation micro-benchmarks instead (a row per benchmark,
+# ns/op, and a check that no 0 B/op row started allocating; about 15 minutes).
+# See scripts/bench_pair.sh.
 WORKLOAD ?= all
 PAIRS ?= 10
 SECONDS ?= 18
 bench-pair:
-	@test -n "$(BASE)" || { echo "usage: make bench-pair BASE=<rev> [WORKLOAD=<name>] [PAIRS=10] [SECONDS=18]"; exit 2; }
-	bash scripts/bench_pair.sh $(BASE) $(WORKLOAD) $(PAIRS) $(SECONDS)
+	@test -n "$(BASE)" || { echo "usage: make bench-pair BASE=<rev> [MICRO=1] [WORKLOAD=<name>] [PAIRS=10] [SECONDS=18]"; exit 2; }
+	MICRO=$(MICRO) bash scripts/bench_pair.sh $(BASE) $(WORKLOAD) $(PAIRS) $(SECONDS)
 
 # bench-json runs the delegation transport benchmarks (the core latency
 # variants, the idle-sender doorbell scaling set, the parked-waiter

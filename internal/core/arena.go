@@ -33,7 +33,7 @@ type PayloadBuf struct {
 	// n is the acquired payload length, set by acquire.
 	//
 	//dps:owned-by=arena
-	n int
+	n   int
 	p   *Partition
 	idx int
 }
@@ -54,23 +54,25 @@ func (b *PayloadBuf) Partition() *Partition { return b.p }
 // Pick is acquire, Set is release — MPMC-safe, so any serving thread can
 // release a buffer any sender acquired).
 type payloadArena struct {
-	free     *ring.ParkSet
-	bufs     []PayloadBuf
-	bufBytes int
+	free *ring.ParkSet
+	bufs []PayloadBuf
 }
 
-// newPayloadArena builds a pool of bufs buffers of bufBytes each (already
-// stride-rounded by setDefaults) over one contiguous backing array.
-func newPayloadArena(p *Partition, bufs, bufBytes int) *payloadArena {
+// arenaBufBytes is the buffer capacity rounded up to a whole number of
+// strides, so neighbouring arena buffers never share a cache line.
+const arenaBufBytes = (DefaultArenaBufBytes + ring.Stride - 1) &^ (ring.Stride - 1)
+
+// newPayloadArena builds a pool of bufs buffers of arenaBufBytes each over
+// one contiguous backing array.
+func newPayloadArena(p *Partition, bufs int) *payloadArena {
 	a := &payloadArena{
-		free:     ring.NewParkSet(bufs),
-		bufs:     make([]PayloadBuf, bufs),
-		bufBytes: bufBytes,
+		free: ring.NewParkSet(bufs),
+		bufs: make([]PayloadBuf, bufs),
 	}
-	backing := make([]byte, bufs*bufBytes)
+	backing := make([]byte, bufs*arenaBufBytes)
 	for i := range a.bufs {
 		a.bufs[i] = PayloadBuf{
-			data: backing[i*bufBytes : (i+1)*bufBytes : (i+1)*bufBytes],
+			data: backing[i*arenaBufBytes : (i+1)*arenaBufBytes : (i+1)*arenaBufBytes],
 			p:    p,
 			idx:  i,
 		}
@@ -85,7 +87,7 @@ func newPayloadArena(p *Partition, bufs, bufBytes int) *payloadArena {
 //dps:noalloc via ExecuteSync
 //dps:domain=arena
 func (a *payloadArena) acquire(n int) *PayloadBuf {
-	if n > a.bufBytes {
+	if n > arenaBufBytes {
 		return nil
 	}
 	idx, ok := a.free.Pick()

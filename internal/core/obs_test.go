@@ -235,12 +235,11 @@ func TestTracerHooksFire(t *testing.T) {
 	}
 }
 
-// TestHotPathAllocations pins the per-operation allocation counts on the
-// local paths at the escaping-args baseline (the one copy handed to an
-// arbitrary Op function; the completion record is a stack value since the
-// ring-transport rewrite): the metrics layer — counters, histograms, the
-// disabled-tracer branch — must add zero. The remote path's stricter pin
-// (zero allocations) lives in TestRemoteExecuteSyncZeroAlloc.
+// TestHotPathAllocations pins the local paths at zero allocations per
+// operation: the completion record is a stack value, the arguments handed to
+// the Op function live in the thread's own record (Thread.inline), and the
+// metrics layer — counters, histograms, the disabled-tracer branch — adds
+// none. The remote path's pin lives in TestRemoteExecuteSyncZeroAlloc.
 func TestHotPathAllocations(t *testing.T) {
 	rt := newTestRuntime(t, 1)
 	th, err := rt.Register()
@@ -250,18 +249,18 @@ func TestHotPathAllocations(t *testing.T) {
 	defer th.Unregister()
 	if n := testing.AllocsPerRun(1000, func() {
 		th.ExecuteSync(7, opAdd, Args{U: [4]uint64{1}})
-	}); n > 1 {
-		t.Errorf("local ExecuteSync allocates %v per op, baseline 1", n)
+	}); n > 0 {
+		t.Errorf("local ExecuteSync allocates %v per op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(1000, func() {
 		th.ExecuteLocal(7, opGet, Args{})
-	}); n > 1 {
-		t.Errorf("ExecuteLocal allocates %v per op, baseline 1", n)
+	}); n > 0 {
+		t.Errorf("ExecuteLocal allocates %v per op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(1000, func() {
 		th.ExecuteAsync(7, opAdd, Args{U: [4]uint64{1}})
-	}); n > 1 {
-		t.Errorf("local ExecuteAsync allocates %v per op, baseline 1", n)
+	}); n > 0 {
+		t.Errorf("local ExecuteAsync allocates %v per op, want 0", n)
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 
 // Pin pins the calling goroutine's OS thread to a CPU owned by the
 // thread's locality, and reports whether a pin took effect. It requires
-// Config.PinServers (or PinThreads) and a platform with affinity support;
+// Config.PinServers and a platform with affinity support;
 // otherwise it is a no-op returning false. Call it from the goroutine
 // that will actually use the Thread — a dedicated serving loop calls Pin
 // as its first act, so pooled registration (register on one goroutine,
@@ -30,7 +30,7 @@ import (
 //dps:domain=sender
 func (t *Thread) Pin() bool {
 	t.checkLive()
-	if !t.rt.cfg.PinServers && !t.rt.cfg.PinThreads {
+	if !t.rt.cfg.PinServers {
 		return false
 	}
 	return t.pinSelf(t.rt.nextCPU(t.locality))

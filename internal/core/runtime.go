@@ -49,8 +49,11 @@ const (
 	DefaultRingDepth     = 16
 	DefaultMaxThreads    = 128
 	DefaultCheckRatio    = 1
-	// DefaultServeBatch is the per-claim drain bound of the serve loop,
-	// mirroring ffwd's 15-response batch (§5.1 of the paper).
+	// DefaultServeBatch bounds how many pending requests a serving thread
+	// drains from one sender's ring per claim of that ring's serve token,
+	// mirroring ffwd's 15-response batch (§5.1 of the paper): small enough
+	// to return the server to its own completion polls (and to other
+	// senders' rings) soon, large enough to amortize the claim.
 	DefaultServeBatch = ring.DefaultBatch
 	// DefaultArenaBufs is the per-partition payload-arena pool size.
 	DefaultArenaBufs = 64
@@ -126,13 +129,6 @@ type Config struct {
 	// DefaultCheckRatio.
 	CheckRatio int
 
-	// ServeBatch bounds how many pending requests a serving thread drains
-	// from one sender's ring per claim of that ring's serve token. Smaller
-	// batches return the server to its own completion polls (and to other
-	// senders' rings) sooner; larger batches amortize the claim. Defaults
-	// to DefaultServeBatch, ffwd's response batch size.
-	ServeBatch int
-
 	// DisableTiming turns off the per-operation clock reads behind the
 	// latency histograms: Runtime.Metrics' Latency summaries stay empty
 	// and Tracer hooks receive zero durations, but the delegation hot
@@ -193,31 +189,21 @@ type Config struct {
 	// Optional.
 	Degrade DegradePolicy
 
-	// PinThreads pins each registering goroutine's OS thread to a CPU
-	// owned by its locality (chosen by internal/topology's assignment
-	// plan) for as long as the thread stays registered. The pin applies
-	// to the goroutine that calls Register/RegisterAt — callers that
-	// register on one goroutine and operate from another should use
-	// PinServers and Thread.Pin instead. A no-op where thread affinity
-	// is unsupported (see internal/affinity).
-	PinThreads bool
-
 	// PinServers enables Thread.Pin, the explicit pin for dedicated
 	// serving goroutines: the serving loop calls Pin from the goroutine
 	// that runs it, after registration, so pooled registration patterns
-	// (register on one goroutine, serve on another) still pin the
-	// goroutine that actually serves. A no-op where unsupported.
+	// (register on one goroutine, serve on another) pin the goroutine that
+	// actually serves, to a CPU owned by its locality (chosen by
+	// internal/topology's assignment plan) for as long as the thread stays
+	// registered. A no-op where thread affinity is unsupported (see
+	// internal/affinity).
 	PinServers bool
 
 	// ArenaBufs is the per-partition payload-arena pool size: how many
-	// fixed-size buffers each locality owns for delegated payloads
-	// (Thread.AcquirePayload). 0 means DefaultArenaBufs; negative
+	// buffers of DefaultArenaBufBytes each locality owns for delegated
+	// payloads (Thread.AcquirePayload). 0 means DefaultArenaBufs; negative
 	// disables the arenas.
 	ArenaBufs int
-
-	// ArenaBufBytes is the capacity of each arena buffer, rounded up to
-	// the transport stride. 0 means DefaultArenaBufBytes.
-	ArenaBufBytes int
 }
 
 func (c *Config) setDefaults() error {
@@ -251,24 +237,9 @@ func (c *Config) setDefaults() error {
 	if c.CheckRatio < 1 {
 		return fmt.Errorf("dps: CheckRatio must be >= 1, got %d", c.CheckRatio)
 	}
-	if c.ServeBatch == 0 {
-		c.ServeBatch = DefaultServeBatch
-	}
-	if c.ServeBatch < 1 {
-		return fmt.Errorf("dps: ServeBatch must be >= 1, got %d", c.ServeBatch)
-	}
 	if c.ArenaBufs == 0 {
 		c.ArenaBufs = DefaultArenaBufs
 	}
-	if c.ArenaBufBytes == 0 {
-		c.ArenaBufBytes = DefaultArenaBufBytes
-	}
-	if c.ArenaBufBytes < 0 {
-		return fmt.Errorf("dps: ArenaBufBytes must be positive, got %d", c.ArenaBufBytes)
-	}
-	// Round the buffer capacity up to a whole number of strides so
-	// neighbouring arena buffers never share a cache line.
-	c.ArenaBufBytes = (c.ArenaBufBytes + ring.Stride - 1) &^ (ring.Stride - 1)
 	return nil
 }
 
@@ -416,7 +387,7 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	rt.optab.Store(&opTable{})
 	rt.parker = ring.NewParker(cfg.MaxThreads)
-	if (cfg.PinThreads || cfg.PinServers) && affinity.Supported() {
+	if cfg.PinServers && affinity.Supported() {
 		// SMT width 1: cloud vCPUs are already hardware threads, and
 		// without sibling information treating every CPU as its own core
 		// is the conservative plan.
@@ -441,7 +412,7 @@ func New(cfg Config) (*Runtime, error) {
 		p.bell = ring.NewDoorbell(cfg.MaxThreads)
 		p.parked = ring.NewParkSet(cfg.MaxThreads)
 		if cfg.ArenaBufs > 0 {
-			p.arena = newPayloadArena(p, cfg.ArenaBufs, cfg.ArenaBufBytes)
+			p.arena = newPayloadArena(p, cfg.ArenaBufs)
 		}
 	}
 	// Init runs after all partitions exist so initializers may inspect
@@ -464,6 +435,11 @@ func (rt *Runtime) Partitions() int { return len(rt.parts) }
 // RingDepth is the slot count of each (thread, partition) ring — and so the
 // number of unconsumed ExecuteInto completions one thread may hold.
 func (rt *Runtime) RingDepth() int { return rt.cfg.RingDepth }
+
+// wholeRing is the drain bound of the callers that want everything one claim
+// can reach (rescue, stall escalation, the shutdown sweep): a full ring of
+// maximally packed bursts, in operations.
+func (rt *Runtime) wholeRing() int { return rt.cfg.RingDepth * burstSize }
 
 // Partition returns partition i.
 func (rt *Runtime) Partition(i int) *Partition { return rt.parts[i] }
@@ -611,11 +587,6 @@ func (rt *Runtime) registerLocked(loc int) (*Thread, error) {
 	}
 	rt.parts[loc].workers.Add(1)
 	ok = true
-	if rt.cfg.PinThreads {
-		// Register's contract makes this the goroutine that will use the
-		// Thread, so pinning its OS thread here pins the right one.
-		t.pinSelf(rt.nextCPULocked(loc))
-	}
 	return t, nil
 }
 
@@ -630,22 +601,17 @@ func (rt *Runtime) unregister(t *Thread) {
 	rt.mu.Unlock()
 }
 
-// nextCPULocked returns the next CPU in locality loc's rotation, or -1
-// when pinning is disabled. Caller holds rt.mu.
-func (rt *Runtime) nextCPULocked(loc int) int {
+// nextCPU returns the next CPU in locality loc's rotation, or -1 when pinning
+// is disabled.
+func (rt *Runtime) nextCPU(loc int) int {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	if rt.pinPlan == nil || loc >= len(rt.pinPlan) || len(rt.pinPlan[loc]) == 0 {
 		return -1
 	}
 	cpu := rt.pinPlan[loc][rt.pinNext[loc]%len(rt.pinPlan[loc])]
 	rt.pinNext[loc]++
 	return cpu
-}
-
-// nextCPU is nextCPULocked for callers outside the runtime lock.
-func (rt *Runtime) nextCPU(loc int) int {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.nextCPULocked(loc)
 }
 
 // Mix64 is the default key hash: a Stafford/SplitMix64 finalizer, spreading

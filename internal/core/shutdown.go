@@ -112,7 +112,16 @@ func (rt *Runtime) shutdownSweep(deadline time.Time, drained *atomic.Int64, done
 				// process could execute on the peer's behalf.
 				continue
 			}
-			n += admin.sweepPartition(p)
+			// Whatever the sweep can claim of the partition's rings, all of
+			// it per claim; rings claimed by live servers (or by an injected
+			// claim fault) are retried on the next pass. The drained ring's
+			// sender may be parked awaiting these very completions, and the
+			// runtime is not marked down until the sweep finishes, so only
+			// drain's direct wake (or a park timeout) unblocks it.
+			for i := range p.rings {
+				d, _ := admin.drain(p, i, false, rt.wholeRing(), obs.Served)
+				n += d
+			}
 		}
 		if n > 0 {
 			drained.Add(int64(n))
@@ -134,35 +143,6 @@ func (rt *Runtime) shutdownSweep(deadline time.Time, drained *atomic.Int64, done
 			time.Sleep(100 * time.Microsecond)
 		}
 	}
-}
-
-// sweepPartition drains whatever it can claim of one partition's rings,
-// executing the pending requests. Rings claimed by live servers (or by an
-// injected claim fault) are skipped and retried on the next pass.
-func (t *Thread) sweepPartition(p *Partition) int {
-	n := 0
-	for i := range p.rings {
-		r := p.rings[i].Load()
-		if r == nil || !r.TryClaim() {
-			continue
-		}
-		// Bound in operations: a full ring of maximally packed bursts is
-		// Depth()*burstSize ops, and the sweep wants all of them per claim.
-		d := r.Drain(r.Depth()*burstSize, func(s *slot) int {
-			return t.executeMessage(p, s)
-		})
-		n += d
-		r.Unclaim()
-		// Wake the drained ring's sender: it may be parked awaiting these
-		// very completions, and the runtime is not marked down until the
-		// sweep finishes, so only a direct wake (or a park timeout)
-		// unblocks it.
-		t.wakeSender(p, i, d)
-	}
-	if n > 0 {
-		t.rt.rec.Add(t.id, p.id, obs.Served, uint64(n))
-	}
-	return n
 }
 
 // occupancy counts requests pending across every partition's rings — the

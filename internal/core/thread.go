@@ -102,6 +102,14 @@ type Thread struct {
 	//dps:pinned-thread
 	prevMask affinity.Mask
 
+	// inline is the argument record an inline operation runs against: an op
+	// takes its arguments by address and the call is indirect, so a by-value
+	// copy made per call would escape to the heap. Like a burst entry's
+	// arguments it is valid for the duration of one call only.
+	//
+	//dps:owned-by=sender
+	inline Args
+
 	smr *parsec.Thread
 
 	// chaos caches rt.chaos (immutable after New) so the serve scan and
@@ -207,21 +215,24 @@ func (t *Thread) checkLive() {
 	}
 }
 
-// execInline runs op locally with metric attribution to partition p: one
-// LocalExec count plus a local-exec latency observation. The clock is
-// consulted once, through the obs layer, so disabling timing removes the
-// reads entirely.
+// execInline runs op locally, against the thread's own argument record, with
+// metric attribution to partition p: one LocalExec count plus a local-exec
+// latency observation. The clock is consulted once, through the obs layer, so
+// disabling timing removes the reads entirely.
 //
 //dps:noalloc via ExecuteSync
-func (t *Thread) execInline(p *Partition, key uint64, op Op, args *Args) Result {
+func (t *Thread) execInline(p *Partition, key uint64, op Op, args Args) Result {
 	t.rt.rec.Add(t.id, p.id, obs.LocalExec, 1)
 	start := t.rt.rec.Start()
-	res := t.runLocal(p, key, op, args)
+	t.inline = args
+	res := t.runLocal(p, key, op, &t.inline)
 	t.rt.rec.Observe(t.id, obs.HistLocalExec, t.rt.rec.Since(start))
 	// An arena payload can reach the inline path when the destination's
 	// workers dropped to zero between AcquirePayload and the execute call;
 	// without the serve path to release it, the buffer is returned here.
-	releasePayload(args)
+	releasePayload(&t.inline)
+	// The record outlives the call; the caller's reference argument must not.
+	t.inline.P = nil
 	return res
 }
 
@@ -252,16 +263,15 @@ func (t *Thread) runLocal(p *Partition, key uint64, op Op, args *Args) Result {
 // issue does not publish: the operation sits in an open burst until a
 // flush point. fire marks a fire-and-forget operation, which the Drain
 // barrier tracks and whose c the caller discards; deadline (zero: none)
-// bounds the ring-full wait. The argument copies confine args' escape to
-// the branch that needs its address.
+// bounds the ring-full wait. The argument copy confines args' escape to
+// the peer branch, the only one that needs its address.
 //
 //dps:noalloc via ExecuteSync
 //dps:domain=sender
 func (t *Thread) issue(c *Completion, p *Partition, key uint64, op Op, args Args, fire bool, deadline time.Time) error {
 	*c = Completion{t: t, p: p, key: key}
 	if p.peer == nil && (p.id == t.locality || p.workers.Load() == 0) {
-		a := args
-		c.res, c.done = t.execInline(p, key, op, &a), true
+		c.res, c.done = t.execInline(p, key, op, args), true
 		return nil
 	}
 	if !fire {
@@ -419,7 +429,7 @@ func (t *Thread) ExecuteLocal(key uint64, op Op, args Args) Result {
 		// impossible, so the operation delegates like ExecuteSync.
 		return t.ExecutePartition(p.id, key, op, args)
 	}
-	return t.execInline(p, key, op, &args)
+	return t.execInline(p, key, op, args)
 }
 
 // ExecutePartition performs op on an explicit partition instead of routing
@@ -518,27 +528,15 @@ func (t *Thread) Drain() {
 }
 
 // awaitServed blocks until on — a fire-and-forget burst toward p, which no
-// completion awaits — has been executed, serving the caller's locality
-// meanwhile and escalating through the waiter when no progress is visible.
-// It reports false when it stopped waiting first: the runtime shut down, or
-// the bound on a wait for a peer process expired.
+// completion awaits — has been executed, and reports false when the wait
+// ended first: the runtime shut down, or the bound on a wait for a peer
+// process expired.
 func (t *Thread) awaitServed(p *Partition, on target) bool {
 	if !on.pending() {
 		return true
 	}
 	w := newWaiter(t, p, on, time.Time{})
-	for on.pending() {
-		if t.rt.down.Load() || w.expired() {
-			return false
-		}
-		if t.serve() > 0 {
-			w.reset()
-			continue
-		}
-		t.rescue(p, on.slot)
-		w.pause()
-	}
-	return true
+	return w.await() == nil
 }
 
 // compactOutstanding drops slots whose bursts have already been served.
@@ -691,162 +689,129 @@ func (t *Thread) flushOpen() {
 //
 //dps:noalloc via ExecuteSync
 func (t *Thread) claimSlot(p *Partition, deadline time.Time) *slot {
-	rt := t.rt
 	r := p.rings[t.id].Load()
+	s := r.SendSlot()
 	var w waiter
-	for {
-		s := r.SendSlot()
-		m := s.Payload()
-		// The chaos hook simulates a full ring to exercise the
-		// back-pressure path.
-		if !s.Pending() && m.free() && (t.chaos == nil || !t.chaos.RingFull()) {
-			r.AdvanceSend()
-			return s
-		}
-		if w.t == nil {
-			w = newWaiter(t, p, target{slot: s}, deadline)
-		}
-		// Ring full (next slot still owned by the server side, or a
-		// result unconsumed): serve our own locality instead of spinning.
-		rt.rec.Add(t.id, p.id, obs.RingFull, 1)
-		if rt.tracing {
-			rt.tracer.OnRingFull(t.id, p.id)
+	// The chaos hook simulates a full ring to exercise the back-pressure
+	// path.
+	for s.Pending() || !s.Payload().free() || (t.chaos != nil && t.chaos.RingFull()) {
+		t.rt.rec.Add(t.id, p.id, obs.RingFull, 1)
+		if t.rt.tracing {
+			t.rt.tracer.OnRingFull(t.id, p.id)
 		}
 		// A released slot with unconsumed entries belongs to timed-out
 		// completions; reclaiming them may free the ring immediately.
 		if t.reapAbandoned() > 0 {
 			continue
 		}
-		if rt.down.Load() || w.expired() {
+		// Ring full (next slot still owned by the server side, or a result
+		// unconsumed): serve our own locality instead of spinning. The wait
+		// runs a round even when the slot is already released — its results
+		// are then held by the caller's own completions, or the ring is full
+		// by injection — so that case too observes shutdown and the deadline.
+		if w.t == nil {
+			w = newWaiter(t, p, target{slot: s}, deadline)
+		}
+		if w.await() != nil {
 			return nil
 		}
-		if t.serve() > 0 {
-			w.reset()
-			continue
-		}
-		t.rescue(p, s)
-		w.pause()
 	}
+	r.AdvanceSend()
+	return s
 }
 
 // serve executes requests pending on this thread's locality and returns
-// how many operations it executed. Most passes are doorbell-driven — visit
-// only the sender rings whose bits are set, so the pass costs O(active
-// senders) — with every serveFullScanEvery-th pass falling back to a full
-// ring-table scan so the stall/rescue machinery (and any ring whose
-// doorbell bit was lost to a fault) is still found without a doorbell.
+// how many operations it executed. Most passes are doorbell-driven:
+// snapshot-and-clear each bitmap word and visit only the sender rings whose
+// bits were set, so the pass costs O(active senders), re-arming the bit of
+// any ring left with work behind (claim held elsewhere, batch bound hit) so
+// the next pass returns to it. Every serveFullScanEvery-th pass instead
+// visits every ring of the locality, in an order rotated by serveCursor: the
+// pre-doorbell behaviour, kept as the fallback that finds a ring whose
+// doorbell bit was lost (chaos.DropDoorbell, or a server that died between
+// Collect and drain) without a doorbell.
 //
 //dps:noalloc via ExecuteSync
 func (t *Thread) serve() int {
 	p := t.rt.parts[t.locality]
+	served := 0
 	t.servePass++
 	if t.servePass&(serveFullScanEvery-1) == 0 {
-		return t.serveScan(p)
+		t.serveCursor++
+		for i := range p.rings {
+			n, _ := t.drain(p, (t.serveCursor+i)%len(p.rings), false, DefaultServeBatch, obs.Served)
+			served += n
+		}
+		return served
 	}
-	return t.serveBell(p)
-}
-
-// serveBell is the doorbell-driven serve pass: snapshot-and-clear each
-// bitmap word, visit only the rings whose bits were set, and re-arm the
-// bit for any ring left with work behind (claim held elsewhere, batch
-// bound hit) so the next pass returns to it.
-//
-//dps:noalloc via ExecuteSync
-func (t *Thread) serveBell(p *Partition) int {
-	served, visited := 0, 0
-	words := p.bell.Words()
-	for w := 0; w < words; w++ {
+	visited := 0
+	for w := 0; w < p.bell.Words(); w++ {
 		pending := p.bell.Collect(w)
 		for pending != 0 {
 			idx := ring.PopBit(w, &pending)
-			r := p.rings[idx].Load()
-			if r == nil {
-				// A bit with no ring: rung by a thread id whose rings were
-				// never created. Cannot happen today (rings outlive
-				// registration); drop defensively.
-				continue
-			}
 			visited++
-			n, more := t.serveRing(p, r)
+			n, more := t.drain(p, idx, false, DefaultServeBatch, obs.Served)
 			served += n
 			if more {
 				p.bell.Set(idx)
 			}
-			t.wakeSender(p, idx, n)
 		}
 	}
 	t.rt.rec.Add(t.id, p.id, obs.RingScansSkipped, uint64(len(p.rings)-visited))
 	if visited > 0 {
 		t.rt.rec.Add(t.id, p.id, obs.DoorbellWakes, uint64(visited))
 	}
-	if served > 0 {
-		t.rt.rec.Add(t.id, p.id, obs.Served, uint64(served))
-	}
 	return served
 }
 
-// serveScan is the full-scan serve pass: visit every registered ring of
-// the locality in rotated order. It is the pre-doorbell behaviour, kept as
-// the periodic fallback that guarantees a ring is served even when its
-// doorbell bit was lost (chaos.DropDoorbell, or a server that died between
-// Collect and drain).
+// drain is the one statement of "serve this ring": under the claim token of
+// sender idx's ring to p it executes up to max pending operations in FIFO
+// order, stopping at the first slot that is not pending — an empty ring, or
+// the gap a sender's open burst leaves — credits them to counter (Served
+// for the locality's own serving and the shutdown sweep, Rescued for a
+// sender executing its own ring), and wakes the sender, which may be parked
+// awaiting exactly those completions or a free slot of the drained ring
+// (ring index and parker slot index are both the sender's thread id, and
+// Wake on an unparked sender is one relaxed load). It reports the
+// operations executed and whether the ring was left with visible work —
+// the claim is held elsewhere, or the bound was hit — so a doorbell-driven
+// caller re-arms the ring's bit.
+//
+// Every serving path is a caller that differs only in which rings it hands
+// over, whether the claim may block, the bound and the counter (DESIGN.md
+// §9.4 has the table). A serve pass must not block on a claim and bounds the
+// batch at DefaultServeBatch, which keeps one claim from monopolizing a busy
+// ring: the server returns to polling its own completions (and other
+// senders' rings) every batch of operations, mirroring ffwd's response
+// batching. A blocking claim is safe because claims are only held for the
+// duration of a bounded drain.
 //
 //dps:noalloc via ExecuteSync
-func (t *Thread) serveScan(p *Partition) int {
-	n := len(p.rings)
-	served := 0
-	t.serveCursor++
-	start := t.serveCursor
-	for i := 0; i < n; i++ {
-		idx := (start + i) % n
-		r := p.rings[idx].Load()
-		if r == nil {
-			continue
-		}
-		srv, _ := t.serveRing(p, r)
-		served += srv
-		t.wakeSender(p, idx, srv)
+func (t *Thread) drain(p *Partition, idx int, block bool, max int, counter obs.Counter) (int, bool) {
+	r := p.rings[idx].Load()
+	if r == nil {
+		return 0, false
 	}
-	if served > 0 {
-		t.rt.rec.Add(t.id, p.id, obs.Served, uint64(served))
-	}
-	return served
-}
-
-// serveRing drains up to Config.ServeBatch pending operations from one
-// ring in FIFO order under the ring's claim token, and reports whether the
-// ring was left with visible work (so a doorbell-driven caller re-arms its
-// bit). Bounding the batch keeps one claim from monopolizing a busy ring:
-// the server returns to polling its own completions (and other senders'
-// rings) every batch of operations, mirroring ffwd's response batching.
-//
-//dps:noalloc via ExecuteSync
-func (t *Thread) serveRing(p *Partition, r *dring) (int, bool) {
 	if t.chaos != nil {
 		t.chaos.BeforeServe()
 	}
-	if !r.TryClaim() {
+	if block {
+		r.Claim()
+	} else if !r.TryClaim() {
 		return 0, true
 	}
 	defer r.Unclaim()
 	//dps:alloc-ok the drain callback does not escape Drain; the remote 0-alloc pin proves it stays on the stack
-	n := r.Drain(t.rt.cfg.ServeBatch, func(s *slot) int {
+	n := r.Drain(max, func(s *slot) int {
 		return t.executeMessage(p, s)
 	})
-	return n, r.Head().Pending()
-}
-
-// wakeSender wakes sender thread idx after its ring to p was drained of n
-// operations: the sender may be parked awaiting exactly those completions
-// (or awaiting a free slot of the now-drained ring). Ring index and parker
-// slot index are both the sender's thread id, so no lookup is needed; Wake
-// on an unparked sender is one relaxed load.
-//
-//dps:noalloc via ExecuteSync
-func (t *Thread) wakeSender(p *Partition, idx, n int) {
-	if n > 0 && t.rt.parker.Wake(idx) {
-		t.rt.rec.Add(t.id, p.id, obs.Wakes, 1)
+	if n > 0 {
+		t.rt.rec.Add(t.id, p.id, counter, uint64(n))
+		if t.rt.parker.Wake(idx) {
+			t.rt.rec.Add(t.id, p.id, obs.Wakes, 1)
+		}
 	}
+	return n, r.Head().Pending()
 }
 
 // forceFullScan makes the thread's next serve pass a full ring-table scan
@@ -863,54 +828,15 @@ func (t *Thread) forceFullScan() {
 // rescue handles the abandoned-locality case: if every thread of p, the
 // locality s was sent to, has unregistered while s is still pending, nobody
 // will ever serve it (s is nil for a wait on a peer process, which no
-// rescue reaches). The sender then executes its own ring to that
-// partition inline (a remote-memory access in the paper's terms, but the
-// only way to preserve liveness). The blocking claim is safe: serve claims
-// are only held for the duration of a bounded drain batch.
+// rescue reaches). The sender then executes its own ring to that partition
+// itself (a remote-memory access in the paper's terms, but the only way to
+// preserve liveness), under a blocking claim: it must win the ring. The
+// drain stops at a gap, the sign that a reviving server took over.
+//
+//dps:noalloc via ExecuteSync
 func (t *Thread) rescue(p *Partition, s *slot) {
-	if s == nil || p.workers.Load() != 0 || !s.Pending() {
-		return
-	}
-	r := p.rings[t.id].Load()
-	r.Claim()
-	defer r.Unclaim()
-	t.rescueDrain(p, r, s)
-}
-
-// forceRescue is the stall-escalation variant of rescue: the destination
-// locality still has registered workers, but none of them has served
-// anything across a full stall-detection window (blocked outside DPS,
-// descheduled, or wedged by an injected fault). Unlike rescue it must not
-// block on the claim — the claim may be held by the very thread that is
-// wedged — so it uses TryClaim and simply returns when the ring is
-// claimed; the waiter will escalate again next window.
-func (t *Thread) forceRescue(p *Partition, s *slot) {
-	if !s.Pending() {
-		return
-	}
-	r := p.rings[t.id].Load()
-	if r == nil || !r.TryClaim() {
-		return
-	}
-	defer r.Unclaim()
-	t.rescueDrain(p, r, s)
-}
-
-// rescueDrain executes the pending prefix of r — the caller's own ring to
-// p, claimed by the caller — until s has been served or a gap shows a
-// reviving server took over.
-func (t *Thread) rescueDrain(p *Partition, r *dring, s *slot) {
-	//dps:spin-ok every iteration serves one burst or returns at a gap, so progress is guaranteed
-	for s.Pending() {
-		h := r.Head()
-		if !h.Pending() {
-			// Our message is pending but the cursor found a gap: a
-			// reviving server must have taken over; let it finish.
-			return
-		}
-		n := t.executeMessage(p, h)
-		t.rt.rec.Add(t.id, p.id, obs.Rescued, uint64(n))
-		r.AdvanceHead()
+	if s != nil && p.workers.Load() == 0 && s.Pending() {
+		t.drain(p, t.id, true, t.rt.wholeRing(), obs.Rescued)
 	}
 }
 
@@ -1015,24 +941,8 @@ func (t *Thread) ServeWait(d time.Duration) int {
 	if n > 0 {
 		return n
 	}
-	rt := t.rt
-	myloc := rt.parts[t.locality]
-	rt.parker.Prepare(t.id)
-	if myloc.parked != nil {
-		myloc.parked.Set(t.id)
-	}
-	if rt.down.Load() || myloc.bell.Any() {
-		rt.parker.Cancel(t.id)
-	} else {
-		rt.rec.Add(t.id, t.locality, obs.Parks, 1)
-		if !rt.parker.Park(t.id, &t.parkTimer, d) {
-			t.forceFullScan()
-		}
-	}
-	if myloc.parked != nil {
-		myloc.parked.Clear(t.id)
-	}
-	return n + t.serve()
+	t.park(nil, t.locality, d)
+	return t.serve()
 }
 
 // Ready polls the completion (§3.1's await_completion): it returns the
@@ -1061,25 +971,21 @@ func (c *Completion) Ready() (Result, bool) {
 		panic(ErrUnregistered)
 	}
 	t.flushOpen()
-	for i := 0; i < t.rt.cfg.CheckRatio; i++ {
-		if !c.pending() {
-			c.finish()
-			return c.res, true
-		}
-		t.serve()
+	if c.pending() {
+		t.servePasses(c.target)
+		t.rescue(c.p, c.slot)
 	}
-	t.rescue(c.p, c.slot)
-	if !c.pending() {
+	switch {
+	case !c.pending():
 		c.finish()
-		return c.res, true
-	}
-	if t.rt.down.Load() {
+	case t.rt.down.Load():
 		// The shutdown sweep abandoned this request; unwind with a
 		// closed-runtime result rather than spinning forever.
 		c.abandon(ErrClosed)
-		return c.res, true
+	default:
+		return Result{}, false
 	}
-	return Result{}, false
+	return c.res, true
 }
 
 // Result blocks until the operation has executed and returns its result,
@@ -1114,25 +1020,28 @@ func (c *Completion) ResultTimeout(timeout time.Duration) (Result, error) {
 }
 
 // await blocks until the completion is done or deadline passes (zero: no
-// deadline, beyond the bound every wait on a peer process has), serving the
-// caller's locality between polls and pausing through the waiter.
+// deadline, beyond the bound every wait on a peer process has) in the one
+// wait loop, and then consumes the result or gives the operation up.
 //
 //dps:noalloc via ExecuteSync
 func (c *Completion) await(deadline time.Time) (Result, error) {
-	if res, ok := c.Ready(); ok {
-		return res, closedErr(res)
+	if c.done {
+		return c.res, closedErr(c.res)
 	}
-	w := newWaiter(c.t, c.p, c.target, deadline)
-	for {
-		if w.expired() {
-			c.abandon(ErrTimeout)
-			return c.res, ErrTimeout
-		}
-		w.pause()
-		if res, ok := c.Ready(); ok {
-			return res, closedErr(res)
+	t := c.t
+	if t.unregistered {
+		panic(ErrUnregistered)
+	}
+	t.flushOpen()
+	if c.pending() {
+		w := newWaiter(t, c.p, c.target, deadline)
+		if err := w.await(); err != nil {
+			c.abandon(err)
+			return c.res, err
 		}
 	}
+	c.finish()
+	return c.res, closedErr(c.res)
 }
 
 // closedErr maps a transport-synthesized result (shutdown or a dead

@@ -28,6 +28,9 @@ type Result = ring.Result
 // local, otherwise a peer thread in the remote locality. DPS provides no
 // synchronization (§3.1): if several threads of a locality execute ops
 // concurrently, the partition's data-structure must itself be concurrent.
+// args points at a record the runtime reuses — a burst entry, or the executing
+// thread's own record when the operation runs inline — so it is valid until op
+// returns: op may keep what it read out of it, not the pointer.
 type Op func(p *Partition, key uint64, args *Args) Result
 
 // burstSize is the operation capacity of one delegation slot. Consecutive

@@ -8,9 +8,30 @@ import (
 	"dps/internal/wire"
 )
 
-// Parked waiting. Every delegation wait — a completion await, Drain, the
-// ring-full send path — on either tier pauses through one waiter, which
-// escalates in two stages:
+// Waiting. Every delegation wait — a completion await, Drain, the ring-full
+// send path — on either tier runs the one loop in waiter.await, and each of
+// its rounds does the same five things in the same order while the target is
+// still pending:
+//
+//  1. down: after Shutdown the wait ends with ErrClosed;
+//  2. deadline: past it the wait ends with ErrTimeout — checked before
+//     serving, so a locality with a steady trickle of delegated work cannot
+//     keep its waiter from timing out (expired says how often the clock is
+//     read);
+//  3. serve: the waiter serves its own locality (§4.3, §4.4), CheckRatio
+//     passes or until the target resolves. A round that executed something
+//     made progress: the waiter returns to stage 1 of the pause schedule
+//     below and starts the next round at once;
+//  4. rescue: if the destination locality has no threads left, the waiter
+//     executes its own ring to it;
+//  5. pause, if the target is still pending after all that.
+//
+// What the wait ends in is the caller's: Completion.await consumes the result
+// or abandons the operation with the loop's error, Drain moves on to the next
+// burst, the ring-full path re-examines its slot. The open burst is flushed
+// once, before the loop — nothing a round does can open another.
+//
+// A pause escalates in two stages:
 //
 //  1. pure Gosched for the waiter's spin budget, which depends on what
 //     resolves its target. A ring slot is released by a serving goroutine
@@ -20,15 +41,16 @@ import (
 //     readable, and Go polls the network only from a processor with nothing
 //     to run — a yielding waiter keeps the poll from happening — so the
 //     budget is the few pauses of wire.AwaitSpin;
-//  2. parking: the waiter arms its ring.Parker slot, advertises itself in
-//     its locality's parked set, re-checks its wake condition (so a wake
-//     that raced the arming is never lost), and blocks until it is woken —
-//     by a sender ringing its locality's doorbell, by the thread that
-//     served its ring, by the link reader that resolved its wire burst —
-//     or a timeout fires. Timeouts double from waitParkMin to waitParkMax,
-//     so even a lost wake costs at most ~1ms of latency — and a timed-out
-//     park forces the waiter's next serve pass to be a full ring scan, so a
-//     doorbell bit lost to a fault is rediscovered within one park timeout.
+//  2. parking (Thread.park, which a dedicated server's ServeWait shares): the
+//     waiter arms its ring.Parker slot, advertises itself in its locality's
+//     parked set, re-checks its wake condition (so a wake that raced the
+//     arming is never lost), and blocks until it is woken — by a sender
+//     ringing its locality's doorbell, by the thread that served its ring, by
+//     the link reader that resolved its wire burst — or a timeout fires.
+//     Timeouts double from waitParkMin to waitParkMax, so even a lost wake
+//     costs at most ~1ms of latency — and a timed-out park forces the
+//     thread's next serve pass to be a full ring scan, so a doorbell bit lost
+//     to a fault is rediscovered within one park timeout.
 //
 // Stall detection rides the park stage: every waitStallParks parks the
 // waiter samples the destination partition's serving-progress clock; two
@@ -39,9 +61,7 @@ import (
 // executes the stuck prefix itself, workers or not; a partition in a peer
 // process, whose progress clock this process never sees advance and which
 // no rescue can reach, gets a PeerStalls event, and the bound on the wait
-// is what ends it.
-//
-// Any progress (local serves, or partition progress between samples)
+// is what ends it. Partition progress between samples, like a serving round,
 // resets the waiter to stage 1.
 const (
 	// waitSpinYield is how many pauses of a wait on a ring slot stay pure
@@ -138,68 +158,77 @@ func (w *waiter) expired() bool {
 	return time.Until(w.deadline) <= 0
 }
 
-// reset returns the waiter to the spin stage; callers invoke it whenever
-// they made progress themselves (e.g. served requests).
+// reset returns the waiter to the spin stage, after progress: a round that
+// served requests, or the destination partition moving between stall samples.
 func (w *waiter) reset() { w.idle, w.parks, w.timeout, w.sampled = 0, 0, 0, false }
 
-// pause blocks the waiter briefly, escalating per the schedule above.
+// await is the one wait loop (the header has its order): it runs rounds until
+// the target has resolved and returns nil, or returns the error that ended
+// the wait first — ErrClosed after shutdown, ErrTimeout past the deadline. It
+// tests the target after each round, not before the first: callers return at
+// once on a resolved target themselves, and the ring-full path enters with a
+// released slot it still cannot use, where the round is what observes
+// shutdown and the deadline.
+//
+//dps:bounded-wait
+//dps:noalloc via ExecuteSync
+func (w *waiter) await() error {
+	t := w.t
+	for {
+		if t.rt.down.Load() {
+			return ErrClosed
+		}
+		if w.expired() {
+			return ErrTimeout
+		}
+		if t.servePasses(w.on) > 0 {
+			w.reset()
+		} else if t.rescue(w.p, w.on.slot); w.on.pending() {
+			// Polled once more before the processor is given away: a reply
+			// that landed during the serve pass costs a whole yield less to
+			// take now (a third of a pause per synchronous delegation,
+			// measured).
+			w.pause()
+		}
+		if !w.on.pending() {
+			return nil
+		}
+	}
+}
+
+// servePasses serves the caller's locality while it waits for on: CheckRatio
+// passes (§4.3's "number of checks performed on the ring buffer for each of
+// its own requests"), fewer when on resolves first. It returns the operations
+// executed.
+//
+//dps:noalloc via ExecuteSync
+func (t *Thread) servePasses(on target) int {
+	n := t.serve()
+	for i := 1; i < t.rt.cfg.CheckRatio && on.pending(); i++ {
+		n += t.serve()
+	}
+	return n
+}
+
+// pause blocks the waiter briefly, escalating per the schedule above: a yield
+// within the spin budget, then timed parks that double from waitParkMin to
+// waitParkMax, with a stall sample every waitStallParks parks (which cannot
+// trigger in the spin stage).
 //
 //dps:bounded-wait
 //dps:noalloc via ExecuteSync
 func (w *waiter) pause() {
 	w.idle++
 	if w.idle <= w.spin {
-		// The stall check cannot trigger in the spin stage: it samples
-		// only on park boundaries.
 		runtime.Gosched()
 		return
 	}
-	w.park()
-}
-
-// park blocks the waiter on its Parker slot until it is woken or the
-// current timeout fires. The armed→advertise→recheck order is the lost-
-// wakeup guard: whoever resolves the target — a server releasing the slot,
-// the link reader resolving the burst — publishes that state and then calls
-// Wake, so it either sees the armed slot (and wakes us) or ran before we
-// armed — in which case the recheck observes its published state and we
-// never block.
-//
-//dps:bounded-wait
-//dps:noalloc via ExecuteSync
-func (w *waiter) park() {
-	t := w.t
-	rt := t.rt
-	myloc := rt.parts[t.locality]
 	if w.timeout == 0 {
 		w.timeout = waitParkMin
 	}
-
-	rt.parker.Prepare(t.id)
-	if myloc.parked != nil {
-		myloc.parked.Set(t.id)
-	}
-	// Recheck after arming: anything that would have woken us and could
-	// have fired before the slot was armed must be caught here.
-	if rt.down.Load() || myloc.bell.Any() || !w.on.pending() {
-		rt.parker.Cancel(t.id)
-		if myloc.parked != nil {
-			myloc.parked.Clear(t.id)
-		}
+	if !w.t.park(&w.on, w.p.id, w.timeout) {
 		return
 	}
-	rt.rec.Add(t.id, w.p.id, obs.Parks, 1)
-	if !rt.parker.Park(t.id, &t.parkTimer, w.timeout) {
-		// Timed out with no wake: assume a lost signal and make the next
-		// serve pass a full ring scan, so a dropped doorbell bit is
-		// rediscovered within one park timeout instead of the full
-		// serveFullScanEvery cadence.
-		t.forceFullScan()
-	}
-	if myloc.parked != nil {
-		myloc.parked.Clear(t.id)
-	}
-
 	if w.timeout < waitParkMax {
 		w.timeout *= 2
 	}
@@ -207,6 +236,40 @@ func (w *waiter) park() {
 	if w.parks%waitStallParks == 0 {
 		w.checkStall()
 	}
+}
+
+// park is the one place a thread blocks: on its Parker slot, for at most d,
+// until it is woken. on is what the thread waits for (nil for a dedicated
+// server, which waits for work only) and part the partition the park is
+// counted against. The arm → advertise → re-check order is the lost-wakeup
+// guard: whoever would wake the thread — a sender ringing its locality's
+// doorbell, a server releasing its slot, the link reader resolving its burst,
+// Shutdown — publishes that state and then calls Wake, so it either sees the
+// armed slot (and wakes us) or ran before we armed — in which case the
+// re-check observes its published state and the thread never blocks; park
+// then reports false. A park that times out with no wake assumes a lost
+// signal and makes the next serve pass a full ring scan, so a dropped
+// doorbell bit is rediscovered within one park timeout instead of the full
+// serveFullScanEvery cadence.
+//
+//dps:bounded-wait
+//dps:noalloc via ExecuteSync
+func (t *Thread) park(on *target, part int, d time.Duration) bool {
+	rt := t.rt
+	myloc := rt.parts[t.locality]
+	rt.parker.Prepare(t.id)
+	myloc.parked.Set(t.id)
+	blocked := !rt.down.Load() && !myloc.bell.Any() && (on == nil || on.pending())
+	if !blocked {
+		rt.parker.Cancel(t.id)
+	} else {
+		rt.rec.Add(t.id, part, obs.Parks, 1)
+		if !rt.parker.Park(t.id, &t.parkTimer, d) {
+			t.forceFullScan()
+		}
+	}
+	myloc.parked.Clear(t.id)
+	return blocked
 }
 
 // checkStall samples the partition's progress clock and escalates when two
@@ -228,8 +291,14 @@ func (w *waiter) checkStall() {
 }
 
 // stalledOn records a stall against partition p and applies the tier's
-// remedy: forced rescue of s on a local partition, nothing on a peer's (s is
-// nil there) beyond the PeerStalls mark.
+// remedy. On a local partition that is the forced rescue of s: p still has
+// registered workers, but none has served anything across a full
+// stall-detection window (blocked outside DPS, descheduled, or wedged by an
+// injected fault), so the waiter executes its own ring. Unlike rescue it must
+// not block on the claim — the claim may be held by the very thread that is
+// wedged — and when the ring is claimed the waiter simply escalates again next
+// window. On a peer's partition (s is nil there) nothing follows the
+// PeerStalls mark.
 //
 //dps:noalloc via ExecuteSync
 func (t *Thread) stalledOn(p *Partition, s *slot) {
@@ -245,7 +314,7 @@ func (t *Thread) stalledOn(p *Partition, s *slot) {
 		}
 		t.rt.tracer.OnStall(t.id, p.id, key)
 	}
-	if s != nil {
-		t.forceRescue(p, s)
+	if s != nil && s.Pending() {
+		t.drain(p, t.id, false, t.rt.wholeRing(), obs.Rescued)
 	}
 }

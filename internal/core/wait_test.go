@@ -1,11 +1,16 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"dps/internal/affinity"
+	"dps/internal/chaos"
 	"dps/internal/wire"
 )
 
@@ -121,5 +126,367 @@ func BenchmarkPeerSyncRTT(b *testing.B) {
 			}
 			wg.Wait()
 		})
+	}
+}
+
+// wedged is the fixture of TestOneWaitLoop: a cluster client whose thread w
+// (locality 0) can be made to wait on something that will not resolve until
+// the test says so — a ring slot toward partition 1, where f is registered
+// (so sends are delegated) but the test holds the claim of w's ring (so
+// neither f nor w's own stall rescue can serve it), or a wire token whose
+// operation blocks in the peer. Rings are two slots deep.
+type wedged struct {
+	client   *Runtime
+	w, f     *Thread
+	ring     *dring
+	released bool
+}
+
+func newWedged(t *testing.T, peerTimeout time.Duration) *wedged {
+	t.Helper()
+	blockPeer = make(chan struct{})
+	client, w := startCluster(t, func(c *Config) {
+		c.RingDepth = 2
+		if peerTimeout > 0 {
+			c.Peers[0].Timeout = peerTimeout
+		}
+	})
+	f, err := client.RegisterAt(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := &wedged{client: client, w: w, f: f, ring: client.Partition(1).rings[w.id].Load()}
+	if !e.ring.TryClaim() {
+		t.Fatal("fresh ring already claimed")
+	}
+	// Runs before startCluster's cleanup: retire f, with w serving what f
+	// still has in flight toward w's locality.
+	t.Cleanup(func() {
+		e.unwedge()
+		if client.down.Load() {
+			f.Unregister()
+			return
+		}
+		serveUntil(w, f.Unregister)
+	})
+	return e
+}
+
+// unwedge lets both kinds of target resolve.
+func (e *wedged) unwedge() {
+	if !e.released {
+		e.released = true
+		e.ring.Unclaim()
+		close(blockPeer)
+	}
+}
+
+// serveUntil serves on th until fn, run on its own goroutine, has returned.
+func serveUntil(th *Thread, fn func()) {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fn()
+	}()
+	for {
+		select {
+		case <-done:
+			return
+		default:
+			th.Serve()
+		}
+	}
+}
+
+// TestOneWaitLoop makes the same three checks on every entry point of the
+// one wait loop — a completion on a ring slot, a completion on a wire token,
+// Drain on a fire-and-forget burst, a send into a full ring:
+//
+//   - a deadline ends the wait with ErrTimeout on time while the waiter's
+//     own locality has a steady stream of delegated work to serve (Drain has
+//     a deadline only toward a peer, the peer's Timeout);
+//   - Shutdown ends it with ErrClosed;
+//   - a round that served something returns the waiter to the spin stage:
+//     with one operation after another delegated to its locality in lockstep
+//     the waiter finds the next within its spin budget and does not park —
+//     unless the kernel takes the sender's processor away, which costs a few
+//     parks each time (and on a wire token the budget is only wire.AwaitSpin
+//     yields), so the check is that fewer than half the operations see a
+//     park. Without the reset a completion's wait parks once per operation
+//     here (1941 and 1998 times in 2000 at the parent commit).
+func TestOneWaitLoop(t *testing.T) {
+	const bound = 50 * time.Millisecond
+	result := func(key uint64, op Op) func(e *wedged) func(time.Duration) error {
+		return func(e *wedged) func(time.Duration) error {
+			var c Completion
+			e.w.ExecuteInto(&c, key, op, Args{})
+			return func(d time.Duration) error {
+				if d > 0 {
+					_, err := c.ResultTimeout(d)
+					return err
+				}
+				return closedErr(c.Result())
+			}
+		}
+	}
+	entries := []struct {
+		name string
+		// begin stages what the wait is for and returns the wait itself:
+		// timed when d > 0. timedOnWire: the timed form waits on the peer.
+		begin       func(e *wedged) func(d time.Duration) error
+		timedOnWire bool
+		noError     bool // the entry point returns nothing to check
+	}{
+		{name: "Result on a ring slot", begin: result(1, remoteLen)},
+		{name: "Result on a wire token", begin: result(2, remoteBlock), timedOnWire: true},
+		{name: "Drain", noError: true, timedOnWire: true,
+			begin: func(e *wedged) func(time.Duration) error {
+				return func(d time.Duration) error {
+					if d > 0 {
+						e.w.ExecuteAsync(2, remoteBlock, Args{})
+					} else {
+						e.w.ExecuteAsync(1, remoteLen, Args{})
+					}
+					e.w.Drain()
+					return nil
+				}
+			}},
+		{name: "send into a full ring",
+			begin: func(e *wedged) func(time.Duration) error {
+				for i := 0; i < 2*burstSize; i++ {
+					e.w.ExecuteAsync(1, remoteLen, Args{})
+				}
+				return func(d time.Duration) error {
+					if d > 0 {
+						_, err := e.w.ExecuteSyncTimeout(1, remoteLen, Args{}, d)
+						return err
+					}
+					return closedErr(e.w.ExecuteSync(1, remoteLen, Args{}))
+				}
+			}},
+	}
+	// waitOn runs wait on its own goroutine once it is known to have started.
+	waitOn := func(wait func(time.Duration) error, d time.Duration) <-chan error {
+		got, started := make(chan error, 1), make(chan struct{})
+		go func() {
+			close(started)
+			got <- wait(d)
+		}()
+		<-started
+		return got
+	}
+	// within fails the test unless the wait ends in time; it unwedges a wait
+	// that does not, so the waiter's thread is not left running.
+	within := func(t *testing.T, e *wedged, got <-chan error) error {
+		t.Helper()
+		select {
+		case err := <-got:
+			return err
+		case <-time.After(5 * time.Second):
+			e.unwedge()
+			serveUntil(e.f, func() { <-got })
+			t.Fatal("still waiting after 5s")
+			return nil
+		}
+	}
+
+	for _, en := range entries {
+		t.Run(en.name+"/deadline under a trickle of work", func(t *testing.T) {
+			peerTimeout := time.Duration(0)
+			if en.timedOnWire {
+				peerTimeout = bound
+			}
+			e := newWedged(t, peerTimeout)
+			// f keeps w's locality supplied with work only w can serve.
+			var stop atomic.Bool
+			flooded := make(chan struct{})
+			go func() {
+				defer close(flooded)
+				for i := uint64(0); !stop.Load(); i++ {
+					e.f.ExecuteAsync(rtParts*(i%64), busyOp, Args{})
+				}
+			}()
+			abandoned := e.client.Metrics().Totals.Abandoned
+			wait := en.begin(e)
+			start := time.Now()
+			err := within(t, e, waitOn(wait, bound))
+			elapsed := time.Since(start)
+			stop.Store(true)
+			serveUntil(e.w, func() { <-flooded })
+			if !en.noError && !errors.Is(err, ErrTimeout) {
+				t.Errorf("err = %v, want ErrTimeout", err)
+			}
+			if elapsed < bound || elapsed > 4*bound {
+				t.Errorf("wait ended after %v, want within [%v, %v]", elapsed, bound, 4*bound)
+			}
+			if en.name != "send into a full ring" {
+				if d := e.client.Metrics().Totals.Abandoned - abandoned; d != 1 {
+					t.Errorf("Abandoned rose by %d, want 1", d)
+				}
+			}
+		})
+		t.Run(en.name+"/Shutdown", func(t *testing.T) {
+			e := newWedged(t, 0)
+			got := waitOn(en.begin(e), 0)
+			e.client.Shutdown(bound)
+			if err := within(t, e, got); !en.noError && !errors.Is(err, ErrClosed) {
+				t.Errorf("err = %v, want ErrClosed", err)
+			}
+		})
+		t.Run(en.name+"/progress returns to the spin stage", func(t *testing.T) {
+			e := newWedged(t, 0)
+			got := waitOn(en.begin(e), 0)
+			const ops = 2000
+			var parks uint64
+			for i := 0; i <= ops; i++ {
+				if res := e.f.ExecuteSync(0, remoteLen, Args{}); res.Err != nil {
+					t.Fatal(res.Err)
+				}
+				if i == 0 {
+					// The waiter may have parked before the first operation.
+					parks = e.client.Metrics().Totals.Parks
+				}
+			}
+			parks = e.client.Metrics().Totals.Parks - parks
+			e.unwedge()
+			var err error
+			serveUntil(e.f, func() { err = within(t, e, got) })
+			if err != nil {
+				t.Errorf("err = %v after the target resolved", err)
+			}
+			if parks > ops/2 {
+				t.Errorf("parked %d times while serving %d operations in lockstep, want at most %d", parks, ops, ops/2)
+			}
+		})
+	}
+}
+
+// TestOnePark: a dedicated server's ServeWait and a completion's wait block
+// through the same Thread.park, so both count their parks, leave no bit
+// behind in their locality's parked set, and — with every doorbell and its
+// wake lost — serve a burst published for their locality while they were
+// parked within a park or two: a park that times out makes the next serve
+// pass a full scan (the every-64th-pass cadence alone would take 64 parks).
+func TestOnePark(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// wait blocks th (locality 0) until stop is set or its own operation,
+		// which the sender's locality executes last of all, has completed.
+		wait func(th *Thread, key uint64, stop *atomic.Bool)
+	}{
+		{"ServeWait", func(th *Thread, key uint64, stop *atomic.Bool) {
+			for !stop.Load() {
+				th.ServeWait(time.Millisecond)
+			}
+		}},
+		{"Result", func(th *Thread, key uint64, stop *atomic.Bool) {
+			var c Completion
+			th.ExecuteInto(&c, key, opNop, Args{})
+			c.Result()
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt, _ := newChaosRuntime(t, 2, chaos.Config{Seed: 5, DropDoorbellProb: 1}, nil)
+			th, err := rt.RegisterAt(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer th.Unregister()
+			sender, err := rt.RegisterAt(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sender.Unregister()
+			own := keyFor(t, rt, 0)
+
+			var stop, ended atomic.Bool
+			// The published operation itself reads the park count when th's
+			// full scan executes it; the helper reads it right after the
+			// publish (a helper descheduled in between reads too late and
+			// undercounts, which cannot fail the test).
+			var published, served atomic.Int64
+			probe := func(*Partition, uint64, *Args) Result {
+				served.Store(int64(rt.Metrics().Totals.Parks))
+				return Result{}
+			}
+			helper := make(chan struct{})
+			go func() {
+				defer close(helper)
+				for rt.Metrics().Totals.Parks == 0 { // until th has parked
+					time.Sleep(50 * time.Microsecond)
+				}
+				sender.ExecuteAsync(own, probe, Args{})
+				sender.Flush()
+				published.Store(int64(rt.Metrics().Totals.Parks))
+				for rt.Metrics().Totals.Served == 0 {
+					time.Sleep(50 * time.Microsecond)
+				}
+				stop.Store(true)
+				for !ended.Load() {
+					sender.Serve()
+				}
+			}()
+			tc.wait(th, keyFor(t, rt, 1), &stop)
+			ended.Store(true)
+			<-helper
+
+			if parks := served.Load() - published.Load(); parks > 3 {
+				t.Errorf("parked %d times before a full scan found the published burst, want at most 3", parks)
+			}
+			if m := rt.Metrics().Totals; m.DoorbellWakes != 0 {
+				t.Errorf("DoorbellWakes = %d with every doorbell dropped", m.DoorbellWakes)
+			}
+			if idx, ok := rt.Partition(0).parked.Pick(); ok {
+				t.Errorf("thread %d still advertised as parked after the wait", idx)
+			}
+		})
+	}
+}
+
+// TestThreadPin: Thread.Pin takes effect only under Config.PinServers, shows
+// in Pinned and the PinnedThreads gauge, and Unregister gives the OS thread
+// its affinity mask back.
+func TestThreadPin(t *testing.T) {
+	if !affinity.Supported() {
+		t.Skip("no thread affinity on this platform")
+	}
+	runtime.LockOSThread()
+	defer runtime.UnlockOSThread()
+	before, err := affinity.CurrentMask()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pinServers := range []bool{false, true} {
+		rt, err := New(Config{Partitions: 2, PinServers: pinServers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		th, err := rt.RegisterAt(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := th.Pin(); got != pinServers {
+			t.Errorf("PinServers=%v: Pin() = %v", pinServers, got)
+		}
+		if th.Pinned() != pinServers {
+			t.Errorf("PinServers=%v: Pinned() = %v", pinServers, th.Pinned())
+		}
+		want := 0
+		if pinServers {
+			want = 1
+			if now, _ := affinity.CurrentMask(); now == before {
+				t.Error("Pin() reported true and left the affinity mask unchanged")
+			}
+		}
+		if got := rt.Metrics().PinnedThreads; got != want {
+			t.Errorf("PinServers=%v: PinnedThreads = %d, want %d", pinServers, got, want)
+		}
+		th.Unregister()
+		if after, _ := affinity.CurrentMask(); after != before {
+			t.Errorf("PinServers=%v: Unregister did not restore the affinity mask", pinServers)
+		}
+		if got := rt.Metrics().PinnedThreads; got != 0 {
+			t.Errorf("PinServers=%v: PinnedThreads = %d after Unregister", pinServers, got)
+		}
 	}
 }

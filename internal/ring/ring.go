@@ -256,18 +256,6 @@ func (r *Ring[T]) Unclaim() { r.claim.Store(0) }
 //dps:domain=server
 func (r *Ring[T]) Head() *Slot[T] { return &r.slots[r.cursor] }
 
-// AdvanceHead moves the receive cursor forward one slot. Claim must be
-// held.
-//
-//dps:noalloc via ExecuteSync
-//dps:domain=server
-func (r *Ring[T]) AdvanceHead() {
-	r.cursor++
-	if r.cursor == len(r.slots) {
-		r.cursor = 0
-	}
-}
-
 // Drain serves pending slots from the receive cursor in FIFO order until
 // the ring runs dry or at least max operations have been served, and
 // returns how many operations that was. Claim must be held. serve must

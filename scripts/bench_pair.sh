@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # bench_pair.sh — paired runs of the end-to-end benchmark (benchmark/, see
-# BENCHMARK.json): a base revision against this working tree. Single runs of
+# BENCHMARK.json), or with MICRO=1 of internal/core's delegation
+# micro-benchmarks: a base revision against this working tree. Single runs of
 # the benchmark differ by 5–10 % on their own and the build host drifts
 # between a fast and a slow state for minutes at a time, so a before/after
 # taken once proves nothing; this is the comparison PRs 12 and 14 ran by hand.
 #
 #   scripts/bench_pair.sh BASE [WORKLOAD|all] [PAIRS] [SECONDS]
 #   make bench-pair BASE=<rev> [WORKLOAD=<name>] [PAIRS=10] [SECONDS=18]
+#   make bench-pair BASE=<rev> MICRO=1 [PAIRS=10]
 #
 # BASE is cloned (git clone, not a worktree) into a mktemp directory that is
 # removed on exit, both benchmark binaries are built once the way
@@ -27,6 +29,14 @@
 # metric's bound. Every run's values follow the table. Failed operations are
 # totalled per side, and every run whose last line does not say "correct":true
 # is listed; either makes the exit status 1. Nothing is gated on the verdicts.
+#
+# MICRO=1 runs the same loop and the same table over the ring tier instead:
+# both sides' internal/core test binaries are built once, a run is
+# `-bench 'BenchmarkDelegation|BenchmarkIdle|BenchmarkServePass' -benchmem`
+# (1 s per benchmark, about 40 s per run), a row is one benchmark, the metric
+# is ns/op (no bound is declared for it, so nothing is flagged >bound), and
+# every benchmark that allocates on the change but not on the base is listed;
+# one makes the exit status 1. WORKLOAD and SECONDS are not used.
 set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -41,15 +51,20 @@ trap 'rm -rf "$tmp"' EXIT
 # The manifest names the workloads, and each end-to-end metric's direction
 # and bound; one object per line, as BENCHMARK.json is written.
 field() { sed -n "s/.*\"$1\": *\"\{0,1\}\([^\",}]*\).*/\1/p"; }
-if [ "$workload" = all ]; then
-  workloads="$(sed -n '/"workloads"/,/\]/p' "$root/BENCHMARK.json" | field name)"
+micro="${MICRO:-}"
+if [ -n "$micro" ]; then
+  workloads=micro # one run covers every row; the rows are read off its output
+  echo "ns/op lower 1e9" >"$tmp/metrics"
+  per="internal/core micro-benchmarks, -benchtime 1s"
 else
   workloads="$workload"
+  [ "$workload" != all ] || workloads="$(sed -n '/"workloads"/,/\]/p' "$root/BENCHMARK.json" | field name)"
+  sed -n '/"end_to_end"/,/\]/p' "$root/BENCHMARK.json" | grep '"name"' |
+    while read -r line; do
+      echo "$(field name <<<"$line") $(field better <<<"$line") $(field bound <<<"$line")"
+    done >"$tmp/metrics"
+  per="-seconds $seconds, seed i for pair i"
 fi
-sed -n '/"end_to_end"/,/\]/p' "$root/BENCHMARK.json" | grep '"name"' |
-  while read -r line; do
-    echo "$(field name <<<"$line") $(field better <<<"$line") $(field bound <<<"$line")"
-  done >"$tmp/metrics"
 
 git clone -q "$root" "$tmp/base"
 git -C "$tmp/base" checkout -q --detach "$base"
@@ -59,11 +74,29 @@ change_rev="$(git -C "$root" rev-parse --short HEAD)"
 
 declare -A dir=([base]="$tmp/base" [change]="$root")
 
-# benchmark/run.sh's build, once per side.
+# benchmark/run.sh's build (MICRO: the core test binary), once per side.
 for side in base change; do
-  (cd "${dir[$side]}/benchmark" &&
-    GOCACHE="$tmp/go-cache" XDG_CONFIG_HOME="$tmp/config" GOTOOLCHAIN=local go build -o "$tmp/$side.bin" .)
+  if [ -n "$micro" ]; then
+    (cd "${dir[$side]}/internal/core" && go test -c -o "$tmp/$side.bin" .)
+  else
+    (cd "${dir[$side]}/benchmark" &&
+      GOCACHE="$tmp/go-cache" XDG_CONFIG_HOME="$tmp/config" GOTOOLCHAIN=local go build -o "$tmp/$side.bin" .)
+  fi
 done
+
+# run_micro SIDE _ PAIR — one pass over the micro-benchmarks; every result line
+# is a row's value, and a non-zero B/op is noted for the allocation check.
+run_micro() {
+  (cd "${dir[$1]}/internal/core" && "$tmp/$1.bin" -test.run '^$' -test.benchmem -test.timeout 20m \
+    -test.bench 'BenchmarkDelegation|BenchmarkIdle|BenchmarkServePass') 2>&1 |
+    awk -v side="$1" -v pair="$3" -v allocs="$tmp/allocs" '/^Benchmark.* ns\/op/ {
+      row = $1; sub(/^Benchmark/, "", row); sub(/-[0-9]+$/, "", row)
+      for (i = 2; i < NF; i++) {
+        if ($(i + 1) == "ns/op") print row, "ns/op", pair, side, $i
+        if ($(i + 1) == "B/op" && $i > 0) print side, row >>allocs
+      }
+    }' >>"$tmp/values"
+}
 
 # run SIDE WORKLOAD PAIR — one untraced run; its last line is the result.
 run() {
@@ -80,20 +113,23 @@ run() {
   done <"$tmp/metrics" >>"$tmp/values"
 }
 
-echo "bench-pair: base $base_rev vs change $change_rev; $pairs pairs x ${seconds}s, seed i for pair i" >&2
-: >"$tmp/incorrect" >"$tmp/failed" >"$tmp/values"
+echo "bench-pair: base $base_rev vs change $change_rev; $pairs alternating pairs, $per" >&2
+: >"$tmp/incorrect" >"$tmp/failed" >"$tmp/values" >"$tmp/allocs"
 for i in $(seq 1 "$pairs"); do
   order="base change"
   [ $((i % 2)) -eq 1 ] || order="change base"
   for w in $workloads; do
     for side in $order; do
-      run "$side" "$w" "$i"
+      "run${micro:+_micro}" "$side" "$w" "$i"
     done
     echo "bench-pair: pair $i $w done" >&2
   done
 done
 
-echo "base $base_rev vs change $change_rev, $pairs alternating pairs, -seconds $seconds, seed i for pair i"
+# MICRO: the rows of the table are the benchmarks the runs reported.
+[ -z "$micro" ] || workloads="$(awk '!seen[$1]++ { print $1 }' "$tmp/values")"
+
+echo "base $base_rev vs change $change_rev, $pairs alternating pairs, $per"
 echo
 echo "| workload | metric | base median [q1, q3] | change median [q1, q3] | Δ % | wins | base IQR % | verdict |"
 echo "|---|---|---|---|---|---|---|---|"
@@ -142,6 +178,14 @@ END {
 }' "$tmp/metrics" "$tmp/values"
 
 echo
+if [ -n "$micro" ]; then
+  # A row whose B/op left 0: it allocates on the change and never did on the base.
+  left="$(awk '$1 == "base" { base[$2] } $1 == "change" { change[$2] } END { for (r in change) if (!(r in base)) print "  " r }' "$tmp/allocs")"
+  [ -z "$left" ] && echo "no row's B/op left 0" && exit 0
+  echo "rows whose B/op left 0:"
+  echo "$left"
+  exit 1
+fi
 awk '{ n[$1] += $2 } END { printf "failed operations: base %d, change %d\n", n["base"], n["change"] }' "$tmp/failed"
 if [ -s "$tmp/incorrect" ]; then
   echo "runs whose last line is not \"correct\":true:"

@@ -3,7 +3,11 @@
 # build cmd/mcdserver, start it on a free port, drive it with the loadgen
 # for ~2 seconds via `mcdbench -net -addr`, then SIGTERM it and assert a
 # clean drain (exit 0) and zero protocol errors (mcdbench exits nonzero on
-# any). Run via `make serve-smoke`.
+# any). Arguments are passed on to mcdserver: `serve_smoke.sh -pin-servers`
+# is the core-pinning smoke test (dedicated serving threads locked to
+# locality-owned CPUs, parked when idle; where sched_setaffinity is
+# unavailable the flag degrades to unpinned serving, so it is safe on any CI
+# container). Run via `make serve-smoke` / `make pin-smoke`.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -19,8 +23,8 @@ echo "serve-smoke: building"
 go build -o "$BIN/mcdserver" ./cmd/mcdserver
 go build -o "$BIN/mcdbench" ./cmd/mcdbench
 
-echo "serve-smoke: starting mcdserver on ${ADDR}"
-"$BIN/mcdserver" -addr "$ADDR" -variant dps -partitions 2 -drain-timeout 10s &
+echo "serve-smoke: starting mcdserver on ${ADDR} $*"
+"$BIN/mcdserver" -addr "$ADDR" -variant dps -partitions 2 -drain-timeout 10s "$@" &
 SERVER_PID=$!
 trap 'kill -9 $SERVER_PID 2>/dev/null || true; rm -rf "$BIN"' EXIT
 
