@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check lint chaos chaos-peer bench bench-build bench-compare bench-pair bench-json bench-gate serve-smoke peer-smoke pin-smoke
+.PHONY: build test check lint chaos chaos-peer fuzz bench bench-build bench-compare bench-pair bench-json bench-gate serve-smoke peer-smoke pin-smoke
 
 build:
 	$(GO) build ./...
@@ -57,11 +57,23 @@ chaos:
 # dead-link detection, the breaker cycle, severed/slowed links via the
 # DropFrame/SlowLink/PeerDown injector hooks) plus the core tier's
 # remote/peer tests, including the kill/restart convergence proof (zero
-# lost, zero duplicated completions) and the dedup-window replays. Run it
-# after touching the retry, heartbeat, dedup, or breaker paths.
+# lost, zero duplicated completions); the wire suite holds the dedup
+# window's table test. Run it after touching the retry, heartbeat, dedup,
+# or breaker paths.
 chaos-peer:
 	$(GO) test -race -timeout 300s ./internal/wire/...
 	$(GO) test -race -timeout 300s -run 'TestPeer|TestRemote' -v ./internal/core/...
+
+# fuzz runs every fuzzer past its seed corpus for FUZZTIME each: the wire
+# codec (FuzzDecodeFrame), the wire stream reader (FuzzFrameReader) and the
+# memcached request parser with split reads (FuzzParse). go test -fuzz takes
+# one target per package invocation, hence one line per fuzzer. A failing
+# input lands in the package's testdata/fuzz/ and becomes a seed.
+FUZZTIME ?= 10s
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzFrameReader$$' -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/server
 
 # serve-smoke is the network front door's end-to-end gate: build
 # cmd/mcdserver, start it, drive it for ~2s with the loadgen over real

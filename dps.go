@@ -144,10 +144,13 @@ var (
 	// deadline expires first.
 	ErrTimeout = core.ErrTimeout
 	// ErrPeerDown is returned by operations delegated to a peer process
-	// whose link is down when the burst was never delivered (every dial
-	// failed, the circuit breaker was open, or the degrade policy chose
-	// fail-fast): zero side effects exist anywhere, so retrying is always
-	// safe. Contrast ErrTimeout, which leaves the outcome unknown.
+	// whose link stayed down for the operation's whole retry budget, so
+	// the burst was never delivered (every dial failed, or the circuit
+	// breaker held dialing off): zero side effects exist anywhere, so
+	// retrying is always safe. An open breaker does not fail ops fast —
+	// they queue until the budget runs out, and resolve ErrTimeout instead
+	// if the waiter's own bound fires first. Contrast ErrTimeout, which
+	// leaves the outcome unknown.
 	ErrPeerDown = core.ErrPeerDown
 )
 

@@ -41,6 +41,11 @@ func (rt *Runtime) Metrics() Snapshot {
 	for _, wp := range rt.peers {
 		s.Peers = append(s.Peers, wp.Stats())
 	}
+	rt.mu.Lock()
+	for _, srv := range rt.servers {
+		s.Totals.DedupReplays += srv.Replays()
+	}
+	rt.mu.Unlock()
 	return s
 }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"time"
 	"unsafe"
 
@@ -53,32 +52,13 @@ type Peer struct {
 	RetryBackoffMax time.Duration
 	// BreakerThreshold is how many consecutive link failures open the
 	// peer's circuit breaker (0: wire default, 8; negative disables).
-	// While open, fail-fast ops resolve ErrPeerDown immediately and a
-	// half-open probe re-admits traffic after BreakerCooldown.
+	// While open, no dial is attempted: queued ops wait for the half-open
+	// probe after BreakerCooldown or resolve when their budget runs out.
 	BreakerThreshold int
-	// BreakerCooldown is the open breaker's rejection window (0: wire
-	// default, 1s).
+	// BreakerCooldown is how long an open breaker holds off dialing (0:
+	// wire default, 1s).
 	BreakerCooldown time.Duration
 }
-
-// Degrade is a DegradePolicy verdict: what an op does when its peer's
-// link is down.
-type Degrade int
-
-const (
-	// DegradeRetry queues the op's burst for retransmission until the op
-	// deadline — the default. The peer server's dedup window makes the
-	// retransmit safe even for non-idempotent ops.
-	DegradeRetry Degrade = iota
-	// DegradeFailFast resolves the op with ErrPeerDown as soon as the
-	// link failure is known, leaving the retry decision to the caller.
-	DegradeFailFast
-)
-
-// DegradePolicy classifies delegated ops by wire code (and fire-ness)
-// for link-failure handling. It is consulted at stage time on the send
-// path, so it must be cheap and allocation-free.
-type DegradePolicy func(code uint16, fire bool) Degrade
 
 // ErrOpNotRegistered is returned when an operation is delegated toward a
 // peer-owned partition but was never registered with RegisterOp: a
@@ -261,181 +241,54 @@ func (t *Thread) drainWire() {
 	t.woutstanding = t.woutstanding[:0]
 }
 
-// PeerServer is the accept side of the wire tier for one runtime: it
-// serves this process's local partitions to remote senders by decoding
-// request bursts and applying them through the normal serve path —
-// registered threads, quiescence sections, served-work attribution, the
-// panic policy's counters — so a cross-process operation is
-// indistinguishable from a cross-locality one by the time it touches a
-// shard.
-//
-// The server also keeps a bounded per-link dedup window: each sender
-// link names itself with a random 64-bit identity, each burst carries a
-// monotonic sequence number, and a (link, seq) pair the server has
-// already executed is answered from the cached responses instead of
-// re-executed. That is what makes client-side retransmission safe for
-// non-idempotent ops — a burst whose response frame was lost to a link
-// failure is retried without applying its side effects twice. The
-// window survives Stop/Rebind, so a listener restart ("peer restart"
-// from the client's point of view) keeps retries exactly-once.
+// PeerServer is the accept side of the wire tier for one runtime: a
+// wire.Server — the listener lifecycle (Serve, Addr, Stop, Rebind) and the
+// exactly-once dedup window — whose handler applies each decoded burst
+// through this process's normal serve path: a registered thread per local
+// partition, quiescence sections, served-work attribution, the panic
+// policy's counters. A cross-process operation is indistinguishable from a
+// cross-locality one by the time it touches a shard.
 type PeerServer struct {
-	rt    *Runtime
-	pools []chan *Thread // indexed by partition id; nil for remote partitions
+	*wire.Server
+	rt *Runtime
+	// pools[part] holds partition part's serving thread while no burst is
+	// applying against it (nil for peer-owned partitions): connections
+	// borrow it per burst.
+	pools []chan *Thread
 	all   []*Thread
-
-	// smu guards srv across Stop/Rebind; owned and partitions rebuild
-	// the wire server on Rebind.
-	smu        sync.Mutex
-	srv        *wire.Server
-	owned      []int
-	partitions int
-
-	// dmu guards the dedup windows, keyed by sender link identity. The
-	// dedup domain is the set of functions entered under dmu.
-	dmu sync.Mutex
-	//dps:owned-by=dedup
-	windows map[uint64]*seenWindow
-	// worder is the window insertion order, for link-count eviction.
-	//
-	//dps:owned-by=dedup
-	worder []uint64
-	// dedup is the per-link window size; 0 disables.
-	//
-	//dps:owned-by=dedup
-	dedup int
 }
 
-// Dedup window bounds. Window size trades memory (cached responses live
-// until evicted) against the longest reorder a retransmission can see —
-// a link retransmits at most its in-flight pipeline, so a few hundred
-// bursts is generous. maxDedupLinks bounds distinct sender links
-// remembered; a client restart mints a new link identity, so this is an
-// LRU over client generations, not live connections.
-const (
-	defaultDedupWindow = 256
-	maxDedupLinks      = 256
-)
-
-// seenWindow is one sender link's dedup state: a bounded FIFO of
-// executed bursts and their cached responses.
-type seenWindow struct {
-	entries map[uint32]*burstRecord
-	order   []uint32
-}
-
-// burstRecord is one executed (or executing) burst. done is closed once
-// resp is complete: a retransmission that arrives while the original is
-// still executing waits for it rather than racing it.
-type burstRecord struct {
-	done chan struct{}
-	resp []wire.RespOp // deep copies; immutable once done closes
-}
-
-// NewPeerServer wraps ln with a wire server for rt's local partitions.
-// perPart is how many serving threads to register per local partition
-// (minimum 1); concurrent connections borrow them per burst. Call Serve
-// to accept; Close before (or after) Runtime.Shutdown.
-func (rt *Runtime) NewPeerServer(ln net.Listener, perPart int) (*PeerServer, error) {
-	if perPart < 1 {
-		perPart = 1
-	}
-	ps := &PeerServer{
-		rt:      rt,
-		pools:   make([]chan *Thread, len(rt.parts)),
-		windows: make(map[uint64]*seenWindow),
-		dedup:   defaultDedupWindow,
-	}
+// NewPeerServer wraps ln with a wire server for rt's local partitions,
+// registering one serving thread per local partition. Call Serve to
+// accept; Close before (or after) Runtime.Shutdown.
+func (rt *Runtime) NewPeerServer(ln net.Listener) (*PeerServer, error) {
+	ps := &PeerServer{rt: rt, pools: make([]chan *Thread, len(rt.parts))}
 	var owned []int
 	for _, p := range rt.parts {
 		if p.peer != nil {
 			continue
 		}
-		owned = append(owned, p.id)
-		pool := make(chan *Thread, perPart)
-		for i := 0; i < perPart; i++ {
-			t, err := rt.RegisterAt(p.id)
-			if err != nil {
-				ps.unregisterAll()
-				return nil, err
-			}
-			pool <- t
-			ps.all = append(ps.all, t)
+		t, err := rt.RegisterAt(p.id)
+		if err != nil {
+			ps.unregisterAll()
+			return nil, err
 		}
-		ps.pools[p.id] = pool
+		ps.pools[p.id] = make(chan *Thread, 1)
+		ps.pools[p.id] <- t
+		ps.all = append(ps.all, t)
+		owned = append(owned, p.id)
 	}
-	if len(owned) == 0 {
-		ps.unregisterAll()
-		return nil, fmt.Errorf("dps: peer server needs at least one local partition")
-	}
-	ps.owned, ps.partitions = owned, len(rt.parts)
-	ps.srv = wire.NewServer(ln, ps.partitions, owned, ps)
+	ps.Server = wire.NewServer(ln, len(rt.parts), owned, ps)
+	rt.mu.Lock()
+	rt.servers = append(rt.servers, ps.Server)
+	rt.mu.Unlock()
 	return ps, nil
 }
 
-// SetDedupWindow resizes the per-link dedup window (0 disables dedup).
-// Call before Serve; it does not resize existing windows.
-//
-//dps:domain=dedup
-func (ps *PeerServer) SetDedupWindow(n int) {
-	ps.dmu.Lock()
-	ps.dedup = n
-	ps.dmu.Unlock()
-}
-
-// Serve accepts peer connections until Stop/Close (see
-// wire.Server.Serve).
-func (ps *PeerServer) Serve() error {
-	ps.smu.Lock()
-	srv := ps.srv
-	ps.smu.Unlock()
-	if srv == nil {
-		return fmt.Errorf("dps: peer server stopped; Rebind before Serve")
-	}
-	return srv.Serve()
-}
-
-// Addr returns the server's listen address (nil while stopped).
-func (ps *PeerServer) Addr() net.Addr {
-	ps.smu.Lock()
-	defer ps.smu.Unlock()
-	if ps.srv == nil {
-		return nil
-	}
-	return ps.srv.Addr()
-}
-
-// Stop closes the listener and severs peer connections but keeps the
-// serving threads and the dedup window, so a Rebind later resumes
-// serving with retransmission dedup intact — the server side of a "peer
-// restart" that loses no executed work. In-flight bursts on the client
-// side move to their links' retry queues.
-func (ps *PeerServer) Stop() error {
-	ps.smu.Lock()
-	srv := ps.srv
-	ps.srv = nil
-	ps.smu.Unlock()
-	if srv == nil {
-		return nil
-	}
-	return srv.Close()
-}
-
-// Rebind attaches a fresh listener after Stop. The caller runs Serve
-// again; the dedup window and serving threads carry over.
-func (ps *PeerServer) Rebind(ln net.Listener) error {
-	ps.smu.Lock()
-	defer ps.smu.Unlock()
-	if ps.srv != nil {
-		return fmt.Errorf("dps: peer server already serving; Stop first")
-	}
-	ps.srv = wire.NewServer(ln, ps.partitions, ps.owned, ps)
-	return nil
-}
-
-// Close stops the listener, severs peer connections, and unregisters the
-// serving threads.
+// Close stops the wire server for good and unregisters the serving
+// threads.
 func (ps *PeerServer) Close() error {
-	err := ps.Stop()
+	err := ps.Server.Close()
 	ps.unregisterAll()
 	return err
 }
@@ -447,94 +300,13 @@ func (ps *PeerServer) unregisterAll() {
 	ps.all = nil
 }
 
-// Apply executes one decoded burst against partition part — the wire
-// tier's serve step. Results mirror executeMessage's contract: per-entry
-// panic capture (a panic crosses back as an operation error and counts
-// toward Panics), fire results dropped, Served/HistServed attribution on
-// the borrowed serving thread.
-//
-// A burst the dedup window has seen (same sender link, same seq) is a
-// retransmission: its cached responses are replayed without touching
-// the shards. A retransmission racing the original execution (the
-// client declared the link dead while the op was still running) waits
-// for the original to finish and replays its responses — on the
-// original's connection order, so per-link ordering holds either way.
-func (ps *PeerServer) Apply(src uint64, seq uint32, part int, req []wire.ReqOp, resp []wire.RespOp) []wire.RespOp {
-	var rec *burstRecord
-	if src != 0 {
-		cached, mine := ps.admit(src, seq)
-		if cached != nil {
-			<-cached.done
-			if len(cached.resp) == len(req) {
-				ps.rt.rec.Add(ps.all[0].id, part, obs.DedupReplays, 1)
-				return append(resp, cached.resp...)
-			}
-			// Shape mismatch: not actually the same burst (seq reuse by a
-			// colliding link identity). Fall through and execute.
-		}
-		rec = mine
-	}
-	resp = ps.applyBurst(part, req, resp)
-	if rec != nil {
-		rec.resp = cloneResp(resp[len(resp)-len(req):])
-		close(rec.done)
-	}
-	return resp
-}
-
-// admit checks the dedup window for (src, seq). It returns the existing
-// record if the burst was seen (the caller replays it), or a fresh
-// record registered under the pair (the caller executes and completes
-// it). Both nil means dedup is off.
-//
-//dps:domain=dedup
-func (ps *PeerServer) admit(src uint64, seq uint32) (cached, mine *burstRecord) {
-	ps.dmu.Lock()
-	defer ps.dmu.Unlock()
-	if ps.dedup <= 0 {
-		return nil, nil
-	}
-	w := ps.windows[src]
-	if w == nil {
-		if len(ps.worder) >= maxDedupLinks {
-			oldest := ps.worder[0]
-			ps.worder = ps.worder[1:]
-			delete(ps.windows, oldest)
-		}
-		w = &seenWindow{entries: make(map[uint32]*burstRecord)}
-		ps.windows[src] = w
-		ps.worder = append(ps.worder, src)
-	}
-	if rec, ok := w.entries[seq]; ok {
-		return rec, nil
-	}
-	rec := &burstRecord{done: make(chan struct{})}
-	w.entries[seq] = rec
-	w.order = append(w.order, seq)
-	if len(w.order) > ps.dedup {
-		evict := w.order[0]
-		w.order = w.order[1:]
-		delete(w.entries, evict)
-	}
-	return nil, rec
-}
-
-// cloneResp deep-copies a burst's responses for the dedup cache: the
-// live responses sub-slice shard-owned buffers that later writes mutate,
-// and the cache must replay the bytes as they were.
-func cloneResp(src []wire.RespOp) []wire.RespOp {
-	out := make([]wire.RespOp, len(src))
-	for i, r := range src {
-		out[i] = r
-		if r.HasData {
-			out[i].Data = append([]byte(nil), r.Data...)
-		}
-	}
-	return out
-}
-
-// applyBurst runs the burst through a borrowed serving thread.
-func (ps *PeerServer) applyBurst(part int, req []wire.ReqOp, resp []wire.RespOp) []wire.RespOp {
+// Apply executes one decoded burst against partition part on its borrowed
+// serving thread — the wire tier's serve step, which the wire server calls
+// at most once per (src, seq). Results mirror executeMessage's contract:
+// per-entry panic capture (a panic crosses back as an operation error and
+// counts toward Panics), fire results dropped, Served/HistServed
+// attribution on the serving thread.
+func (ps *PeerServer) Apply(_ uint64, _ uint32, part int, req []wire.ReqOp, resp []wire.RespOp) []wire.RespOp {
 	if part < 0 || part >= len(ps.pools) || ps.pools[part] == nil {
 		for range req {
 			resp = append(resp, wire.RespOp{Err: "dps: partition not served here"})
@@ -615,12 +387,6 @@ func (e OpPanicError) Error() string { return fmt.Sprintf("dps: remote op panick
 // partitions. Called by New with all partitions constructed.
 func (rt *Runtime) peersFromConfig() error {
 	owner := make(map[int]int)
-	var retryable func(code uint16, fire bool) bool
-	if pol := rt.cfg.Degrade; pol != nil {
-		retryable = func(code uint16, fire bool) bool {
-			return pol(code, fire) == DegradeRetry
-		}
-	}
 	for i, pc := range rt.cfg.Peers {
 		wp, err := wire.NewPeer(i, wire.PeerConfig{
 			Addr:              pc.Addr,
@@ -633,7 +399,6 @@ func (rt *Runtime) peersFromConfig() error {
 			RetryBackoffMax:   pc.RetryBackoffMax,
 			BreakerThreshold:  pc.BreakerThreshold,
 			BreakerCooldown:   pc.BreakerCooldown,
-			Retryable:         retryable,
 			Partitions:        len(rt.parts),
 			Chaos:             rt.chaos,
 		})

@@ -90,7 +90,7 @@ func startCluster(t testing.TB, clientCfg func(*Config)) (client *Runtime, clien
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, err := server.NewPeerServer(ln, 1)
+	ps, err := server.NewPeerServer(ln)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,41 +234,6 @@ func TestRemoteRegistrationRules(t *testing.T) {
 	}
 	if !client.Partition(2).Remote() || client.Partition(0).Remote() {
 		t.Fatal("Remote() misreports ownership")
-	}
-}
-
-func TestRemotePeerUnreachable(t *testing.T) {
-	// A peer that never answers: the dial fails. Under DegradeFailFast
-	// the operation fails immediately with ErrPeerDown instead of
-	// burning the retry budget.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-	rt, err := New(Config{
-		Partitions: rtParts,
-		Hash:       rtHash,
-		Init:       mapInit,
-		Peers:      []Peer{{Addr: addr, Parts: []int{2, 3}, Timeout: 300 * time.Millisecond}},
-		Degrade:    func(code uint16, fire bool) Degrade { return DegradeFailFast },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	registerTestOps(t, rt)
-	th, err := rt.Register()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		th.Unregister()
-		rt.Shutdown(time.Second)
-	}()
-	res := th.ExecuteSync(2, remoteGet, Args{})
-	if !errors.Is(res.Err, ErrPeerDown) {
-		t.Fatalf("unreachable peer: err=%v, want ErrPeerDown", res.Err)
 	}
 }
 

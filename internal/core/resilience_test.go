@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"dps/internal/chaos"
-	"dps/internal/wire"
 )
 
 // The resilience suite proves the tentpole property end to end: remote
@@ -47,7 +46,7 @@ func TestRemotePeerRestartConvergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, err := server.NewPeerServer(ln, 1)
+	ps, err := server.NewPeerServer(ln)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,104 +206,4 @@ func TestRemotePeerRestartConvergence(t *testing.T) {
 	}
 	t.Logf("storm audit: %d ok, %d timeouts, %d peer-downs; retries=%d reconnects=%d replays(server)=%d",
 		ok, timeouts, peerDowns, pm.Retries, pm.Reconnects, server.Metrics().Totals.DedupReplays)
-}
-
-// TestPeerServerDedupReplay drives the dedup window directly: the same
-// (link, seq) burst applied twice executes once and replays the cached
-// responses the second time.
-func TestPeerServerDedupReplay(t *testing.T) {
-	server, err := New(Config{Partitions: rtParts, Hash: rtHash, Init: mapInit})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := server.RegisterOp(codeIncr, remoteIncr); err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps, err := server.NewPeerServer(ln, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		ps.Close()
-		server.Shutdown(time.Second)
-	})
-
-	req := []wire.ReqOp{{Code: codeIncr, Key: 2}}
-	r1 := ps.Apply(77, 1, 2, req, nil)
-	if len(r1) != 1 || r1[0].Err != "" || r1[0].U != 1 {
-		t.Fatalf("first apply: %+v", r1)
-	}
-	// Retransmission: same link identity, same seq. Must not re-execute.
-	r2 := ps.Apply(77, 1, 2, req, nil)
-	if len(r2) != 1 || r2[0].U != 1 {
-		t.Fatalf("replayed apply: %+v", r2)
-	}
-	if n := server.Metrics().Totals.DedupReplays; n != 1 {
-		t.Fatalf("DedupReplays = %d, want 1", n)
-	}
-	// A fresh seq on the same link executes again.
-	r3 := ps.Apply(77, 2, 2, req, nil)
-	if len(r3) != 1 || r3[0].U != 2 {
-		t.Fatalf("fresh seq: %+v", r3)
-	}
-	// src 0 means "no identity": dedup is bypassed entirely.
-	r4 := ps.Apply(0, 2, 2, req, nil)
-	if len(r4) != 1 || r4[0].U != 3 {
-		t.Fatalf("anonymous apply: %+v", r4)
-	}
-	if n := server.Metrics().Totals.DedupReplays; n != 1 {
-		t.Fatalf("DedupReplays after fresh/anonymous = %d, want still 1", n)
-	}
-}
-
-// TestPeerServerDedupSurvivesRestart pins the property the convergence
-// test relies on: Stop/Rebind keeps the dedup window, so a retransmit
-// that straddles a listener restart still replays instead of
-// re-executing.
-func TestPeerServerDedupSurvivesRestart(t *testing.T) {
-	server, err := New(Config{Partitions: rtParts, Hash: rtHash, Init: mapInit})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := server.RegisterOp(codeIncr, remoteIncr); err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps, err := server.NewPeerServer(ln, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ps.Addr().String()
-	t.Cleanup(func() {
-		ps.Close()
-		server.Shutdown(time.Second)
-	})
-
-	req := []wire.ReqOp{{Code: codeIncr, Key: 3}}
-	if r := ps.Apply(99, 7, 3, req, nil); r[0].U != 1 {
-		t.Fatalf("pre-restart apply: %+v", r)
-	}
-	if err := ps.Stop(); err != nil {
-		t.Fatal(err)
-	}
-	ln2, err := net.Listen("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ps.Rebind(ln2); err != nil {
-		t.Fatal(err)
-	}
-	if r := ps.Apply(99, 7, 3, req, nil); r[0].U != 1 {
-		t.Fatalf("post-restart retransmit re-executed: %+v", r)
-	}
-	if n := server.Metrics().Totals.DedupReplays; n != 1 {
-		t.Fatalf("DedupReplays = %d, want 1", n)
-	}
 }

@@ -70,9 +70,9 @@ const (
 var ErrClosed = ring.ErrClosed
 
 // ErrPeerDown is returned by operations delegated toward a peer process
-// whose link is down: the dial failed, the connection died before the
-// burst could be (re)sent within its retry budget, or the peer's circuit
-// breaker is open. The operation was never delivered, so it is always
+// whose link stayed down for the operation's whole retry budget: no dial
+// succeeded (or the circuit breaker held dialing off) before the burst
+// could be written. The operation was never delivered, so it is always
 // safe to retry. Shared with the transport layers (ring.ErrPeerDown).
 var ErrPeerDown = ring.ErrPeerDown
 
@@ -182,12 +182,6 @@ type Config struct {
 	// Partitions, NamespaceSize and Hash, and register the same op codes
 	// (RegisterOp). Optional.
 	Peers []Peer
-
-	// Degrade chooses what a delegated operation does while its peer's
-	// link is down: retry until the op deadline (the default) or fail
-	// fast with ErrPeerDown. Nil means DegradeRetry for every op.
-	// Optional.
-	Degrade DegradePolicy
 
 	// PinServers enables Thread.Pin, the explicit pin for dedicated
 	// serving goroutines: the serving loop calls Pin from the goroutine
@@ -337,6 +331,10 @@ type Runtime struct {
 
 	// peers are the configured peer-process links, in Config.Peers order.
 	peers []*wire.Peer
+
+	// servers are the wire servers NewPeerServer built on this runtime,
+	// whose dedup replay counts Metrics reports. Guarded by mu.
+	servers []*wire.Server
 
 	// optab is the immutable op registry snapshot (RegisterOp swaps it
 	// copy-on-write), mapping wire codes to ops and back for the

@@ -380,7 +380,7 @@ func openDPS(localGets bool, cfg Config) (Store, error) {
 			_ = rt.Close()
 			return nil, fmt.Errorf("mcd: peer listen: %w", err)
 		}
-		ps, err := rt.NewPeerServer(ln, 1)
+		ps, err := rt.NewPeerServer(ln)
 		if err != nil {
 			ln.Close()
 			_ = rt.Close()

@@ -78,10 +78,6 @@ const (
 	// where the remedy is the deadline machinery rather than rescue (a
 	// sender cannot reach into a peer process's shard).
 	PeerStalls
-	// DedupReplays counts retransmitted bursts the peer-serving side
-	// answered from its dedup window instead of re-executing — each one
-	// is a duplicate side effect the window prevented.
-	DedupReplays
 	// Parks counts waiter park episodes: an idle thread armed its park
 	// slot and blocked instead of sleeping a blind quantum, attributed to
 	// the thread's own locality. Parks minus Wakes approximates how often
@@ -371,7 +367,6 @@ func (r *Recorder) Snapshot() Snapshot {
 			pm.RemoteOps += b.c[RemoteOps].Load()
 			pm.RemoteBytes += b.c[RemoteBytes].Load()
 			pm.PeerStalls += b.c[PeerStalls].Load()
-			pm.DedupReplays += b.c[DedupReplays].Load()
 			pm.Parks += b.c[Parks].Load()
 			pm.Wakes += b.c[Wakes].Load()
 			pm.ArenaAcquires += b.c[ArenaAcquires].Load()
@@ -393,7 +388,6 @@ func (r *Recorder) Snapshot() Snapshot {
 		s.Totals.RemoteOps += pm.RemoteOps
 		s.Totals.RemoteBytes += pm.RemoteBytes
 		s.Totals.PeerStalls += pm.PeerStalls
-		s.Totals.DedupReplays += pm.DedupReplays
 		s.Totals.Parks += pm.Parks
 		s.Totals.Wakes += pm.Wakes
 		s.Totals.ArenaAcquires += pm.ArenaAcquires

@@ -52,8 +52,10 @@ type Totals struct {
 	// PeerStalls counts wire-tier waits that crossed a stall window with no
 	// completion frame arriving.
 	PeerStalls uint64
-	// DedupReplays counts retransmitted bursts answered from the peer
-	// server's dedup window instead of re-executed.
+	// DedupReplays counts retransmitted bursts this runtime's peer servers
+	// answered from their dedup window instead of re-executing — each one
+	// a duplicate side effect the window prevented. Runtime.Metrics reads
+	// it from the wire servers into Totals only; it is zero per partition.
 	DedupReplays uint64
 	// Parks counts waiter park episodes (idle threads blocking on their
 	// park slot instead of sleep-polling).

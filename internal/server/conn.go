@@ -131,18 +131,18 @@ func (c *conn) armReadDeadline() error {
 	return c.nc.SetReadDeadline(time.Now().Add(d))
 }
 
-// handleReadError classifies the read failure. EOF and deadline expiry are
-// normal connection lifecycle; anything else is a peer reset. In every case
-// any batched responses were already flushed (reads only happen at batch
-// boundaries or mid-command, and mid-command failures abandon the command).
+// handleReadError ends the connection's last batch. EOF and deadline expiry
+// are normal connection lifecycle and anything else is a peer reset, but the
+// read may have failed mid-batch — a request line split across reads, after
+// complete commands whose replies are still buffered — so the batch ends
+// here either way and the client gets every reply it earned. A line longer
+// than the read buffer is answered before that.
 func (c *conn) handleReadError(err error) {
-	if errors.Is(err, bufio.ErrBufferFull) {
-		if c.closeWave() == nil {
-			c.srv.stats.ProtocolErrors.Add(1)
-			_, _ = c.bw.Write(respLineTooLong)
-		}
-		c.endBatch()
+	if errors.Is(err, bufio.ErrBufferFull) && c.closeWave() == nil {
+		c.srv.stats.ProtocolErrors.Add(1)
+		_, _ = c.bw.Write(respLineTooLong)
 	}
+	c.endBatch()
 }
 
 // readLine reads one CRLF-terminated line, stripping the terminator. A line

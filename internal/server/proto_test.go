@@ -1,8 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"errors"
+	"io"
+	"net"
 	"testing"
+	"time"
+
+	"dps/internal/mcd"
 )
 
 func TestParseCommandGet(t *testing.T) {
@@ -146,4 +152,112 @@ func TestHashKeyAllocs(t *testing.T) {
 		t.Fatalf("hashKey allocates %.1f/op, want 0", n)
 	}
 	_ = sink
+}
+
+// FuzzParse holds the request side of the front door to two properties on
+// arbitrary input. parseCommand never panics and fails only with the
+// package's sentinel errors. And a connection's replies depend on the
+// request bytes, not on how the reads split them: one stream fed to a conn
+// over net.Pipe in one write and in three writes cut at fuzzed offsets gets
+// byte-identical replies from the stock store — the property doStore's
+// read-buffer aliasing broke. STAT lines are left out of the comparison
+// (bytes_read and batches count reads).
+func FuzzParse(f *testing.F) {
+	for _, seed := range []string{
+		"get foo\r\ngets a b  c\r\n",
+		"set foo 123 0 10\r\n0123456789\r\nget foo\r\n",
+		"set foo 0 0 5 noreply\r\nhello\r\nadd bar 7 3600 2\r\nhi\r\nget foo bar\r\n",
+		"add bar 7 3600 2\r\nhi\r\nadd bar 0 0 2\r\nho\r\ndelete bar\r\ndelete bar noreply\r\n",
+		"bogus foo\r\n\r\nget\r\nset foo 0 0\r\nset foo x 0 5\r\ndelete\r\nget ke\x01y\r\n",
+		"set foo 0 0 5 nope\r\nset foo 0 0 5 noreply extra\r\nversion\r\nstats\r\n",
+		"set k 0 0 2\r\nabXset j 0 0 1\r\n",
+		"get a\r\nget b",
+		"set a 0 0 1\r\nx\r\nquit\r\nget a\r\n",
+	} {
+		f.Add([]byte(seed), uint16(len(seed)/3), uint16(2*len(seed)/3))
+	}
+	f.Fuzz(func(t *testing.T, stream []byte, cut1, cut2 uint16) {
+		cmd := newCommand()
+		for _, line := range append(bytes.Split(stream, []byte("\n")), stream) {
+			err := parseCommand(bytes.TrimSuffix(line, []byte("\r")), cmd)
+			if err != nil && !errors.Is(err, errUnknownCommand) && !errors.Is(err, errBadFormat) &&
+				!errors.Is(err, errBadKey) && !errors.Is(err, errTooManyKeys) {
+				t.Fatalf("parseCommand(%q) = %v, not a protocol sentinel", line, err)
+			}
+		}
+		a, b := int(cut1)%(len(stream)+1), int(cut2)%(len(stream)+1)
+		if a > b {
+			a, b = b, a
+		}
+		whole := withoutStats(serveStream(t, stream))
+		split := withoutStats(serveStream(t, stream[:a], stream[a:b], stream[b:]))
+		if !bytes.Equal(whole, split) {
+			t.Fatalf("replies depend on read boundaries (cuts %d, %d) for %q:\none write: %q\nsplit:     %q", a, b, stream, whole, split)
+		}
+	})
+}
+
+// serveStream writes chunks, in order, to one connection of a fresh
+// server over an empty stock store, then ends the request stream, and
+// returns every reply byte the connection wrote before it closed.
+func serveStream(t *testing.T, chunks ...[]byte) []byte {
+	store, err := mcd.Open("stock", mcd.Config{MemLimit: 1 << 20, Buckets: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	srv, err := New(Config{Store: store, Sessions: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(time.Second)
+	reqClient, reqServer := net.Pipe()
+	replyServer, replyClient := net.Pipe()
+	c := srv.newConn(halfPipe{Conn: reqServer, out: replyServer})
+	go c.serve()
+	go func() {
+		for _, chunk := range chunks {
+			if len(chunk) == 0 {
+				continue
+			}
+			if _, err := reqClient.Write(chunk); err != nil {
+				break // the server closed first (quit, bad data chunk)
+			}
+		}
+		reqClient.Close()
+	}()
+	replies, _ := io.ReadAll(replyClient)
+	return replies
+}
+
+// halfPipe is a server-side net.Conn over two net.Pipes that behaves like
+// a TCP connection the client half-closed: the client can end its request
+// stream (EOF at the server) and still read every reply. Like TCP, and
+// unlike a bare net.Pipe, arming the read deadline still succeeds after the
+// client's end closed.
+type halfPipe struct {
+	net.Conn // the request pipe: Read
+	out      net.Conn
+}
+
+func (h halfPipe) Write(p []byte) (int, error)        { return h.out.Write(p) }
+func (h halfPipe) SetWriteDeadline(t time.Time) error { return h.out.SetWriteDeadline(t) }
+func (h halfPipe) SetReadDeadline(t time.Time) error {
+	_ = h.Conn.SetReadDeadline(t)
+	return nil
+}
+func (h halfPipe) Close() error {
+	h.out.Close()
+	return h.Conn.Close()
+}
+
+// withoutStats drops STAT lines from a reply stream.
+func withoutStats(replies []byte) []byte {
+	var out []byte
+	for _, line := range bytes.SplitAfter(replies, []byte("\n")) {
+		if !bytes.HasPrefix(line, []byte("STAT ")) {
+			out = append(out, line...)
+		}
+	}
+	return out
 }

@@ -210,20 +210,27 @@ func (s *Server) acceptLoop() error {
 			continue
 		}
 		s.stats.ConnsAccepted.Add(1)
-		s.stats.CurrConns.Add(1)
-		cc := &countingConn{Conn: nc, stats: &s.stats}
-		c := &conn{
-			srv: s,
-			nc:  nc,
-			cc:  cc,
-			br:  bufio.NewReaderSize(cc, readBufSize),
-			bw:  bufio.NewWriterSize(cc, writeBufSize),
-			cmd: newCommand(),
-		}
-		s.conns.add(c)
-		s.wg.Add(1)
+		c := s.newConn(nc)
 		go c.serve()
 	}
+}
+
+// newConn admits nc as a live connection; its serve loop undoes this on
+// exit.
+func (s *Server) newConn(nc net.Conn) *conn {
+	s.stats.CurrConns.Add(1)
+	cc := &countingConn{Conn: nc, stats: &s.stats}
+	c := &conn{
+		srv: s,
+		nc:  nc,
+		cc:  cc,
+		br:  bufio.NewReaderSize(cc, readBufSize),
+		bw:  bufio.NewWriterSize(cc, writeBufSize),
+		cmd: newCommand(),
+	}
+	s.conns.add(c)
+	s.wg.Add(1)
+	return c
 }
 
 // Shutdown drains the server: stop accepting, give live connections a

@@ -257,12 +257,13 @@ func TestWaveBackendTimeoutExactKeys(t *testing.T) {
 
 // TestReadDeadlineArmedAtBlockingReads: the idle deadline is armed only when
 // a read finds the buffer empty. That must still close an idle connection
-// and one stuck mid-command, and must keep a connection that sends a command
-// every so often open well past ReadTimeout.
+// and one stuck mid-command — after answering the complete commands before
+// the stuck one — and must keep a connection that sends a command every so
+// often open well past ReadTimeout.
 func TestReadDeadlineArmedAtBlockingReads(t *testing.T) {
 	const readTimeout = 300 * time.Millisecond
 	srv, _ := newTestServer(t, "dps", Config{ReadTimeout: readTimeout})
-	closedWithin := func(t *testing.T, send string) {
+	closedWithin := func(t *testing.T, send, want string) {
 		t.Helper()
 		nc := dial(t, srv)
 		start := time.Now()
@@ -277,12 +278,12 @@ func TestReadDeadlineArmedAtBlockingReads(t *testing.T) {
 		if took := time.Since(start); took < readTimeout/2 {
 			t.Fatalf("closed after %v, before ReadTimeout %v", took, readTimeout)
 		}
-		if len(rest) != 0 {
-			t.Fatalf("unexpected bytes before close: %q", rest)
+		if string(rest) != want {
+			t.Fatalf("got %q before close, want %q", rest, want)
 		}
 	}
-	t.Run("idle", func(t *testing.T) { closedWithin(t, "") })
-	t.Run("partial command", func(t *testing.T) { closedWithin(t, "get a\r\nget b") })
+	t.Run("idle", func(t *testing.T) { closedWithin(t, "", "") })
+	t.Run("partial command", func(t *testing.T) { closedWithin(t, "get a\r\nget b", "END\r\n") })
 	t.Run("active", func(t *testing.T) {
 		nc := dial(t, srv)
 		for i := 0; i < 6; i++ { // 6 × ⅓ ReadTimeout: twice the timeout in all

@@ -60,12 +60,10 @@ type Pending struct {
 	part  uint32
 
 	// deadline is the retry budget: publish time + the peer's Timeout.
-	// A queued burst past it fails instead of retransmitting. retryable
-	// is the degrade policy's verdict over every op in the burst;
-	// attempts counts transmissions (mu-guarded, like the queue).
-	deadline  time.Time
-	retryable bool
-	attempts  int
+	// A queued burst past it fails instead of retransmitting. attempts
+	// counts transmissions (mu-guarded, like the queue).
+	deadline time.Time
+	attempts int
 
 	// n is the number of operations in the burst; res[:n] receive their
 	// results when the burst resolves.
@@ -265,8 +263,7 @@ type Link struct {
 
 	// The open burst: a partially encoded request frame (buf) targeting
 	// part, its completion record, and the count packed so far. part is
-	// -1 when no burst is open. retryOK holds the degrade policy's AND
-	// over the staged ops; Flush transfers buf's ownership to the
+	// -1 when no burst is open. Flush transfers buf's ownership to the
 	// completion record (retransmission may outlive the link's next
 	// claim), which takes a recycled buffer from the connection.
 	//dps:owned-by=sender
@@ -275,8 +272,6 @@ type Link struct {
 	part int
 	//dps:owned-by=sender
 	n int
-	//dps:owned-by=sender
-	retryOK bool
 	//dps:owned-by=sender
 	pend *Pending
 
@@ -326,11 +321,6 @@ func (l *Link) Stage(op ring.StagedOp) (Tok, error) {
 	if l.part < 0 {
 		l.claim(op.Part)
 	}
-	if l.retryOK {
-		if f := l.peer.cfg.Retryable; f != nil && !f(op.Code, op.Fire) {
-			l.retryOK = false
-		}
-	}
 	// Pack one request entry; mirrors AppendRequest's wire layout.
 	off := len(l.buf)
 	l.buf = grow(l.buf, reqOpFixed+len(op.Data))
@@ -368,7 +358,6 @@ func (l *Link) claim(part int) {
 	l.buf[4] = FrameRequest
 	l.part = part
 	l.n = 0
-	l.retryOK = true
 	l.pend = &Pending{done: make(chan struct{}), wake: l.wake, wslot: l.wslot}
 }
 
@@ -391,7 +380,6 @@ func (l *Link) Flush() error {
 	p.n = int32(l.n)
 	p.frame = l.buf
 	p.part = uint32(l.part)
-	p.retryable = l.retryOK
 	l.buf = nil
 	l.part, l.n, l.pend = -1, 0, nil
 	return l.pc.publish(p)

@@ -63,8 +63,8 @@ type PeerConfig struct {
 	// Conns is the connection pool size. Defaults to DefaultConns.
 	Conns int
 	// Timeout is the default completion bound (zero-deadline awaits) and
-	// the retry budget: a retryable burst is retransmitted until its
-	// publish time plus Timeout. Defaults to DefaultTimeout.
+	// the retry budget: a burst is retransmitted until its publish time
+	// plus Timeout. Defaults to DefaultTimeout.
 	Timeout time.Duration
 	// DialTimeout bounds dials. Defaults to DefaultDialTimeout.
 	DialTimeout time.Duration
@@ -88,12 +88,6 @@ type PeerConfig struct {
 	// BreakerCooldown is the open breaker's rejection window. Defaults
 	// to DefaultBreakerCooldown.
 	BreakerCooldown time.Duration
-	// Retryable classifies ops for the degrade policy: a burst is
-	// retransmitted after a link failure only if every op it carries is
-	// retryable; otherwise the burst fails fast with ErrPeerDown. Nil
-	// means everything is retryable (safe — the server's dedup window
-	// absorbs retransmits of non-idempotent ops).
-	Retryable func(code uint16, fire bool) bool
 	// Chaos injects link faults (DropFrame, SlowLink, PeerDown) on the
 	// send path. Nil outside chaos tests.
 	//
@@ -107,20 +101,21 @@ type PeerConfig struct {
 // window and "connected" is everything else.
 const (
 	brkClosed   = 0 // traffic flows; consecutive failures counted
-	brkOpen     = 1 // fail fast until the cooldown expires
+	brkOpen     = 1 // no dial until the cooldown expires
 	brkHalfOpen = 2 // one probe admitted; its outcome closes or reopens
 )
 
 // Peer is the client side of one peer process's link: a small pool of
 // TCP connections, each with pipelined in-flight bursts matched to
 // response frames by sequence number. Connections are established
-// lazily and re-established automatically: when a link dies, retryable
-// in-flight bursts queue for retransmission (the server deduplicates by
-// link identity + sequence number, so a burst whose response was lost is
-// not re-executed) and a redialer re-establishes the connection with
+// lazily and re-established automatically: when a link dies, in-flight
+// bursts queue for retransmission (the server deduplicates by link
+// identity + sequence number, so a burst whose response was lost is not
+// re-executed) and a redialer re-establishes the connection with
 // exponential backoff, bounded per burst by its retry budget. A peer
-// whose link keeps failing trips a circuit breaker: non-retryable ops
-// then fail fast with ErrPeerDown until a half-open probe succeeds.
+// whose link keeps failing trips a circuit breaker: no dial is attempted
+// until the cooldown ends and a half-open probe goes out; queued bursts
+// wait for it or expire at their deadline.
 type Peer struct {
 	cfg    PeerConfig
 	idx    int
@@ -478,7 +473,7 @@ func (pc *pconn) readHello(c net.Conn, fr *frameReader) error {
 
 // readLoop resolves in-flight bursts as their response frames arrive.
 // One goroutine per established connection; it exits when the connection
-// dies (moving retryable pendings to the retry queue) or is superseded.
+// dies (moving pendings to the retry queue) or is superseded.
 // Every arrival — responses or pongs, however many frames one read
 // delivered — refreshes the liveness clock once.
 func (pc *pconn) readLoop(c net.Conn, fr *frameReader, gen uint64) {
@@ -555,9 +550,9 @@ func (pc *pconn) heartbeat(c net.Conn, gen uint64) {
 	}
 }
 
-// linkDown tears down a dead connection. In-flight bursts that are
-// retryable and inside their budget move to the retry queue (in sequence
-// order, ahead of anything staged later); the rest expire — they were
+// linkDown tears down a dead connection. In-flight bursts inside their
+// budget move to the retry queue (in sequence order, ahead of anything
+// staged later); the rest expire — they were
 // written at least once, so they fail with ErrTimeout ("may have
 // executed"), never ErrPeerDown. Safe to call from the reader, the
 // heartbeat and the writer; only the call matching the live generation
@@ -581,7 +576,7 @@ func (pc *pconn) linkDown(c net.Conn, gen uint64) {
 	now := time.Now()
 	var failed []*Pending
 	for _, p := range moved {
-		if p.retryable && now.Before(p.deadline) {
+		if now.Before(p.deadline) {
 			pc.retryq = append(pc.retryq, p) //dps:owner-ok link teardown runs under pc.mu from whichever goroutine saw the failure first
 		} else {
 			failed = append(failed, p)
@@ -800,10 +795,9 @@ func (pc *pconn) forget(seq uint64) {
 // the frame header and writes the frame — the wire tier's
 // publish+doorbell, with chaos faults injected at the link. While the
 // link is down (retry queue non-empty, redialer active, or breaker
-// open), retryable bursts line up on the retry queue behind the bursts
-// already there — per-link order is what read-your-writes rests on —
-// and non-retryable bursts resolve with ErrPeerDown before returning.
-// Injected frame drops leave p to the deadline machinery.
+// open), bursts line up on the retry queue behind the bursts already
+// there — per-link order is what read-your-writes rests on. Injected
+// frame drops leave p to the deadline machinery.
 //
 //dps:wire-cold per burst; registers the completion record and pays the syscall either way
 func (pc *pconn) publish(p *Pending) error {
@@ -822,23 +816,23 @@ func (pc *pconn) publish(p *Pending) error {
 	p.pc, p.seq = pc, seq
 	p.deadline = time.Now().Add(pc.peer.cfg.Timeout)
 	if len(pc.retryq) > 0 || pc.redialing || !pc.peer.brkAllow() { //dps:owner-ok publish holds pc.mu; a non-empty queue reroutes the burst behind it
-		err := pc.deferLocked(p)
+		pc.deferLocked(p)
 		pc.mu.Unlock()
-		return err
+		return nil
 	}
 	c, err := pc.ensureConn()
 	if err != nil {
 		if errors.Is(err, ring.ErrClosed) || !errors.Is(err, ring.ErrPeerDown) {
-			// Shutdown or a configuration error: not retryable.
+			// Shutdown or a configuration error: retrying cannot help.
 			pc.mu.Unlock()
 			pc.peer.failed.Add(uint64(p.n))
 			p.fail(err)
 			return err
 		}
 		pc.peer.brkFailure()
-		err = pc.deferLocked(p)
+		pc.deferLocked(p)
 		pc.mu.Unlock()
-		return err
+		return nil
 	}
 	gen := pc.gen
 	p.gen = gen
@@ -879,20 +873,14 @@ func (pc *pconn) publish(p *Pending) error {
 	return nil
 }
 
-// deferLocked queues p for retransmission if its policy and budget
-// allow, kicking the redialer; otherwise it fails fast. Caller holds
-// pc.mu.
-func (pc *pconn) deferLocked(p *Pending) error {
-	if p.retryable && time.Now().Before(p.deadline) {
-		pc.retryq = append(pc.retryq, p) //dps:owner-ok caller holds pc.mu (deferLocked contract)
-		pc.peer.ops.Add(uint64(p.n))     // accepted for delivery
-		if !pc.redialing {
-			pc.redialing = true
-			go pc.redial()
-		}
-		return nil
+// deferLocked queues p for retransmission and kicks the redialer; p was
+// just published, so its budget is whole, and the redialer expires it if
+// the link does not come back in time. Caller holds pc.mu.
+func (pc *pconn) deferLocked(p *Pending) {
+	pc.retryq = append(pc.retryq, p) //dps:owner-ok caller holds pc.mu (deferLocked contract)
+	pc.peer.ops.Add(uint64(p.n))     // accepted for delivery
+	if !pc.redialing {
+		pc.redialing = true
+		go pc.redial()
 	}
-	pc.peer.failed.Add(uint64(p.n))
-	p.fail(ring.ErrPeerDown)
-	return ring.ErrPeerDown
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -133,10 +134,11 @@ func TestPeerHeartbeatDetectsDeadLink(t *testing.T) {
 	}
 }
 
-// TestPeerBreakerOpensAndRecovers drives a fail-fast peer through the
-// breaker's full cycle: consecutive dial failures open it, an open
-// breaker rejects without paying the dial, and a half-open probe
-// against a revived server closes it again.
+// TestPeerBreakerOpensAndRecovers drives the breaker's full cycle under
+// the retry policy every burst rides: consecutive dial failures of one
+// queued op open it, an open breaker holds the redialer off even once the
+// peer is back, and the half-open probe after the cooldown delivers the op
+// and closes the breaker again.
 func TestPeerBreakerOpensAndRecovers(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -146,52 +148,67 @@ func TestPeerBreakerOpensAndRecovers(t *testing.T) {
 	ln.Close() // nothing listens: dials fail fast with ECONNREFUSED
 	pr, err := NewPeer(0, PeerConfig{
 		Addr: addr, Parts: []int{1}, Partitions: 2,
-		Timeout:          time.Second,
+		Timeout:          5 * time.Second,
+		RetryBackoff:     2 * time.Millisecond,
+		RetryBackoffMax:  5 * time.Millisecond,
 		BreakerThreshold: 3,
-		BreakerCooldown:  100 * time.Millisecond,
-		Retryable:        func(code uint16, fire bool) bool { return false },
+		BreakerCooldown:  300 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pr.Close()
 	l := pr.NewLink(0)
-	for i := 0; i < 3; i++ {
-		if _, err := stageOne(t, l, uint64(i)); !errors.Is(err, ring.ErrPeerDown) {
-			t.Fatalf("op %d against dead addr: %v, want ErrPeerDown", i, err)
+	tok, err := l.Stage(ring.StagedOp{Part: 1, Code: 1, Key: 20, U: [4]uint64{100}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Flush()
+	for start := time.Now(); pr.Stats().BreakerState != brkOpen; time.Sleep(time.Millisecond) {
+		if time.Since(start) > 3*time.Second {
+			t.Fatalf("one op against a dead addr never opened the breaker: %+v", pr.Stats())
 		}
 	}
-	st := pr.Stats()
-	if st.BreakerState != brkOpen || st.BreakerOpens == 0 {
-		t.Fatalf("breaker not open after %d failures: %+v", 3, st)
+	if st := pr.Stats(); st.BreakerOpens == 0 {
+		t.Fatalf("breaker open but no opening counted: %+v", st)
 	}
-	// Open breaker: the next op fails fast without even dialing.
-	start := time.Now()
-	if _, err := stageOne(t, l, 10); !errors.Is(err, ring.ErrPeerDown) {
-		t.Fatalf("op under open breaker: %v", err)
-	}
-	if d := time.Since(start); d > 50*time.Millisecond {
-		t.Fatalf("open breaker paid %v, want fail-fast", d)
-	}
+	// Nothing dials while the breaker is open, so brkUntil stays where the
+	// opening failure put it: the op cannot land before then.
+	cooldownEnd := time.Unix(0, pr.brkUntil.Load())
 
-	// Revive the server and wait out the cooldown: the next op is the
-	// half-open probe, succeeds, and closes the breaker.
+	// Revive the peer inside the cooldown; the queued op waits it out.
 	ln2, err := net.Listen("tcp", addr)
 	if err != nil {
 		t.Fatalf("revive %s: %v", addr, err)
 	}
-	srv := NewServer(ln2, 2, []int{0, 1}, &echoHandler{})
+	h := &stampHandler{}
+	srv := NewServer(ln2, 2, []int{0, 1}, h)
 	go srv.Serve()
 	defer srv.Close()
-	time.Sleep(120 * time.Millisecond)
-	res, err := stageOne(t, l, 20)
+	res, err := tok.Await(time.Time{})
 	if err != nil || res.U != 120 {
-		t.Fatalf("half-open probe: U=%d err=%v", res.U, err)
+		t.Fatalf("queued op after cooldown: U=%d err=%v", res.U, err)
+	}
+	if landed := h.at(); landed.Before(cooldownEnd) {
+		t.Fatalf("op landed %v before the cooldown ended", cooldownEnd.Sub(landed))
 	}
 	if st := pr.Stats(); st.BreakerState != brkClosed {
-		t.Fatalf("breaker did not close after probe: %+v", st)
+		t.Fatalf("breaker did not close after the probe: %+v", st)
 	}
 }
+
+// stampHandler is an echoHandler that records when it last applied.
+type stampHandler struct {
+	echoHandler
+	last atomic.Int64
+}
+
+func (h *stampHandler) Apply(src uint64, seq uint32, part int, req []ReqOp, resp []RespOp) []RespOp {
+	h.last.Store(time.Now().UnixNano())
+	return h.echoHandler.Apply(src, seq, part, req, resp)
+}
+
+func (h *stampHandler) at() time.Time { return time.Unix(0, h.last.Load()) }
 
 // TestPeerRetryUnderChaosDrops runs bursts through an injector that
 // severs the connection before some writes and delays others: every op

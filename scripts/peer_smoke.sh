@@ -19,7 +19,7 @@ cd "$(dirname "$0")/.."
 
 OPS="${PEER_SMOKE_OPS:-500}"
 CHAOS_OPS="${PEER_SMOKE_CHAOS_OPS:-300}"
-BOUNCE_OPS="${PEER_SMOKE_BOUNCE_OPS:-800}"
+BOUNCE_OPS="${PEER_SMOKE_BOUNCE_OPS:-20000}"
 BIN="$(mktemp -d)"
 ADDR_FILE="$BIN/dpsnode.addr"
 trap 'rm -rf "$BIN"' EXIT
@@ -87,7 +87,9 @@ drain_server $SERVER_PID
 # after startup. The dialing node runs a clean-link workload (no chaos
 # flags, so ANY op failure is fatal) across the restart: retry + redial
 # must carry every in-flight burst over the darkness, and the dedup
-# window keeps the retransmissions idempotent.
+# window keeps the retransmissions idempotent. The workload must still be
+# running when the listener goes dark, so the pass also requires the link
+# to have reconnected.
 echo "peer-smoke: pass 3 — mid-run peer restart (listener bounce), $BOUNCE_OPS keys"
 ADDR_FILE2="$BIN/dpsnode2.addr"
 "$BIN/dpsnode" -listen 127.0.0.1:0 -addr-file "$ADDR_FILE2" -serve-for 120s \
@@ -96,7 +98,16 @@ SERVER2_PID=$!
 trap 'kill -9 $SERVER_PID $SERVER2_PID 2>/dev/null || true; rm -rf "$BIN"' EXIT
 wait_addr "$ADDR_FILE2" $SERVER2_PID
 ADDR2="$(cat "$ADDR_FILE2")"
-"$BIN/dpsnode" -peer "$ADDR2=2,3" -ops "$BOUNCE_OPS" -op-timeout 5s
+set +e
+PASS3="$("$BIN/dpsnode" -peer "$ADDR2=2,3" -ops "$BOUNCE_OPS" -op-timeout 5s)"
+status=$?
+set -e
+echo "$PASS3"
+[ "$status" -eq 0 ] || exit "$status"
+if ! grep -q 'reconnects=[1-9]' <<<"$PASS3"; then
+  echo "peer-smoke: pass 3 ended before the listener bounce (no reconnect); raise PEER_SMOKE_BOUNCE_OPS" >&2
+  exit 1
+fi
 
 echo "peer-smoke: SIGTERM bounce serving node, expecting clean drain"
 drain_server $SERVER2_PID
