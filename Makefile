@@ -54,14 +54,16 @@ chaos:
 
 # chaos-peer runs the peer-link fault suite under the race detector: the
 # wire transport's full suite (reconnect after server restart, heartbeat
-# dead-link detection, the breaker cycle, severed/slowed links via the
+# dead-link detection, redial pacing, severed/slowed links via the
 # DropFrame/SlowLink/PeerDown injector hooks) plus the core tier's
 # remote/peer tests, including the kill/restart convergence proof (zero
 # lost, zero duplicated completions); the wire suite holds the dedup
-# window's table test. Run it after touching the retry, heartbeat, dedup,
-# or breaker paths.
+# window's table test. The wire suite runs three times: its resilience
+# tests run at the link's production timings, and repetition is what
+# guards their margins. Run it after touching the retry, heartbeat, dedup
+# or redial paths.
 chaos-peer:
-	$(GO) test -race -timeout 300s ./internal/wire/...
+	$(GO) test -race -timeout 300s -count=3 ./internal/wire/...
 	$(GO) test -race -timeout 300s -run 'TestPeer|TestRemote' -v ./internal/core/...
 
 # fuzz runs every fuzzer past its seed corpus for FUZZTIME each: the wire

@@ -145,12 +145,11 @@ var (
 	ErrTimeout = core.ErrTimeout
 	// ErrPeerDown is returned by operations delegated to a peer process
 	// whose link stayed down for the operation's whole retry budget, so
-	// the burst was never delivered (every dial failed, or the circuit
-	// breaker held dialing off): zero side effects exist anywhere, so
-	// retrying is always safe. An open breaker does not fail ops fast —
-	// they queue until the budget runs out, and resolve ErrTimeout instead
-	// if the waiter's own bound fires first. Contrast ErrTimeout, which
-	// leaves the outcome unknown.
+	// the burst was never delivered (every redial failed): zero side
+	// effects exist anywhere, so retrying is always safe. A dark peer does
+	// not fail ops fast — they queue until the budget runs out, and
+	// resolve ErrTimeout instead if the waiter's own bound fires first.
+	// Contrast ErrTimeout, which leaves the outcome unknown.
 	ErrPeerDown = core.ErrPeerDown
 )
 

@@ -28,36 +28,13 @@ type Peer struct {
 	// disjoint from every other peer's and leave at least one partition
 	// local (threads register into local localities).
 	Parts []int
-	// Conns is the connection pool size toward the peer (0: wire
-	// default). Sender threads are pinned to one pooled connection, which
-	// is what carries read-your-writes across the process boundary.
-	Conns int
 	// Timeout bounds wire completions with no explicit deadline (0: wire
 	// default). It is the liveness backstop — no rescue path can reach
 	// into a peer process, so every wire await must have a bound. It is
 	// also the retry budget: a burst whose link died is retransmitted
-	// until its publish time plus Timeout.
+	// until its publish time plus Timeout. The link's other timings — pool
+	// size, heartbeat, redial backoff — are wire constants (DESIGN.md §12).
 	Timeout time.Duration
-	// HeartbeatInterval is the idle-link liveness probe period (0: wire
-	// default, 250ms; negative disables probing). Dead links are declared
-	// after HeartbeatMisses silent intervals — faster than Timeout, so
-	// retransmission has budget left.
-	HeartbeatInterval time.Duration
-	// HeartbeatMisses is how many silent heartbeat intervals declare the
-	// link dead (0: wire default, 3).
-	HeartbeatMisses int
-	// RetryBackoff / RetryBackoffMax shape the redial schedule after a
-	// link failure (0: wire defaults, 10ms doubling to 500ms, jittered).
-	RetryBackoff    time.Duration
-	RetryBackoffMax time.Duration
-	// BreakerThreshold is how many consecutive link failures open the
-	// peer's circuit breaker (0: wire default, 8; negative disables).
-	// While open, no dial is attempted: queued ops wait for the half-open
-	// probe after BreakerCooldown or resolve when their budget runs out.
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker holds off dialing (0:
-	// wire default, 1s).
-	BreakerCooldown time.Duration
 }
 
 // ErrOpNotRegistered is returned when an operation is delegated toward a
@@ -389,18 +366,11 @@ func (rt *Runtime) peersFromConfig() error {
 	owner := make(map[int]int)
 	for i, pc := range rt.cfg.Peers {
 		wp, err := wire.NewPeer(i, wire.PeerConfig{
-			Addr:              pc.Addr,
-			Parts:             pc.Parts,
-			Conns:             pc.Conns,
-			Timeout:           pc.Timeout,
-			HeartbeatInterval: pc.HeartbeatInterval,
-			HeartbeatMisses:   pc.HeartbeatMisses,
-			RetryBackoff:      pc.RetryBackoff,
-			RetryBackoffMax:   pc.RetryBackoffMax,
-			BreakerThreshold:  pc.BreakerThreshold,
-			BreakerCooldown:   pc.BreakerCooldown,
-			Partitions:        len(rt.parts),
-			Chaos:             rt.chaos,
+			Addr:       pc.Addr,
+			Parts:      pc.Parts,
+			Timeout:    pc.Timeout,
+			Partitions: len(rt.parts),
+			Chaos:      rt.chaos,
 		})
 		if err != nil {
 			return err

@@ -66,11 +66,7 @@ func TestRemotePeerRestartConvergence(t *testing.T) {
 			Parts: []int{2, 3},
 			// Generous budget: ops issued mid-darkness must survive a
 			// full down window plus redial backoff.
-			Timeout:           3 * time.Second,
-			HeartbeatInterval: 25 * time.Millisecond,
-			HeartbeatMisses:   2,
-			RetryBackoff:      5 * time.Millisecond,
-			RetryBackoffMax:   50 * time.Millisecond,
+			Timeout: 3 * time.Second,
 		}},
 	})
 	if err != nil {

@@ -70,10 +70,10 @@ const (
 var ErrClosed = ring.ErrClosed
 
 // ErrPeerDown is returned by operations delegated toward a peer process
-// whose link stayed down for the operation's whole retry budget: no dial
-// succeeded (or the circuit breaker held dialing off) before the burst
-// could be written. The operation was never delivered, so it is always
-// safe to retry. Shared with the transport layers (ring.ErrPeerDown).
+// whose link stayed down for the operation's whole retry budget: no
+// redial succeeded before the burst could be written. The operation was
+// never delivered, so it is always safe to retry. Shared with the
+// transport layers (ring.ErrPeerDown).
 var ErrPeerDown = ring.ErrPeerDown
 
 // ErrTooManyThreads is returned by Register when MaxThreads thread handles

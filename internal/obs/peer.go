@@ -39,11 +39,6 @@ type PeerMetrics struct {
 	// HeartbeatsMissed counts links declared dead by heartbeat silence.
 	HeartbeatsSent   uint64
 	HeartbeatsMissed uint64
-	// BreakerOpens counts circuit-breaker trips; BreakerState is the
-	// breaker's state at snapshot time (0 closed, 1 open, 2 half-open —
-	// a gauge; Delta keeps the current value).
-	BreakerOpens uint64
-	BreakerState int
 	// Pending is the number of in-flight or retry-queued bursts awaiting
 	// a response frame at snapshot time (a gauge; Delta keeps the
 	// current value).
@@ -67,25 +62,16 @@ func (m PeerMetrics) sub(prev PeerMetrics) PeerMetrics {
 		Retries:          m.Retries - prev.Retries,
 		HeartbeatsSent:   m.HeartbeatsSent - prev.HeartbeatsSent,
 		HeartbeatsMissed: m.HeartbeatsMissed - prev.HeartbeatsMissed,
-		BreakerOpens:     m.BreakerOpens - prev.BreakerOpens,
-		BreakerState:     m.BreakerState, // gauge: Delta keeps the current value
-		Pending:          m.Pending,      // gauge: Delta keeps the current value
+		Pending:          m.Pending, // gauge: Delta keeps the current value
 	}
 }
 
-// breakerNames renders BreakerState for reports.
-var breakerNames = [...]string{"closed", "open", "half-open"}
-
 // String renders the metrics as one compact report line.
 func (m PeerMetrics) String() string {
-	brk := "?"
-	if m.BreakerState >= 0 && m.BreakerState < len(breakerNames) {
-		brk = breakerNames[m.BreakerState]
-	}
 	return fmt.Sprintf(
 		"%d %s parts=%d frames=%d/%d bytes=%d/%d ops=%d timeouts=%d failed=%d reconnects=%d dropped=%d "+
-			"retries=%d heartbeats=%d missed=%d breaker=%s opens=%d pending=%d",
+			"retries=%d heartbeats=%d missed=%d pending=%d",
 		m.Peer, m.Addr, m.Parts, m.FramesSent, m.FramesRecvd, m.BytesSent, m.BytesRecvd,
 		m.Ops, m.Timeouts, m.Failed, m.Reconnects, m.FramesDropped,
-		m.Retries, m.HeartbeatsSent, m.HeartbeatsMissed, brk, m.BreakerOpens, m.Pending)
+		m.Retries, m.HeartbeatsSent, m.HeartbeatsMissed, m.Pending)
 }

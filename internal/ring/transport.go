@@ -19,12 +19,12 @@ var (
 	// is discarded by the abandon machinery.
 	ErrTimeout = errors.New("dps: operation timed out")
 
-	// ErrPeerDown reports that the remote peer's link is down: the dial
-	// failed, the connection died before the burst could be (re)sent, or
-	// the peer's circuit breaker is open. Unlike ErrClosed — which means
-	// this runtime is shutting down — the operation was never delivered,
-	// so it is always safe to retry on a caller-chosen schedule. Only the
-	// cross-process tier produces it.
+	// ErrPeerDown reports that the remote peer's link stayed down for the
+	// operation's whole retry budget: every redial failed, so the burst
+	// was never written. Unlike ErrClosed — which means this runtime is
+	// shutting down — the operation was never delivered, so it is always
+	// safe to retry on a caller-chosen schedule. Only the cross-process
+	// tier produces it.
 	ErrPeerDown = errors.New("dps: peer link down")
 )
 

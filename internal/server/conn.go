@@ -551,8 +551,6 @@ func (c *conn) peerStatLines(pm obs.PeerMetrics) {
 	c.statLine(p+"retries", pm.Retries)
 	c.statLine(p+"heartbeats_sent", pm.HeartbeatsSent)
 	c.statLine(p+"heartbeats_missed", pm.HeartbeatsMissed)
-	c.statLine(p+"breaker_opens", pm.BreakerOpens)
-	c.statLine(p+"breaker_state", uint64(pm.BreakerState))
 	c.statLine(p+"pending", uint64(pm.Pending))
 }
 

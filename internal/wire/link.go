@@ -364,9 +364,12 @@ func (l *Link) claim(part int) {
 // Flush publishes the open burst, if any: the frame's length and op
 // count are finalized, the buffer's ownership transfers to the burst
 // (retransmission may need it after this link has moved on), and the
-// single write hits the peer connection. Errors are already resolved
-// into the burst's tokens (ErrClosed / ErrPeerDown); the return value
-// is informational.
+// single write hits the peer connection. Flush returns an error only when
+// it resolved the burst with that error (ErrClosed, or a configuration
+// mismatch found by the dial), which its tokens then carry too. A burst
+// queued for retransmission — the link was down, or it died under this
+// write — returns nil: its tokens resolve later, and a caller must await
+// them rather than retry, or the op may apply twice.
 //
 //dps:wire-cold per burst, amortized over up to MaxBurst staged ops; the socket write dominates
 //dps:domain=sender

@@ -16,40 +16,36 @@ import (
 	"dps/internal/ring"
 )
 
-// Defaults for PeerConfig fields left zero.
+// DefaultTimeout bounds a completion await with no explicit deadline when
+// PeerConfig.Timeout is zero. It is the wire tier's liveness backstop: a
+// dropped frame or wedged peer resolves as ErrTimeout instead of hanging a
+// drain forever.
+const DefaultTimeout = 2 * time.Second
+
+// The link's timings (DESIGN.md §12). One value serves every caller, and
+// the resilience tests run at these values, so they are not configuration.
 const (
-	// DefaultTimeout bounds a completion await with no explicit deadline.
-	// It is the wire tier's liveness backstop: a dropped frame or wedged
-	// peer resolves as ErrTimeout instead of hanging a drain forever.
-	DefaultTimeout = 2 * time.Second
-	// DefaultDialTimeout bounds connection establishment (initial and
-	// lazy reconnect after a link failure).
-	DefaultDialTimeout = time.Second
-	// DefaultConns is the connection pool size per peer. Senders are
-	// pinned to one connection (tid mod pool), so per-sender ordering —
-	// and therefore read-your-writes — holds within a connection while
+	// numConns is the connection pool size per peer. Senders are pinned to
+	// one connection (tid mod pool), so per-sender ordering — and
+	// therefore read-your-writes — holds within a connection while
 	// distinct senders still spread over the pool.
-	DefaultConns = 2
-	// DefaultHeartbeatInterval is how often an idle link is probed with a
-	// ping. With DefaultHeartbeatMisses, a dead link is detected in
-	// 3×250ms = 750ms — well inside DefaultTimeout, so retransmission has
-	// budget left when the default op deadline governs.
-	DefaultHeartbeatInterval = 250 * time.Millisecond
-	// DefaultHeartbeatMisses is how many silent intervals declare the
-	// link dead.
-	DefaultHeartbeatMisses = 3
-	// DefaultRetryBackoff is the redialer's first sleep after a link
-	// failure; it doubles per failed attempt up to DefaultRetryBackoffMax,
-	// with jitter so a fleet of clients does not redial in lockstep.
-	DefaultRetryBackoff = 10 * time.Millisecond
-	// DefaultRetryBackoffMax caps the redial backoff.
-	DefaultRetryBackoffMax = 500 * time.Millisecond
-	// DefaultBreakerThreshold is how many consecutive link failures open
-	// the circuit breaker.
-	DefaultBreakerThreshold = 8
-	// DefaultBreakerCooldown is how long an open breaker rejects traffic
-	// before admitting a half-open probe.
-	DefaultBreakerCooldown = time.Second
+	numConns = 2
+	// dialTimeout bounds connection establishment (initial and lazy
+	// reconnect after a link failure), hello included.
+	dialTimeout = time.Second
+	// heartbeatInterval is how often an idle link is probed with a ping;
+	// heartbeatMisses silent intervals declare it dead: 3×250ms = 750ms,
+	// well inside DefaultTimeout, so retransmission has budget left when
+	// the default op deadline governs.
+	heartbeatInterval = 250 * time.Millisecond
+	heartbeatMisses   = 3
+	// retryBackoff is the redialer's first sleep after a link failure; it
+	// doubles per failed attempt up to retryBackoffMax, with jitter so a
+	// fleet of clients does not redial in lockstep. The cap is also the
+	// dial rate toward a peer that stays dark: one dial per 0.5–0.75 s
+	// per connection.
+	retryBackoff    = 10 * time.Millisecond
+	retryBackoffMax = 500 * time.Millisecond
 )
 
 // PeerConfig describes one peer process that owns partitions on this
@@ -60,50 +56,19 @@ type PeerConfig struct {
 	// Parts are the global partition indices the peer owns. Required,
 	// non-empty, disjoint from every other peer's and from the local set.
 	Parts []int
-	// Conns is the connection pool size. Defaults to DefaultConns.
-	Conns int
 	// Timeout is the default completion bound (zero-deadline awaits) and
 	// the retry budget: a burst is retransmitted until its publish time
 	// plus Timeout. Defaults to DefaultTimeout.
 	Timeout time.Duration
-	// DialTimeout bounds dials. Defaults to DefaultDialTimeout.
-	DialTimeout time.Duration
 	// Partitions is the total partition count of the cluster, validated
 	// against the peer's hello. Required.
 	Partitions int
-	// HeartbeatInterval is the idle-link probe period; negative disables
-	// liveness probing. Defaults to DefaultHeartbeatInterval.
-	HeartbeatInterval time.Duration
-	// HeartbeatMisses is how many silent intervals declare the link dead.
-	// Defaults to DefaultHeartbeatMisses.
-	HeartbeatMisses int
-	// RetryBackoff / RetryBackoffMax shape the redial schedule. Default
-	// to DefaultRetryBackoff / DefaultRetryBackoffMax.
-	RetryBackoff    time.Duration
-	RetryBackoffMax time.Duration
-	// BreakerThreshold is the consecutive-failure count that opens the
-	// circuit breaker; negative disables it. Defaults to
-	// DefaultBreakerThreshold.
-	BreakerThreshold int
-	// BreakerCooldown is the open breaker's rejection window. Defaults
-	// to DefaultBreakerCooldown.
-	BreakerCooldown time.Duration
 	// Chaos injects link faults (DropFrame, SlowLink, PeerDown) on the
 	// send path. Nil outside chaos tests.
 	//
 	//dps:hook
 	Chaos *chaos.Injector
 }
-
-// Breaker states. The link-level failure model is a four-state machine —
-// connected → suspect → down → half-open — of which the breaker holds
-// the last two explicitly; "suspect" is the heartbeat's missed-interval
-// window and "connected" is everything else.
-const (
-	brkClosed   = 0 // traffic flows; consecutive failures counted
-	brkOpen     = 1 // no dial until the cooldown expires
-	brkHalfOpen = 2 // one probe admitted; its outcome closes or reopens
-)
 
 // Peer is the client side of one peer process's link: a small pool of
 // TCP connections, each with pipelined in-flight bursts matched to
@@ -112,21 +77,12 @@ const (
 // bursts queue for retransmission (the server deduplicates by link
 // identity + sequence number, so a burst whose response was lost is not
 // re-executed) and a redialer re-establishes the connection with
-// exponential backoff, bounded per burst by its retry budget. A peer
-// whose link keeps failing trips a circuit breaker: no dial is attempted
-// until the cooldown ends and a half-open probe goes out; queued bursts
-// wait for it or expire at their deadline.
+// exponential backoff, bounded per burst by its retry budget.
 type Peer struct {
 	cfg    PeerConfig
 	idx    int
 	conns  []*pconn
 	closed atomic.Bool
-
-	// Circuit breaker: state (brk*), consecutive failures, and the
-	// nanosecond deadline an open breaker holds until.
-	brkState atomic.Uint32
-	brkFails atomic.Uint32
-	brkUntil atomic.Int64
 
 	framesSent    atomic.Uint64
 	framesRecvd   atomic.Uint64
@@ -140,7 +96,6 @@ type Peer struct {
 	retries       atomic.Uint64
 	hbSent        atomic.Uint64
 	hbMissed      atomic.Uint64
-	breakerOpens  atomic.Uint64
 }
 
 // NewPeer validates cfg and builds the (unconnected) peer. idx is the
@@ -160,46 +115,25 @@ func NewPeer(idx int, cfg PeerConfig) (*Peer, error) {
 			return nil, fmt.Errorf("wire: peer %d (%s): partition %d out of range [0,%d)", idx, cfg.Addr, p, cfg.Partitions)
 		}
 	}
-	if cfg.Conns <= 0 {
-		cfg.Conns = DefaultConns
-	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = DefaultTimeout
 	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = DefaultDialTimeout
-	}
-	if cfg.HeartbeatInterval == 0 {
-		cfg.HeartbeatInterval = DefaultHeartbeatInterval
-	}
-	if cfg.HeartbeatMisses <= 0 {
-		cfg.HeartbeatMisses = DefaultHeartbeatMisses
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = DefaultRetryBackoff
-	}
-	if cfg.RetryBackoffMax < cfg.RetryBackoff {
-		cfg.RetryBackoffMax = DefaultRetryBackoffMax
-		if cfg.RetryBackoffMax < cfg.RetryBackoff {
-			cfg.RetryBackoffMax = cfg.RetryBackoff
-		}
-	}
-	if cfg.BreakerThreshold == 0 {
-		cfg.BreakerThreshold = DefaultBreakerThreshold
-	}
-	if cfg.BreakerCooldown <= 0 {
-		cfg.BreakerCooldown = DefaultBreakerCooldown
-	}
-	pr := &Peer{cfg: cfg, idx: idx, conns: make([]*pconn, cfg.Conns)}
+	pr := &Peer{cfg: cfg, idx: idx, conns: make([]*pconn, numConns)}
 	for i := range pr.conns {
-		pr.conns[i] = &pconn{peer: pr, id: linkID(), rng: uint64(i)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d}
+		// The jitter stream starts from the link identity, so it differs
+		// per connection and per process: clients whose links one server
+		// restart severed together do not redial in lockstep.
+		id := linkID()
+		pr.conns[i] = &pconn{peer: pr, id: id, rng: id}
 	}
 	return pr, nil
 }
 
-// linkID draws a random 64-bit link identity. The server keys its dedup
-// window on it, so collisions across all clients that ever connect must
-// be unlikely — crypto/rand, not a counter.
+// linkID draws a random 64-bit link identity, minted once per connection
+// slot for the Peer's lifetime. The server keys its dedup window on it, so
+// collisions across all clients that ever connect must be unlikely —
+// crypto/rand, not a counter. It is never 0, which also keeps the xorshift
+// jitter stream seeded from it off its fixed point.
 //
 //dps:wire-cold once per connection slot at peer construction
 func linkID() uint64 {
@@ -262,65 +196,7 @@ func (pr *Peer) Stats() obs.PeerMetrics {
 		Retries:          pr.retries.Load(),
 		HeartbeatsSent:   pr.hbSent.Load(),
 		HeartbeatsMissed: pr.hbMissed.Load(),
-		BreakerOpens:     pr.breakerOpens.Load(),
-		BreakerState:     int(pr.brkState.Load()),
 		Pending:          pending,
-	}
-}
-
-// brkAllow reports whether the breaker admits traffic right now. An open
-// breaker whose cooldown has expired transitions to half-open and admits
-// the caller as the probe.
-func (pr *Peer) brkAllow() bool {
-	if pr.cfg.BreakerThreshold < 0 {
-		return true
-	}
-	switch pr.brkState.Load() {
-	case brkOpen:
-		if time.Now().UnixNano() < pr.brkUntil.Load() {
-			return false
-		}
-		pr.brkState.CompareAndSwap(brkOpen, brkHalfOpen)
-		return true
-	default:
-		return true
-	}
-}
-
-// brkSuccess records a successful write: consecutive failures reset and
-// a half-open probe closes the breaker.
-func (pr *Peer) brkSuccess() {
-	if pr.cfg.BreakerThreshold < 0 {
-		return
-	}
-	if pr.brkFails.Load() != 0 {
-		pr.brkFails.Store(0)
-	}
-	if pr.brkState.Load() != brkClosed {
-		pr.brkState.Store(brkClosed)
-	}
-}
-
-// brkFailure records a link failure: a failed half-open probe reopens
-// immediately; otherwise the consecutive-failure count opens the breaker
-// at the threshold. An already-open breaker has its cooldown extended.
-func (pr *Peer) brkFailure() {
-	if pr.cfg.BreakerThreshold < 0 {
-		return
-	}
-	until := time.Now().Add(pr.cfg.BreakerCooldown).UnixNano()
-	if pr.brkState.Load() == brkHalfOpen {
-		pr.brkUntil.Store(until)
-		pr.brkState.Store(brkOpen)
-		pr.breakerOpens.Add(1)
-		return
-	}
-	if int(pr.brkFails.Add(1)) < pr.cfg.BreakerThreshold {
-		return
-	}
-	pr.brkUntil.Store(until)
-	if pr.brkState.CompareAndSwap(brkClosed, brkOpen) {
-		pr.breakerOpens.Add(1)
 	}
 }
 
@@ -401,8 +277,7 @@ func (pc *pconn) ensureConn() (net.Conn, error) {
 	if pc.peer.closed.Load() {
 		return nil, ring.ErrClosed
 	}
-	cfg := &pc.peer.cfg
-	c, err := net.DialTimeout("tcp", cfg.Addr, cfg.DialTimeout)
+	c, err := net.DialTimeout("tcp", pc.peer.cfg.Addr, dialTimeout)
 	if err != nil {
 		return nil, ring.ErrPeerDown
 	}
@@ -437,9 +312,7 @@ func (pc *pconn) ensureConn() (net.Conn, error) {
 	pc.c = c
 	pc.lastRecv.Store(time.Now().UnixNano())
 	go pc.readLoop(c, fr, gen)
-	if cfg.HeartbeatInterval > 0 {
-		go pc.heartbeat(c, gen)
-	}
+	go pc.heartbeat(c, gen)
 	return c, nil
 }
 
@@ -447,7 +320,7 @@ func (pc *pconn) ensureConn() (net.Conn, error) {
 // with, through the frame reader the connection's read loop carries on with.
 func (pc *pconn) readHello(c net.Conn, fr *frameReader) error {
 	cfg := &pc.peer.cfg
-	c.SetReadDeadline(time.Now().Add(cfg.DialTimeout))
+	c.SetReadDeadline(time.Now().Add(dialTimeout))
 	defer c.SetReadDeadline(time.Time{})
 	var f Frame
 	if _, _, err := fr.next(&f); err != nil || f.Type != FrameHello {
@@ -503,23 +376,20 @@ func (pc *pconn) readLoop(c net.Conn, fr *frameReader, gen uint64) {
 		if p == nil {
 			continue // abandoned burst: its awaiters already timed out
 		}
-		pc.peer.brkSuccess()
 		p.resolve(&f)
 	}
 }
 
 // heartbeat probes the connection while it is idle: no inbound frame for
-// an interval sends a ping; no inbound frame for HeartbeatMisses
+// an interval sends a ping; no inbound frame for heartbeatMisses
 // intervals declares the link dead and trips the retry machinery — that
 // is what bounds dead-link detection below the op timeout.
 func (pc *pconn) heartbeat(c net.Conn, gen uint64) {
-	cfg := &pc.peer.cfg
-	interval := cfg.HeartbeatInterval
-	deadAfter := time.Duration(cfg.HeartbeatMisses) * interval
+	const deadAfter = heartbeatMisses * heartbeatInterval
 	var ping []byte
 	//dps:spin-ok each iteration sleeps a full heartbeat interval; exits when the connection is superseded, declared dead, or the peer closes
 	for {
-		time.Sleep(interval)
+		time.Sleep(heartbeatInterval)
 		if pc.peer.closed.Load() {
 			return
 		}
@@ -532,15 +402,13 @@ func (pc *pconn) heartbeat(c net.Conn, gen uint64) {
 		if idle >= deadAfter {
 			pc.mu.Unlock()
 			pc.peer.hbMissed.Add(1)
-			pc.peer.brkFailure()
 			pc.linkDown(c, gen)
 			return
 		}
-		if idle >= interval {
+		if idle >= heartbeatInterval {
 			ping, _ = AppendControl(ping[:0], FramePing, uint32(gen))
 			if _, err := c.Write(ping); err != nil {
 				pc.mu.Unlock()
-				pc.peer.brkFailure()
 				pc.linkDown(c, gen)
 				return
 			}
@@ -597,12 +465,13 @@ func (pc *pconn) linkDown(c net.Conn, gen uint64) {
 // redial owns the retry queue until it drains: sleep with exponential
 // backoff + jitter, expire bursts whose budget ran out, re-establish the
 // connection, and retransmit the queue in sequence order. Exactly one
-// redialer runs per pconn (the redialing flag, under mu).
+// redialer runs per pconn (the redialing flag, under mu). Its backoff
+// ladder is the link's only dial pacing: a peer that stays dark is dialed
+// once per capped step, however long the outage lasts.
 //
 //dps:domain=redialer
 func (pc *pconn) redial() {
-	cfg := &pc.peer.cfg
-	backoff := cfg.RetryBackoff
+	backoff := retryBackoff
 	//dps:spin-ok every iteration sleeps a full backoff interval and the queue drains by deadline expiry, so the loop is bounded by the op budget
 	for {
 		time.Sleep(backoff + pc.jitter(backoff))
@@ -634,11 +503,6 @@ func (pc *pconn) redial() {
 			pc.expire(expired)
 			return
 		}
-		if !pc.peer.brkAllow() {
-			pc.mu.Unlock()
-			pc.expire(expired)
-			continue // breaker open: keep expiring, probe after cooldown
-		}
 		c, err := pc.ensureConn()
 		if err != nil {
 			if !errors.Is(err, ring.ErrPeerDown) {
@@ -654,12 +518,9 @@ func (pc *pconn) redial() {
 				}
 				return
 			}
-			pc.peer.brkFailure()
 			pc.mu.Unlock()
 			pc.expire(expired)
-			if backoff *= 2; backoff > cfg.RetryBackoffMax {
-				backoff = cfg.RetryBackoffMax
-			}
+			backoff = min(2*backoff, retryBackoffMax)
 			continue
 		}
 		gen := pc.gen
@@ -700,16 +561,12 @@ func (pc *pconn) redial() {
 			pc.peer.bytesSent.Add(uint64(len(frame)))
 		}
 		if !wrote {
-			pc.peer.brkFailure()
 			pc.mu.Unlock()
 			pc.expire(expired)
 			pc.linkDown(c, gen)
-			if backoff *= 2; backoff > cfg.RetryBackoffMax {
-				backoff = cfg.RetryBackoffMax
-			}
+			backoff = min(2*backoff, retryBackoffMax)
 			continue
 		}
-		pc.peer.brkSuccess()
 		pc.redialing = false
 		pc.mu.Unlock()
 		pc.expire(expired)
@@ -794,10 +651,12 @@ func (pc *pconn) forget(seq uint64) {
 // publish assigns the burst's sequence number, registers p, backfills
 // the frame header and writes the frame — the wire tier's
 // publish+doorbell, with chaos faults injected at the link. While the
-// link is down (retry queue non-empty, redialer active, or breaker
-// open), bursts line up on the retry queue behind the bursts already
-// there — per-link order is what read-your-writes rests on. Injected
-// frame drops leave p to the deadline machinery.
+// link is down (retry queue non-empty or redialer active), bursts line up
+// on the retry queue behind the bursts already there — per-link order is
+// what read-your-writes rests on. Injected frame drops leave p to the
+// deadline machinery. It returns an error only when it resolved p with
+// that error; a burst a failed write or an injected sever moved to the
+// retry queue returns nil, and its tokens carry the outcome.
 //
 //dps:wire-cold per burst; registers the completion record and pays the syscall either way
 func (pc *pconn) publish(p *Pending) error {
@@ -815,7 +674,7 @@ func (pc *pconn) publish(p *Pending) error {
 	binary.BigEndian.PutUint32(p.frame[9:], p.part)
 	p.pc, p.seq = pc, seq
 	p.deadline = time.Now().Add(pc.peer.cfg.Timeout)
-	if len(pc.retryq) > 0 || pc.redialing || !pc.peer.brkAllow() { //dps:owner-ok publish holds pc.mu; a non-empty queue reroutes the burst behind it
+	if len(pc.retryq) > 0 || pc.redialing { //dps:owner-ok publish holds pc.mu; a non-empty queue reroutes the burst behind it
 		pc.deferLocked(p)
 		pc.mu.Unlock()
 		return nil
@@ -829,7 +688,6 @@ func (pc *pconn) publish(p *Pending) error {
 			p.fail(err)
 			return err
 		}
-		pc.peer.brkFailure()
 		pc.deferLocked(p)
 		pc.mu.Unlock()
 		return nil
@@ -844,9 +702,8 @@ func (pc *pconn) publish(p *Pending) error {
 		if inj.PeerDown() {
 			pc.mu.Unlock()
 			pc.peer.framesDropped.Add(1)
-			pc.peer.brkFailure()
 			pc.linkDown(c, gen)
-			return ring.ErrPeerDown
+			return nil // p moved to the retry queue with the rest of gen
 		}
 		if inj.DropFrame() {
 			p.attempts++
@@ -862,11 +719,9 @@ func (pc *pconn) publish(p *Pending) error {
 	_, werr := c.Write(p.frame)
 	pc.mu.Unlock()
 	if werr != nil {
-		pc.peer.brkFailure()
 		pc.linkDown(c, gen)
-		return ring.ErrPeerDown
+		return nil // p moved to the retry queue with the rest of gen
 	}
-	pc.peer.brkSuccess()
 	pc.peer.framesSent.Add(1)
 	pc.peer.bytesSent.Add(uint64(flen))
 	pc.peer.ops.Add(uint64(n))

@@ -14,7 +14,7 @@ import (
 
 // The resilience suite exercises the failure half of the peer link:
 // reconnects after a server restart, heartbeat-driven dead-link
-// detection, and the circuit breaker's open/half-open/closed cycle.
+// detection, and the redial pacing — all at the link's production timings.
 
 // stageOne stages a single op, flushes it, and awaits with the given
 // deadline (zero means the peer timeout).
@@ -44,8 +44,7 @@ func TestPeerReconnectAfterServerRestart(t *testing.T) {
 
 	pr, err := NewPeer(0, PeerConfig{
 		Addr: addr, Parts: []int{1}, Partitions: 2,
-		Timeout:      3 * time.Second,
-		RetryBackoff: 2 * time.Millisecond,
+		Timeout: 3 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -105,12 +104,12 @@ func TestPeerHeartbeatDetectsDeadLink(t *testing.T) {
 			go io.Copy(io.Discard, c) // swallow requests and pings, never answer
 		}
 	}()
+	// The budget covers one detection and the retransmission after it, so
+	// the op times out on the second silent connection.
+	const detect = heartbeatMisses * heartbeatInterval
 	pr, err := NewPeer(0, PeerConfig{
 		Addr: ln.Addr().String(), Parts: []int{1}, Partitions: 2,
-		Timeout:           500 * time.Millisecond,
-		HeartbeatInterval: 20 * time.Millisecond,
-		HeartbeatMisses:   2,
-		RetryBackoff:      5 * time.Millisecond,
+		Timeout: 2 * detect,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +121,7 @@ func TestPeerHeartbeatDetectsDeadLink(t *testing.T) {
 	if !errors.Is(err, ring.ErrTimeout) {
 		t.Fatalf("silent peer: err=%v, want ErrTimeout", err)
 	}
-	if d := time.Since(start); d > 3*time.Second {
+	if d := time.Since(start); d > 4*detect {
 		t.Fatalf("silent peer took %v to resolve", d)
 	}
 	st := pr.Stats()
@@ -134,81 +133,151 @@ func TestPeerHeartbeatDetectsDeadLink(t *testing.T) {
 	}
 }
 
-// TestPeerBreakerOpensAndRecovers drives the breaker's full cycle under
-// the retry policy every burst rides: consecutive dial failures of one
-// queued op open it, an open breaker holds the redialer off even once the
-// peer is back, and the half-open probe after the cooldown delivers the op
-// and closes the breaker again.
-func TestPeerBreakerOpensAndRecovers(t *testing.T) {
+// TestPeerRedialPacing pins the link's one dial policy, the redial
+// backoff ladder. A listener that accepts every connection and hangs up at
+// once fails each dial's hello while one staged op waits: the redialer
+// keeps dialing, never more often than the ladder's minimum sleeps allow.
+// Then a real server takes the address over, and the op lands inside its
+// budget, applied exactly once.
+func TestPeerRedialPacing(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	addr := ln.Addr().String()
-	ln.Close() // nothing listens: dials fail fast with ECONNREFUSED
+	var accepts atomic.Int64
+	hungUp := make(chan struct{})
+	go func() {
+		defer close(hungUp)
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepts.Add(1)
+			c.Close()
+		}
+	}()
 	pr, err := NewPeer(0, PeerConfig{
 		Addr: addr, Parts: []int{1}, Partitions: 2,
-		Timeout:          5 * time.Second,
-		RetryBackoff:     2 * time.Millisecond,
-		RetryBackoffMax:  5 * time.Millisecond,
-		BreakerThreshold: 3,
-		BreakerCooldown:  300 * time.Millisecond,
+		Timeout: 5 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pr.Close()
 	l := pr.NewLink(0)
+	start := time.Now()
 	tok, err := l.Stage(ring.StagedOp{Part: 1, Code: 1, Key: 20, U: [4]uint64{100}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.Flush()
-	for start := time.Now(); pr.Stats().BreakerState != brkOpen; time.Sleep(time.Millisecond) {
-		if time.Since(start) > 3*time.Second {
-			t.Fatalf("one op against a dead addr never opened the breaker: %+v", pr.Stats())
-		}
+	if err := l.Flush(); err != nil {
+		t.Fatalf("flush of a queued burst: %v", err)
 	}
-	if st := pr.Stats(); st.BreakerOpens == 0 {
-		t.Fatalf("breaker open but no opening counted: %+v", st)
+	time.Sleep(2 * time.Second)
+	dials := accepts.Load()
+	elapsed := time.Since(start)
+	if _, done := tok.Ready(); done {
+		t.Fatal("op resolved while every dial failed")
 	}
-	// Nothing dials while the breaker is open, so brkUntil stays where the
-	// opening failure put it: the op cannot land before then.
-	cooldownEnd := time.Unix(0, pr.brkUntil.Load())
+	// Publish dials once itself; after that the k-th redial sleeps at
+	// least the sum of the first k backoff steps (10, 30, 70, 150, 310,
+	// 630, 1130, 1630 ms), so only the steps whose sum fits in elapsed can
+	// have dialed.
+	ceiling := int64(1)
+	for step, slept := retryBackoff, retryBackoff; slept <= elapsed; slept += step {
+		ceiling++
+		step = min(2*step, retryBackoffMax)
+	}
+	// Even the longest jittered ladder (15, 45, 105, 225, 465, 945 ms)
+	// dials six times inside the first second.
+	const floor = 5
+	if dials < floor || dials > ceiling {
+		t.Fatalf("%d dials in %v, want %d..%d", dials, elapsed, floor, ceiling)
+	}
 
-	// Revive the peer inside the cooldown; the queued op waits it out.
+	ln.Close()
+	<-hungUp
 	ln2, err := net.Listen("tcp", addr)
 	if err != nil {
-		t.Fatalf("revive %s: %v", addr, err)
+		t.Fatalf("rebind %s: %v", addr, err)
 	}
-	h := &stampHandler{}
+	h := &echoHandler{}
 	srv := NewServer(ln2, 2, []int{0, 1}, h)
 	go srv.Serve()
 	defer srv.Close()
 	res, err := tok.Await(time.Time{})
 	if err != nil || res.U != 120 {
-		t.Fatalf("queued op after cooldown: U=%d err=%v", res.U, err)
+		t.Fatalf("queued op after the takeover: U=%d err=%v", res.U, err)
 	}
-	if landed := h.at(); landed.Before(cooldownEnd) {
-		t.Fatalf("op landed %v before the cooldown ended", cooldownEnd.Sub(landed))
-	}
-	if st := pr.Stats(); st.BreakerState != brkClosed {
-		t.Fatalf("breaker did not close after the probe: %+v", st)
+	if got := h.applied.Load(); got != 1 {
+		t.Fatalf("op applied %d times, want once", got)
 	}
 }
 
-// stampHandler is an echoHandler that records when it last applied.
-type stampHandler struct {
-	echoHandler
-	last atomic.Int64
+// TestPeerFlushQueuedBurstReturnsNil severs the link under every publish:
+// the burst moves to the retry queue, so Flush reports no error (a caller
+// that retried on one would apply the op twice), and the retransmission
+// resolves the token with the op applied once.
+func TestPeerFlushQueuedBurstReturnsNil(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &echoHandler{}
+	srv := NewServer(ln, 2, []int{0, 1}, h)
+	go srv.Serve()
+	defer srv.Close()
+	pr, err := NewPeer(0, PeerConfig{
+		Addr: ln.Addr().String(), Parts: []int{1}, Partitions: 2,
+		Timeout: 3 * time.Second,
+		Chaos:   chaos.New(chaos.Config{Seed: 1, PeerDownProb: 1}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pr.Close()
+	l := pr.NewLink(0)
+	tok, err := l.Stage(ring.StagedOp{Part: 1, Code: 1, Key: 5, U: [4]uint64{100}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Flush(); err != nil {
+		t.Fatalf("Flush of a burst queued for retransmission: %v", err)
+	}
+	res, err := tok.Await(time.Time{})
+	if err != nil || res.U != 105 {
+		t.Fatalf("severed burst: U=%d err=%v", res.U, err)
+	}
+	if got := h.applied.Load(); got != 1 {
+		t.Fatalf("op applied %d times, want once", got)
+	}
+	if st := pr.Stats(); st.FramesDropped != 1 || st.Retries != 1 {
+		t.Fatalf("want one sever and one retransmission: %+v", st)
+	}
 }
 
-func (h *stampHandler) Apply(src uint64, seq uint32, part int, req []ReqOp, resp []RespOp) []RespOp {
-	h.last.Store(time.Now().UnixNano())
-	return h.echoHandler.Apply(src, seq, part, req, resp)
+// TestPeerJitterDiffersPerPeer builds two peers from one config, as two
+// client processes would: their connection 0 must draw different redial
+// jitter, or clients severed by one server restart redial in lockstep.
+func TestPeerJitterDiffersPerPeer(t *testing.T) {
+	cfg := PeerConfig{Addr: "127.0.0.1:1", Parts: []int{0}, Partitions: 1}
+	draws := func() (out [4]time.Duration) {
+		pr, err := NewPeer(0, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer pr.Close()
+		for i := range out {
+			out[i] = pr.conns[0].jitter(retryBackoffMax)
+		}
+		return out
+	}
+	if a, b := draws(), draws(); a == b {
+		t.Fatalf("two peers drew the same jitter sequence %v", a)
+	}
 }
-
-func (h *stampHandler) at() time.Time { return time.Unix(0, h.last.Load()) }
 
 // TestPeerRetryUnderChaosDrops runs bursts through an injector that
 // severs the connection before some writes and delays others: every op
@@ -232,9 +301,8 @@ func TestPeerRetryUnderChaosDrops(t *testing.T) {
 	})
 	pr, err := NewPeer(0, PeerConfig{
 		Addr: ln.Addr().String(), Parts: []int{1}, Partitions: 2,
-		Timeout:      3 * time.Second,
-		RetryBackoff: 2 * time.Millisecond,
-		Chaos:        inj,
+		Timeout: 3 * time.Second,
+		Chaos:   inj,
 	})
 	if err != nil {
 		t.Fatal(err)
