@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check lint chaos chaos-peer fuzz bench bench-build bench-compare bench-pair bench-json bench-gate serve-smoke peer-smoke pin-smoke
+.PHONY: build test check lint loc chaos chaos-peer fuzz bench bench-build bench-compare bench-pair bench-json bench-gate serve-smoke peer-smoke pin-smoke
 
 build:
 	$(GO) build ./...
@@ -43,14 +43,21 @@ bench-build:
 lint:
 	$(GO) run ./cmd/dpslint
 
+# loc prints the non-test Go lines of every package outside benchmark/, blank
+# and //-only lines dropped, plus the total: the size ROADMAP.md quotes. See
+# scripts/loc.sh.
+loc:
+	bash scripts/loc.sh
+
 # chaos runs the fault-injection suite under the race detector: the
 # injector's own tests plus the runtime's chaos and rescue scenarios
 # (dropped claims, forced full rings, injected panics, wedged localities,
-# shutdown under load) and the table tests of the one drain, the one wait
-# loop and the one park. Run it after touching any of the three.
+# shutdown under load), the table tests of the one drain, the one wait
+# loop and the one park, and the OpTimeout rule at a full ring through the
+# wave (mcd) and the front door (server). Run it after touching any of them.
 chaos:
 	$(GO) test -race -timeout 120s ./internal/chaos/...
-	$(GO) test -race -timeout 120s -run 'TestChaos|TestRescue|TestOne' -v ./internal/core/... ./internal/server/...
+	$(GO) test -race -timeout 120s -run 'TestChaos|TestRescue|TestOne|TestWaveRingFull|TestWaveBackendTimeout' -v ./internal/core/... ./internal/mcd/... ./internal/server/...
 
 # chaos-peer runs the peer-link fault suite under the race detector: the
 # wire transport's full suite (reconnect after server restart, heartbeat
@@ -103,13 +110,13 @@ bench:
 
 # bench-compare runs the delegation-latency benchmarks with allocation
 # reporting: the core transport benchmark, the wire tier's loopback round trip
-# (1 and 2 senders, at 1 and 2 Ps), plus the root-level paper-figure
-# benchmarks (Fig. 3 round-trip, peer-serve ablation). Use it before and
-# after transport changes; EXPERIMENTS.md records the reference numbers.
+# (1 and 2 senders, at 1 and 2 Ps), plus the root-level Fig. 3 round-trip
+# benchmark. Use it before and after transport changes; EXPERIMENTS.md
+# records the reference numbers.
 bench-compare:
 	$(GO) test -run '^$$' -bench 'BenchmarkDelegation' -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkPeerSyncRTT' -benchmem -cpu 1,2 ./internal/core/
-	$(GO) test -run '^$$' -bench 'BenchmarkFig3DelegationRoundTrip|BenchmarkAblationPeerServe' -benchmem -benchtime=0.5s .
+	$(GO) test -run '^$$' -bench 'BenchmarkFig3DelegationRoundTrip' -benchmem -benchtime=0.5s .
 
 # bench-pair is the comparison a performance claim rests on: BASE (a git
 # revision, cloned into a temporary directory) against this working tree,

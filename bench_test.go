@@ -428,7 +428,7 @@ func BenchmarkFig13Memcached(b *testing.B) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer h2.Unregister()
+			defer h2.Close()
 			for !stopped.Load() {
 				if h2.Serve() == 0 {
 					runtime.Gosched()
@@ -440,7 +440,7 @@ func BenchmarkFig13Memcached(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		defer h.Unregister()
+		defer h.Close()
 		for k := uint64(1); k <= items; k++ {
 			h.SetAsync(k, val)
 		}
@@ -479,35 +479,6 @@ func BenchmarkTable2LargeValues(b *testing.B) {
 }
 
 // --- ablations (DESIGN.md §5) ------------------------------------------------
-
-// BenchmarkAblationPeerServe contrasts CheckRatio settings: how much a
-// waiting thread polls its own completion vs serves peers (§4.3's knob).
-func BenchmarkAblationPeerServe(b *testing.B) {
-	for _, ratio := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("checkRatio=%d", ratio), func(b *testing.B) {
-			rt, err := dps.New(dps.Config{Partitions: 2, CheckRatio: ratio})
-			if err != nil {
-				b.Fatal(err)
-			}
-			stop := startServeLoop(b, rt, 1)
-			defer stop()
-			th, err := rt.RegisterAt(0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer th.Unregister()
-			key := uint64(0)
-			for rt.PartitionForKey(key).ID() != 1 {
-				key++
-			}
-			nop := func(p *dps.Partition, _ uint64, _ *dps.Args) dps.Result { return dps.Result{} }
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				th.ExecuteSync(key, nop, dps.Args{})
-			}
-		})
-	}
-}
 
 // BenchmarkAblationRingDepth sweeps the ring depth under asynchronous load
 // (§4.2's fixed-size rings: deeper rings absorb larger async bursts).

@@ -28,12 +28,13 @@
 // on the caller for local keys), but provides no synchronization: shards
 // accessed by a multi-threaded locality must themselves be concurrent.
 //
-// See Thread for the full operation API: Execute/Ready (asynchronous
-// completion records; ExecuteInto puts the record in caller storage and
-// allocates nothing), ExecuteSync, ExecuteAsync (fire-and-forget with
-// Flush publication and Drain barriers), ExecuteLocal (run read-only ops
-// on the caller), and ExecuteAll (broadcast/range operations with user
-// aggregation). Consecutive same-partition operations from one thread are
+// See Thread for the full operation API: ExecuteInto with Ready/Result
+// (completion records in caller storage, allocating nothing), ExecuteSync,
+// ExecuteAsync (fire-and-forget with Flush publication and Drain barriers),
+// ExecuteLocal (run read-only ops on the caller), ExecutePartition (one
+// partition as a whole), and ExecuteAll (broadcast/range operations with
+// user aggregation). Config.OpTimeout bounds every call that returns a
+// Result. Consecutive same-partition operations from one thread are
 // burst-packed into shared delegation slots; any blocking call (or Flush)
 // publishes the open burst.
 package dps
@@ -51,8 +52,7 @@ type (
 	Thread = core.Thread
 	// Partition is one namespace partition bound to a locality.
 	Partition = core.Partition
-	// Completion is the completion record returned by Thread.Execute and
-	// filled in by Thread.ExecuteInto.
+	// Completion is the completion record Thread.ExecuteInto fills in.
 	Completion = core.Completion
 	// Op is a data-structure operation executed by DPS.
 	Op = core.Op
@@ -106,28 +106,17 @@ type (
 	NopTracer = core.NopTracer
 )
 
-// Robustness surface: deadline-aware waits, orphaned-panic routing, and
-// graceful shutdown. See DESIGN.md's "Failure modes & degraded operation"
-// for the full failure-mode matrix.
+// Robustness surface: one deadline (Config.OpTimeout), orphaned-panic
+// routing, and graceful shutdown. See DESIGN.md's "Failure modes & degraded
+// operation" for the full failure-mode matrix.
 type (
-	// PanicPolicy selects the handling of delegated-op panics no completion
-	// will ever observe (Config.PanicPolicy).
-	PanicPolicy = core.PanicPolicy
-	// PanicInfo describes one recovered orphaned panic (Config.OnPanic).
+	// PanicInfo describes one recovered delegated-op panic no completion
+	// will ever observe, as Config.OnPanic receives it. Orphaned panics are
+	// counted and handed to OnPanic (or the standard logger) while the
+	// serving thread keeps serving; fail-stop is an OnPanic that panics.
 	PanicInfo = core.PanicInfo
 	// ShutdownReport summarizes what Runtime.Shutdown accomplished.
 	ShutdownReport = core.ShutdownReport
-)
-
-// PanicPolicy values.
-const (
-	// PanicReport (the default) recovers orphaned delegated-op panics,
-	// counts them, and delivers them to Config.OnPanic or the standard
-	// logger; the serving thread keeps serving.
-	PanicReport = core.PanicReport
-	// PanicCrash re-raises orphaned panics on the serving thread —
-	// fail-stop instead of degraded operation.
-	PanicCrash = core.PanicCrash
 )
 
 // Sentinel errors.
@@ -139,9 +128,8 @@ var (
 	// ErrUnregistered is the panic value raised when a Thread is used
 	// after Unregister.
 	ErrUnregistered = core.ErrUnregistered
-	// ErrTimeout is returned by the deadline-aware waits — Runtime.Shutdown,
-	// Completion.ResultTimeout, Thread.ExecuteSyncTimeout — when the
-	// deadline expires first.
+	// ErrTimeout is the Result.Err of a call that outlived
+	// Config.OpTimeout, and Runtime.Shutdown's error at its deadline.
 	ErrTimeout = core.ErrTimeout
 	// ErrPeerDown is returned by operations delegated to a peer process
 	// whose link stayed down for the operation's whole retry budget, so

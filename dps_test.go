@@ -3,7 +3,6 @@ package dps_test
 import (
 	"errors"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -82,21 +81,20 @@ func TestPublicAPISmoke(t *testing.T) {
 }
 
 // TestRobustnessSurface pins the hardening API re-exported through the
-// facade: ErrTimeout from deadline waits, PanicPolicy/PanicInfo in Config,
-// and Shutdown's report — all reachable without importing internal/core.
+// facade: ErrTimeout under Config.OpTimeout, OnPanic/PanicInfo in Config, and
+// Shutdown's report — all reachable without importing internal/core.
 func TestRobustnessSurface(t *testing.T) {
 	t.Parallel()
-	var handlerOK atomic.Bool
+	got := make(chan dps.PanicInfo, 1)
 	rt, err := dps.New(dps.Config{
-		Partitions:  2,
-		PanicPolicy: dps.PanicReport,
-		OnPanic:     func(info dps.PanicInfo) { handlerOK.Store(true) },
-		Init:        func(p *dps.Partition) any { return &shard{m: make(map[uint64]string)} },
+		Partitions: 2,
+		OpTimeout:  10 * time.Millisecond,
+		OnPanic:    func(info dps.PanicInfo) { got <- info },
+		Init:       func(p *dps.Partition) any { return &shard{m: make(map[uint64]string)} },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = dps.PanicCrash // the fail-stop policy is part of the surface
 	// The wire tier's never-delivered sentinel is part of the surface
 	// and must stay distinct from the local lifecycle errors.
 	if errors.Is(dps.ErrPeerDown, dps.ErrClosed) || errors.Is(dps.ErrPeerDown, dps.ErrTimeout) {
@@ -112,23 +110,27 @@ func TestRobustnessSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	put := func(p *dps.Partition, key uint64, args *dps.Args) dps.Result {
-		s := p.Data().(*shard)
-		s.mu.Lock()
-		s.m[key] = "v"
-		s.mu.Unlock()
-		return dps.Result{}
-	}
+	boom := func(p *dps.Partition, key uint64, args *dps.Args) dps.Result { panic("boom") }
 	key := uint64(0)
 	for rt.PartitionForKey(key).ID() != 1 {
 		key++
 	}
-	// Locality 1 never serves, so a short deadline must expire.
-	if _, err := t0.ExecuteSyncTimeout(key, put, dps.Args{}, 10*time.Millisecond); !errors.Is(err, dps.ErrTimeout) {
-		t.Fatalf("ExecuteSyncTimeout err = %v, want dps.ErrTimeout", err)
+	// Locality 1 never serves, so the deadline must expire.
+	if res := t0.ExecuteSync(key, boom, dps.Args{}); !errors.Is(res.Err, dps.ErrTimeout) {
+		t.Fatalf("ExecuteSync err = %v, want dps.ErrTimeout", res.Err)
 	}
-	t0.Unregister() // blocks until the abandoned slot is rescued and reaped
+	// Unregister blocks until the abandoned slot is rescued and reaped; the
+	// op's panic, which no completion observes any more, goes to OnPanic.
+	t0.Unregister()
 	t1.Unregister()
+	select {
+	case info := <-got:
+		if info.Value != "boom" || info.Async || info.Key != key {
+			t.Fatalf("PanicInfo = %+v", info)
+		}
+	default:
+		t.Fatal("the abandoned op's panic never reached OnPanic")
+	}
 
 	rep, err := rt.Shutdown(5 * time.Second)
 	if err != nil {
@@ -141,7 +143,6 @@ func TestRobustnessSurface(t *testing.T) {
 	if _, err := rt.Shutdown(time.Second); !errors.Is(err, dps.ErrClosed) {
 		t.Fatalf("second Shutdown err = %v, want dps.ErrClosed", err)
 	}
-	_ = handlerOK.Load() // handler wiring compiles and is accepted; no panic op ran
 }
 
 func boolToU(b bool) uint64 {

@@ -62,14 +62,14 @@ type payloadArena struct {
 // strides, so neighbouring arena buffers never share a cache line.
 const arenaBufBytes = (DefaultArenaBufBytes + ring.Stride - 1) &^ (ring.Stride - 1)
 
-// newPayloadArena builds a pool of bufs buffers of arenaBufBytes each over
-// one contiguous backing array.
-func newPayloadArena(p *Partition, bufs int) *payloadArena {
+// newPayloadArena builds p's pool of DefaultArenaBufs buffers of
+// arenaBufBytes each over one contiguous backing array.
+func newPayloadArena(p *Partition) *payloadArena {
 	a := &payloadArena{
-		free: ring.NewParkSet(bufs),
-		bufs: make([]PayloadBuf, bufs),
+		free: ring.NewParkSet(DefaultArenaBufs),
+		bufs: make([]PayloadBuf, DefaultArenaBufs),
 	}
-	backing := make([]byte, bufs*arenaBufBytes)
+	backing := make([]byte, DefaultArenaBufs*arenaBufBytes)
 	for i := range a.bufs {
 		a.bufs[i] = PayloadBuf{
 			data: backing[i*arenaBufBytes : (i+1)*arenaBufBytes : (i+1)*arenaBufBytes],
@@ -108,19 +108,19 @@ func (a *payloadArena) release(b *PayloadBuf) {
 
 // AcquirePayload returns an arena buffer from key's destination locality
 // for an n-byte payload, or nil when the payload should take the GC-heap
-// path instead: arenas disabled, destination local (inline execution
-// never releases through the serve path) or peer-owned (the wire tier
-// requires plain []byte), payload oversized, or pool empty. The caller
-// copies the payload into Bytes and passes the buffer as Args.P of an
-// operation delegated to the same key (or at least the same partition);
-// the runtime releases it after the operation executes.
+// path instead: destination local (inline execution never releases
+// through the serve path), peer-owned (it has no arena: the wire tier
+// requires plain []byte) or without workers, payload oversized, or pool
+// empty. The caller copies the payload into Bytes and passes the buffer as
+// Args.P of an operation delegated to the same key (or at least the same
+// partition); the runtime releases it after the operation executes.
 //
 //dps:noalloc via ExecuteSync
 //dps:domain=sender
 func (t *Thread) AcquirePayload(key uint64, n int) *PayloadBuf {
 	t.checkLive()
 	p := t.partitionFor(key)
-	if p.peer != nil || p.id == t.locality || p.arena == nil || p.workers.Load() == 0 {
+	if p.peer != nil || p.id == t.locality || p.workers.Load() == 0 {
 		return nil
 	}
 	b := p.arena.acquire(n)

@@ -79,7 +79,7 @@ func TestArenaPayloadRoundTrip(t *testing.T) {
 // TestArenaFallbackPaths exercises every condition under which
 // AcquirePayload must decline and send the caller to the heap path: local
 // destination, no serving worker at the destination, oversized payload,
-// and arenas disabled outright.
+// and a peer-owned destination, which has no arena at all.
 func TestArenaFallbackPaths(t *testing.T) {
 	t.Parallel()
 	rt := twoPartRuntime(t, DefaultRingDepth)
@@ -105,7 +105,7 @@ func TestArenaFallbackPaths(t *testing.T) {
 	defer stop()
 
 	// Oversized: larger than a buffer can hold. This is the one counted
-	// fallback (the earlier two are routing decisions, not pool misses).
+	// fallback (the other three are routing decisions, not pool misses).
 	if b := th.AcquirePayload(1000, DefaultArenaBufBytes+1); b != nil {
 		t.Error("oversized AcquirePayload returned a buffer, want nil")
 	}
@@ -113,86 +113,153 @@ func TestArenaFallbackPaths(t *testing.T) {
 		t.Errorf("ArenaFallbacks = %d, want 1", got)
 	}
 
-	// Disabled: ArenaBufs < 0 builds no pools at all.
-	rtOff, err := New(Config{
+	// Peer-owned: the partition's shard lives in another process, whose
+	// wire tier takes plain []byte, so this process builds it no arena. The
+	// peer is never dialled: nothing is sent.
+	rtPeer, err := New(Config{
 		Partitions:    2,
 		NamespaceSize: 2000,
 		Hash:          IdentityHash,
 		Init:          newCounterInit(),
-		ArenaBufs:     -1,
+		Peers:         []Peer{{Addr: "127.0.0.1:1", Parts: []int{1}}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stopOff := startServer(t, rtOff, 1)
-	defer stopOff()
-	thOff, err := rtOff.RegisterAt(0)
+	if rtPeer.Partition(1).arena != nil || rtPeer.Partition(0).arena == nil {
+		t.Error("arena built for the peer-owned partition, or missing for the local one")
+	}
+	thPeer, err := rtPeer.RegisterAt(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer thOff.Unregister()
-	if b := thOff.AcquirePayload(1000, 64); b != nil {
-		t.Error("AcquirePayload with arenas disabled returned a buffer, want nil")
+	if b := thPeer.AcquirePayload(1000, 64); b != nil {
+		t.Error("AcquirePayload for a peer-owned partition returned a buffer, want nil")
+	}
+	thPeer.Unregister()
+	if err := rtPeer.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// TestArenaExhaustionAndRefill drains a deliberately tiny pool by holding
-// acquired buffers, checks the empty pool falls back (counted), then ships
-// every held buffer through an operation and checks the pool refills.
+// opPayloadAdd adds the payload's checksum to the key's counter and returns
+// the checksum: a key applied twice would hold twice its checksum.
+func opPayloadAdd(p *Partition, key uint64, args *Args) Result {
+	sum := payloadChecksum(PayloadBytes(args.P))
+	s := p.Data().(*counterShard)
+	s.mu.Lock()
+	s.m[key] += sum
+	s.mu.Unlock()
+	return Result{U: sum}
+}
+
+// TestArenaExhaustionAndRefill runs a destination's arena at its bound, at
+// the production pool size (DefaultArenaBufs).
 func TestArenaExhaustionAndRefill(t *testing.T) {
 	t.Parallel()
-	const bufs = 4
-	rt, err := New(Config{
-		Partitions:    2,
-		NamespaceSize: 2000,
-		Hash:          IdentityHash,
-		Init:          newCounterInit(),
-		ArenaBufs:     bufs,
+	// setup returns a sender at locality 0 and a helper that acquires n
+	// buffers toward partition 1, failing the test if the pool runs dry.
+	setup := func(t *testing.T) (*Runtime, *Thread, func(n int) []*PayloadBuf) {
+		rt := twoPartRuntime(t, DefaultRingDepth)
+		stop := startServer(t, rt, 1)
+		t.Cleanup(stop)
+		th, err := rt.RegisterAt(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(th.Unregister)
+		acquire := func(n int) []*PayloadBuf {
+			held := make([]*PayloadBuf, 0, n)
+			for i := 0; i < n; i++ {
+				b := th.AcquirePayload(1000, 32)
+				if b == nil {
+					t.Fatalf("acquire %d/%d returned nil", i+1, n)
+				}
+				held = append(held, b)
+			}
+			return held
+		}
+		return rt, th, acquire
+	}
+	ship := func(t *testing.T, th *Thread, bufs []*PayloadBuf) {
+		for i, b := range bufs {
+			if res := th.ExecuteSync(1000, opPayloadSum, Args{P: b}); res.Err != nil {
+				t.Fatalf("ship %d: %v", i, res.Err)
+			}
+		}
+	}
+
+	// With a whole pool's payloads in flight, the next one falls back to the
+	// heap (counted once); once the serve has run them all, the pool is full
+	// again.
+	t.Run("one past the pool", func(t *testing.T) {
+		rt, th, acquire := setup(t)
+		held := acquire(DefaultArenaBufs)
+		if b := th.AcquirePayload(1000, 32); b != nil {
+			t.Fatal("acquire on an exhausted pool returned a buffer, want nil")
+		}
+		if got := rt.Metrics().Totals.ArenaFallbacks; got != 1 {
+			t.Errorf("ArenaFallbacks = %d, want 1", got)
+		}
+		ship(t, th, held)
+		ship(t, th, acquire(DefaultArenaBufs))
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stop := startServer(t, rt, 1)
-	defer stop()
-	th, err := rt.RegisterAt(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer th.Unregister()
 
-	held := make([]*PayloadBuf, 0, bufs)
-	for i := 0; i < bufs; i++ {
-		b := th.AcquirePayload(1000, 32)
-		if b == nil {
-			t.Fatalf("acquire %d/%d returned nil with a fresh pool", i+1, bufs)
+	// A four-op burst whose third payload finds the pool empty. The
+	// guarantee does not degrade at the bound: that payload rides the same
+	// burst on the heap path, and all four ops are applied exactly once with
+	// their bytes intact — only ArenaFallbacks shows the difference.
+	t.Run("burst meets the bound", func(t *testing.T) {
+		rt, th, acquire := setup(t)
+		held := acquire(DefaultArenaBufs - 2)
+		var cs [burstSize]Completion
+		var want [burstSize]uint64
+		for i := range cs {
+			payload := make([]byte, 32)
+			for j := range payload {
+				payload[j] = byte(i*32 + j)
+			}
+			want[i] = payloadChecksum(payload)
+			var b *PayloadBuf
+			if i < 3 {
+				b = th.AcquirePayload(1000, len(payload))
+			} else {
+				// The pool is still empty; the fourth rides a buffer the
+				// test acquired earlier.
+				b, held = held[0], held[1:]
+			}
+			if (b == nil) != (i == 2) {
+				t.Fatalf("payload %d: buffer %v, want one for every payload but the third", i, b)
+			}
+			var arg any = payload // the heap path
+			if b != nil {
+				copy(b.Bytes(), payload)
+				arg = b
+			}
+			th.ExecuteInto(&cs[i], 1000+uint64(i), opPayloadAdd, Args{P: arg})
 		}
-		held = append(held, b)
-	}
-	if b := th.AcquirePayload(1000, 32); b != nil {
-		t.Fatal("acquire on an exhausted pool returned a buffer, want nil")
-	}
-	if got := rt.Metrics().Totals.ArenaFallbacks; got != 1 {
-		t.Errorf("ArenaFallbacks = %d, want 1", got)
-	}
-
-	for i, b := range held {
-		for j := range b.Bytes() {
-			b.Bytes()[j] = byte(i)
+		if cs[0].slot == nil || cs[0].slot != cs[burstSize-1].slot {
+			t.Fatal("the four operations did not share one burst")
 		}
-		if res := th.ExecuteSync(1000, opPayloadSum, Args{P: b}); res.Err != nil {
-			t.Fatalf("ship %d: %v", i, res.Err)
+		for i := range cs {
+			if res := cs[i].Result(); res.Err != nil || res.U != want[i] {
+				t.Errorf("op %d: %+v, want checksum %d", i, res, want[i])
+			}
 		}
-	}
-	// Every buffer executed, so every buffer is back in the pool.
-	for i := 0; i < bufs; i++ {
-		b := th.AcquirePayload(1000, 32)
-		if b == nil {
-			t.Fatalf("re-acquire %d/%d returned nil after refill", i+1, bufs)
+		s := rt.Partition(1).Data().(*counterShard)
+		s.mu.Lock()
+		for i, w := range want {
+			if got := s.m[1000+uint64(i)]; got != w {
+				t.Errorf("key %d holds %d, want %d (applied exactly once)", 1000+i, got, w)
+			}
 		}
-		if res := th.ExecuteSync(1000, opPayloadSum, Args{P: b}); res.Err != nil {
-			t.Fatal(res.Err)
+		s.mu.Unlock()
+		if m := rt.Metrics().Totals; m.ArenaFallbacks != 1 || m.ArenaAcquires != DefaultArenaBufs {
+			t.Errorf("ArenaFallbacks = %d, ArenaAcquires = %d, want 1 and %d", m.ArenaFallbacks, m.ArenaAcquires, DefaultArenaBufs)
 		}
-	}
+		ship(t, th, held)
+		ship(t, th, acquire(DefaultArenaBufs))
+	})
 }
 
 // TestArenaPayloadZeroAlloc pins the arena fast path's contract: acquire,

@@ -348,12 +348,12 @@ func TestChaosShutdownDrainsWedgedRuntime(t *testing.T) {
 	func() {
 		defer func() {
 			if rec := recover(); rec != ErrClosed {
-				t.Errorf("post-shutdown Execute panicked with %v, want ErrClosed", rec)
+				t.Errorf("post-shutdown ExecuteSync panicked with %v, want ErrClosed", rec)
 			}
 		}()
 		th, err := rt.Register()
 		if err == nil {
-			th.Execute(0, opGet, Args{})
+			th.ExecuteSync(0, opGet, Args{})
 		} else if !errors.Is(err, ErrClosed) {
 			t.Errorf("post-shutdown Register error = %v, want ErrClosed", err)
 		} else {
@@ -379,7 +379,8 @@ func TestRescueAbandonedLocalityMidFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c := t0.Execute(keyFor(t, rt, 1), opPut, Args{U: [4]uint64{7}})
+	var c Completion
+	t0.ExecuteInto(&c, keyFor(t, rt, 1), opPut, Args{U: [4]uint64{7}})
 	t1.Unregister() // never served; locality 1 is now abandoned
 	res := c.Result()
 	if res.Err != nil || res.U != 7 {

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // counterShard is a trivial per-partition data-structure used by tests: a
@@ -106,7 +107,7 @@ func TestConfigValidation(t *testing.T) {
 		{"partitions exceed namespace", Config{Partitions: 8, NamespaceSize: 4}},
 		{"negative ring depth", Config{Partitions: 1, RingDepth: -1}},
 		{"negative max threads", Config{Partitions: 1, MaxThreads: -3}},
-		{"negative check ratio", Config{Partitions: 1, CheckRatio: -2}},
+		{"negative op timeout", Config{Partitions: 1, OpTimeout: -time.Second}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -150,7 +151,8 @@ func TestLocalExecuteCompletesInline(t *testing.T) {
 	}
 	defer th.Unregister()
 
-	c := th.Execute(42, opPut, Args{U: [4]uint64{7}})
+	var c Completion
+	th.ExecuteInto(&c, 42, opPut, Args{U: [4]uint64{7}})
 	res, ok := c.Ready()
 	if !ok {
 		t.Fatal("local completion not immediately ready")

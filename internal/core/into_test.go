@@ -106,50 +106,40 @@ func TestExecuteIntoRecordReuse(t *testing.T) {
 	}
 	// The record is reusable once consumed.
 	th.ExecuteInto(&c, 1007, opNop, Args{U: [4]uint64{1}})
-	if res, err := c.ResultTimeout(5 * time.Second); err != nil || res.U != 1008 {
-		t.Fatalf("remote ExecuteInto = (%+v, %v), want U=1008", res, err)
+	if res := c.Result(); res.Err != nil || res.U != 1008 {
+		t.Fatalf("remote ExecuteInto = %+v, want U=1008", res)
 	}
 }
 
 // TestExecuteIntoWaveZeroAlloc pins the wave path: eight remote operations
-// issued into caller storage and collected — with and without a deadline —
+// issued into caller storage and collected — with and without an OpTimeout —
 // allocate nothing.
 func TestExecuteIntoWaveZeroAlloc(t *testing.T) {
-	rt := twoPartRuntime(t, DefaultRingDepth)
-	stop := startServer(t, rt, 1)
-	defer stop()
-	th, err := rt.RegisterAt(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer th.Unregister()
-
-	var cs [8]Completion
-	for i := uint64(0); i < 100; i++ {
-		if res := th.ExecuteSync(1000+i, opNop, Args{}); res.Err != nil {
-			t.Fatal(res.Err)
+	for _, d := range []time.Duration{0, time.Minute} {
+		rt := threePartRuntime(t, Config{OpTimeout: d})
+		stop := startServer(t, rt, 1)
+		th, err := rt.RegisterAt(0)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		for i := range cs {
-			th.ExecuteInto(&cs[i], 1000+uint64(i), opNop, Args{})
+		var cs [8]Completion
+		for i := uint64(0); i < 100; i++ {
+			if res := th.ExecuteSync(1000+i, opNop, Args{}); res.Err != nil {
+				t.Fatal(res.Err)
+			}
 		}
-		for i := range cs {
-			cs[i].Result()
+		allocs := testing.AllocsPerRun(200, func() {
+			for i := range cs {
+				th.ExecuteInto(&cs[i], 1000+uint64(i), opNop, Args{})
+			}
+			for i := range cs {
+				cs[i].Result()
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("OpTimeout %v: wave of %d ExecuteInto+Result allocated %.1f objects, want 0", d, len(cs), allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("wave of %d ExecuteInto+Result allocated %.1f objects, want 0", len(cs), allocs)
-	}
-	allocs = testing.AllocsPerRun(200, func() {
-		for i := range cs {
-			th.ExecuteInto(&cs[i], 1000+uint64(i), opNop, Args{})
-		}
-		for i := range cs {
-			cs[i].ResultTimeout(time.Minute)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("wave of %d ExecuteInto+ResultTimeout allocated %.1f objects, want 0", len(cs), allocs)
+		th.Unregister()
+		stop()
 	}
 }

@@ -169,7 +169,6 @@ func TestUseAfterUnregisterPanics(t *testing.T) {
 		}()
 		fn()
 	}
-	expectPanic("Execute", func() { th.Execute(1, opGet, Args{}) })
 	expectPanic("ExecuteInto", func() { th.ExecuteInto(new(Completion), 1, opGet, Args{}) })
 	expectPanic("ExecuteSync", func() { th.ExecuteSync(1, opGet, Args{}) })
 	expectPanic("ExecuteAsync", func() { th.ExecuteAsync(1, opGet, Args{}) })

@@ -7,22 +7,10 @@ import "log"
 // courtesy of the §4.3 protocol. Panics with a live awaiter re-raise on
 // the awaiting thread (the thread that issued the faulty operation);
 // orphaned panics — fire-and-forget requests, and synchronous requests
-// abandoned after a timeout — route through the configured PanicPolicy.
-
-// PanicPolicy selects the handling of orphaned delegated-op panics.
-type PanicPolicy int
-
-const (
-	// PanicReport recovers the panic, counts it in the Panics metric, and
-	// delivers it to Config.OnPanic (or the standard logger when no
-	// handler is installed). The serving thread keeps serving. This is
-	// the default.
-	PanicReport PanicPolicy = iota
-	// PanicCrash re-raises the panic on the serving thread — the
-	// pre-hardening behaviour, retained for applications that prefer
-	// fail-stop over degraded operation.
-	PanicCrash
-)
+// abandoned after a timeout — go to Config.OnPanic. Every delivery runs
+// after the slot that carried the operation is released, so fail-stop is
+// an OnPanic that panics: it takes down the thread it runs on, and no
+// sender is left waiting on the slot.
 
 // PanicInfo describes one recovered delegated-op panic for Config.OnPanic.
 type PanicInfo struct {
@@ -39,13 +27,10 @@ type PanicInfo struct {
 	Async bool
 }
 
-// deliverPanic routes one orphaned panic per the configured policy. The
+// deliverPanic hands one orphaned panic to Config.OnPanic, or logs it. The
 // Panics counter is bumped where the panic is recovered, not here, so a
 // panic is counted exactly once however it is routed.
 func (rt *Runtime) deliverPanic(info PanicInfo) {
-	if rt.cfg.PanicPolicy == PanicCrash {
-		panic(info)
-	}
 	if rt.cfg.OnPanic != nil {
 		rt.cfg.OnPanic(info)
 		return

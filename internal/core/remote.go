@@ -391,15 +391,6 @@ func (rt *Runtime) peersFromConfig() error {
 	return nil
 }
 
-// closePeers severs every peer link (Shutdown's final step): in-flight
-// wire completions resolve with ErrClosed immediately instead of riding
-// out their timeouts.
-func (rt *Runtime) closePeers() {
-	for _, wp := range rt.peers {
-		wp.Close()
-	}
-}
-
 // Peers returns the number of configured peer processes.
 func (rt *Runtime) Peers() int { return len(rt.peers) }
 

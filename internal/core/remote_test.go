@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -81,15 +82,21 @@ func mapInit(p *Partition) any { return make(map[uint64][]byte) }
 // test closes client before server.
 func startCluster(t testing.TB, clientCfg func(*Config)) (client *Runtime, clientThread *Thread) {
 	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return startClusterOn(t, ln, clientCfg)
+}
+
+// startClusterOn is startCluster with the server listening on ln.
+func startClusterOn(t testing.TB, ln net.Listener, clientCfg func(*Config)) (client *Runtime, clientThread *Thread) {
+	t.Helper()
 	server, err := New(Config{Partitions: rtParts, Hash: rtHash, Init: mapInit})
 	if err != nil {
 		t.Fatal(err)
 	}
 	registerTestOps(t, server)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
 	ps, err := server.NewPeerServer(ln)
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +216,8 @@ func TestRemoteExecuteAll(t *testing.T) {
 
 func TestRemoteCompletionPolling(t *testing.T) {
 	_, th := startCluster(t, nil)
-	c := th.Execute(3, remotePut, Args{P: []byte("poll")})
+	var c Completion
+	th.ExecuteInto(&c, 3, remotePut, Args{P: []byte("poll")})
 	for {
 		if res, ok := c.Ready(); ok {
 			if res.Err != nil {
@@ -218,9 +226,8 @@ func TestRemoteCompletionPolling(t *testing.T) {
 			break
 		}
 	}
-	res, err := th.ExecuteSyncTimeout(3, remoteGet, Args{}, time.Second)
-	if err != nil || res.U != 1 {
-		t.Fatalf("timed get: U=%d err=%v", res.U, err)
+	if res := th.ExecuteSync(3, remoteGet, Args{}); res.Err != nil || res.U != 1 {
+		t.Fatalf("get: U=%d err=%v", res.U, res.Err)
 	}
 }
 
@@ -278,6 +285,8 @@ func TestRemoteRetryUntilDeadline(t *testing.T) {
 	}
 }
 
+// TestRemoteDropFrameTimesOut: with no OpTimeout, a wait on a peer's
+// partition keeps Peer.Timeout's bound.
 func TestRemoteDropFrameTimesOut(t *testing.T) {
 	inj := chaos.New(chaos.Config{Seed: 1, DropFrameProb: 1.0})
 	_, th := startCluster(t, func(cfg *Config) {
@@ -285,9 +294,8 @@ func TestRemoteDropFrameTimesOut(t *testing.T) {
 		cfg.Peers[0].Timeout = 250 * time.Millisecond
 	})
 	start := time.Now()
-	res, err := th.ExecuteSyncTimeout(2, remoteGet, Args{}, 250*time.Millisecond)
-	if !errors.Is(err, ErrTimeout) || !errors.Is(res.Err, ErrTimeout) {
-		t.Fatalf("dropped frame: res.Err=%v err=%v, want ErrTimeout", res.Err, err)
+	if res := th.ExecuteSync(2, remoteGet, Args{}); !errors.Is(res.Err, ErrTimeout) {
+		t.Fatalf("dropped frame: res.Err=%v, want ErrTimeout", res.Err)
 	}
 	if d := time.Since(start); d > 5*time.Second {
 		t.Fatalf("timeout took %v", d)
@@ -366,20 +374,30 @@ func (tr *sendTracer) take(part int) (sends, completes []traceEvent) {
 }
 
 // TestSendFormsOnBothTiers runs every public form of a delegation toward a
-// partition reached over a ring and toward one reached over the wire, and
-// expects the same behaviour from all of them: read-your-writes, one OnSend
-// and one OnComplete carrying the operation's partition and key, one
-// sync-delegation latency sample — and, toward the peer, an unregistered op
-// refused with ErrOpNotRegistered before anything is sent.
+// partition reached over a ring and toward one reached over the wire, with no
+// OpTimeout and with one, and expects the same behaviour from all of them:
+// read-your-writes, one OnSend and one OnComplete carrying the operation's
+// partition and key, one sync-delegation latency sample per delegated
+// partition — and, toward the peer, an unregistered op refused with
+// ErrOpNotRegistered before anything is sent. The deadline rule forks no
+// send path: a bounded run leaves the same footprint as an unbounded one.
 func TestSendFormsOnBothTiers(t *testing.T) {
+	for _, d := range []time.Duration{0, 2 * time.Second} {
+		t.Run(fmt.Sprintf("OpTimeout=%v", d), func(t *testing.T) { testSendForms(t, d) })
+	}
+}
+
+func testSendForms(t *testing.T, opTimeout time.Duration) {
 	tr := &sendTracer{}
-	client, th := startCluster(t, func(cfg *Config) { cfg.Tracer = tr })
+	client, th := startCluster(t, func(cfg *Config) {
+		cfg.Tracer = tr
+		cfg.OpTimeout = opTimeout
+	})
 	if th.Locality() != 0 {
 		t.Fatalf("test thread registered at locality %d, want 0", th.Locality())
 	}
 	defer startServer(t, client, 1)()
 
-	const wait = 2 * time.Second
 	lo := func(part int) uint64 { l, _ := client.Partition(part).Range(); return l }
 	forms := []struct {
 		name string
@@ -387,30 +405,22 @@ func TestSendFormsOnBothTiers(t *testing.T) {
 		key func(part int, k uint64) uint64
 		// delegated is how many partitions one call delegates to.
 		delegated uint64
-		run       func(part int, key uint64, op Op, args Args) (Result, error)
+		run       func(part int, key uint64, op Op, args Args) Result
 	}{
-		{"ExecuteSync", nil, 1, func(part int, key uint64, op Op, args Args) (Result, error) {
-			return th.ExecuteSync(key, op, args), nil
+		{"ExecuteSync", nil, 1, func(part int, key uint64, op Op, args Args) Result {
+			return th.ExecuteSync(key, op, args)
 		}},
-		{"ExecuteSyncTimeout", nil, 1, func(part int, key uint64, op Op, args Args) (Result, error) {
-			return th.ExecuteSyncTimeout(key, op, args, wait)
-		}},
-		{"ExecuteInto+Result", nil, 1, func(part int, key uint64, op Op, args Args) (Result, error) {
+		{"ExecuteInto+Result", nil, 1, func(part int, key uint64, op Op, args Args) Result {
 			var c Completion
 			th.ExecuteInto(&c, key, op, args)
-			return c.Result(), nil
+			return c.Result()
 		}},
-		{"ExecuteInto+ResultTimeout", nil, 1, func(part int, key uint64, op Op, args Args) (Result, error) {
-			var c Completion
-			th.ExecuteInto(&c, key, op, args)
-			return c.ResultTimeout(wait)
-		}},
-		{"ExecutePartition", nil, 1, func(part int, key uint64, op Op, args Args) (Result, error) {
-			return th.ExecutePartition(part, key, op, args), nil
+		{"ExecutePartition", nil, 1, func(part int, key uint64, op Op, args Args) Result {
+			return th.ExecutePartition(part, key, op, args)
 		}},
 		{"ExecuteAll", func(part int, k uint64) uint64 { return lo(part) }, rtParts - 1,
-			func(part int, key uint64, op Op, args Args) (Result, error) {
-				return th.ExecuteAll(op, args, func(results []Result) Result { return results[part] }), nil
+			func(part int, key uint64, op Op, args Args) Result {
+				return th.ExecuteAll(op, args, func(results []Result) Result { return results[part] })
 			}},
 	}
 	samples := func() uint64 { return client.Metrics().Latency.SyncDelegation.Count }
@@ -440,22 +450,22 @@ func TestSendFormsOnBothTiers(t *testing.T) {
 			val := []byte(label)
 
 			before := samples()
-			if res, err := f.run(part, key, remotePut, Args{P: val}); err != nil || res.Err != nil {
-				t.Fatalf("%s put: res.Err=%v err=%v", label, res.Err, err)
+			if res := f.run(part, key, remotePut, Args{P: val}); res.Err != nil {
+				t.Fatalf("%s put: %v", label, res.Err)
 			}
 			expectOne(label+" put", part, key, before, f.delegated)
 
 			before = samples()
-			res, err := f.run(part, key, remoteGet, Args{})
-			if err != nil || res.Err != nil || res.U != 1 || !bytes.Equal(res.P.([]byte), val) {
-				t.Fatalf("%s get: U=%d P=%q res.Err=%v err=%v, want %q", label, res.U, res.P, res.Err, err, val)
+			res := f.run(part, key, remoteGet, Args{})
+			if res.Err != nil || res.U != 1 || !bytes.Equal(res.P.([]byte), val) {
+				t.Fatalf("%s get: U=%d P=%q err=%v, want %q", label, res.U, res.P, res.Err, val)
 			}
 			expectOne(label+" get", part, key, before, f.delegated)
 
 			if tier != "peer" {
 				continue
 			}
-			res, _ = f.run(part, key, opMissing, Args{})
+			res = f.run(part, key, opMissing, Args{})
 			if !errors.Is(res.Err, ErrOpNotRegistered) {
 				t.Errorf("%s unregistered op: res.Err=%v, want ErrOpNotRegistered", label, res.Err)
 			}
@@ -514,8 +524,9 @@ func busyOp(p *Partition, key uint64, a *Args) Result {
 // answers must time out even though the waiter's own locality has a steady
 // stream of delegated work to serve in the meantime.
 func TestRemoteTimeoutWhileServing(t *testing.T) {
+	const timeout = 50 * time.Millisecond
 	blockPeer = make(chan struct{})
-	client, waiter := startCluster(t, nil)
+	client, waiter := startCluster(t, func(cfg *Config) { cfg.OpTimeout = timeout })
 	if waiter.Locality() != 0 {
 		t.Fatalf("waiter registered at locality %d, want 0", waiter.Locality())
 	}
@@ -549,18 +560,16 @@ func TestRemoteTimeoutWhileServing(t *testing.T) {
 		}
 	})
 
-	const timeout = 50 * time.Millisecond
 	abandoned := client.Metrics().Totals.Abandoned
 	type outcome struct {
 		res     Result
-		err     error
 		elapsed time.Duration
 	}
 	got := make(chan outcome, 1)
 	go func() {
 		start := time.Now()
-		res, err := waiter.ExecuteSyncTimeout(2, remoteBlock, Args{}, timeout)
-		got <- outcome{res, err, time.Since(start)}
+		res := waiter.ExecuteSync(2, remoteBlock, Args{})
+		got <- outcome{res, time.Since(start)}
 	}()
 	var o outcome
 	select {
@@ -570,10 +579,10 @@ func TestRemoteTimeoutWhileServing(t *testing.T) {
 		// let it, so the thread is back in this goroutine's hands.
 		stop.Store(true)
 		<-got
-		t.Fatalf("ExecuteSyncTimeout(%v) still waiting after 5s while its locality had work", timeout)
+		t.Fatalf("ExecuteSync under OpTimeout %v still waiting after 5s while its locality had work", timeout)
 	}
-	if !errors.Is(o.err, ErrTimeout) || !errors.Is(o.res.Err, ErrTimeout) {
-		t.Fatalf("res.Err=%v err=%v, want ErrTimeout", o.res.Err, o.err)
+	if !errors.Is(o.res.Err, ErrTimeout) {
+		t.Fatalf("res.Err=%v, want ErrTimeout", o.res.Err)
 	}
 	if o.elapsed > 4*timeout {
 		t.Errorf("timed out after %v, want within %v", o.elapsed, 4*timeout)
@@ -628,6 +637,62 @@ func TestRemoteShutdownWithHungPeer(t *testing.T) {
 	}
 	if d := time.Since(start); d > 3*time.Second {
 		t.Fatalf("shutdown took %v with a hung peer", d)
+	}
+}
+
+// connWatcher counts the connections its listener accepted that are still
+// open: the wire server closes its side once its reader sees the peer go.
+type connWatcher struct {
+	net.Listener
+	open atomic.Int32
+}
+
+func (w *connWatcher) Accept() (net.Conn, error) {
+	c, err := w.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	w.open.Add(1)
+	return &watchedConn{Conn: c, w: w}, nil
+}
+
+type watchedConn struct {
+	net.Conn
+	w    *connWatcher
+	once sync.Once
+}
+
+func (c *watchedConn) Close() error {
+	c.once.Do(func() { c.w.open.Add(-1) })
+	return c.Conn.Close()
+}
+
+// TestCloseSeversPeerLinks: Close is Shutdown with no threads to sweep, so it
+// too severs the links a delegation dialled — the wire server sees the
+// connection close, and the link's reader and heartbeat goroutines exit with
+// it. (While Close only marked the runtime closed, the connection stayed open
+// and its goroutines ran on.)
+func TestCloseSeversPeerLinks(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &connWatcher{Listener: ln}
+	client, th := startClusterOn(t, w, nil)
+	if res := th.ExecuteSync(2, remotePut, Args{P: []byte("dial")}); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	if w.open.Load() == 0 {
+		t.Fatal("the delegation dialled no connection")
+	}
+	th.Unregister()
+	if err := client.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(time.Second); w.open.Load() > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d peer connections still open 1s after Close", w.open.Load())
+		}
 	}
 }
 

@@ -21,7 +21,7 @@ func opPanic(p *Partition, key uint64, args *Args) Result {
 
 // Satellite regression: a fire-and-forget operation that panics used to be
 // re-raised on the serving thread, killing an innocent peer. It must route
-// through the panic policy instead, and the server must keep serving.
+// to Config.OnPanic instead, and the server must keep serving.
 func TestAsyncPanicRoutedToPolicyNotServer(t *testing.T) {
 	t.Parallel()
 	got := make(chan PanicInfo, 1) // one panic is raised
@@ -66,9 +66,10 @@ func TestAsyncPanicRoutedToPolicyNotServer(t *testing.T) {
 
 func TestAsyncPanicCrashPolicy(t *testing.T) {
 	t.Parallel()
-	// Under PanicCrash the pre-hardening behaviour is preserved: the panic
-	// surfaces on the serving thread, carrying the PanicInfo.
-	rt, err := New(Config{Partitions: 2, Init: newCounterInit(), PanicPolicy: PanicCrash})
+	// Fail-stop is an OnPanic that panics: the panic surfaces on the serving
+	// thread, carrying the PanicInfo — and only after the slot was released,
+	// so the sender's Drain barrier does not wedge on it.
+	rt, err := New(Config{Partitions: 2, Init: newCounterInit(), OnPanic: func(info PanicInfo) { panic(info) }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,20 +86,21 @@ func TestAsyncPanicCrashPolicy(t *testing.T) {
 
 	t0.ExecuteAsync(keyFor(t, rt, 1), opPanic, Args{})
 	t0.Flush() // publish the open burst without blocking on its completion
-	defer func() {
-		rec := recover()
-		info, ok := rec.(PanicInfo)
-		if !ok {
-			t.Fatalf("recovered %v (%T), want PanicInfo", rec, rec)
-		}
-		if info.Value != "boom" || !info.Async {
-			t.Fatalf("PanicInfo = %+v", info)
+	var crashed any
+	func() {
+		defer func() { crashed = recover() }()
+		for t1.Serve() == 0 {
+			time.Sleep(time.Millisecond)
 		}
 	}()
-	for t1.Serve() == 0 {
-		time.Sleep(time.Millisecond)
+	info, ok := crashed.(PanicInfo)
+	if !ok {
+		t.Fatalf("serving thread recovered %v (%T), want the PanicInfo OnPanic re-raised", crashed, crashed)
 	}
-	t.Fatal("Serve executed the panicking op without crashing under PanicCrash")
+	if info.Value != "boom" || !info.Async {
+		t.Fatalf("PanicInfo = %+v", info)
+	}
+	t0.Drain()
 }
 
 // Satellite: awaiting a completion after its thread unregistered used to
@@ -116,7 +118,8 @@ func TestCompletionAwaitAfterUnregisterPanics(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c := t0.Execute(keyFor(t, rt, 1), opPut, Args{U: [4]uint64{1}})
+	var c Completion
+	t0.ExecuteInto(&c, keyFor(t, rt, 1), opPut, Args{U: [4]uint64{1}})
 	t0.Unregister()
 	func() {
 		defer func() {
@@ -141,7 +144,8 @@ func TestCompletionDoneBeforeUnregisterStaysReadable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := t0.Execute(7, opPut, Args{U: [4]uint64{7}}) // local: done inline
+	var c Completion
+	t0.ExecuteInto(&c, 7, opPut, Args{U: [4]uint64{7}}) // local: done inline
 	t0.Unregister()
 	res, ok := c.Ready()
 	if !ok || res.U != 7 {
@@ -149,21 +153,29 @@ func TestCompletionDoneBeforeUnregisterStaysReadable(t *testing.T) {
 	}
 }
 
-func TestExecuteSyncTimeoutExpires(t *testing.T) {
-	t.Parallel()
-	rt := newTestRuntime(t, 2)
+// timedRuntime is newTestRuntime(t, 2) under OpTimeout d, with a serving
+// thread at locality 1 and the returned sender at locality 0.
+func timedRuntime(t *testing.T, d time.Duration, onPanic func(PanicInfo)) (*Runtime, *Thread) {
+	t.Helper()
+	rt, err := New(Config{Partitions: 2, Init: newCounterInit(), OpTimeout: d, OnPanic: onPanic})
+	if err != nil {
+		t.Fatal(err)
+	}
 	t0, err := rt.RegisterAt(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer t0.Unregister()
-	stop := startServer(t, rt, 1)
-	defer stop()
+	t.Cleanup(t0.Unregister)
+	t.Cleanup(startServer(t, rt, 1))
+	return rt, t0
+}
 
+func TestExecuteSyncTimeoutExpires(t *testing.T) {
+	t.Parallel()
+	rt, t0 := timedRuntime(t, 30*time.Millisecond, nil)
 	key := keyFor(t, rt, 1)
-	res, err := t0.ExecuteSyncTimeout(key, opSlow(300*time.Millisecond, opAdd), Args{U: [4]uint64{1}}, 30*time.Millisecond)
-	if !errors.Is(err, ErrTimeout) || !errors.Is(res.Err, ErrTimeout) {
-		t.Fatalf("got (%+v, %v), want ErrTimeout", res, err)
+	if res := t0.ExecuteSync(key, opSlow(300*time.Millisecond, opAdd), Args{U: [4]uint64{1}}); !errors.Is(res.Err, ErrTimeout) {
+		t.Fatalf("got %+v, want ErrTimeout", res)
 	}
 	if m := rt.Metrics().Totals; m.Abandoned != 1 {
 		t.Fatalf("Abandoned = %d, want 1", m.Abandoned)
@@ -178,42 +190,25 @@ func TestExecuteSyncTimeoutExpires(t *testing.T) {
 
 func TestExecuteSyncTimeoutCompletesInTime(t *testing.T) {
 	t.Parallel()
-	rt := newTestRuntime(t, 2)
-	t0, err := rt.RegisterAt(0)
-	if err != nil {
-		t.Fatal(err)
+	rt, t0 := timedRuntime(t, 5*time.Second, nil)
+	if res := t0.ExecuteSync(keyFor(t, rt, 1), opPut, Args{U: [4]uint64{4}}); res.Err != nil || res.U != 4 {
+		t.Fatalf("got %+v, want 4", res)
 	}
-	defer t0.Unregister()
-	stop := startServer(t, rt, 1)
-	defer stop()
-
-	res, err := t0.ExecuteSyncTimeout(keyFor(t, rt, 1), opPut, Args{U: [4]uint64{4}}, 5*time.Second)
-	if err != nil || res.Err != nil || res.U != 4 {
-		t.Fatalf("got (%+v, %v), want (4, nil)", res, err)
-	}
-	// Local keys are plain function calls, deadline or not.
-	res, err = t0.ExecuteSyncTimeout(keyFor(t, rt, 0), opPut, Args{U: [4]uint64{5}}, time.Nanosecond)
-	if err != nil || res.U != 5 {
-		t.Fatalf("local got (%+v, %v), want (5, nil)", res, err)
+	// Local keys are plain function calls, whatever the bound.
+	rt, t0 = timedRuntime(t, time.Nanosecond, nil)
+	if res := t0.ExecuteSync(keyFor(t, rt, 0), opPut, Args{U: [4]uint64{5}}); res.Err != nil || res.U != 5 {
+		t.Fatalf("local got %+v, want 5", res)
 	}
 }
 
 func TestResultTimeout(t *testing.T) {
 	t.Parallel()
-	rt := newTestRuntime(t, 2)
-	t0, err := rt.RegisterAt(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer t0.Unregister()
-	stop := startServer(t, rt, 1)
-	defer stop()
-
+	rt, t0 := timedRuntime(t, 30*time.Millisecond, nil)
 	key := keyFor(t, rt, 1)
-	c := t0.Execute(key, opSlow(300*time.Millisecond, opAdd), Args{U: [4]uint64{1}})
-	res, err := c.ResultTimeout(30 * time.Millisecond)
-	if !errors.Is(err, ErrTimeout) || !errors.Is(res.Err, ErrTimeout) {
-		t.Fatalf("got (%+v, %v), want ErrTimeout", res, err)
+	var c Completion
+	t0.ExecuteInto(&c, key, opSlow(300*time.Millisecond, opAdd), Args{U: [4]uint64{1}})
+	if res := c.Result(); !errors.Is(res.Err, ErrTimeout) {
+		t.Fatalf("got %+v, want ErrTimeout", res)
 	}
 	// The abandoned completion is done: further awaits return the timeout
 	// result immediately instead of touching the recycled slot.
@@ -229,27 +224,13 @@ func TestResultTimeout(t *testing.T) {
 func TestAbandonedOpPanicRoutedOnReap(t *testing.T) {
 	t.Parallel()
 	// A timed-out synchronous operation that panics has no awaiter left to
-	// re-raise on; the panic must reach the policy handler when the sender
+	// re-raise on; the panic must reach the OnPanic handler when the sender
 	// reaps the abandoned slot, flagged as non-async.
 	var got atomic.Pointer[PanicInfo]
-	rt, err := New(Config{Partitions: 2, Init: newCounterInit(), OnPanic: func(info PanicInfo) {
-		got.Store(&info)
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t0, err := rt.RegisterAt(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer t0.Unregister()
-	stop := startServer(t, rt, 1)
-	defer stop()
-
+	rt, t0 := timedRuntime(t, 20*time.Millisecond, func(info PanicInfo) { got.Store(&info) })
 	key := keyFor(t, rt, 1)
-	_, err = t0.ExecuteSyncTimeout(key, opSlow(200*time.Millisecond, opPanic), Args{}, 20*time.Millisecond)
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("err = %v, want ErrTimeout", err)
+	if res := t0.ExecuteSync(key, opSlow(200*time.Millisecond, opPanic), Args{}); !errors.Is(res.Err, ErrTimeout) {
+		t.Fatalf("err = %v, want ErrTimeout", res.Err)
 	}
 	t0.Drain() // waits for the release, reaps, routes the panic
 	info := got.Load()

@@ -16,11 +16,11 @@
 // provided as extensions (§4.4).
 //
 // The paper's API (§3.1) is execute → completion record → await_completion.
-// Thread.Execute is that call with the record on the heap; Thread.ExecuteInto
-// is the allocation-free Execute — the record goes into storage the caller
-// owns, so a thread can hold a wave of delegations in flight and collect
-// them in any order; ExecuteSync is execute followed at once by the await,
-// its record on the stack.
+// Thread.ExecuteInto is that call with the record in storage the caller owns,
+// so a thread can hold a wave of delegations in flight and collect them in
+// any order; ExecuteSync is execute followed at once by the await, its record
+// on the stack. Config.OpTimeout bounds every wait of a call that hands its
+// caller a Result.
 //
 // The public entry point for applications is the root dps package, which
 // re-exports this one.
@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"dps/internal/affinity"
 	"dps/internal/chaos"
@@ -48,14 +49,14 @@ const (
 	DefaultNamespaceSize = 1 << 16
 	DefaultRingDepth     = 16
 	DefaultMaxThreads    = 128
-	DefaultCheckRatio    = 1
 	// DefaultServeBatch bounds how many pending requests a serving thread
 	// drains from one sender's ring per claim of that ring's serve token,
 	// mirroring ffwd's 15-response batch (§5.1 of the paper): small enough
 	// to return the server to its own completion polls (and to other
 	// senders' rings) soon, large enough to amortize the claim.
 	DefaultServeBatch = ring.DefaultBatch
-	// DefaultArenaBufs is the per-partition payload-arena pool size.
+	// DefaultArenaBufs is the payload-arena pool size of every partition
+	// this process owns.
 	DefaultArenaBufs = 64
 	// DefaultArenaBufBytes is the payload-arena buffer capacity. Payloads
 	// larger than this take the GC-heap path.
@@ -86,17 +87,16 @@ var ErrTooManyThreads = errors.New("dps: too many registered threads")
 // misuse is reported loudly instead of misbehaving quietly.
 var ErrUnregistered = errors.New("dps: thread used after Unregister")
 
-// ErrTimeout is returned by the deadline-aware waits (Shutdown,
-// Completion.ResultTimeout, Thread.ExecuteSyncTimeout) when the deadline
-// expires before the operation completes. A timed-out operation may still
-// execute later; the runtime discards its result and routes any panic it
-// raises through the panic policy. Shared with the transport layers
-// (ring.ErrTimeout) for the same reason as ErrClosed.
+// ErrTimeout is the Result.Err of a call that outlived Config.OpTimeout (or,
+// on a peer's partition, Peer.Timeout), and Shutdown's error at its deadline.
+// A timed-out operation may still execute later; the runtime discards its
+// result and hands any panic it raises to Config.OnPanic. Shared with the
+// transport layers (ring.ErrTimeout) for the same reason as ErrClosed.
 var ErrTimeout = ring.ErrTimeout
 
 // Config parameterizes a Runtime. It mirrors the arguments of the paper's
 // create call: partition count, namespace size and hash function (§3.1),
-// plus the implementation knobs from §4 (ring depth, check ratio).
+// plus the implementation knobs from §4 (ring depth).
 type Config struct {
 	// Partitions is the number of namespace partitions, each bound to one
 	// locality. The paper uses one partition per NUMA socket, with a
@@ -121,13 +121,14 @@ type Config struct {
 	// Defaults to DefaultMaxThreads.
 	MaxThreads int
 
-	// CheckRatio is how many polls of the thread's own completion happen
-	// per pass of serving other threads' requests (§4.3: "the number of
-	// checks performed on the ring buffer for each of its own requests").
-	// Higher values favour the latency of this thread's remote operations
-	// over the latency of requests delegated to its locality. Defaults to
-	// DefaultCheckRatio.
-	CheckRatio int
+	// OpTimeout bounds every call that hands its caller a Result —
+	// ExecuteSync, ExecuteInto's ring-full wait, Completion.Result,
+	// ExecutePartition, ExecuteAll, ExecuteLocal on a peer's partition — from
+	// the moment the call first has to wait; past it the call resolves to
+	// Result{Err: ErrTimeout}. 0 means no bound, except that a wait on a
+	// peer's partition keeps Peer.Timeout's. ExecuteAsync and Drain are
+	// outside the rule (see wait.go).
+	OpTimeout time.Duration
 
 	// DisableTiming turns off the per-operation clock reads behind the
 	// latency histograms: Runtime.Metrics' Latency summaries stay empty
@@ -151,19 +152,14 @@ type Config struct {
 	// obs.Tracer for the contract.
 	Tracer Tracer
 
-	// PanicPolicy selects what happens to a panic raised by a delegated
-	// operation that no completion will ever observe — fire-and-forget
-	// requests, and synchronous requests whose sender abandoned the
-	// completion after a timeout. Synchronous panics with a live awaiter
-	// are unaffected: they re-raise on the awaiting thread, which issued
-	// the faulty operation. Defaults to PanicReport.
-	PanicPolicy PanicPolicy
-
-	// OnPanic receives orphaned operation panics under PanicReport. It
-	// runs inline on the serving thread, which may hold a ring claim:
-	// handlers must be fast and must not call back into the runtime.
-	// When nil, the panic is logged to the standard logger instead.
-	// Optional.
+	// OnPanic receives the panics of delegated operations no completion will
+	// ever observe — fire-and-forget requests, and synchronous requests
+	// whose sender abandoned the completion after a timeout (a panic with a
+	// live awaiter re-raises on the awaiting thread instead). It runs inline
+	// on the serving thread, which may hold a ring claim: handlers must be
+	// fast and must not call back into the runtime. A handler that panics
+	// itself is fail-stop: it takes down the thread it runs on. When nil,
+	// the panic is logged to the standard logger. Optional.
 	//
 	//dps:hook
 	OnPanic func(PanicInfo)
@@ -192,12 +188,6 @@ type Config struct {
 	// registered. A no-op where thread affinity is unsupported (see
 	// internal/affinity).
 	PinServers bool
-
-	// ArenaBufs is the per-partition payload-arena pool size: how many
-	// buffers of DefaultArenaBufBytes each locality owns for delegated
-	// payloads (Thread.AcquirePayload). 0 means DefaultArenaBufs; negative
-	// disables the arenas.
-	ArenaBufs int
 }
 
 func (c *Config) setDefaults() error {
@@ -225,14 +215,8 @@ func (c *Config) setDefaults() error {
 	if c.MaxThreads < 1 {
 		return fmt.Errorf("dps: MaxThreads must be >= 1, got %d", c.MaxThreads)
 	}
-	if c.CheckRatio == 0 {
-		c.CheckRatio = DefaultCheckRatio
-	}
-	if c.CheckRatio < 1 {
-		return fmt.Errorf("dps: CheckRatio must be >= 1, got %d", c.CheckRatio)
-	}
-	if c.ArenaBufs == 0 {
-		c.ArenaBufs = DefaultArenaBufs
+	if c.OpTimeout < 0 {
+		return fmt.Errorf("dps: OpTimeout must be >= 0, got %v", c.OpTimeout)
 	}
 	return nil
 }
@@ -257,8 +241,8 @@ type Partition struct {
 	bell *ring.Doorbell
 
 	// workers counts threads currently registered to this locality. When
-	// it is zero, Execute falls back to inline execution (there is nobody
-	// to serve the ring — see Thread.Execute).
+	// it is zero, a send falls back to inline execution (there is nobody
+	// to serve the ring — see Thread.issue).
 	workers atomic.Int32
 
 	// parked is the bitmap of this locality's threads currently parked
@@ -270,7 +254,7 @@ type Partition struct {
 	// arena is the locality-owned payload pool: delegated payloads too
 	// large for the inline burst entry are copied into arena buffers
 	// owned by the destination partition instead of crossing localities
-	// via the shared GC heap. Nil when disabled (Config.ArenaBufs < 0).
+	// via the shared GC heap. Nil for a peer-owned partition.
 	arena *payloadArena
 
 	// peer is non-nil when the partition is owned by a peer process
@@ -409,9 +393,7 @@ func New(cfg Config) (*Runtime, error) {
 		p.rings = make([]atomic.Pointer[dring], cfg.MaxThreads)
 		p.bell = ring.NewDoorbell(cfg.MaxThreads)
 		p.parked = ring.NewParkSet(cfg.MaxThreads)
-		if cfg.ArenaBufs > 0 {
-			p.arena = newPayloadArena(p, cfg.ArenaBufs)
-		}
+		p.arena = newPayloadArena(p)
 	}
 	// Init runs after all partitions exist so initializers may inspect
 	// sibling partitions (e.g. to share configuration). Remote partitions
@@ -431,7 +413,9 @@ func New(cfg Config) (*Runtime, error) {
 func (rt *Runtime) Partitions() int { return len(rt.parts) }
 
 // RingDepth is the slot count of each (thread, partition) ring — and so the
-// number of unconsumed ExecuteInto completions one thread may hold.
+// number of unconsumed ExecuteInto completions one thread may hold toward one
+// partition. One more send waits for a slot only the thread itself can free:
+// under Config.OpTimeout it ends in ErrTimeout, without one it never ends.
 func (rt *Runtime) RingDepth() int { return rt.cfg.RingDepth }
 
 // wholeRing is the drain bound of the callers that want everything one claim
@@ -443,7 +427,7 @@ func (rt *Runtime) wholeRing() int { return rt.cfg.RingDepth * burstSize }
 func (rt *Runtime) Partition(i int) *Partition { return rt.parts[i] }
 
 // PartitionForKey returns the partition owning key under the configured
-// hash, i.e. the locality an Execute on key would run in.
+// hash, i.e. the locality an operation on key would run in.
 func (rt *Runtime) PartitionForKey(key uint64) *Partition {
 	return rt.parts[rt.ns.Lookup(rt.cfg.Hash(key))]
 }
@@ -452,22 +436,6 @@ func (rt *Runtime) PartitionForKey(key uint64) *Partition {
 // use it to retire removed nodes safely (ParSec provides DPS's memory
 // reclamation, §4).
 func (rt *Runtime) SMR() *parsec.Domain { return rt.smr }
-
-// Close marks the runtime closed. Registered threads must be unregistered
-// first; Close fails otherwise, because live threads may still be serving
-// partitions.
-func (rt *Runtime) Close() error {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if rt.closed {
-		return ErrClosed
-	}
-	if rt.nlive > 0 {
-		return fmt.Errorf("dps: cannot close runtime with %d registered threads", rt.nlive)
-	}
-	rt.closed = true
-	return nil
-}
 
 // Register adds the calling goroutine as a DPS thread, assigning it to the
 // locality with the fewest threads so registration alone balances workers

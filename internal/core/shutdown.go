@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -62,17 +63,7 @@ func (rt *Runtime) Shutdown(timeout time.Duration) (ShutdownReport, error) {
 	case <-time.After(time.Until(deadline)):
 		timedOut = true
 	}
-	rt.down.Store(true)
-	// Release every parked waiter: down is now observable, so each one
-	// unwinds through its shutdown check instead of riding out a park
-	// timeout.
-	rt.parker.WakeAll()
-	// Sever the peer links after the down mark: senders blocked on wire
-	// completions resolve with ErrClosed immediately instead of riding
-	// out their timeouts, so a hung peer cannot wedge the drain past the
-	// timeout budget — wire waits are bounded by the peer timeout and cut
-	// short here.
-	rt.closePeers()
+	rt.stop()
 
 	rt.mu.Lock()
 	nlive := rt.nlive
@@ -86,6 +77,39 @@ func (rt *Runtime) Shutdown(timeout time.Duration) (ShutdownReport, error) {
 		return rep, ErrTimeout
 	}
 	return rep, nil
+}
+
+// Close is Shutdown for a runtime with no registered threads: there is
+// nothing to sweep, so it runs only the tail — the down mark and the severed
+// peer links. It fails while threads are registered, because live threads
+// may still be serving partitions, and with ErrClosed on a runtime already
+// closed or shut down.
+func (rt *Runtime) Close() error {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	if rt.closed {
+		return ErrClosed
+	}
+	if rt.nlive > 0 {
+		return fmt.Errorf("dps: cannot close runtime with %d registered threads", rt.nlive)
+	}
+	rt.closed = true
+	rt.stop()
+	return nil
+}
+
+// stop is the tail both Close and Shutdown end in. It marks the runtime down,
+// then releases every parked waiter, which unwinds through its shutdown check
+// instead of riding out a park timeout. Last it severs the peer links, so
+// senders blocked on wire completions resolve with ErrClosed at once and a
+// hung peer cannot hold Shutdown past its budget; the links' reader and
+// heartbeat goroutines exit with them.
+func (rt *Runtime) stop() {
+	rt.down.Store(true)
+	rt.parker.WakeAll()
+	for _, wp := range rt.peers {
+		wp.Close()
+	}
 }
 
 // shutdownSweep repeatedly drains every partition's rings with the rescue

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"time"
 
 	"dps/internal/affinity"
@@ -19,7 +18,7 @@ import (
 // operations on remote keys, and — whenever it waits (Await, ring full) — it
 // serves operations other threads delegated to its locality.
 //
-// After Unregister the Thread is dead: every Execute variant, Serve and
+// After Unregister the Thread is dead: every Execute form, Serve and
 // Drain panics with ErrUnregistered (an unregistered thread no longer
 // belongs to a locality, so silently accepting the call would corrupt the
 // peer-serving protocol). Unregister itself stays idempotent.
@@ -135,14 +134,14 @@ type abandonedRef struct {
 // Power of two so the pass test is a mask.
 const serveFullScanEvery = 64
 
-// Completion is the completion record returned by Execute (§3.1). Ready
+// Completion is the completion record ExecuteInto fills (§3.1). Ready
 // reports (and Result returns) the operation's outcome once the owning
 // locality has executed it.
 //
-// Completion is used both by pointer (Execute's heap records, ExecuteInto's
-// caller-owned ones) and by value: the synchronous paths (ExecuteSync,
-// ExecutePartition, ExecuteAll) build stack completions and await them in
-// place, so a remote synchronous delegation performs no heap allocation.
+// Completion is used both by pointer (ExecuteInto's caller-owned records)
+// and by value: the synchronous paths (ExecuteSync, ExecutePartition,
+// ExecuteAll) build stack completions and await them in place, so a remote
+// synchronous delegation performs no heap allocation.
 //
 // A completion has one life whichever tier carried the operation: issue
 // fills it, it is pending until the ring slot's toggle clears or the wire
@@ -247,32 +246,33 @@ func (t *Thread) runLocal(p *Partition, key uint64, op Op, args *Args) Result {
 	return op(p, key, args)
 }
 
-// issue is the one send path behind every Execute variant: it routes the
+// issue is the one send path behind every Execute form: it routes the
 // operation to partition p and fills c. An operation on the caller's own
 // locality — or on a locality with no threads to serve it, where inline
 // execution (a remote-memory access in the paper's terms) is the only way
 // to make progress — runs at once and c is done. Otherwise it is staged
 // toward p, into the thread's link to the owning peer process or into the
 // open burst of its ring to p, the send is counted and traced, and c is
-// pending. A non-nil error means the operation was never staged (an
-// unregistered op or a closed link toward a peer; shutdown or the deadline
-// while the ring was full): c is done with that error as its result, an
-// arena payload the operation carried is back in its pool, and a
-// fire-and-forget drop shows in the Abandoned counter.
+// pending. If the operation was never staged (an unregistered op or a
+// closed link toward a peer; shutdown or the deadline while the ring was
+// full), c is done with that error as its result, an arena payload the
+// operation carried is back in its pool, and a fire-and-forget drop shows
+// in the Abandoned counter.
 //
 // issue does not publish: the operation sits in an open burst until a
 // flush point. fire marks a fire-and-forget operation, which the Drain
-// barrier tracks and whose c the caller discards; deadline (zero: none)
-// bounds the ring-full wait. The argument copy confines args' escape to
-// the peer branch, the only one that needs its address.
+// barrier tracks and whose c the caller discards; call is the calling
+// operation's deadline, which bounds the ring-full wait (see newWaiter).
+// The argument copy confines args' escape to the peer branch, the only one
+// that needs its address.
 //
 //dps:noalloc via ExecuteSync
 //dps:domain=sender
-func (t *Thread) issue(c *Completion, p *Partition, key uint64, op Op, args Args, fire bool, deadline time.Time) error {
+func (t *Thread) issue(c *Completion, p *Partition, key uint64, op Op, args Args, fire bool, call *time.Time) {
 	*c = Completion{t: t, p: p, key: key}
 	if p.peer == nil && (p.id == t.locality || p.workers.Load() == 0) {
 		c.res, c.done = t.execInline(p, key, op, args), true
-		return nil
+		return
 	}
 	if !fire {
 		c.sent = t.rt.rec.Start()
@@ -281,7 +281,7 @@ func (t *Thread) issue(c *Completion, p *Partition, key uint64, op Op, args Args
 	if p.peer != nil {
 		a := args
 		c.tok, err = t.stageRemote(p, key, op, &a, fire)
-	} else if c.slot, c.idx = t.pack(p, key, op, args, fire, deadline); c.slot == nil {
+	} else if c.slot, c.idx = t.pack(p, key, op, args, fire, call); c.slot == nil {
 		err = ErrTimeout
 		if t.rt.down.Load() {
 			err = ErrClosed
@@ -297,102 +297,67 @@ func (t *Thread) issue(c *Completion, p *Partition, key uint64, op Op, args Args
 			t.rt.rec.Add(t.id, p.id, obs.Abandoned, 1)
 		}
 		c.res, c.done = Result{Err: err}, true
-		return err
+		return
 	}
 	if t.rt.tracing {
 		t.rt.tracer.OnSend(t.id, p.id, key, !fire)
 	}
-	return nil
 }
 
-// Execute performs op on the data associated with key (§3.1's
-// completion_rec_t execute(dps, key, op, args...)). If key belongs to the
-// calling thread's locality the operation runs immediately as a function
-// call and the returned completion is already done. Otherwise the request is
-// delegated to the owning locality and the completion becomes ready once a
-// peer thread there executes it; the caller should poll it with Ready (or
-// block with Result), both of which serve requests delegated to this
-// thread's locality in the meantime.
+// ExecuteInto performs op on the data associated with key (§3.1's
+// completion_rec_t execute(dps, key, op, args...)), writing the completion
+// record into c, storage the caller owns (a stack value, an array it reuses),
+// so a thread can keep several delegations in flight — issue a wave of
+// operations, then await them in any order — without touching the heap. c is
+// overwritten; it must not be a completion that is still pending. If key
+// belongs to the calling thread's locality the operation runs immediately as
+// a function call and c is already done. Otherwise the request is delegated
+// to the owning locality and c becomes ready once a peer thread there
+// executes it; poll it with Ready or block with Result, both of which serve
+// requests delegated to this thread's locality in the meantime.
 //
-// Consecutive Executes to the same partition pack into one burst slot; the
+// Consecutive operations to the same partition pack into one burst slot; the
 // burst is published at the latest when any completion is polled, another
 // partition is targeted, or the burst fills.
 //
-// Execute heap-allocates the completion record; ExecuteInto is the same
-// call with the record in caller storage.
-//
-//dps:domain=sender
-func (t *Thread) Execute(key uint64, op Op, args Args) *Completion {
-	c := new(Completion)
-	t.ExecuteInto(c, key, op, args)
-	return c
-}
-
-// ExecuteInto is the allocation-free Execute: the completion record is
-// written into c, storage the caller owns (a stack value, an array it
-// reuses), so a thread can keep several delegations in flight — issue a
-// wave of operations, then await them in any order — without touching the
-// heap. c is overwritten; it must not be a completion that is still
-// pending.
-//
 // A completion holds its burst slot until its result is consumed (Ready
-// returning true, Result, ResultTimeout), so a thread may hold at most
-// Runtime.RingDepth unconsumed completions: one more send toward a
-// partition whose ring is filled with the thread's own unconsumed results
-// would wait in the ring-full path for a slot only the thread itself can
-// free. That ring-full wait is bounded by the stall-rescue machinery, not by
-// a later ResultTimeout.
+// returning true, Result), so a thread may hold at most Runtime.RingDepth
+// unconsumed completions toward one partition: one more send would wait in
+// the ring-full path for a slot only the thread itself can free. That wait is
+// bounded by Config.OpTimeout, and c then resolves to ErrTimeout with the
+// operation never staged.
 //
 //dps:noalloc
 //dps:domain=sender
 func (t *Thread) ExecuteInto(c *Completion, key uint64, op Op, args Args) {
 	t.checkLive()
-	t.issue(c, t.partitionFor(key), key, op, args, false, time.Time{})
+	var call time.Time
+	t.issue(c, t.partitionFor(key), key, op, args, false, &call)
 }
 
-// ExecuteSync is Execute followed by completion (§3.1 notes the synchronous
-// API "directly following execute with a loop on await_completion"). The
-// completion record lives on the caller's stack, so a remote synchronous
-// delegation allocates nothing. A synchronous operation joins the open
-// burst when one targets the same partition — one slot claim covers the
-// whole run — and the burst is published before the await.
+// ExecuteSync is ExecuteInto followed by completion (§3.1 notes the
+// synchronous API "directly following execute with a loop on
+// await_completion"), one Config.OpTimeout deadline spanning both the
+// ring-full wait and the await. The completion record lives on the caller's
+// stack, so a remote synchronous delegation allocates nothing. A synchronous
+// operation joins the open burst when one targets the same partition — one
+// slot claim covers the whole run — and the burst is published before the
+// await.
+//
+// A timed-out operation may still execute later — the runtime then discards
+// its result and hands any panic it raises to Config.OnPanic — but it holds
+// its burst entry until the owning locality releases the slot, so a locality
+// that stays wedged past every timeout eventually exerts ring-full
+// back-pressure on new sends.
 //
 //dps:noalloc
 //dps:domain=sender
 func (t *Thread) ExecuteSync(key uint64, op Op, args Args) Result {
 	t.checkLive()
 	var c Completion
-	t.issue(&c, t.partitionFor(key), key, op, args, false, time.Time{})
-	return c.Result()
-}
-
-// ExecuteSyncTimeout is ExecuteSync with a deadline: it blocks at most
-// timeout for the request to be enqueued (the ring-full wait) and the
-// completion to arrive, serving the caller's locality meanwhile, and
-// returns ErrTimeout when the deadline expires first. A timed-out
-// operation may still execute later — the runtime then discards its result
-// and routes any panic it raises through the panic policy — but it holds
-// its burst entry until the owning locality releases the slot, so a
-// locality that stays wedged past every timeout eventually exerts
-// ring-full back-pressure on new sends. Local keys execute inline as plain
-// function calls and are not subject to the deadline. ErrClosed is
-// returned if the runtime shuts down during the wait.
-//
-//dps:domain=sender
-func (t *Thread) ExecuteSyncTimeout(key uint64, op Op, args Args, timeout time.Duration) (Result, error) {
-	t.checkLive()
-	p := t.partitionFor(key)
-	var deadline time.Time
-	if p.id != t.locality {
-		// A key of the caller's own locality never waits; it does not pay
-		// for a clock read either.
-		deadline = time.Now().Add(timeout)
-	}
-	var c Completion
-	if err := t.issue(&c, p, key, op, args, false, deadline); err != nil {
-		return c.res, err
-	}
-	return c.await(deadline)
+	var call time.Time
+	t.issue(&c, t.partitionFor(key), key, op, args, false, &call)
+	return c.await(&call)
 }
 
 // ExecuteAsync delegates op without a completion record (§4.4): it returns
@@ -403,14 +368,15 @@ func (t *Thread) ExecuteSyncTimeout(key uint64, op Op, args Args, timeout time.D
 // Results are discarded; ordering to the same partition is preserved (the
 // ring is FIFO and bursts execute in pack order), so read-your-writes and
 // monotonic-writes hold for subsequent operations from this thread. Use
-// Drain as the barrier before depending on completion.
+// Drain as the barrier before depending on completion. Its ring-full wait
+// has no deadline: there is no Result to carry ErrTimeout.
 //
 //dps:noalloc
 //dps:domain=sender
 func (t *Thread) ExecuteAsync(key uint64, op Op, args Args) {
 	t.checkLive()
 	var c Completion
-	t.issue(&c, t.partitionFor(key), key, op, args, true, time.Time{})
+	t.issue(&c, t.partitionFor(key), key, op, args, true, nil)
 }
 
 // ExecuteLocal runs op on the calling thread regardless of which locality
@@ -432,44 +398,46 @@ func (t *Thread) ExecuteLocal(key uint64, op Op, args Args) Result {
 	return t.execInline(p, key, op, args)
 }
 
-// ExecutePartition performs op on an explicit partition instead of routing
-// by key hash. It is used by operations that target a partition as a whole
-// — e.g. the priority-queue dequeue that follows a broadcast findMin
-// (§3.4) — and blocks until the result is available, serving the caller's
-// locality meanwhile. The key is passed through to op uninterpreted.
+// ExecutePartition is ExecuteSync on an explicit partition instead of
+// routing by key hash. It is used by operations that target a partition as
+// a whole — e.g. the priority-queue dequeue that follows a broadcast findMin
+// (§3.4). The key is passed through to op uninterpreted.
 //
 //dps:domain=sender
 func (t *Thread) ExecutePartition(part int, key uint64, op Op, args Args) Result {
 	t.checkLive()
 	var c Completion
-	t.issue(&c, t.rt.parts[part], key, op, args, false, time.Time{})
-	return c.Result()
+	var call time.Time
+	t.issue(&c, t.rt.parts[part], key, op, args, false, &call)
+	return c.await(&call)
 }
 
 // ExecuteAll broadcasts op to every partition — the range-operation API
 // (§4.4) — and merges the per-partition results with agg, which receives
-// them indexed by partition id. ExecuteAll is not linearizable with respect
-// to concurrent single-key operations: each partition executes its share at
-// an independent point in time.
+// them indexed by partition id; one Config.OpTimeout deadline covers the
+// whole broadcast. ExecuteAll is not linearizable with respect to concurrent
+// single-key operations: each partition executes its share at an independent
+// point in time.
 //
 //dps:domain=sender
 func (t *Thread) ExecuteAll(op Op, args Args, agg func(results []Result) Result) Result {
 	t.checkLive()
 	parts := t.rt.parts
 	completions := make([]Completion, len(parts))
+	var call time.Time
 	// Every other partition first, published before the caller's own share
 	// runs, so the delegated shares proceed in parallel with it.
 	for i, p := range parts {
 		if i != t.locality {
-			t.issue(&completions[i], p, p.lo, op, args, false, time.Time{})
+			t.issue(&completions[i], p, p.lo, op, args, false, &call)
 		}
 	}
 	t.flushOpen()
 	own := parts[t.locality]
-	t.issue(&completions[own.id], own, own.lo, op, args, false, time.Time{})
+	t.issue(&completions[own.id], own, own.lo, op, args, false, &call)
 	results := make([]Result, len(parts))
 	for i := range completions {
-		results[i] = completions[i].Result()
+		results[i] = completions[i].await(&call)
 	}
 	if agg == nil {
 		return Result{}
@@ -479,7 +447,7 @@ func (t *Thread) ExecuteAll(op Op, args Args, agg func(results []Result) Result)
 
 // Flush publishes the thread's open burst, if any, without blocking:
 // packed operations become visible to the destination locality and its
-// doorbell is rung. Execute and ExecuteAsync leave a burst open so
+// doorbell is rung. ExecuteInto and ExecuteAsync leave a burst open so
 // consecutive same-partition operations share one slot; every blocking
 // call (completion await, Drain, Serve) flushes implicitly, so Flush is
 // only needed when a sender goes quiet without ever blocking — e.g. a
@@ -530,12 +498,12 @@ func (t *Thread) Drain() {
 // awaitServed blocks until on — a fire-and-forget burst toward p, which no
 // completion awaits — has been executed, and reports false when the wait
 // ended first: the runtime shut down, or the bound on a wait for a peer
-// process expired.
+// process expired. The Drain barrier is outside the OpTimeout rule.
 func (t *Thread) awaitServed(p *Partition, on target) bool {
 	if !on.pending() {
 		return true
 	}
-	w := newWaiter(t, p, on, time.Time{})
+	w := newWaiter(t, p, on, nil)
 	return w.await() == nil
 }
 
@@ -559,7 +527,7 @@ func (t *Thread) compactOutstanding() {
 // when one targets p and has room, otherwise it publishes the open burst
 // (if any) and claims a fresh slot, waiting out ring-full back-pressure.
 // The returned slot is not yet published — the caller either leaves the
-// burst open for successors (Execute, ExecuteAsync) or calls flushOpen
+// burst open for successors (ExecuteInto, ExecuteAsync) or calls flushOpen
 // before awaiting. A full burst is published immediately. Returns a nil
 // slot only if the runtime shut down (or the deadline expired) while the
 // ring was full — the operation was never staged.
@@ -569,7 +537,7 @@ func (t *Thread) compactOutstanding() {
 // unpublished one (Drain would stop at the gap and strand it).
 //
 //dps:noalloc via ExecuteSync
-func (t *Thread) pack(p *Partition, key uint64, op Op, args Args, fire bool, deadline time.Time) (*slot, int) {
+func (t *Thread) pack(p *Partition, key uint64, op Op, args Args, fire bool, call *time.Time) (*slot, int) {
 	if t.open != nil {
 		m := t.open.Payload()
 		if t.openPart == p && int(m.n) < burstSize &&
@@ -589,7 +557,7 @@ func (t *Thread) pack(p *Partition, key uint64, op Op, args Args, fire bool, dea
 		}
 		t.flushOpen()
 	}
-	s := t.claimSlot(p, deadline)
+	s := t.claimSlot(p, call)
 	if s == nil {
 		return nil, 0
 	}
@@ -684,11 +652,11 @@ func (t *Thread) flushOpen() {
 // delegated to it"). The caller must have no open burst. A slot is free
 // once the server side has finished with it (toggle clear) and every
 // synchronous result it carried has been consumed (live == 0). Returns nil
-// only if the runtime shuts down — or the optional deadline (zero means
-// none) expires — while the ring is full.
+// only if the runtime shuts down — or the calling operation's deadline (call,
+// see newWaiter) expires — while the ring is full.
 //
 //dps:noalloc via ExecuteSync
-func (t *Thread) claimSlot(p *Partition, deadline time.Time) *slot {
+func (t *Thread) claimSlot(p *Partition, call *time.Time) *slot {
 	r := p.rings[t.id].Load()
 	s := r.SendSlot()
 	var w waiter
@@ -710,7 +678,7 @@ func (t *Thread) claimSlot(p *Partition, deadline time.Time) *slot {
 		// are then held by the caller's own completions, or the ring is full
 		// by injection — so that case too observes shutdown and the deadline.
 		if w.t == nil {
-			w = newWaiter(t, p, target{slot: s}, deadline)
+			w = newWaiter(t, p, target{slot: s}, call)
 		}
 		if w.await() != nil {
 			return nil
@@ -848,9 +816,8 @@ func (t *Thread) rescue(p *Partition, s *slot) {
 // never raised on the serving thread — and never abort the rest of the
 // burst: a live synchronous awaiter re-raises its entry's panic on its own
 // thread via Completion.finish; a fire-and-forget panic (which no
-// completion will ever observe) routes through the configured panic
-// policy; a timed-out synchronous request's panic routes through the
-// policy when its sender reaps the entry.
+// completion will ever observe) goes to Config.OnPanic; so does a
+// timed-out synchronous request's panic, when its sender reaps the entry.
 //
 //dps:noalloc via ExecuteSync
 //dps:publish
@@ -858,9 +825,9 @@ func (t *Thread) executeMessage(p *Partition, s *slot) int {
 	m := s.Payload()
 	n := int(m.n)
 	// Fire-and-forget panics are copied out and routed only AFTER the
-	// release below: deliverPanic may itself panic (PanicCrash), and the
-	// slot must return to its sender either way or the sender's drain
-	// barrier wedges on a permanently-pending slot.
+	// release below: deliverPanic may itself panic (a fail-stop OnPanic),
+	// and the slot must return to its sender either way or the sender's
+	// drain barrier wedges on a permanently-pending slot.
 	var orphaned [burstSize]PanicInfo
 	norphaned := 0
 	for i := 0; i < n; i++ {
@@ -947,11 +914,11 @@ func (t *Thread) ServeWait(d time.Duration) int {
 
 // Ready polls the completion (§3.1's await_completion): it returns the
 // result and true if the operation has executed. While the operation is
-// still pending, Ready serves CheckRatio passes' worth of requests delegated
-// to the calling thread's locality — the overlap that lets all cores make
-// progress on data-structure work (§4.3) — and returns false. Polling a
-// completion publishes the thread's open burst first, so a packed
-// operation can always be awaited.
+// still pending, Ready serves one pass of requests delegated to the calling
+// thread's locality — the overlap that lets all cores make progress on
+// data-structure work (§4.3) — and returns false. Polling a completion
+// publishes the thread's open burst first, so a packed operation can always
+// be awaited.
 //
 // Ready panics with ErrUnregistered when the issuing thread has been
 // unregistered while the completion was pending: the completion's serving
@@ -972,7 +939,7 @@ func (c *Completion) Ready() (Result, bool) {
 	}
 	t.flushOpen()
 	if c.pending() {
-		t.servePasses(c.target)
+		t.serve()
 		t.rescue(c.p, c.slot)
 	}
 	switch {
@@ -989,44 +956,31 @@ func (c *Completion) Ready() (Result, bool) {
 }
 
 // Result blocks until the operation has executed and returns its result,
-// serving the calling thread's locality while it waits. If the runtime is
-// shut down while the operation is pending, Result returns a Result whose
-// Err is ErrClosed. A wait on a peer process is bounded by the peer's
-// configured timeout and then resolves with ErrTimeout, like ResultTimeout.
+// serving the calling thread's locality while it waits. The wait is a call of
+// its own under Config.OpTimeout (and Peer.Timeout on a peer's partition):
+// past it the completion is abandoned and done with ErrTimeout — the
+// operation may still execute later, its result is discarded, and its burst
+// entry is reclaimed by the issuing thread once the server releases the
+// slot. If the runtime is shut down while the operation is pending, the
+// Result's Err is ErrClosed.
 //
 //dps:noalloc
 //dps:domain=sender
 func (c *Completion) Result() Result {
-	res, _ := c.await(time.Time{})
-	return res
+	var call time.Time
+	return c.await(&call)
 }
 
-// ResultTimeout is Result with a deadline. The error is nil when the
-// operation completed, ErrTimeout when the deadline expired first, or
-// ErrClosed when the runtime shut down during the wait. On ErrTimeout the
-// completion is abandoned: it is done (errors.Is(Err, ErrTimeout)), the operation
-// may still execute later, its result is discarded, and its burst entry is
-// reclaimed by the issuing thread once the server releases the slot.
-//
-//dps:noalloc
-//dps:domain=sender
-func (c *Completion) ResultTimeout(timeout time.Duration) (Result, error) {
-	// A completion that is already ready — every later member of a wave
-	// whose first await did the waiting — never reads the clock.
-	if res, ok := c.Ready(); ok {
-		return res, closedErr(res)
-	}
-	return c.await(time.Now().Add(timeout))
-}
-
-// await blocks until the completion is done or deadline passes (zero: no
-// deadline, beyond the bound every wait on a peer process has) in the one
-// wait loop, and then consumes the result or gives the operation up.
+// await blocks in the one wait loop until the completion is done or the
+// calling operation's deadline (call, see newWaiter) passes, and then
+// consumes the result or gives the operation up. A completion already done
+// returns at once, and one resolved by the time the open burst is flushed
+// never reads the clock.
 //
 //dps:noalloc via ExecuteSync
-func (c *Completion) await(deadline time.Time) (Result, error) {
+func (c *Completion) await(call *time.Time) Result {
 	if c.done {
-		return c.res, closedErr(c.res)
+		return c.res
 	}
 	t := c.t
 	if t.unregistered {
@@ -1034,33 +988,14 @@ func (c *Completion) await(deadline time.Time) (Result, error) {
 	}
 	t.flushOpen()
 	if c.pending() {
-		w := newWaiter(t, c.p, c.target, deadline)
+		w := newWaiter(t, c.p, c.target, call)
 		if err := w.await(); err != nil {
 			c.abandon(err)
-			return c.res, err
+			return c.res
 		}
 	}
 	c.finish()
-	return c.res, closedErr(c.res)
-}
-
-// closedErr maps a transport-synthesized result (shutdown or a dead
-// peer link) to its error return; op-level errors stay in the Result.
-//
-//dps:noalloc via ExecuteSync
-func closedErr(res Result) error {
-	switch {
-	case res.Err == nil:
-		return nil
-	case errors.Is(res.Err, ErrClosed):
-		return ErrClosed
-	case errors.Is(res.Err, ErrPeerDown):
-		return ErrPeerDown
-	default:
-		// ErrTimeout (and op-level errors) deliberately stay in the
-		// Result: the transport did not fail, the operation did.
-		return nil
-	}
+	return c.res
 }
 
 // finish consumes the executed operation's result: it copies the result out
@@ -1115,8 +1050,8 @@ func (c *Completion) abandon(err error) {
 }
 
 // reapAbandoned reclaims abandoned entries whose servers have finished
-// with them: the stale result is discarded, a captured panic routes
-// through the panic policy (no completion will ever re-raise it), and the
+// with them: the stale result is discarded, a captured panic goes
+// to Config.OnPanic (no completion will ever re-raise it), and the
 // entry's slot moves one step closer to sendable (live reaches zero once
 // every entry is consumed). Entries in slots still pending stay on the
 // list. Returns how many entries were reclaimed.

@@ -337,8 +337,8 @@ func TestBurstWraparoundDepthOne(t *testing.T) {
 	}
 }
 
-// TestMixedBurstCompletions packs several synchronous Executes into one
-// burst (Execute leaves the burst open) and checks each completion reads
+// TestMixedBurstCompletions packs several ExecuteInto operations into one
+// burst (ExecuteInto leaves the burst open) and checks each completion reads
 // its own entry — results must not smear across entries of a shared slot.
 func TestMixedBurstCompletions(t *testing.T) {
 	t.Parallel()
@@ -352,12 +352,12 @@ func TestMixedBurstCompletions(t *testing.T) {
 	}
 	defer th.Unregister()
 
-	var cs [3]*Completion
+	var cs [3]Completion
 	for i := range cs {
-		cs[i] = th.Execute(1000+uint64(i), opNop, Args{U: [4]uint64{uint64(i) * 10}})
+		th.ExecuteInto(&cs[i], 1000+uint64(i), opNop, Args{U: [4]uint64{uint64(i) * 10}})
 	}
 	if cs[0].slot != cs[1].slot || cs[1].slot != cs[2].slot {
-		t.Fatal("consecutive same-partition Executes did not share a slot")
+		t.Fatal("consecutive same-partition operations did not share a slot")
 	}
 	// Await in reverse order to exercise out-of-order entry consumption.
 	for i := len(cs) - 1; i >= 0; i-- {

@@ -13,15 +13,14 @@ import (
 // its rounds does the same five things in the same order while the target is
 // still pending:
 //
-//  1. down: after Shutdown the wait ends with ErrClosed;
+//  1. down: after Shutdown or Close the wait ends with ErrClosed;
 //  2. deadline: past it the wait ends with ErrTimeout — checked before
 //     serving, so a locality with a steady trickle of delegated work cannot
 //     keep its waiter from timing out (expired says how often the clock is
 //     read);
-//  3. serve: the waiter serves its own locality (§4.3, §4.4), CheckRatio
-//     passes or until the target resolves. A round that executed something
-//     made progress: the waiter returns to stage 1 of the pause schedule
-//     below and starts the next round at once;
+//  3. serve: the waiter serves one pass of its own locality (§4.3, §4.4). A
+//     round that executed something made progress: the waiter returns to
+//     stage 1 of the pause schedule below and starts the next round at once;
 //  4. rescue: if the destination locality has no threads left, the waiter
 //     executes its own ring to it;
 //  5. pause, if the target is still pending after all that.
@@ -30,6 +29,18 @@ import (
 // or abandons the operation with the loop's error, Drain moves on to the next
 // burst, the ring-full path re-examines its slot. The open burst is flushed
 // once, before the loop — nothing a round does can open another.
+//
+// The deadline is one rule: Config.OpTimeout bounds every call that hands
+// its caller a Result — ExecuteSync, ExecuteInto, Completion.Result,
+// ExecutePartition, ExecuteAll, ExecuteLocal on a peer's partition — across
+// all of its waits (a ring-full wait, then the await), one deadline per call,
+// read off the clock when the call first has to wait; an inline operation or
+// a completion already resolved never reads it. A wait on a peer's partition
+// that has no deadline takes Peer.Timeout's: no rescue reaches into another
+// process. ExecuteAsync's ring-full wait and Drain are outside the rule. They
+// have no Result that could carry ErrTimeout, and dropping a queued write on
+// a timer would lose it silently; they end when the work is served, at
+// shutdown, or at Peer.Timeout toward a peer.
 //
 // A pause escalates in two stages:
 //
@@ -122,13 +133,22 @@ type waiter struct {
 	sampled  bool
 }
 
-// newWaiter starts a wait episode. A wait on a partition owned by a peer
-// process is never unbounded — no rescue reaches into that process, so a
-// connected peer that stops answering would hold the waiter forever — and
-// takes the peer's configured timeout when the caller sets no deadline. The
-// same wait is resolved by the network, not by a goroutine a yield could
-// run, and spins for wire.AwaitSpin pauses only.
-func newWaiter(t *Thread, p *Partition, on target, deadline time.Time) waiter {
+// newWaiter starts a wait episode of the call whose deadline is *call — nil
+// for a wait outside the OpTimeout rule. A zero *call is set here, so the
+// call's first wait reads the clock and its later waits share the deadline. A
+// wait on a partition owned by a peer process is never unbounded — no rescue
+// reaches into that process, so a connected peer that stops answering would
+// hold the waiter forever — and takes the peer's configured timeout when it
+// has no other deadline. The same wait is resolved by the network, not by a
+// goroutine a yield could run, and spins for wire.AwaitSpin pauses only.
+func newWaiter(t *Thread, p *Partition, on target, call *time.Time) waiter {
+	var deadline time.Time
+	if call != nil && t.rt.cfg.OpTimeout > 0 {
+		if call.IsZero() {
+			*call = time.Now().Add(t.rt.cfg.OpTimeout)
+		}
+		deadline = *call
+	}
 	spin := waitSpinYield
 	if p.peer != nil {
 		spin = wire.AwaitSpin
@@ -181,7 +201,7 @@ func (w *waiter) await() error {
 		if w.expired() {
 			return ErrTimeout
 		}
-		if t.servePasses(w.on) > 0 {
+		if t.serve() > 0 {
 			w.reset()
 		} else if t.rescue(w.p, w.on.slot); w.on.pending() {
 			// Polled once more before the processor is given away: a reply
@@ -194,20 +214,6 @@ func (w *waiter) await() error {
 			return nil
 		}
 	}
-}
-
-// servePasses serves the caller's locality while it waits for on: CheckRatio
-// passes (§4.3's "number of checks performed on the ring buffer for each of
-// its own requests"), fewer when on resolves first. It returns the operations
-// executed.
-//
-//dps:noalloc via ExecuteSync
-func (t *Thread) servePasses(on target) int {
-	n := t.serve()
-	for i := 1; i < t.rt.cfg.CheckRatio && on.pending(); i++ {
-		n += t.serve()
-	}
-	return n
 }
 
 // pause blocks the waiter briefly, escalating per the schedule above: a yield

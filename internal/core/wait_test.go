@@ -53,7 +53,7 @@ func TestWaiterSpinBudgets(t *testing.T) {
 			if !tc.c.target.pending() {
 				t.Fatal("target resolved before the test could wait on it")
 			}
-			w := newWaiter(th, tc.c.p, tc.c.target, time.Time{})
+			w := newWaiter(th, tc.c.p, tc.c.target, nil)
 			for _, stage := range []string{"fresh", "after reset"} {
 				base := parks()
 				for i := 1; i <= tc.spin; i++ {
@@ -72,7 +72,7 @@ func TestWaiterSpinBudgets(t *testing.T) {
 			// A deadline that passes while the waiter is off the sampling
 			// grid is noticed within waitClockEvery-1 pauses, or by the end
 			// of the spin budget when that comes first.
-			w = newWaiter(th, tc.c.p, tc.c.target, time.Now().Add(time.Hour))
+			w = newWaiter(th, tc.c.p, tc.c.target, nil)
 			w.pause()
 			w.deadline = time.Now().Add(-time.Second)
 			late := 0
@@ -134,28 +134,31 @@ func BenchmarkPeerSyncRTT(b *testing.B) {
 // the test says so — a ring slot toward partition 1, where f is registered
 // (so sends are delegated) but the test holds the claim of w's ring (so
 // neither f nor w's own stall rescue can serve it), or a wire token whose
-// operation blocks in the peer. Rings are two slots deep.
+// operation blocks in the peer. Rings are two slots deep; bound is both the
+// client's OpTimeout and the peer's Timeout (0: the defaults).
 type wedged struct {
 	client   *Runtime
 	w, f     *Thread
 	ring     *dring
+	bound    time.Duration
 	released bool
 }
 
-func newWedged(t *testing.T, peerTimeout time.Duration) *wedged {
+func newWedged(t *testing.T, bound time.Duration) *wedged {
 	t.Helper()
 	blockPeer = make(chan struct{})
 	client, w := startCluster(t, func(c *Config) {
 		c.RingDepth = 2
-		if peerTimeout > 0 {
-			c.Peers[0].Timeout = peerTimeout
+		if bound > 0 {
+			c.OpTimeout = bound
+			c.Peers[0].Timeout = bound
 		}
 	})
 	f, err := client.RegisterAt(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &wedged{client: client, w: w, f: f, ring: client.Partition(1).rings[w.id].Load()}
+	e := &wedged{client: client, w: w, f: f, ring: client.Partition(1).rings[w.id].Load(), bound: bound}
 	if !e.ring.TryClaim() {
 		t.Fatal("fresh ring already claimed")
 	}
@@ -200,11 +203,13 @@ func serveUntil(th *Thread, fn func()) {
 
 // TestOneWaitLoop makes the same three checks on every entry point of the
 // one wait loop — a completion on a ring slot, a completion on a wire token,
-// Drain on a fire-and-forget burst, a send into a full ring:
+// Drain on a fire-and-forget burst, and a send into a full ring, by
+// ExecuteSync and by ExecuteInto:
 //
 //   - a deadline ends the wait with ErrTimeout on time while the waiter's
-//     own locality has a steady stream of delegated work to serve (Drain has
-//     a deadline only toward a peer, the peer's Timeout);
+//     own locality has a steady stream of delegated work to serve. The
+//     deadline is Config.OpTimeout; Drain is outside that rule and has a
+//     deadline only toward a peer, the peer's Timeout;
 //   - Shutdown ends it with ErrClosed;
 //   - a round that served something returns the waiter to the spin stage:
 //     with one operation after another delegated to its locality in lockstep
@@ -213,36 +218,35 @@ func serveUntil(th *Thread, fn func()) {
 //     parks each time (and on a wire token the budget is only wire.AwaitSpin
 //     yields), so the check is that fewer than half the operations see a
 //     park. Without the reset a completion's wait parks once per operation
-//     here (1941 and 1998 times in 2000 at the parent commit).
+//     here (1941 and 1998 times in 2000 when the reset was missing).
 func TestOneWaitLoop(t *testing.T) {
 	const bound = 50 * time.Millisecond
-	result := func(key uint64, op Op) func(e *wedged) func(time.Duration) error {
-		return func(e *wedged) func(time.Duration) error {
+	result := func(key uint64, op Op) func(e *wedged) func() error {
+		return func(e *wedged) func() error {
 			var c Completion
 			e.w.ExecuteInto(&c, key, op, Args{})
-			return func(d time.Duration) error {
-				if d > 0 {
-					_, err := c.ResultTimeout(d)
-					return err
-				}
-				return closedErr(c.Result())
-			}
+			return func() error { return c.Result().Err }
+		}
+	}
+	// fill leaves w's two-slot ring to partition 1 full of published bursts.
+	fill := func(e *wedged) {
+		for i := 0; i < 2*burstSize; i++ {
+			e.w.ExecuteAsync(1, remoteLen, Args{})
 		}
 	}
 	entries := []struct {
 		name string
-		// begin stages what the wait is for and returns the wait itself:
-		// timed when d > 0. timedOnWire: the timed form waits on the peer.
-		begin       func(e *wedged) func(d time.Duration) error
-		timedOnWire bool
-		noError     bool // the entry point returns nothing to check
+		// begin stages what the wait is for and returns the wait itself.
+		begin    func(e *wedged) func() error
+		noError  bool // the entry point returns nothing to check
+		unstaged bool // a timed-out operation was never staged: nothing is abandoned
 	}{
 		{name: "Result on a ring slot", begin: result(1, remoteLen)},
-		{name: "Result on a wire token", begin: result(2, remoteBlock), timedOnWire: true},
-		{name: "Drain", noError: true, timedOnWire: true,
-			begin: func(e *wedged) func(time.Duration) error {
-				return func(d time.Duration) error {
-					if d > 0 {
+		{name: "Result on a wire token", begin: result(2, remoteBlock)},
+		{name: "Drain", noError: true,
+			begin: func(e *wedged) func() error {
+				return func() error {
+					if e.bound > 0 {
 						e.w.ExecuteAsync(2, remoteBlock, Args{})
 					} else {
 						e.w.ExecuteAsync(1, remoteLen, Args{})
@@ -251,26 +255,27 @@ func TestOneWaitLoop(t *testing.T) {
 					return nil
 				}
 			}},
-		{name: "send into a full ring",
-			begin: func(e *wedged) func(time.Duration) error {
-				for i := 0; i < 2*burstSize; i++ {
-					e.w.ExecuteAsync(1, remoteLen, Args{})
-				}
-				return func(d time.Duration) error {
-					if d > 0 {
-						_, err := e.w.ExecuteSyncTimeout(1, remoteLen, Args{}, d)
-						return err
-					}
-					return closedErr(e.w.ExecuteSync(1, remoteLen, Args{}))
+		{name: "send into a full ring", unstaged: true,
+			begin: func(e *wedged) func() error {
+				fill(e)
+				return func() error { return e.w.ExecuteSync(1, remoteLen, Args{}).Err }
+			}},
+		{name: "ExecuteInto into a full ring", unstaged: true,
+			begin: func(e *wedged) func() error {
+				fill(e)
+				return func() error {
+					var c Completion
+					e.w.ExecuteInto(&c, 1, remoteLen, Args{})
+					return c.Result().Err
 				}
 			}},
 	}
 	// waitOn runs wait on its own goroutine once it is known to have started.
-	waitOn := func(wait func(time.Duration) error, d time.Duration) <-chan error {
+	waitOn := func(wait func() error) <-chan error {
 		got, started := make(chan error, 1), make(chan struct{})
 		go func() {
 			close(started)
-			got <- wait(d)
+			got <- wait()
 		}()
 		<-started
 		return got
@@ -292,11 +297,7 @@ func TestOneWaitLoop(t *testing.T) {
 
 	for _, en := range entries {
 		t.Run(en.name+"/deadline under a trickle of work", func(t *testing.T) {
-			peerTimeout := time.Duration(0)
-			if en.timedOnWire {
-				peerTimeout = bound
-			}
-			e := newWedged(t, peerTimeout)
+			e := newWedged(t, bound)
 			// f keeps w's locality supplied with work only w can serve.
 			var stop atomic.Bool
 			flooded := make(chan struct{})
@@ -309,7 +310,7 @@ func TestOneWaitLoop(t *testing.T) {
 			abandoned := e.client.Metrics().Totals.Abandoned
 			wait := en.begin(e)
 			start := time.Now()
-			err := within(t, e, waitOn(wait, bound))
+			err := within(t, e, waitOn(wait))
 			elapsed := time.Since(start)
 			stop.Store(true)
 			serveUntil(e.w, func() { <-flooded })
@@ -319,7 +320,7 @@ func TestOneWaitLoop(t *testing.T) {
 			if elapsed < bound || elapsed > 4*bound {
 				t.Errorf("wait ended after %v, want within [%v, %v]", elapsed, bound, 4*bound)
 			}
-			if en.name != "send into a full ring" {
+			if !en.unstaged {
 				if d := e.client.Metrics().Totals.Abandoned - abandoned; d != 1 {
 					t.Errorf("Abandoned rose by %d, want 1", d)
 				}
@@ -327,7 +328,7 @@ func TestOneWaitLoop(t *testing.T) {
 		})
 		t.Run(en.name+"/Shutdown", func(t *testing.T) {
 			e := newWedged(t, 0)
-			got := waitOn(en.begin(e), 0)
+			got := waitOn(en.begin(e))
 			e.client.Shutdown(bound)
 			if err := within(t, e, got); !en.noError && !errors.Is(err, ErrClosed) {
 				t.Errorf("err = %v, want ErrClosed", err)
@@ -335,7 +336,7 @@ func TestOneWaitLoop(t *testing.T) {
 		})
 		t.Run(en.name+"/progress returns to the spin stage", func(t *testing.T) {
 			e := newWedged(t, 0)
-			got := waitOn(en.begin(e), 0)
+			got := waitOn(en.begin(e))
 			const ops = 2000
 			var parks uint64
 			for i := 0; i <= ops; i++ {

@@ -45,6 +45,10 @@ type DPSConfig struct {
 	// PinServers lets serving handles pin their OS threads to
 	// locality-owned CPUs (DPSHandle.Pin; see core.Config.PinServers).
 	PinServers bool
+	// OpTimeout is the runtime's core.Config.OpTimeout: Get, Set, Delete
+	// and every get of a Wave end in core.ErrTimeout once they outlive it.
+	// 0 means no bound.
+	OpTimeout time.Duration
 	// Chaos installs a fault injector on the runtime's delegation paths
 	// (tests only).
 	Chaos *chaos.Injector
@@ -71,6 +75,7 @@ func NewDPS(cfg DPSConfig) (*DPS, error) {
 		MaxThreads: cfg.MaxThreads,
 		Peers:      cfg.Peers,
 		PinServers: cfg.PinServers,
+		OpTimeout:  cfg.OpTimeout,
 		Chaos:      cfg.Chaos,
 		Init: func(p *core.Partition) any {
 			c, err := cfg.NewShard()
@@ -109,7 +114,10 @@ func NewDPS(cfg DPSConfig) (*DPS, error) {
 func (d *DPS) Runtime() *core.Runtime { return d.rt }
 
 // DPSHandle is a registered, locality-bound accessor (one goroutine at a
-// time, like core.Thread).
+// time, like core.Thread). It is the dps variants' Session and Waver. Its
+// errors are the runtime's — core.ErrTimeout past DPSConfig.OpTimeout,
+// core.ErrClosed after shutdown, core.ErrPeerDown — except a Set's verdict
+// (cache full, oversized value).
 type DPSHandle struct {
 	t *core.Thread
 	d *DPS
@@ -135,8 +143,8 @@ func (d *DPS) RegisterAt(loc int) (*DPSHandle, error) {
 	return &DPSHandle{t: t, d: d}, nil
 }
 
-// Unregister drains outstanding asynchronous sets and releases the handle.
-func (h *DPSHandle) Unregister() { h.t.Unregister() }
+// Close drains outstanding asynchronous sets and unregisters the handle.
+func (h *DPSHandle) Close() { h.t.Unregister() }
 
 // Serve processes requests pending on the handle's locality.
 func (h *DPSHandle) Serve() int { return h.t.Serve() }
@@ -192,51 +200,32 @@ func boolU(b bool) uint64 {
 
 // Get fetches key's value: synchronous delegation to the owning locality,
 // or local execution in LocalGets mode.
-func (h *DPSHandle) Get(key uint64) ([]byte, bool) {
+func (h *DPSHandle) Get(key uint64) ([]byte, bool, error) {
 	var res core.Result
 	if h.d.localGets {
 		res = h.t.ExecuteLocal(key, opGet, core.Args{})
 	} else {
 		res = h.t.ExecuteSync(key, opGet, core.Args{})
 	}
-	if res.U == 0 {
-		return nil, false
-	}
-	return res.P.([]byte), true
-}
-
-// GetTimeout is Get bounded by timeout: it returns core.ErrTimeout when the
-// owning locality does not execute the lookup in time and core.ErrClosed
-// during shutdown. In LocalGets mode the lookup is local and cannot time
-// out.
-func (h *DPSHandle) GetTimeout(key uint64, timeout time.Duration) ([]byte, bool, error) {
-	if h.d.localGets {
-		v, ok := valOK(h.t.ExecuteLocal(key, opGet, core.Args{}))
-		return v, ok, nil
-	}
-	res, err := h.t.ExecuteSyncTimeout(key, opGet, core.Args{}, timeout)
-	if err != nil {
-		return nil, false, err
-	}
 	v, ok := valOK(res)
-	return v, ok, nil
+	return v, ok, res.Err
 }
 
 // Wave runs ops as gets with all of them in flight at once: every get is
 // issued (consecutive same-partition gets share a burst slot, peer-owned
 // ones a wire frame) before the first is awaited, then the results are
-// collected in request order. timeout bounds each await as GetTimeout does
-// (0: wait forever). At most min(MaxWave, ring depth) gets are in flight — a
-// completion holds its ring slot until collected, so a deeper wave could
-// wait on a slot only this handle can free — and longer op lists run as
-// consecutive waves.
+// collected in request order. At most min(MaxWave, ring depth) gets are in
+// flight — a completion holds its ring slot until collected, so a deeper
+// wave could wait on a slot only this handle can free — and longer op lists
+// run as consecutive waves. Each issue and each collect is a call of its own
+// under OpTimeout.
 //
 //dps:noalloc
-func (h *DPSHandle) Wave(ops []WaveOp, timeout time.Duration) {
+func (h *DPSHandle) Wave(ops []WaveOp) {
 	depth := min(MaxWave, h.t.Runtime().RingDepth())
 	for len(ops) > 0 {
 		n := min(len(ops), depth)
-		h.collectWave(ops[:n], h.issueWave(ops[:n]), timeout)
+		h.collectWave(ops[:n], h.issueWave(ops[:n]))
 		ops = ops[n:]
 	}
 }
@@ -264,34 +253,22 @@ func (h *DPSHandle) issueWave(ops []WaveOp) (answered uint16) {
 // collectWave awaits the delegated gets in request order.
 //
 //dps:noalloc via Wave
-func (h *DPSHandle) collectWave(ops []WaveOp, answered uint16, timeout time.Duration) {
+func (h *DPSHandle) collectWave(ops []WaveOp, answered uint16) {
 	for i := range ops {
 		if answered&(1<<i) != 0 {
 			continue
 		}
 		c := &h.wave[i]
-		var res core.Result
-		var err error
-		if timeout > 0 {
-			res, err = c.ResultTimeout(timeout)
-		} else {
-			res = c.Result()
-		}
-		if err == nil {
-			// opGet reports no errors of its own: an Err here is the
-			// transport's (shutdown, peer down, unregistered op).
-			err = res.Err
-		}
+		res := c.Result()
 		o := &ops[i]
-		o.Val, o.OK, o.Err = nil, false, err
-		if err == nil {
-			o.Val, o.OK = valOK(res)
-		}
+		o.Val, o.OK = valOK(res)
+		o.Err = res.Err
 		// Drop the record's reference to the value bytes.
 		*c = core.Completion{}
 	}
 }
 
+// valOK unpacks opGet's result; a failed lookup (res.Err set) is a miss.
 func valOK(res core.Result) ([]byte, bool) {
 	if res.U == 0 {
 		return nil, false
@@ -318,15 +295,6 @@ func (h *DPSHandle) Set(key uint64, val []byte) error {
 	return h.t.ExecuteSync(key, opSet, core.Args{P: h.payload(key, val)}).Err
 }
 
-// SetTimeout is Set bounded by timeout (core.ErrTimeout / core.ErrClosed).
-func (h *DPSHandle) SetTimeout(key uint64, val []byte, timeout time.Duration) error {
-	res, err := h.t.ExecuteSyncTimeout(key, opSet, core.Args{P: h.payload(key, val)}, timeout)
-	if err != nil {
-		return err
-	}
-	return res.Err
-}
-
 // SetAsync stores key->val asynchronously (fire-and-forget delegation).
 // Ordering to the same partition is FIFO, so this handle's later Get of the
 // same key observes the set (§3.3 read-your-writes). Errors from
@@ -341,19 +309,10 @@ func (h *DPSHandle) SetAsync(key uint64, val []byte) {
 // for their execution.
 func (h *DPSHandle) Flush() { h.t.Flush() }
 
-// Delete removes key (synchronous).
-func (h *DPSHandle) Delete(key uint64) bool {
-	return h.t.ExecuteSync(key, opDelete, core.Args{}).U == 1
-}
-
-// DeleteTimeout is Delete bounded by timeout (core.ErrTimeout /
-// core.ErrClosed).
-func (h *DPSHandle) DeleteTimeout(key uint64, timeout time.Duration) (bool, error) {
-	res, err := h.t.ExecuteSyncTimeout(key, opDelete, core.Args{}, timeout)
-	if err != nil {
-		return false, err
-	}
-	return res.U == 1, nil
+// Delete removes key (synchronous), reporting whether it was present.
+func (h *DPSHandle) Delete(key uint64) (bool, error) {
+	res := h.t.ExecuteSync(key, opDelete, core.Args{})
+	return res.U == 1, res.Err
 }
 
 // Len sums shard sizes with a broadcast.

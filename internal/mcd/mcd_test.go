@@ -221,12 +221,12 @@ func TestDPSStockVariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer h.Unregister()
+	defer h.Close()
 	h2, err := d.Register()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer h2.Unregister()
+	defer h2.Close()
 
 	done := make(chan struct{})
 	stop := make(chan struct{})
@@ -250,15 +250,18 @@ func TestDPSStockVariant(t *testing.T) {
 	}
 	h.Drain()
 	for i := 0; i < n; i++ {
-		if v, ok := h.Get(uint64(i)); !ok || !bytes.Equal(v, val(i)) {
-			t.Fatalf("Get(%d) = (%q,%v)", i, v, ok)
+		if v, ok, err := h.Get(uint64(i)); err != nil || !ok || !bytes.Equal(v, val(i)) {
+			t.Fatalf("Get(%d) = (%q,%v,%v)", i, v, ok, err)
 		}
 	}
 	if got := h.Len(); got != n {
 		t.Fatalf("Len() = %d, want %d", got, n)
 	}
-	if !h.Delete(5) || h.Delete(5) {
-		t.Fatal("Delete semantics wrong")
+	if first, err := h.Delete(5); err != nil || !first {
+		t.Fatalf("first Delete = (%v,%v), want (true,nil)", first, err)
+	}
+	if again, err := h.Delete(5); err != nil || again {
+		t.Fatalf("second Delete = (%v,%v), want (false,nil)", again, err)
 	}
 	// The shards must be genuinely partitioned: both hold items.
 	for p := 0; p < 2; p++ {
@@ -280,11 +283,11 @@ func TestDPSReadYourWritesAcrossAsyncSets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer h.Unregister()
+	defer h.Close()
 	for i := 0; i < 200; i++ {
 		h.SetAsync(42, val(i))
-		if v, ok := h.Get(42); !ok || !bytes.Equal(v, val(i)) {
-			t.Fatalf("iteration %d: read-your-writes violated: (%q,%v)", i, v, ok)
+		if v, ok, err := h.Get(42); err != nil || !ok || !bytes.Equal(v, val(i)) {
+			t.Fatalf("iteration %d: read-your-writes violated: (%q,%v,%v)", i, v, ok, err)
 		}
 	}
 }
@@ -304,7 +307,7 @@ func TestDPSParSecLocalGets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer h.Unregister()
+	defer h.Close()
 	for i := 0; i < 100; i++ {
 		if err := h.Set(uint64(i), val(i)); err != nil {
 			t.Fatal(err)
@@ -312,8 +315,8 @@ func TestDPSParSecLocalGets(t *testing.T) {
 	}
 	before := d.Runtime().Metrics().Totals.RemoteSends
 	for i := 0; i < 100; i++ {
-		if v, ok := h.Get(uint64(i)); !ok || !bytes.Equal(v, val(i)) {
-			t.Fatalf("Get(%d) = (%q,%v)", i, v, ok)
+		if v, ok, err := h.Get(uint64(i)); err != nil || !ok || !bytes.Equal(v, val(i)) {
+			t.Fatalf("Get(%d) = (%q,%v,%v)", i, v, ok, err)
 		}
 	}
 	if after := d.Runtime().Metrics().Totals.RemoteSends; after != before {
@@ -369,7 +372,7 @@ func TestTraceReplayAcrossVariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer h.Unregister()
+	defer h.Close()
 
 	written := map[uint64]bool{}
 	for i, key := range tr.Keys {
@@ -385,7 +388,10 @@ func TestTraceReplayAcrossVariants(t *testing.T) {
 			continue
 		}
 		sv, sok := stock.Get(key)
-		dv, dok := h.Get(key)
+		dv, dok, err := h.Get(key)
+		if err != nil {
+			t.Fatalf("req %d key %d: %v", i, key, err)
+		}
 		if sok != written[key] || dok != written[key] {
 			t.Fatalf("req %d key %d: stock=%v dps=%v want %v", i, key, sok, dok, written[key])
 		}

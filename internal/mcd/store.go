@@ -126,9 +126,10 @@ type Config struct {
 	// elsewhere), keeping a partition's shard hot in one core's cache.
 	PinServers bool
 	// OpTimeout bounds each synchronous delegated operation (dps variants
-	// only): Set/Get/Delete return ErrTimeout when the owning locality
-	// does not execute the operation in time — the back-pressure signal a
-	// network front door turns into SERVER_ERROR. 0 means wait forever.
+	// only; it is the runtime's core.Config.OpTimeout): Get, Set, Delete and
+	// each get of a Wave return ErrTimeout when the owning locality does not
+	// execute the operation in time — the back-pressure signal a network
+	// front door turns into SERVER_ERROR. 0 means wait forever.
 	OpTimeout time.Duration
 	// DrainTimeout bounds Close's runtime shutdown (default 5s).
 	DrainTimeout time.Duration
@@ -319,6 +320,7 @@ func openDPS(localGets bool, cfg Config) (Store, error) {
 		MaxThreads: cfg.MaxThreads,
 		Peers:      cfg.Peers,
 		PinServers: cfg.PinServers,
+		OpTimeout:  cfg.OpTimeout,
 		Chaos:      cfg.Chaos,
 	}
 	localParts := parts
@@ -361,7 +363,6 @@ func openDPS(localGets bool, cfg Config) (Store, error) {
 	}
 	st := &dpsStore{
 		d:            d,
-		opTimeout:    cfg.OpTimeout,
 		drainTimeout: cfg.DrainTimeout,
 		stop:         make(chan struct{}),
 	}
@@ -399,7 +400,7 @@ func openDPS(localGets bool, cfg Config) (Store, error) {
 		h, err := d.RegisterAt(local[i%len(local)])
 		if err != nil {
 			for _, prev := range handles {
-				prev.Unregister()
+				prev.Close()
 			}
 			if st.ps != nil {
 				st.ps.Close()
@@ -423,7 +424,6 @@ func openDPS(localGets bool, cfg Config) (Store, error) {
 type dpsStore struct {
 	d            *DPS
 	ps           *core.PeerServer
-	opTimeout    time.Duration
 	drainTimeout time.Duration
 	stop         chan struct{}
 	wg           sync.WaitGroup
@@ -478,7 +478,7 @@ const serveLoopPark = 50 * time.Millisecond
 // goroutine, and affinity belongs to the goroutine that serves.
 func (s *dpsStore) serveLoop(h *DPSHandle) {
 	defer s.wg.Done()
-	defer h.Unregister()
+	defer h.Close()
 	h.Pin()
 	for {
 		select {
@@ -495,7 +495,7 @@ func (s *dpsStore) Session() (Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &dpsSession{h: h, opTimeout: s.opTimeout}, nil
+	return h, nil
 }
 
 // Len sums shard item counts directly (quiescent use, like Cache.Len): a
@@ -530,39 +530,3 @@ func (s *dpsStore) Close() error {
 	})
 	return s.closeErr
 }
-
-type dpsSession struct {
-	h         *DPSHandle
-	opTimeout time.Duration
-}
-
-func (s *dpsSession) Get(key uint64) ([]byte, bool, error) {
-	if s.opTimeout > 0 {
-		return s.h.GetTimeout(key, s.opTimeout)
-	}
-	v, ok := s.h.Get(key)
-	return v, ok, nil
-}
-
-// Wave implements Waver; each get is bounded by OpTimeout like Get.
-func (s *dpsSession) Wave(ops []WaveOp) { s.h.Wave(ops, s.opTimeout) }
-
-func (s *dpsSession) Set(key uint64, val []byte) error {
-	if s.opTimeout > 0 {
-		return s.h.SetTimeout(key, val, s.opTimeout)
-	}
-	return s.h.Set(key, val)
-}
-
-func (s *dpsSession) SetAsync(key uint64, val []byte) { s.h.SetAsync(key, val) }
-
-func (s *dpsSession) Delete(key uint64) (bool, error) {
-	if s.opTimeout > 0 {
-		return s.h.DeleteTimeout(key, s.opTimeout)
-	}
-	return s.h.Delete(key), nil
-}
-
-func (s *dpsSession) Flush() { s.h.Flush() }
-func (s *dpsSession) Drain() { s.h.Drain() }
-func (s *dpsSession) Close() { s.h.Unregister() }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"dps/internal/chaos"
 	"dps/internal/core"
 )
 
@@ -157,12 +158,24 @@ func TestWaveTimeoutHitsOnlyTheWedgedLocality(t *testing.T) {
 	}
 }
 
+// remoteGets is a wave of eight gets of keys owned by partitions other than
+// h's own locality, so every get is delegated.
+func remoteGets(h *DPSHandle) (ops [8]WaveOp) {
+	for i, k := 0, uint64(1000); i < len(ops); k++ {
+		if h.d.rt.PartitionForKey(k).ID() != h.t.Locality() {
+			ops[i].Key = k
+			i++
+		}
+	}
+	return ops
+}
+
 // TestWaveZeroAlloc pins the wave machinery: eight delegated gets issued and
-// collected through the session allocate nothing. The keys are missing and
-// remote on purpose: a hit allocates in the shard (Stock.Get copies the value
-// out from under the bucket lock) and a key of the session's own locality
-// runs inline, where the runtime heap-allocates the op's Args — both exactly
-// as they do for Get.
+// collected through the session allocate nothing, with no OpTimeout and with
+// one. The keys are remote so that every get rides the wave (a key of the
+// session's own locality runs inline, which allocates nothing either), and
+// missing because a hit allocates in the shard: Stock.Get copies the value out
+// from under the bucket lock, exactly as it does for Get.
 func TestWaveZeroAlloc(t *testing.T) {
 	for _, timeout := range []time.Duration{0, time.Minute} {
 		st, err := Open("dps", Config{Partitions: 4, MaxThreads: 8, OpTimeout: timeout})
@@ -174,14 +187,7 @@ func TestWaveZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 		w := sess.(Waver)
-		h := sess.(*dpsSession).h
-		var ops [8]WaveOp
-		for i, k := 0, uint64(1000); i < len(ops); k++ {
-			if h.d.rt.PartitionForKey(k).ID() != h.t.Locality() {
-				ops[i].Key = k
-				i++
-			}
-		}
+		ops := remoteGets(sess.(*DPSHandle))
 		for i := 0; i < 100; i++ { // fault in rings, parkers, histograms
 			w.Wave(ops[:])
 		}
@@ -191,6 +197,57 @@ func TestWaveZeroAlloc(t *testing.T) {
 		sess.Close()
 		if err := st.Close(); err != nil {
 			t.Error(err)
+		}
+	}
+}
+
+// TestWaveRingFullHonoursOpTimeout: with every send finding its ring full, a
+// wave's gets to remote partitions each end in ErrTimeout — the wave's
+// ring-full wait is bounded by OpTimeout like every other wait of a call that
+// hands back a Result — and the wave returns within 4 × ops × OpTimeout. A
+// watchdog unwinds a wave that does not return by closing the store, whose
+// shutdown ends the wait with ErrClosed. (While ExecuteInto's ring-full wait
+// had no deadline, the wave never returned and the watchdog fired.)
+func TestWaveRingFullHonoursOpTimeout(t *testing.T) {
+	const opTimeout = 20 * time.Millisecond
+	st, err := Open("dps", Config{
+		OpTimeout:    opTimeout,
+		DrainTimeout: time.Second,
+		Chaos:        chaos.New(chaos.Config{RingFullProb: 1}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	sess, err := st.Session()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	h := sess.(*DPSHandle)
+	ops := remoteGets(h)
+	done := make(chan any, 1)
+	start := time.Now()
+	go func() {
+		defer func() { done <- recover() }()
+		h.Wave(ops[:])
+	}()
+	select {
+	case rec := <-done:
+		if rec != nil {
+			t.Fatalf("wave panicked: %v", rec)
+		}
+	case <-time.After(5 * time.Second):
+		st.Close()
+		<-done
+		t.Fatal("wave still waiting after 5s")
+	}
+	if elapsed, limit := time.Since(start), 4*time.Duration(len(ops))*opTimeout; elapsed > limit {
+		t.Errorf("wave of %d took %v, want at most %v", len(ops), elapsed, limit)
+	}
+	for i, o := range ops {
+		if !errors.Is(o.Err, core.ErrTimeout) || o.OK {
+			t.Errorf("op %d key %d: (%q,%t,%v), want ErrTimeout", i, o.Key, o.Val, o.OK, o.Err)
 		}
 	}
 }

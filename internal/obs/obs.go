@@ -91,8 +91,9 @@ const (
 	// locality's arena pool instead of the shared GC heap.
 	ArenaAcquires
 	// ArenaFallbacks counts payloads that wanted an arena buffer but fell
-	// back to the heap (pool empty). A high ratio to ArenaAcquires means
-	// Config.ArenaBufs is undersized for the in-flight window.
+	// back to the heap (pool empty or payload oversized). A high ratio to
+	// ArenaAcquires means core.DefaultArenaBufs is undersized for the
+	// in-flight window.
 	ArenaFallbacks
 	// NumCounters is the number of counters per block.
 	NumCounters

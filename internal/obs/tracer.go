@@ -14,8 +14,8 @@ import "time"
 // and they run inline — a slow hook slows the runtime.
 type Tracer interface {
 	// OnSend fires after a delegation is published to partition part's
-	// ring: tid is the sending thread, sync distinguishes Execute from
-	// ExecuteAsync.
+	// ring: tid is the sending thread, sync distinguishes an operation with
+	// a completion record from ExecuteAsync.
 	OnSend(tid, part int, key uint64, sync bool)
 	// OnServe fires after thread tid executes a request delegated to
 	// partition part; d is the operation's execution time.

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"dps/internal/chaos"
 	"dps/internal/mcd"
 )
 
@@ -173,14 +174,28 @@ func TestStorageStraddlingRefill(t *testing.T) {
 }
 
 // TestWaveBackendTimeoutExactKeys: one session serves the front door from
-// locality 0 and the only thread of locality 1 sits idle with no serving
-// crew, so delegations to partition 1 outlive OpTimeout. A pipeline mixing
-// both partitions' keys gets SERVER_ERROR backend timeout in place of exactly
-// the wedged keys' replies — everything else intact and in request order —
-// and the batch boundary reclaims the timed-out entries.
+// locality 0 and the only thread of locality 1 never serves, with no serving
+// crew, so delegations to partition 1 outlive OpTimeout — either in flight
+// (idle locality) or before they are staged, in the ring-full wait (every
+// ring full). A pipeline mixing both partitions' keys gets SERVER_ERROR
+// backend timeout in place of exactly the wedged keys' replies — everything
+// else intact and in request order — instead of hanging, and the batch
+// boundary reclaims the timed-out entries.
 func TestWaveBackendTimeoutExactKeys(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		inj  *chaos.Injector
+	}{
+		{"idle locality", nil},
+		{"ring full", chaos.New(chaos.Config{RingFullProb: 1})},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testBackendTimeout(t, tc.inj) })
+	}
+}
+
+func testBackendTimeout(t *testing.T, inj *chaos.Injector) {
 	store, err := mcd.Open("dps", mcd.Config{
-		Partitions: 2, MaxThreads: 8, Servers: -1, OpTimeout: 20 * time.Millisecond,
+		Partitions: 2, MaxThreads: 8, Servers: -1, OpTimeout: 20 * time.Millisecond, Chaos: inj,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -217,6 +232,7 @@ func TestWaveBackendTimeoutExactKeys(t *testing.T) {
 	}
 
 	before := srv.Stats().Snapshot()
+	abandoned := store.Metrics().Totals.Abandoned
 	req := fmt.Sprintf("get %s\r\nget %s\r\nget %s %s %s\r\nget %s\r\n",
 		local[0], wedged[0], local[1], wedged[1], local[0], wedged[1])
 	want := valueBlock(local[0], 0, "x") + "END\r\n" +
@@ -245,13 +261,19 @@ func TestWaveBackendTimeoutExactKeys(t *testing.T) {
 		t.Errorf("protocol_errors rose by %d, want 3", d)
 	}
 	// The replies were flushed after the batch boundary's Drain: nothing is
-	// left in flight toward the wedged partition.
+	// left in flight toward the wedged partition. Gets that timed out in
+	// flight were abandoned; gets that timed out in the ring-full wait were
+	// never staged.
 	m := store.Metrics()
 	if occ := m.PerPartition[1].RingOccupancy; occ != 0 {
 		t.Errorf("%d slots still in flight to partition 1", occ)
 	}
-	if m.Totals.Abandoned < 3 {
-		t.Errorf("Abandoned = %d, want the 3 timed-out gets counted", m.Totals.Abandoned)
+	wantAbandoned := uint64(3)
+	if inj != nil {
+		wantAbandoned = 0
+	}
+	if d := m.Totals.Abandoned - abandoned; d != wantAbandoned {
+		t.Errorf("Abandoned rose by %d, want %d", d, wantAbandoned)
 	}
 }
 
