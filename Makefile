@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check lint loc chaos chaos-peer fuzz bench bench-build bench-compare bench-pair bench-json bench-gate serve-smoke peer-smoke pin-smoke
+.PHONY: build test check lint loc chaos chaos-peer fuzz bench bench-build bench-compare bench-pair bench-gate serve-smoke peer-smoke pin-smoke
 
 build:
 	$(GO) build ./...
@@ -33,13 +33,9 @@ check: bench-build
 bench-build:
 	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
 
-# lint machine-checks the delegation runtime's concurrency and hot-path
-# invariants: cache-line padding, atomic/plain access mixing, 0-alloc
-# fast paths, bounded spin loops, guarded chaos/tracer hooks, ownership
-# domains (//dps:owned-by), publication ordering (//dps:publish), error
-# classification (errors.Is over ==), and the marker<->AllocsPerRun pin
-# consistency. See DESIGN.md "Invariants". Use `-json` for machine
-# output (CI's problem matcher consumes it).
+# lint runs dpslint, the static checks of the invariants the compiler, go
+# vet and the tests do not catch. DESIGN.md §8 lists its rules and markers.
+# Use `-json` for machine output (CI's problem matcher consumes it).
 lint:
 	$(GO) run ./cmd/dpslint
 
@@ -133,31 +129,11 @@ bench-pair:
 	@test -n "$(BASE)" || { echo "usage: make bench-pair BASE=<rev> [MICRO=1] [WORKLOAD=<name>] [PAIRS=10] [SECONDS=18]"; exit 2; }
 	MICRO=$(MICRO) bash scripts/bench_pair.sh $(BASE) $(WORKLOAD) $(PAIRS) $(SECONDS)
 
-# bench-json runs the delegation transport benchmarks (the core latency
-# variants, the idle-sender doorbell scaling set, the parked-waiter
-# wake-latency and idle-CPU-burn measurements, and the payload-arena
-# variants) and archives the numbers — ns/op, allocs/op, and the custom
-# metrics (ops/slot, wake-ns/op, cpu-ms/s) — as BENCH_delegation.json via
-# cmd/benchjson. CI runs it with BENCHTIME=1x as a smoke test that the
-# benchmarks and the parser stay alive; real measurement runs use the
-# default benchtime.
-BENCHTIME ?= 1s
-bench-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkDelegation|BenchmarkServePass|BenchmarkIdle' -benchmem -benchtime=$(BENCHTIME) ./internal/core/ > bench_delegation.out
-	$(GO) run ./cmd/benchjson -o BENCH_delegation.json bench_delegation.out
-	@rm bench_delegation.out
-	@echo wrote BENCH_delegation.json
-
-# bench-gate re-runs the delegation benchmarks and gates them against the
-# committed BENCH_delegation.json baseline: any benchmark more than
-# GATE_PCT percent slower (ns/op), or allocating where the baseline was
-# 0 B/op, fails the build (benchjson exits 3). The gate runs -count=3 and
-# benchjson keeps each benchmark's best run (min ns/op, max B/op), so a
-# single noisy sample on a shared host does not fail the build. Refresh
-# the baseline with `make bench-json` when a change legitimately moves
-# the numbers, and commit the diff so the movement is visible in review.
-GATE_PCT ?= 10
+# bench-gate is bench-pair's micro mode as a gate: BASE against this working
+# tree, 6 alternating pairs of internal/core's delegation micro-benchmarks.
+# It fails on a row resolved worse (lost 6/6 pairs by more than the base's
+# inter-quartile distance) and on a row whose B/op left 0. About 10 minutes.
+# CI runs it with the pull request's base revision.
 bench-gate:
-	$(GO) test -run '^$$' -bench 'BenchmarkDelegation|BenchmarkIdle' -benchmem -benchtime=$(BENCHTIME) -count=3 ./internal/core/ > bench_gate.out
-	$(GO) run ./cmd/benchjson -against BENCH_delegation.json -threshold $(GATE_PCT) bench_gate.out
-	@rm bench_gate.out
+	@test -n "$(BASE)" || { echo "usage: make bench-gate BASE=<rev>"; exit 2; }
+	MICRO=1 bash scripts/bench_pair.sh $(BASE) all 6

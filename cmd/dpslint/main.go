@@ -1,9 +1,7 @@
 // Command dpslint runs the DPS static-analysis pass over the module: it
 // loads and type-checks every package with nothing but the standard
-// library's go/ast, go/parser and go/types, applies the invariant rules
-// (padcheck, atomicmix, noalloc, spinloop, hookguard, wirealloc, owner,
-// publishorder, errclass, marker — see internal/lint), and cross-checks
-// the //dps:noalloc markers against the AllocsPerRun pin tests. Exit
+// library's go/ast, go/parser and go/types and applies the invariant rules
+// of internal/lint (listed, with their markers, in DESIGN.md §8). Exit
 // status 1 when any diagnostic fires.
 //
 // Usage:
@@ -50,13 +48,6 @@ func main() {
 		os.Exit(2)
 	}
 	diags := lint.Run(m)
-
-	pins, err := lint.CheckPinSync(*dir)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dpslint: pinsync: %v\n", err)
-		os.Exit(2)
-	}
-	diags = append(diags, pins...)
 	elapsed := time.Since(start)
 
 	if *asJSON {

@@ -24,8 +24,6 @@
 // one multiply-xor hash per draw.
 package chaos
 
-//dps:check atomicmix spinloop
-
 import (
 	"errors"
 	"sync/atomic"

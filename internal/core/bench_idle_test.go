@@ -17,7 +17,7 @@ import (
 // threads registered at locality 0. Each idle thread contributes one ring
 // to every partition's ring table but never sends, so its rings are pure
 // scan overhead for serving threads.
-func idleRuntime(b *testing.B, idle int) (*Runtime, func()) {
+func idleRuntime(b testing.TB, idle int) (*Runtime, func()) {
 	b.Helper()
 	rt, err := New(Config{
 		Partitions:    2,

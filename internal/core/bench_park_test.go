@@ -16,7 +16,7 @@ import (
 // runtime with a server goroutine that idles by parking (ServeWait) rather
 // than spinning, plus a registered client thread. The returned stop tears
 // both down.
-func parkedServerRuntime(b *testing.B, parkFor time.Duration) (th *Thread, stop func()) {
+func parkedServerRuntime(b testing.TB, parkFor time.Duration) (th *Thread, stop func()) {
 	b.Helper()
 	rt, err := New(Config{
 		Partitions:    2,
@@ -50,6 +50,45 @@ func parkedServerRuntime(b *testing.B, parkFor time.Duration) (th *Thread, stop 
 		stopped.Store(true)
 		wg.Wait()
 	}
+}
+
+// TestIdleAllocPins holds the idle-path benchmarks at 0 allocations:
+// registered-but-idle senders under DisableTiming (the runtime of
+// BenchmarkDelegationIdleSenders and BenchmarkServePassIdle) and a server
+// parked in ServeWait (BenchmarkIdleWakeLatency; BenchmarkIdleCPUBurn/parked
+// idles in the same park). In each, a serve pass that finds nothing to do
+// and a synchronous delegation allocate nothing.
+func TestIdleAllocPins(t *testing.T) {
+	pin := func(t *testing.T, th *Thread, gap time.Duration) {
+		for i := uint64(0); i < 100; i++ { // warm the rings, the park timer and the wake path
+			th.ExecuteSync(1000+i%7, opNop, Args{U: [4]uint64{i}})
+		}
+		if n := testing.AllocsPerRun(200, func() { th.Serve() }); n != 0 {
+			t.Errorf("an idle serve pass allocates %v per pass, want 0", n)
+		}
+		if n := testing.AllocsPerRun(50, func() {
+			time.Sleep(gap)
+			th.ExecuteSync(1001, opNop, Args{})
+		}); n != 0 {
+			t.Errorf("a synchronous delegation allocates %v per op, want 0", n)
+		}
+	}
+	t.Run("idle senders", func(t *testing.T) {
+		rt, cleanup := idleRuntime(t, 32)
+		defer cleanup()
+		defer startServer(t, rt, 1)()
+		th, err := rt.RegisterAt(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer th.Unregister()
+		pin(t, th, 0)
+	})
+	t.Run("parked server", func(t *testing.T) {
+		th, stop := parkedServerRuntime(t, 100*time.Microsecond)
+		defer stop()
+		pin(t, th, 300*time.Microsecond) // past the server's park timeout
+	})
 }
 
 // BenchmarkIdleWakeLatency measures the synchronous delegation round-trip

@@ -13,10 +13,6 @@ import (
 // its locality's topology.Assign plan; Unregister restores the original
 // affinity mask and unlocks. Everything degrades to a no-op where
 // affinity control is unavailable (see internal/affinity).
-//
-// The pin state below is the repository's canonical //dps:pinned-thread
-// example: the fields are meaningful only on the pinned OS thread, so the
-// pinned lint rule confines access to functions marked //dps:pinned.
 
 // Pin pins the calling goroutine's OS thread to a CPU owned by the
 // thread's locality, and reports whether a pin took effect. It requires
@@ -42,8 +38,6 @@ func (t *Thread) Pinned() bool { return t.pinnedOn() >= 0 }
 // pinSelf locks the calling goroutine to its OS thread and restricts the
 // thread to cpu, recording the previous mask for unpinSelf. cpu < 0 (no
 // plan) and affinity errors degrade to an unpinned no-op.
-//
-//dps:pinned
 func (t *Thread) pinSelf(cpu int) bool {
 	if t.pinnedCPU != 0 {
 		return true
@@ -70,8 +64,6 @@ func (t *Thread) pinSelf(cpu int) bool {
 // unpinSelf restores the OS thread's affinity mask and unlocks the
 // goroutine. Safe to call unpinned; called from Unregister on the owning
 // goroutine (the same one that pinned, per the Thread contract).
-//
-//dps:pinned
 func (t *Thread) unpinSelf() {
 	if t.pinnedCPU == 0 {
 		return
@@ -84,6 +76,4 @@ func (t *Thread) unpinSelf() {
 }
 
 // pinnedOn returns the CPU the thread is pinned to, -1 when unpinned.
-//
-//dps:pinned
 func (t *Thread) pinnedOn() int { return t.pinnedCPU - 1 }

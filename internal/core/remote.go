@@ -174,7 +174,7 @@ func (t *Thread) stageRemote(p *Partition, key uint64, op Op, args *Args, fire b
 	}
 	t.wopen = l
 	t.rt.rec.Add(t.id, p.id, obs.RemoteOps, 1)
-	t.rt.rec.Add(t.id, p.id, obs.RemoteBytes, uint64(47+len(data)))
+	t.rt.rec.Add(t.id, p.id, obs.RemoteBytes, uint64(wire.ReqOpFixed+len(data)))
 	if fire {
 		//dps:alloc-ok amortized growth of the wire outstanding list, same budget as noteOutstanding
 		t.woutstanding = append(t.woutstanding, wireRef{tok: tok, p: p})

@@ -26,8 +26,6 @@
 // re-exports this one.
 package core
 
-//dps:check atomicmix spinloop errclass
-
 import (
 	"errors"
 	"fmt"
@@ -140,8 +138,6 @@ type Config struct {
 	// the wrapped data-structure). It is called once per partition at
 	// Create time; the returned value is available via Partition.Data.
 	// Optional.
-	//
-	//dps:hook
 	Init func(p *Partition) any
 
 	// Tracer receives per-event observability callbacks (sends, serves,
@@ -160,8 +156,6 @@ type Config struct {
 	// fast and must not call back into the runtime. A handler that panics
 	// itself is fail-stop: it takes down the thread it runs on. When nil,
 	// the panic is logged to the standard logger. Optional.
-	//
-	//dps:hook
 	OnPanic func(PanicInfo)
 
 	// Chaos installs a fault injector on the runtime's delegation paths
@@ -309,8 +303,6 @@ type Runtime struct {
 	tracing bool
 
 	// chaos is the optional fault injector; nil outside chaos tests.
-	//
-	//dps:hook
 	chaos *chaos.Injector
 
 	// peers are the configured peer-process links, in Config.Peers order.

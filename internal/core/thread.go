@@ -95,11 +95,8 @@ type Thread struct {
 	// pinnedCPU is 1+the CPU this thread's OS thread is pinned to, 0 when
 	// unpinned; prevMask is the affinity mask to restore on unpin. Both are
 	// meaningful only on the pinned OS thread itself.
-	//
-	//dps:pinned-thread
 	pinnedCPU int
-	//dps:pinned-thread
-	prevMask affinity.Mask
+	prevMask  affinity.Mask
 
 	// inline is the argument record an inline operation runs against: an op
 	// takes its arguments by address and the call is indirect, so a by-value
@@ -115,8 +112,6 @@ type Thread struct {
 	// execute paths test one pointer off the hot Thread struct instead of
 	// chasing rt. Nil for the shutdown sweep's admin thread: the sweep
 	// drains without injecting further faults.
-	//
-	//dps:hook
 	chaos *chaos.Injector
 
 	unregistered bool
@@ -899,7 +894,6 @@ func (t *Thread) Serve() int {
 // bounds how long a wake lost to a fault can delay service. Like every
 // Thread method it panics with ErrClosed after Shutdown.
 //
-//dps:bounded-wait
 //dps:domain=sender
 func (t *Thread) ServeWait(d time.Duration) int {
 	t.checkLive()

@@ -47,8 +47,6 @@ const burstSize = 4
 // one stride (asserted below), so a burst of n ops moves n request lines
 // plus the header/toggle lines — strictly fewer coherence transfers than n
 // single-op slots.
-//
-//dps:cacheline=128
 type opEntry struct {
 	op       Op
 	key      uint64

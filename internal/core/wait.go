@@ -190,7 +190,6 @@ func (w *waiter) reset() { w.idle, w.parks, w.timeout, w.sampled = 0, 0, 0, fals
 // released slot it still cannot use, where the round is what observes
 // shutdown and the deadline.
 //
-//dps:bounded-wait
 //dps:noalloc via ExecuteSync
 func (w *waiter) await() error {
 	t := w.t
@@ -221,7 +220,6 @@ func (w *waiter) await() error {
 // waitParkMax, with a stall sample every waitStallParks parks (which cannot
 // trigger in the spin stage).
 //
-//dps:bounded-wait
 //dps:noalloc via ExecuteSync
 func (w *waiter) pause() {
 	w.idle++
@@ -258,7 +256,6 @@ func (w *waiter) pause() {
 // doorbell bit is rediscovered within one park timeout instead of the full
 // serveFullScanEvery cadence.
 //
-//dps:bounded-wait
 //dps:noalloc via ExecuteSync
 func (t *Thread) park(on *target, part int, d time.Duration) bool {
 	rt := t.rt

@@ -23,8 +23,6 @@
 // what Figures 3 and 6 of the paper measure the cost of.
 package ffwd
 
-//dps:check atomicmix spinloop errclass
-
 import (
 	"errors"
 	"fmt"
@@ -244,7 +242,6 @@ func (sys *System) serverLoop(s int) {
 	// The server is a dedicated thread by ffwd's design: it spins over its
 	// client lines for the lifetime of the system, yields when idle, and
 	// exits on Close.
-	//dps:spin-ok dedicated ffwd server; Gosched when idle, exits on closed
 	for pass := uint64(0); ; pass++ {
 		served := 0
 		closed := sys.closed.Load()
@@ -360,7 +357,6 @@ func (c *Client) CallServer(s int, key uint64, op Op, args Args) Result {
 	// Busy-waiting is ffwd's published client protocol — the contrast with
 	// DPS's serve-while-waiting is exactly what the Figure 3/6 benchmarks
 	// measure — so the poll loop is justified, not fixed.
-	//dps:spin-ok ffwd clients busy-wait by design (§3.2); a dedicated server is always serving
 	for l.Pending() {
 		runtime.Gosched()
 	}

@@ -90,27 +90,12 @@ func inGoroutineLit(c cursor, lits map[*ast.FuncLit]bool) bool {
 }
 
 // buildDomains collects every //dps:domain annotation and propagates
-// domains through the module's static call graph.
-func buildDomains(m *Module) *domainInfo {
-	return buildDomainsBy(m, func(fd *ast.FuncDecl) (string, bool) {
-		mk, ok := findMarker("domain", fd.Doc)
-		if !ok || mk.Args == "" {
-			return "", false
-		}
-		return mk.Args, true
-	})
-}
-
-// buildDomainsBy builds a domain model whose declared roots are chosen by
-// extract (returning a function's declared domain, if any) and propagates
 // domains through the module's static call graph. Call edges crossing a
 // `go` statement are excluded — a spawned goroutine is a domain boundary
 // (it must declare its own domain to touch owned state). Calls through
 // func values and interfaces are not resolvable and contribute no edge.
-// Declared roots are propagation barriers exactly as in domainInfo's
-// contract, so orthogonal analyses (ownership domains, the pinned-thread
-// domain) each run over their own instance without interfering.
-func buildDomainsBy(m *Module, extract func(fd *ast.FuncDecl) (string, bool)) *domainInfo {
+// Declared domains are propagation barriers, as domainInfo describes.
+func buildDomains(m *Module) *domainInfo {
 	di := &domainInfo{
 		explicit: make(map[*types.Func]string),
 		reached:  make(map[*types.Func]map[string]bool),
@@ -128,8 +113,8 @@ func buildDomainsBy(m *Module, extract func(fd *ast.FuncDecl) (string, bool)) *d
 				if fn == nil {
 					continue
 				}
-				if dom, ok := extract(fd); ok {
-					di.explicit[fn] = dom
+				if mk, ok := findMarker("domain", fd.Doc); ok && mk.Args != "" {
+					di.explicit[fn] = mk.Args
 				}
 				if fd.Body == nil {
 					continue

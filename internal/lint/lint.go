@@ -1,82 +1,16 @@
 // Package lint is dpslint: a dependency-free static-analysis pass that
-// machine-checks the delegation runtime's concurrency and hot-path
-// invariants. The DPS protocols only deliver their locality wins while
-// invariants the Go compiler cannot see hold everywhere — ring slots never
-// share a cache line, toggle/claim words are touched only through
-// sync/atomic, the delegation fast path stays allocation-free, wait loops
-// are bounded, and fault/tracing hooks stay nil-guarded. Before this
-// package those invariants lived in comments, a handful of AllocsPerRun
-// pins, and reviewer vigilance; dpslint turns each one into a diagnostic.
+// machine-checks the delegation runtime's invariants that neither the Go
+// compiler, go vet nor the test suite catches. It is built on go/ast,
+// go/parser and go/types only (go.mod gains no dependencies) and loads
+// every package in the module through a small source importer (load.go).
 //
-// The pass is built purely on go/ast, go/parser and go/types (go.mod gains
-// no dependencies) and loads every package in the module through a small
-// source importer (see load.go).
-//
-// # Rules and markers
-//
-// Every rule is keyed off a source marker, so checks are opt-in and the
-// marked code is self-documenting:
-//
-//	//dps:cacheline[=N]    (type)  padcheck: the type's size must be a whole
-//	                       multiple of the N-byte stride (default 64). On a
-//	                       generic type, every instantiation in the module
-//	                       is checked at its instantiation site.
-//	//dps:noalloc [via F]  (func)  noalloc: the function body must contain
-//	                       no allocating construct. "via F" records which
-//	                       directly-pinned function's AllocsPerRun test
-//	                       covers it at runtime (see pinsync.go).
-//	//dps:alloc-ok <why>   (line)  suppresses one noalloc diagnostic on the
-//	                       marked line, with justification.
-//	//dps:bounded-wait     (func)  names a bounded waiter: calling it
-//	                       satisfies the spinloop rule.
-//	//dps:spin-ok <why>    (line)  justifies one atomic-polling loop.
-//	//dps:hook [guard=G]   (field) hookguard: every call through the field
-//	                       must be dominated by a nil check of the field (or
-//	                       by a check of the sibling boolean field G).
-//	//dps:wire-cold <why>  (func)  wirealloc: acknowledges a function that
-//	                       touches the wire byte layout but sits off the
-//	                       per-op hot path (handshake, per-burst publish).
-//	//dps:owned-by=<d>     (field) owner: the field is single-writer protocol
-//	                       state of domain d (sender, server, redialer, ...);
-//	                       plain access is legal only from functions in d —
-//	                       declared //dps:domain=d or reached from declared
-//	                       roots through the call graph (go statements are
-//	                       domain boundaries). Other access must use
-//	                       sync/atomic or //dps:owner-ok.
-//	//dps:domain=<d>       (func)  owner: declares the function's domain; a
-//	                       declared domain is a propagation barrier and the
-//	                       root the inference spreads from.
-//	//dps:owner-ok <why>   (line)  suppresses one owner diagnostic. Stale or
-//	                       unjustified suppressions are diagnostics.
-//	//dps:pinned-thread    (field) pinned: the field is per-OS-thread affinity
-//	                       state (a pinned CPU, a saved mask), meaningful only
-//	                       on the goroutine locked to that thread; plain
-//	                       access is legal only from the pinned domain.
-//	//dps:pinned           (func)  pinned: declares the function a root of the
-//	                       pinned domain; reachability extends it like
-//	                       //dps:domain does for owner.
-//	//dps:pinned-ok <why>  (line)  suppresses one pinned diagnostic, same
-//	                       hygiene as //dps:owner-ok.
-//	//dps:publishes        (field) publishorder: the atomic store to this
-//	                       field is what makes a slot/burst visible.
-//	//dps:publish          (func)  publishorder: in this function, no payload
-//	                       write may follow the publishing store on any path.
-//	//dps:publish-ok <why> (line)  suppresses one publishorder diagnostic
-//	                       (e.g. ownership provably returned via an await).
-//	//dps:errclass-ok <why> (line) suppresses one errclass diagnostic.
-//	//dps:check r1 r2 ...  (package) opts the package in to the whole-package
-//	                       rules atomicmix, spinloop, wirealloc and errclass.
-//
-// padcheck, noalloc, hookguard, owner, pinned and publishorder need no
-// package opt-in: their markers are the opt-in. atomicmix, spinloop, wirealloc
-// and errclass inspect unmarked code, so they run only in packages
-// carrying a //dps:check marker — the lock-free baseline structures
-// (internal/list, internal/skiplist, ...) spin and mix accesses per
-// their published algorithms and deliberately stay out, and wirealloc's
-// byte-layout heuristic only means "wire hot path" inside the wire tier.
-// The markers themselves are validated by the marker rule: unknown
-// names, unknown //dps:check rules, empty owned-by/domain values and
-// duplicated markers are diagnostics, never silent no-ops.
+// Every rule is keyed off a //dps: source marker, so checks are opt-in
+// and the marked code is self-documenting. The rules, their markers and
+// the mutant each one alone catches are listed once, in DESIGN.md §8.
+// The markers themselves are validated by the marker rule: unknown names
+// (including the markers of deleted rules), unknown //dps:check rules,
+// empty owned-by/domain values and duplicated markers are diagnostics,
+// never silent no-ops.
 package lint
 
 import (
@@ -97,20 +31,13 @@ func (d Diagnostic) String() string {
 }
 
 // Run applies every analyzer rule to the loaded module and returns the
-// diagnostics sorted by position. The pin-sync check (pinsync.go) is
-// separate: it is parse-only and also reads test files.
+// diagnostics sorted by position.
 func Run(m *Module) []Diagnostic {
 	var diags []Diagnostic
-	diags = append(diags, padcheck(m)...)
-	diags = append(diags, atomicmix(m)...)
 	diags = append(diags, noalloc(m)...)
-	diags = append(diags, spinloop(m)...)
 	diags = append(diags, hookguard(m)...)
-	diags = append(diags, wirealloc(m)...)
 	diags = append(diags, owner(m)...)
-	diags = append(diags, pinned(m)...)
 	diags = append(diags, publishorder(m)...)
-	diags = append(diags, errclass(m)...)
 	diags = append(diags, markercheck(m)...)
 	sortDiags(diags)
 	return diags

@@ -10,18 +10,14 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
-	"strconv"
 	"strings"
-	"sync"
 )
 
 // Module is a fully type-checked view of one Go module (or, via LoadDir, a
 // single stand-alone package), shared by every analyzer rule.
 type Module struct {
-	Fset  *token.FileSet
-	Sizes types.Sizes
+	Fset *token.FileSet
 	// Pkgs holds every loaded module-local package, sorted by import path.
 	// Imported standard-library packages are type-checked but not listed:
 	// rules analyze module source only.
@@ -35,31 +31,20 @@ type Package struct {
 	Files []*ast.File
 	TPkg  *types.Package
 	Info  *types.Info
-	// Checks holds the whole-package rules the package opted in to via a
-	// //dps:check marker.
-	Checks map[string]bool
 }
 
 // loader resolves imports for the module being analyzed: module-local
-// packages are parsed and type-checked from source in place; everything
-// else (the standard library) goes through go/importer's source importer,
-// which shares the loader's FileSet and caches across packages.
-//
-// LoadModule type-checks module packages on several goroutines at once
-// (the FileSet is internally locked, and completed *types.Packages are
-// immutable), so the two shared mutable structures carry locks: pkgs
-// behind mu, and the source importer — whose cache is not safe for
-// concurrent use — behind stdMu.
+// packages are parsed and type-checked from source in place, each the
+// first time it is imported; everything else (the standard library) goes
+// through go/importer's source importer, which shares the loader's FileSet
+// and caches across packages.
 type loader struct {
 	fset    *token.FileSet
 	modRoot string
 	modPath string
 	std     types.Importer
-	stdMu   sync.Mutex
-	mu      sync.RWMutex
 	pkgs    map[string]*Package
 	loading map[string]bool
-	sizes   types.Sizes
 }
 
 func newLoader(modRoot, modPath string) *loader {
@@ -71,7 +56,6 @@ func newLoader(modRoot, modPath string) *loader {
 		std:     importer.ForCompiler(fset, "source", nil),
 		pkgs:    make(map[string]*Package),
 		loading: make(map[string]bool),
-		sizes:   types.SizesFor("gc", runtime.GOARCH),
 	}
 }
 
@@ -81,23 +65,12 @@ func (l *loader) Import(path string) (*types.Package, error) {
 		return types.Unsafe, nil
 	}
 	if path == l.modPath || strings.HasPrefix(path, l.modPath+"/") {
-		l.mu.RLock()
-		p, ok := l.pkgs[path]
-		l.mu.RUnlock()
-		if ok {
-			return p.TPkg, nil
-		}
-		// Lazy fallback for the serial LoadDir path; under LoadModule's
-		// scheduler every local dependency is completed before its
-		// dependents start, so this is never reached concurrently.
 		p, err := l.loadLocal(path)
 		if err != nil {
 			return nil, err
 		}
 		return p.TPkg, nil
 	}
-	l.stdMu.Lock()
-	defer l.stdMu.Unlock()
 	return l.std.Import(path)
 }
 
@@ -117,29 +90,16 @@ func (l *loader) loadLocal(path string) (*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	l.mu.Lock()
 	l.pkgs[path] = p
-	l.mu.Unlock()
 	return p, nil
 }
 
-// parsedPkg is one package after the parse phase, before type-checking:
-// its files plus the module-local import edges the scheduler orders by.
-type parsedPkg struct {
-	path  string
-	dir   string
-	files []*ast.File
-	deps  []string
-}
-
-// parsePkg parses the non-test .go files of one directory. Files excluded
-// from the host platform's build by constraints (//go:build lines or
-// GOOS/GOARCH filename suffixes) are skipped, so platform-variant pairs —
-// e.g. a Linux implementation beside its stub — don't collide in the
-// typechecker; lint analyzes the build `go build` would produce here.
-// Parsing may run concurrently across packages: the shared FileSet is
-// internally locked.
-func (l *loader) parsePkg(dir, path string) (*parsedPkg, error) {
+// loadDir parses and type-checks the non-test .go files of one directory.
+// Files excluded from the host platform's build by constraints (//go:build
+// lines or GOOS/GOARCH filename suffixes) are skipped, so platform-variant
+// pairs — e.g. a Linux implementation beside its stub — don't collide in
+// the typechecker; lint analyzes the build `go build` would produce here.
+func (l *loader) loadDir(dir, path string) (*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -162,56 +122,24 @@ func (l *loader) parsePkg(dir, path string) (*parsedPkg, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("no Go files in %s", dir)
 	}
-	p := &parsedPkg{path: path, dir: dir, files: files}
-	seen := map[string]bool{}
-	for _, f := range files {
-		for _, imp := range f.Imports {
-			ip, err := strconv.Unquote(imp.Path.Value)
-			if err != nil {
-				continue
-			}
-			if (ip == l.modPath || strings.HasPrefix(ip, l.modPath+"/")) && !seen[ip] {
-				seen[ip] = true
-				p.deps = append(p.deps, ip)
-			}
-		}
-	}
-	return p, nil
-}
-
-// typeCheck type-checks one parsed package.
-func (l *loader) typeCheck(p *parsedPkg) (*Package, error) {
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Instances:  make(map[*ast.Ident]types.Instance),
-		Implicits:  make(map[ast.Node]types.Object),
 	}
-	conf := types.Config{Importer: l, Sizes: l.sizes}
-	tpkg, err := conf.Check(p.path, l.fset, p.files, info)
+	conf := types.Config{Importer: l}
+	tpkg, err := conf.Check(path, l.fset, files, info)
 	if err != nil {
-		return nil, fmt.Errorf("typecheck %s: %w", p.path, err)
+		return nil, fmt.Errorf("typecheck %s: %w", path, err)
 	}
 	return &Package{
-		Path:   p.path,
-		Dir:    p.dir,
-		Files:  p.files,
-		TPkg:   tpkg,
-		Info:   info,
-		Checks: packageChecks(p.files),
+		Path:  path,
+		Dir:   dir,
+		Files: files,
+		TPkg:  tpkg,
+		Info:  info,
 	}, nil
-}
-
-// loadDir parses and type-checks one directory serially — the lazy path
-// LoadDir and stand-alone imports use.
-func (l *loader) loadDir(dir, path string) (*Package, error) {
-	p, err := l.parsePkg(dir, path)
-	if err != nil {
-		return nil, err
-	}
-	return l.typeCheck(p)
 }
 
 // LoadModule loads every package of the module rooted at (or above) dir.
@@ -258,137 +186,12 @@ func LoadModule(dir string) (*Module, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := l.loadAll(paths); err != nil {
-		return nil, err
+	for _, ip := range paths {
+		if _, err := l.loadLocal(ip); err != nil {
+			return nil, err
+		}
 	}
 	return l.module(), nil
-}
-
-// loadAll loads the module's packages in parallel: every package is
-// parsed concurrently, then type-checked by up to GOMAXPROCS workers in
-// dependency order — a package starts the moment its last module-local
-// dependency completes, so independent subtrees of the import graph
-// check side by side. (Standard-library imports still serialize on the
-// shared source importer; they are cached after first use.)
-func (l *loader) loadAll(paths []string) error {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(paths) {
-		workers = len(paths)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	// Phase 1: parse everything concurrently.
-	parsed := make([]*parsedPkg, len(paths))
-	errs := make([]error, len(paths))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i, ip := range paths {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, ip string) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			dir := filepath.Join(l.modRoot, filepath.FromSlash(strings.TrimPrefix(strings.TrimPrefix(ip, l.modPath), "/")))
-			parsed[i], errs[i] = l.parsePkg(dir, ip)
-		}(i, ip)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-
-	// Phase 2: type-check in dependency order. indeg counts unfinished
-	// module-local deps; a package enters the work queue at zero.
-	byPath := make(map[string]*parsedPkg, len(parsed))
-	for _, p := range parsed {
-		byPath[p.path] = p
-	}
-	indeg := make(map[string]int, len(parsed))
-	dependents := make(map[string][]string)
-	for _, p := range parsed {
-		for _, dep := range p.deps {
-			if _, ok := byPath[dep]; !ok {
-				continue // imports a path the walk did not yield; let Import fail
-			}
-			indeg[p.path]++
-			dependents[dep] = append(dependents[dep], p.path)
-		}
-	}
-	work := make(chan *parsedPkg, len(parsed))
-	var (
-		schedMu   sync.Mutex
-		queued    int // ever enqueued
-		processed int // dequeued and finished
-		firstErr  error
-	)
-	for _, p := range parsed {
-		if indeg[p.path] == 0 {
-			queued++
-			work <- p
-		}
-	}
-	var cwg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		cwg.Add(1)
-		go func() {
-			defer cwg.Done()
-			for p := range work {
-				schedMu.Lock()
-				poisoned := firstErr != nil
-				schedMu.Unlock()
-				var pkg *Package
-				var err error
-				if !poisoned {
-					pkg, err = l.typeCheck(p)
-				}
-				schedMu.Lock()
-				if err != nil && firstErr == nil {
-					firstErr = err
-				}
-				if pkg != nil {
-					l.mu.Lock()
-					l.pkgs[p.path] = pkg
-					l.mu.Unlock()
-					if firstErr == nil {
-						for _, dep := range dependents[p.path] {
-							indeg[dep]--
-							if indeg[dep] == 0 {
-								queued++
-								work <- byPath[dep]
-							}
-						}
-					}
-				}
-				processed++
-				// With nothing in flight and nothing queued, the state
-				// is final (only finishing workers enqueue): release
-				// everyone. This is reached exactly once.
-				if processed == queued {
-					close(work)
-				}
-				schedMu.Unlock()
-			}
-		}()
-	}
-	cwg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	if processed < len(parsed) {
-		var stuck []string
-		for _, p := range parsed {
-			if indeg[p.path] > 0 {
-				stuck = append(stuck, p.path)
-			}
-		}
-		sort.Strings(stuck)
-		return fmt.Errorf("import cycle among %s", strings.Join(stuck, ", "))
-	}
-	return nil
 }
 
 // LoadDir loads a single directory as a stand-alone package — the entry
@@ -410,7 +213,7 @@ func LoadDir(dir string) (*Module, error) {
 }
 
 func (l *loader) module() *Module {
-	m := &Module{Fset: l.fset, Sizes: l.sizes}
+	m := &Module{Fset: l.fset}
 	for _, p := range l.pkgs {
 		m.Pkgs = append(m.Pkgs, p)
 	}

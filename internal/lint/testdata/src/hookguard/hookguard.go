@@ -1,103 +1,101 @@
 // Package hookguard seeds violations for dpslint's hookguard rule: every
-// call through a //dps:hook field must be dominated by a check proving the
-// hook is installed.
+// call through a //dps:hook guard=G field must be dominated by a read of
+// the sibling boolean G, so a disabled hook costs one branch, not a call.
 package hookguard
 
 type tracer interface{ Event(n int) }
 
-type server struct {
-	//dps:hook
-	onDrop func(n int)
+type nop struct{}
 
-	//dps:hook
-	check func() bool
+func (nop) Event(int) {}
 
-	// trace is guarded by the sibling boolean, the Runtime.tracer pattern.
+type runtime struct {
+	// trace is never nil (a no-op tracer when tracing is off), the
+	// Runtime.tracer pattern.
 	//
 	//dps:hook guard=tracing
 	trace   tracer
 	tracing bool
+
+	//dps:hook
+	onDrop func(n int) // want hookguard "//dps:hook on onDrop needs guard="
 }
 
-func okIf(s *server) {
-	if s.onDrop != nil {
-		s.onDrop(1)
+type thread struct{ rt *runtime }
+
+func okIf(r *runtime) {
+	if r.tracing {
+		r.trace.Event(1)
 	}
 }
 
-func okEarlyReturn(s *server) {
-	if s.onDrop == nil {
+func okEarlyReturn(r *runtime) {
+	if !r.tracing {
 		return
 	}
-	s.onDrop(2)
+	r.trace.Event(2)
 }
 
-func okElse(s *server) {
-	if s.onDrop == nil {
-		_ = s
+func okElse(r *runtime) {
+	if !r.tracing {
+		_ = r
 	} else {
-		s.onDrop(3)
+		r.trace.Event(3)
 	}
 }
 
-func okShortCircuit(s *server) bool {
-	return s.check != nil && s.check()
+func okShortCircuit(r *runtime, busy bool) {
+	_ = r.tracing && busy && call(r.trace)
+	_ = !r.tracing || call(r.trace)
 }
 
-func okDisjunction(s *server) bool {
-	return s.check == nil || s.check()
-}
-
-func okBoolGuard(s *server) {
-	if s.tracing {
-		s.trace.Event(1)
+func okConjunction(r *runtime, busy bool) {
+	if busy && r.tracing {
+		r.trace.Event(4)
 	}
 }
 
-func okNilCheckInsteadOfGuard(s *server) {
-	// A nil check of the hook itself also proves it is set, even when a
-	// cheaper boolean guard is configured.
-	if s.trace != nil {
-		s.trace.Event(2)
+func okDeepPath(t *thread) {
+	if t.rt.tracing {
+		t.rt.trace.Event(5)
 	}
 }
 
-func okConjunction(s *server, busy bool) {
-	if busy && s.onDrop != nil {
-		s.onDrop(4)
+func okReadsAndWrites(r *runtime) {
+	r.trace = nop{}
+	t := r.trace // reading the field value needs no guard
+	_ = t
+}
+
+// badIssue is the mutation audit's Thread.issue mutant: the tracing
+// branch dropped around OnSend. Every test still passes, because the
+// no-op tracer does nothing; each operation now pays an interface call.
+func badIssue(t *thread) {
+	t.rt.trace.Event(6) // want hookguard "call through hook field trace is not dominated by a check of t.rt.tracing"
+}
+
+func badNilCheck(r *runtime) {
+	// A nil check proves nothing: the hook is never nil.
+	if r.trace != nil {
+		r.trace.Event(7) // want hookguard "not dominated by a check of r.tracing"
 	}
 }
 
-func okReadsAndWrites(s *server, t tracer) {
-	s.trace = t
-	_ = s.onDrop == nil
-	f := s.onDrop // reading the field value needs no guard
-	if f != nil {
-		f(5)
+func badMethodValue(r *runtime) func(int) {
+	return r.trace.Event // want hookguard "not dominated"
+}
+
+func badWrongPath(r, other *runtime) {
+	if other.tracing {
+		r.trace.Event(8) // want hookguard "not dominated by a check of r.tracing"
 	}
 }
 
-func badCall(s *server) {
-	s.onDrop(6) // want hookguard "call through hook field onDrop is not dominated"
-}
-
-func badThrough(s *server) {
-	s.trace.Event(3) // want hookguard "call through hook field trace is not dominated"
-}
-
-func badMethodValue(s *server) func(int) {
-	return s.trace.Event // want hookguard "call through hook field trace is not dominated"
-}
-
-func badWrongPath(s *server, other *server) {
-	if other.onDrop != nil {
-		s.onDrop(7) // want hookguard "call through hook field onDrop is not dominated"
-	}
-}
-
-func badAfterUse(s *server) {
-	s.onDrop(8) // want hookguard "call through hook field onDrop is not dominated"
-	if s.onDrop == nil {
+func badAfterUse(r *runtime) {
+	r.trace.Event(9) // want hookguard "not dominated"
+	if !r.tracing {
 		return
 	}
 }
+
+func call(t tracer) bool { t.Event(0); return true }

@@ -20,11 +20,6 @@ type q struct {
 	//dps:owned-by=producer
 	tail int
 
-	// depth is sampled cross-domain, always through sync/atomic.
-	//
-	//dps:owned-by=producer
-	depth uint64
-
 	n atomic.Int64
 }
 
@@ -33,7 +28,6 @@ type q struct {
 //dps:domain=producer
 func (s *q) push() {
 	s.tail++ // clean: the producer touches its own cursor
-	atomic.AddUint64(&s.depth, 1)
 	s.n.Add(1)
 	s.head++ // want owner "field head is owned by domain"
 }
@@ -65,14 +59,6 @@ func (s *q) size() int {
 func (s *q) snapshot() int {
 	//dps:owner-ok startup-only diagnostics read; no producer exists yet
 	return s.tail
-}
-
-// sample reads depth cross-domain but through sync/atomic, which is
-// legal from anywhere.
-//
-//dps:domain=consumer
-func (s *q) sample() uint64 {
-	return atomic.LoadUint64(&s.depth)
 }
 
 // both is reachable from producer and consumer roots, so a single-owner

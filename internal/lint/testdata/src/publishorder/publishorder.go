@@ -114,4 +114,41 @@ func idle(c *cell) { // want publishorder "marked //dps:publish but never publis
 	c.val = 1
 }
 
+// pending mirrors wire.Pending: resolve fills a burst's results, and the
+// state store hands them to the waiter.
+type pending struct {
+	res [4]uint64
+	n   int
+
+	//dps:publishes
+	state atomic.Uint32
+}
+
+// resolveHoisted is the mutation audit's wire.Pending.resolve mutant, the
+// state store hoisted above the result writes, so the waiter can read
+// results not yet written. A single go test -race run of internal/wire and
+// the core and mcd suites pass; make chaos-peer's three race runs caught it
+// in 5 of 5 audit runs.
+//
+//dps:publish
+func resolveHoisted(p *pending, vals []uint64) {
+	p.state.Store(1)
+	for i := 0; i < p.n; i++ {
+		p.res[i] = vals[i] // want publishorder "payload write after the publish store"
+	}
+}
+
+// failHoisted is the wire.Pending.fail mutant: the waiter can see the
+// burst resolved while its error results are still unwritten, and take a
+// zero Result for success. make chaos-peer caught it in 1 of 5 audit runs;
+// this rule is the one guard that reports it every time.
+//
+//dps:publish
+func failHoisted(p *pending) {
+	p.state.Store(1)
+	for i := range p.res[:p.n] {
+		p.res[i] = 0 // want publishorder "payload write after the publish store"
+	}
+}
+
 func notify() {}

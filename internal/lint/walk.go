@@ -63,18 +63,6 @@ func isAtomicPkg(pkg *types.Package) bool {
 	return pkg != nil && pkg.Path() == "sync/atomic"
 }
 
-// isAtomicType reports whether t is one of sync/atomic's types
-// (atomic.Uint64, atomic.Pointer[T], ...) or an array of them.
-func isAtomicType(t types.Type) bool {
-	switch t := types.Unalias(t).(type) {
-	case *types.Named:
-		return isAtomicPkg(t.Obj().Pkg())
-	case *types.Array:
-		return isAtomicType(t.Elem())
-	}
-	return false
-}
-
 // atomicMethodName returns the method name when call is a method call on a
 // sync/atomic type (x.Load(), x.CompareAndSwap(...)).
 func atomicMethodName(info *types.Info, call *ast.CallExpr) (string, bool) {
@@ -124,6 +112,36 @@ func funcBodies(pkg *Package, fn func(decl *ast.FuncDecl, file *ast.File)) {
 			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
 				fn(fd, f)
 			}
+		}
+	}
+}
+
+// funcName renders a declaration's name with its receiver type, matching
+// how readers grep for it.
+func funcName(fd *ast.FuncDecl) string {
+	if fd.Recv == nil || len(fd.Recv.List) == 0 {
+		return fd.Name.Name
+	}
+	t := fd.Recv.List[0].Type
+	if s, ok := selectorPath(recvBase(t)); ok {
+		return s + "." + fd.Name.Name
+	}
+	return fd.Name.Name
+}
+
+// recvBase strips pointer and generic decoration off a receiver type
+// expression.
+func recvBase(t ast.Expr) ast.Expr {
+	for {
+		switch e := t.(type) {
+		case *ast.StarExpr:
+			t = e.X
+		case *ast.IndexExpr:
+			t = e.X
+		case *ast.IndexListExpr:
+			t = e.X
+		default:
+			return t
 		}
 	}
 }

@@ -12,8 +12,6 @@
 // event into a counter block no other thread writes.
 package obs
 
-//dps:check atomicmix spinloop
-
 import (
 	"math/bits"
 	"sync/atomic"
@@ -70,8 +68,9 @@ const (
 	// partition. Disjoint from RemoteSend/AsyncSend, which count in-process
 	// ring delegations only.
 	RemoteOps
-	// RemoteBytes counts encoded frame bytes written toward peer-owned
-	// partitions (request frames only; the peer accounts its responses).
+	// RemoteBytes counts the encoded request-entry bytes staged toward
+	// peer-owned partitions: each entry's fixed part plus its data. Frame
+	// headers are not counted, and the peer accounts its responses.
 	RemoteBytes
 	// PeerStalls counts wire-tier waits that crossed a stall window with no
 	// completion frame arriving — the cross-process analogue of Stalls,
@@ -107,8 +106,6 @@ const blockStride = 128
 // thread writes a given block, so the only coherence traffic is snapshot
 // reads; padding to a whole number of strides keeps neighbouring blocks
 // from false-sharing.
-//
-//dps:cacheline=128
 type block struct {
 	c [NumCounters]atomic.Uint64
 	_ [blockPad]byte
@@ -158,8 +155,6 @@ const NumBuckets = 40
 
 // histShard is one thread's shard of one histogram, padded like the
 // counter blocks so recording threads never false-share.
-//
-//dps:cacheline=128
 type histShard struct {
 	buckets [NumBuckets]atomic.Uint64
 	max     atomic.Uint64
@@ -177,8 +172,6 @@ const BurstBuckets = 8
 
 // burstShard is one thread's shard of the burst-occupancy histogram,
 // padded like the counter blocks so publishing threads never false-share.
-//
-//dps:cacheline=128
 type burstShard struct {
 	buckets [BurstBuckets]atomic.Uint64
 	_       [blockStride - 8*BurstBuckets]byte
@@ -320,7 +313,6 @@ func (r *Recorder) Observe(tid int, h Hist, d time.Duration) {
 	if d > 0 {
 		ns = uint64(d.Nanoseconds())
 	}
-	//dps:spin-ok lock-free max update: each retry means another writer advanced max, so the loop is contention-bounded
 	for {
 		old := s.max.Load()
 		if ns <= old || s.max.CompareAndSwap(old, ns) {

@@ -46,8 +46,8 @@ type Totals struct {
 	// RemoteOps counts operations delegated across a process boundary to
 	// peer-owned partitions (the wire tier; disjoint from RemoteSends).
 	RemoteOps uint64
-	// RemoteBytes counts encoded request-frame bytes written toward
-	// peer-owned partitions.
+	// RemoteBytes counts encoded request-entry bytes staged toward
+	// peer-owned partitions (frame headers are not counted).
 	RemoteBytes uint64
 	// PeerStalls counts wire-tier waits that crossed a stall window with no
 	// completion frame arriving.

@@ -36,8 +36,6 @@ type Doorbell struct {
 // bellWord pads each 64-ring bitmap word to its own stride so senders
 // ringing bells for different words never false-share, and so the word a
 // server polls is not invalidated by neighbouring ring traffic.
-//
-//dps:cacheline=128
 type bellWord struct {
 	bits atomic.Uint64
 	_    [Stride - 8]byte

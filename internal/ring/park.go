@@ -46,8 +46,6 @@ const (
 // parkSlot pads the state word to its own stride, and the (write-once)
 // channel to a second, so one waiter's arm/disarm traffic never invalidates
 // a neighbour's wake path.
-//
-//dps:cacheline=128
 type parkSlot struct {
 	state atomic.Uint32
 	_     [Stride - 4]byte
@@ -97,8 +95,6 @@ func (p *Parker) Cancel(i int) {
 // whether it was woken (false: timeout). timer is the waiter's reusable
 // timer (nil-safe: Park allocates one and returns it via the pointer).
 // Must follow Prepare.
-//
-//dps:bounded-wait
 func (p *Parker) Park(i int, timer **time.Timer, d time.Duration) bool {
 	s := &p.slots[i]
 	if *timer == nil {
@@ -190,7 +186,6 @@ func (s *ParkSet) Clear(i int) {
 func (s *ParkSet) Pick() (int, bool) {
 	for w := range s.words {
 		word := &s.words[w].bits
-		//dps:spin-ok every CAS retry means another picker claimed a bit, and the word empties in at most 64 claims
 		for {
 			b := word.Load()
 			if b == 0 {

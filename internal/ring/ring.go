@@ -59,8 +59,6 @@
 // a line.
 package ring
 
-//dps:check atomicmix spinloop errclass
-
 import (
 	"runtime"
 	"sync/atomic"
@@ -106,8 +104,6 @@ type Result struct {
 
 // Slot is one padded request/completion line holding a caller-defined
 // payload T. The zero value is sender-owned and empty.
-//
-//dps:cacheline=128
 type Slot[T any] struct {
 	val T
 	// toggle is the ownership word: storing it publishes every preceding
@@ -177,8 +173,6 @@ type Ring[T any] struct {
 	// claimFault, when set, makes TryClaim artificially fail — the
 	// fault-injection hook for dropped/starved serve claims. The nil guard
 	// is the only cost when no fault layer is installed.
-	//
-	//dps:hook
 	claimFault func() bool
 }
 
@@ -239,7 +233,6 @@ func (r *Ring[T]) TryClaim() bool {
 //
 //dps:noalloc via ExecuteSync
 func (r *Ring[T]) Claim() {
-	//dps:spin-ok bounded by the claim holder's current drain batch
 	for !r.claim.CompareAndSwap(0, 1) {
 		runtime.Gosched()
 	}

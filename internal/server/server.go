@@ -1,7 +1,5 @@
 package server
 
-//dps:check errclass
-
 import (
 	"bufio"
 	"errors"
@@ -85,7 +83,6 @@ type Server struct {
 	cfg   Config
 	stats obs.ServerStats
 	// chaos mirrors cfg.Chaos onto the dispatch hot path.
-	//dps:hook
 	chaos *chaos.Injector
 
 	ln    net.Listener

@@ -323,7 +323,7 @@ func (l *Link) Stage(op ring.StagedOp) (Tok, error) {
 	}
 	// Pack one request entry; mirrors AppendRequest's wire layout.
 	off := len(l.buf)
-	l.buf = grow(l.buf, reqOpFixed+len(op.Data))
+	l.buf = grow(l.buf, ReqOpFixed+len(op.Data))
 	binary.BigEndian.PutUint16(l.buf[off:], op.Code)
 	flags := byte(0)
 	if op.Fire {
@@ -336,7 +336,7 @@ func (l *Link) Stage(op ring.StagedOp) (Tok, error) {
 	binary.BigEndian.PutUint64(l.buf[off+27:], op.U[2])
 	binary.BigEndian.PutUint64(l.buf[off+35:], op.U[3])
 	binary.BigEndian.PutUint32(l.buf[off+43:], uint32(len(op.Data)))
-	copy(l.buf[off+reqOpFixed:], op.Data)
+	copy(l.buf[off+ReqOpFixed:], op.Data)
 	tok := Tok{p: l.pend, i: int32(l.n)}
 	l.n++
 	return tok, nil
@@ -371,7 +371,6 @@ func (l *Link) claim(part int) {
 // write — returns nil: its tokens resolve later, and a caller must await
 // them rather than retry, or the op may apply twice.
 //
-//dps:wire-cold per burst, amortized over up to MaxBurst staged ops; the socket write dominates
 //dps:domain=sender
 func (l *Link) Flush() error {
 	if l.part < 0 {

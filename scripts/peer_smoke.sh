@@ -16,6 +16,8 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+SMOKE=peer-smoke
+. scripts/smoke_lib.sh
 
 OPS="${PEER_SMOKE_OPS:-500}"
 CHAOS_OPS="${PEER_SMOKE_CHAOS_OPS:-300}"
@@ -23,43 +25,6 @@ BOUNCE_OPS="${PEER_SMOKE_BOUNCE_OPS:-20000}"
 BIN="$(mktemp -d)"
 ADDR_FILE="$BIN/dpsnode.addr"
 trap 'rm -rf "$BIN"' EXIT
-
-# wait_addr FILE PID — wait for a serving node to publish its address.
-wait_addr() {
-  local file="$1" pid="$2" i
-  for i in $(seq 1 100); do
-    [ -f "$file" ] && return 0
-    if ! kill -0 "$pid" 2>/dev/null; then
-      echo "peer-smoke: serving node died during startup" >&2
-      return 1
-    fi
-    sleep 0.1
-  done
-  echo "peer-smoke: serving node never published its address" >&2
-  return 1
-}
-
-# drain_server PID — SIGTERM a serving node and require a clean exit.
-drain_server() {
-  local pid="$1" i status
-  kill -TERM "$pid"
-  for i in $(seq 1 150); do
-    kill -0 "$pid" 2>/dev/null || break
-    sleep 0.1
-  done
-  if kill -0 "$pid" 2>/dev/null; then
-    echo "peer-smoke: serving node failed to exit within 15s of SIGTERM" >&2
-    return 1
-  fi
-  set +e
-  wait "$pid"
-  status=$?
-  set -e
-  if [ "$status" -ne 0 ]; then
-    echo "peer-smoke: serving node exited $status (drain not clean)" >&2
-    return "$status"
-  fi
-}
 
 echo "peer-smoke: building"
 go build -o "$BIN/dpsnode" ./cmd/dpsnode
@@ -69,7 +34,7 @@ echo "peer-smoke: starting serving node"
 SERVER_PID=$!
 trap 'kill -9 $SERVER_PID 2>/dev/null || true; rm -rf "$BIN"' EXIT
 
-wait_addr "$ADDR_FILE" $SERVER_PID
+wait_ready $SERVER_PID test -f "$ADDR_FILE"
 ADDR="$(cat "$ADDR_FILE")"
 echo "peer-smoke: serving node at $ADDR"
 
@@ -96,7 +61,7 @@ ADDR_FILE2="$BIN/dpsnode2.addr"
   -bounce-after 300ms -bounce-down 400ms &
 SERVER2_PID=$!
 trap 'kill -9 $SERVER_PID $SERVER2_PID 2>/dev/null || true; rm -rf "$BIN"' EXIT
-wait_addr "$ADDR_FILE2" $SERVER2_PID
+wait_ready $SERVER2_PID test -f "$ADDR_FILE2"
 ADDR2="$(cat "$ADDR_FILE2")"
 set +e
 PASS3="$("$BIN/dpsnode" -peer "$ADDR2=2,3" -ops "$BOUNCE_OPS" -op-timeout 5s)"

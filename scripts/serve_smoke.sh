@@ -11,6 +11,8 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+SMOKE=serve-smoke
+. scripts/smoke_lib.sh
 
 PORT="${SMOKE_PORT:-21211}"
 ADDR="127.0.0.1:${PORT}"
@@ -28,40 +30,12 @@ echo "serve-smoke: starting mcdserver on ${ADDR} $*"
 SERVER_PID=$!
 trap 'kill -9 $SERVER_PID 2>/dev/null || true; rm -rf "$BIN"' EXIT
 
-# Wait for the listener.
-for i in $(seq 1 50); do
-  if "$BIN/mcdbench" -net -addr "$ADDR" -conns 1 -reqs 1 -items 16 >/dev/null 2>&1; then
-    break
-  fi
-  if ! kill -0 $SERVER_PID 2>/dev/null; then
-    echo "serve-smoke: server died during startup" >&2
-    exit 1
-  fi
-  sleep 0.1
-done
+wait_ready $SERVER_PID "$BIN/mcdbench" -net -addr "$ADDR" -conns 1 -reqs 1 -items 16
 
 echo "serve-smoke: running loadgen for ${DURATION} with ${CONNS} connections"
 "$BIN/mcdbench" -net -addr "$ADDR" -conns "$CONNS" -reqs 5000000 \
   -duration "$DURATION" -items 4096 -set 0.1 -value 128
 
 echo "serve-smoke: SIGTERM, expecting clean drain"
-kill -TERM $SERVER_PID
-DRAIN_OK=1
-for i in $(seq 1 150); do
-  if ! kill -0 $SERVER_PID 2>/dev/null; then
-    DRAIN_OK=0
-    break
-  fi
-  sleep 0.1
-done
-if [ "$DRAIN_OK" -ne 0 ]; then
-  echo "serve-smoke: server failed to exit within 15s of SIGTERM" >&2
-  exit 1
-fi
-wait $SERVER_PID
-STATUS=$?
-if [ "$STATUS" -ne 0 ]; then
-  echo "serve-smoke: server exited $STATUS (drain not clean)" >&2
-  exit "$STATUS"
-fi
+drain_server $SERVER_PID
 echo "serve-smoke: OK"
