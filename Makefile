@@ -14,8 +14,9 @@ test:
 # (the peer links), ffwd (the baseline), obs, mcd (the stores) and server (the
 # front door) — whose correctness depends on concurrent access. bench-build
 # goes first, because none of the root-module commands below compiles the
-# benchmark module. The last line repeats the concurrent data-structure
-# suites at three GOMAXPROCS settings:
+# benchmark module. The last two lines repeat the concurrent data-structure
+# suites, and the race of a sender serving its own ring against a server
+# woken by its park timeout, at three GOMAXPROCS settings:
 # their interleavings, and so their failures, depend on the host's CPU count
 # (the lock-free skip list hung about one run in sixty on 2 CPUs only).
 check: bench-build
@@ -24,6 +25,7 @@ check: bench-build
 	$(GO) build ./...
 	$(GO) test -race ./internal/ring/... ./internal/core/... ./internal/obs/... ./internal/ffwd/... ./internal/wire/... ./internal/mcd/... ./internal/server/...
 	$(GO) test -count=20 -cpu 1,2,4 ./internal/skiplist ./internal/dpsds
+	$(GO) test -race -count=20 -cpu 1,2,4 -run '^TestRescueRaceParkTimeout$$' ./internal/core
 
 # bench-build vets and unit-tests benchmark/, which is a Go module of its own
 # (dps/benchmark, replace dps => ../): the root module's build and tests never
@@ -48,7 +50,8 @@ loc:
 # chaos runs the fault-injection suite under the race detector: the
 # injector's own tests plus the runtime's chaos and rescue scenarios
 # (dropped claims, forced full rings, injected panics, wedged localities,
-# shutdown under load), the table tests of the one drain, the one wait
+# shutdown under load, a sender serving its own ring toward a locality whose
+# every thread is parked), the table tests of the one drain, the one wait
 # loop and the one park, and the OpTimeout rule at a full ring through the
 # wave (mcd) and the front door (server). Run it after touching any of them.
 chaos:

@@ -20,8 +20,9 @@ import (
 //   - spin: Serve+Gosched hot loop — the dedicated-server upper bound,
 //     one full core (~1000 cpu-ms/s).
 //   - parked: ServeWait with the 50ms park timeout mcd's serve loop uses —
-//     the parked waiter; the doorbell wakes it directly, so idling costs
-//     only the periodic stall-check timeouts.
+//     the parked waiter; a doorbell wakes it directly (a synchronous
+//     operation sent while it is parked is served by its sender and wakes
+//     nothing), so idling costs only the periodic park timeouts.
 //
 // Linux-only: the measurement needs getrusage, and this is also the only
 // platform where pinning makes the numbers mean anything.

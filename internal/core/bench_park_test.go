@@ -7,10 +7,10 @@ import (
 	"time"
 )
 
-// Benchmarks for the parked-waiter and payload-arena paths: what an
-// operation pays to wake a parked server (versus one that is already hot),
-// and what a large delegated payload costs through a locality-owned arena
-// buffer versus a boxed GC-heap reference.
+// Benchmarks for the parked-waiter and payload-arena paths: what a
+// synchronous operation pays toward a locality whose server idles parked
+// (versus one that is already hot), and what a large delegated payload costs
+// through a locality-owned arena buffer versus a boxed GC-heap reference.
 
 // parkedServerRuntime builds the standard 2-partition identity-hashed
 // runtime with a server goroutine that idles by parking (ServeWait) rather
@@ -91,14 +91,18 @@ func TestIdleAllocPins(t *testing.T) {
 	})
 }
 
-// BenchmarkIdleWakeLatency measures the synchronous delegation round-trip
-// against a server that idles by parking. The hot variant sends
-// back-to-back, so the server is usually mid-serve or just parked; the
-// parked variant idles between operations long past the server's park
-// timeout, so every operation finds the server deeply parked and pays the
-// full doorbell-wake path. The wake-ns/op metric isolates the round-trip
-// itself (ns/op includes the idle gap); compare with
-// BenchmarkDelegation/sync, whose server spins and never parks.
+// BenchmarkIdleWakeLatency measures the synchronous operation's round-trip
+// toward a locality whose only server idles by parking. An operation that
+// finds the server parked wakes nothing: its sender serves its own ring
+// (Thread.selfServe), so that is the path measured here, not a doorbell wake
+// (a fire-and-forget burst still wakes the server). The hot variant sends
+// back-to-back, so the server is usually parked or, just after its park
+// timeout, mid-serve, when the operation is delegated to it; the parked
+// variant idles between operations long past the server's park timeout, so
+// every operation finds the server parked, and the sender's caches cold.
+// The wake-ns/op metric isolates the round-trip itself (ns/op includes the
+// idle gap); compare with BenchmarkDelegation/sync, whose server spins and
+// never parks.
 func BenchmarkIdleWakeLatency(b *testing.B) {
 	run := func(b *testing.B, gap time.Duration) {
 		th, stop := parkedServerRuntime(b, 100*time.Microsecond)

@@ -427,7 +427,9 @@ func TestChaosDoorbellLossFallback(t *testing.T) {
 	// Every doorbell ring is lost: senders publish slots but the server
 	// never sees a bit set, so the doorbell-driven serve pass finds
 	// nothing. The periodic full-scan fallback (serveFullScanEvery) must
-	// still drain the rings and complete every operation.
+	// still drain the rings and complete every operation. The owner runs a
+	// Serve loop and never parks, so every burst rings (and loses) its
+	// doorbell instead of being served by its sender.
 	rt, inj := newChaosRuntime(t, 2, chaos.Config{Seed: 31, DropDoorbellProb: 1}, nil)
 	t0, err := rt.RegisterAt(0)
 	if err != nil {
@@ -449,6 +451,9 @@ func TestChaosDoorbellLossFallback(t *testing.T) {
 	}
 	if c := inj.Counts(); c.DoorbellsLost == 0 {
 		t.Fatal("injector never dropped a doorbell ring")
+	}
+	if m := rt.Metrics().Totals; m.Rescued != 0 {
+		t.Fatalf("Rescued = %d: the sender served its own ring, not the owner's full scan", m.Rescued)
 	}
 }
 

@@ -240,9 +240,10 @@ type Partition struct {
 	workers atomic.Int32
 
 	// parked is the bitmap of this locality's threads currently parked
-	// idle: the doorbell Set path picks one and wakes it directly, so an
-	// idle locality costs ~zero CPU yet answers a publish with a single
-	// wake instead of riding out a sleep quantum.
+	// idle. An idle locality costs ~zero CPU, yet a publish toward it is
+	// served without riding out a sleep quantum: the doorbell Set path
+	// picks one parked thread and wakes it, or — a synchronous burst when
+	// every worker is parked — the burst's sender serves it (flushOpen).
 	parked *ring.ParkSet
 
 	// arena is the locality-owned payload pool: delegated payloads too
@@ -411,8 +412,8 @@ func (rt *Runtime) Partitions() int { return len(rt.parts) }
 func (rt *Runtime) RingDepth() int { return rt.cfg.RingDepth }
 
 // wholeRing is the drain bound of the callers that want everything one claim
-// can reach (rescue, stall escalation, the shutdown sweep): a full ring of
-// maximally packed bursts, in operations.
+// can reach (a sender serving its own ring, stall escalation, the shutdown
+// sweep): a full ring of maximally packed bursts, in operations.
 func (rt *Runtime) wholeRing() int { return rt.cfg.RingDepth * burstSize }
 
 // Partition returns partition i.

@@ -112,8 +112,8 @@ func (rt *Runtime) stop() {
 	}
 }
 
-// shutdownSweep repeatedly drains every partition's rings with the rescue
-// machinery until the runtime is quiescent (no pending requests, no
+// shutdownSweep repeatedly drains every partition's rings through the one
+// drain until the runtime is quiescent (no pending requests, no
 // registered threads) or the deadline passes. It runs on its own goroutine
 // so a delegated operation that never returns wedges the sweep, not
 // Shutdown.
@@ -143,7 +143,7 @@ func (rt *Runtime) shutdownSweep(deadline time.Time, drained *atomic.Int64, done
 			// runtime is not marked down until the sweep finishes, so only
 			// drain's direct wake (or a park timeout) unblocks it.
 			for i := range p.rings {
-				d, _ := admin.drain(p, i, false, rt.wholeRing(), obs.Served)
+				d, _ := admin.drain(p, i, rt.wholeRing(), obs.Served)
 				n += d
 			}
 		}

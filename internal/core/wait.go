@@ -10,7 +10,7 @@ import (
 
 // Waiting. Every delegation wait — a completion await, Drain, the ring-full
 // send path — on either tier runs the one loop in waiter.await, and each of
-// its rounds does the same five things in the same order while the target is
+// its rounds does the same four things in the same order while the target is
 // still pending:
 //
 //  1. down: after Shutdown or Close the wait ends with ErrClosed;
@@ -18,12 +18,13 @@ import (
 //     serving, so a locality with a steady trickle of delegated work cannot
 //     keep its waiter from timing out (expired says how often the clock is
 //     read);
-//  3. serve: the waiter serves one pass of its own locality (§4.3, §4.4). A
-//     round that executed something made progress: the waiter returns to
-//     stage 1 of the pause schedule below and starts the next round at once;
-//  4. rescue: if the destination locality has no threads left, the waiter
-//     executes its own ring to it;
-//  5. pause, if the target is still pending after all that.
+//  3. serve: the waiter serves one pass of its own locality (§4.3, §4.4) —
+//     and, when no running thread of the destination locality will serve
+//     its target (the burst was published without a doorbell because every
+//     thread there was parked, or none is left), executes its own ring to
+//     it (selfServe). A round that executed something made progress: the
+//     waiter returns to stage 1 of the pause schedule below;
+//  4. pause, if the target is still pending after all that.
 //
 // What the wait ends in is the caller's: Completion.await consumes the result
 // or abandons the operation with the loop's error, Drain moves on to the next
@@ -200,9 +201,9 @@ func (w *waiter) await() error {
 		if w.expired() {
 			return ErrTimeout
 		}
-		if t.serve() > 0 {
+		if t.serve()+t.selfServe(w.p, w.on.slot) > 0 {
 			w.reset()
-		} else if t.rescue(w.p, w.on.slot); w.on.pending() {
+		} else if w.on.pending() {
 			// Polled once more before the processor is given away: a reply
 			// that landed during the serve pass costs a whole yield less to
 			// take now (a third of a pause per synchronous delegation,
@@ -297,11 +298,10 @@ func (w *waiter) checkStall() {
 // remedy. On a local partition that is the forced rescue of s: p still has
 // registered workers, but none has served anything across a full
 // stall-detection window (blocked outside DPS, descheduled, or wedged by an
-// injected fault), so the waiter executes its own ring. Unlike rescue it must
-// not block on the claim — the claim may be held by the very thread that is
-// wedged — and when the ring is claimed the waiter simply escalates again next
-// window. On a peer's partition (s is nil there) nothing follows the
-// PeerStalls mark.
+// injected fault), so the waiter executes its own ring. When the claim is
+// held — possibly by the very thread that is wedged — the waiter simply
+// escalates again next window. On a peer's partition (s is nil there)
+// nothing follows the PeerStalls mark.
 //
 //dps:noalloc via ExecuteSync
 func (t *Thread) stalledOn(p *Partition, s *slot) {
@@ -318,6 +318,6 @@ func (t *Thread) stalledOn(p *Partition, s *slot) {
 		t.rt.tracer.OnStall(t.id, p.id, key)
 	}
 	if s != nil && s.Pending() {
-		t.drain(p, t.id, false, t.rt.wholeRing(), obs.Rescued)
+		t.drain(p, t.id, t.rt.wholeRing(), obs.Rescued)
 	}
 }

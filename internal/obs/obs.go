@@ -41,8 +41,10 @@ const (
 	// RingFull counts send attempts that found the destination ring full
 	// and had to serve/yield instead (§4.4 back-pressure).
 	RingFull
-	// Rescued counts pending requests executed by their sender after the
-	// destination locality emptied (the liveness path).
+	// Rescued counts pending requests executed by their sender off its
+	// own ring: the destination locality had no running thread — every
+	// thread parked (its synchronous burst carried no wake), or none left
+	// — or the stall detector forced it.
 	Rescued
 	// Stalls counts stall-detector trips: a waiter observed the destination
 	// partition make no serving progress across a full detection window
@@ -84,7 +86,9 @@ const (
 	Parks
 	// Wakes counts direct park wakeups delivered — a doorbell Set picking
 	// a parked locality thread, or a server waking a sender whose ring it
-	// drained — attributed to the partition whose event caused the wake.
+	// drained — attributed to the partition whose event caused the wake. A
+	// synchronous burst toward a locality whose every thread is parked
+	// wakes none: its sender serves it (Rescued).
 	Wakes
 	// ArenaAcquires counts delegated payloads placed in the destination
 	// locality's arena pool instead of the shared GC heap.
@@ -141,7 +145,7 @@ const (
 	// remote execution, and completion pickup (§4.2-§4.3).
 	HistSyncDelegation
 	// HistServed is the execution time of delegated requests run on behalf
-	// of peers, including requests executed through the rescue path.
+	// of peers, including requests a sender executed off its own ring.
 	HistServed
 	// NumHists is the number of histograms per thread.
 	NumHists

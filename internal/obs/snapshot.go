@@ -25,8 +25,9 @@ type Totals struct {
 	// RingFullWaits counts send attempts that had to serve/yield because
 	// the destination ring was full.
 	RingFullWaits uint64
-	// Rescued counts pending requests a sender executed itself because
-	// every thread of the destination locality had unregistered.
+	// Rescued counts pending requests a sender executed itself off its
+	// own ring: every thread of the destination locality was parked or
+	// had unregistered, or the stall detector forced it.
 	Rescued uint64
 	// Stalls counts stall-detector trips: a waiter saw the destination
 	// partition serve nothing across a full detection window.
@@ -228,7 +229,7 @@ type LatencySummaries struct {
 	// designs live or die on.
 	SyncDelegation HistogramSummary
 	// Served is the execution time of requests served for peers (§4.3),
-	// including rescue-path executions.
+	// including those a sender executed off its own ring (Rescued).
 	Served HistogramSummary
 }
 

@@ -199,6 +199,19 @@ func (s *ParkSet) Pick() (int, bool) {
 	return 0, false
 }
 
+// Count returns how many waiters are registered as parked: a sender's test
+// of whether any thread of the locality is awake to serve it. Like Pick it
+// reads each word once.
+//
+//dps:noalloc via ExecuteSync
+func (s *ParkSet) Count() int {
+	n := 0
+	for w := range s.words {
+		n += bits.OnesCount64(s.words[w].bits.Load())
+	}
+	return n
+}
+
 // Any reports whether a doorbell has any bit set, without consuming. The
 // parked waiter's pre-block re-check uses it: a set bit means work was
 // published for this locality after its last serve pass.

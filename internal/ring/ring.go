@@ -210,9 +210,7 @@ func (r *Ring[T]) AdvanceSend() {
 // SetClaimFault installs a fault hook consulted by TryClaim: when it
 // returns true the claim attempt fails as if another server held the ring.
 // Install before the ring is shared with serving threads; the field is not
-// synchronized. Claim is exempt — it is the liveness path rescue and
-// stall escalation depend on, and injecting failures there would block
-// recovery itself.
+// synchronized. Claim is exempt.
 func (r *Ring[T]) SetClaimFault(f func() bool) { r.claimFault = f }
 
 // TryClaim attempts to acquire the serve token without blocking. On success
@@ -226,10 +224,10 @@ func (r *Ring[T]) TryClaim() bool {
 	return r.claim.CompareAndSwap(0, 1)
 }
 
-// Claim acquires the serve token, yielding while another server holds it.
-// It is used by the rescue path, where the caller must win the ring to
-// guarantee liveness; the wait is bounded by the claim holder's current
-// drain batch.
+// Claim acquires the serve token, yielding while another server holds it,
+// for a server that must win the ring (the end-to-end benchmark's ring
+// probe; the DPS runtime serves through TryClaim only). The wait is bounded
+// by the claim holder's current drain batch.
 //
 //dps:noalloc via ExecuteSync
 func (r *Ring[T]) Claim() {
