@@ -21,85 +21,36 @@ import (
 	"dps/internal/ring"
 )
 
-// Counter indexes one event counter within a (thread, partition) block.
+// Counter indexes one event counter within a (thread, partition) block: the
+// word of Totals it rolls up into, so Totals is the one declaration of the
+// runtime's counters and documents each. Every counter is attributed to a
+// partition: sends (remote, async, ring-full, rescued) to the destination
+// partition, local execs to the partition whose shard ran the operation,
+// serves to the serving thread's own locality.
 type Counter int
 
-// Runtime event counters. Each is attributed to a partition: sends (remote,
-// async, ring-full, rescued) to the destination partition, local execs to
-// the partition whose shard ran the operation, serves to the serving
-// thread's own locality.
+// The runtime event counters, each the index of its Totals field.
 const (
-	// LocalExec counts operations executed inline on the calling thread
-	// (local key, empty-locality fallback, or explicit local execution).
-	LocalExec Counter = iota
-	// RemoteSend counts synchronous delegations to remote localities.
-	RemoteSend
-	// AsyncSend counts fire-and-forget delegations (§4.4).
-	AsyncSend
-	// Served counts delegated requests executed on behalf of peers (§4.3).
-	Served
-	// RingFull counts send attempts that found the destination ring full
-	// and had to serve/yield instead (§4.4 back-pressure).
-	RingFull
-	// Rescued counts pending requests executed by their sender off its
-	// own ring: the destination locality had no running thread — every
-	// thread parked (its synchronous burst carried no wake), or none left
-	// — or the stall detector forced it.
-	Rescued
-	// Stalls counts stall-detector trips: a waiter observed the destination
-	// partition make no serving progress across a full detection window
-	// while its own request stayed pending (the degraded-mode signal).
-	Stalls
-	// Panics counts delegated operations that panicked while executing,
-	// whatever the panic's eventual routing (re-raise at the awaiter, the
-	// panic handler, or the crash policy).
-	Panics
-	// Abandoned counts delegated requests their sender gave up on —
-	// deadline expiry or runtime shutdown — whose results, if any, were
-	// discarded.
-	Abandoned
-	// RingScansSkipped counts sender rings a doorbell-driven serve pass did
-	// NOT visit (registered rings minus rung rings). It is the work the
-	// doorbell saves: the pre-doorbell loop polled every one of these.
-	RingScansSkipped
-	// DoorbellWakes counts sender rings visited because their doorbell bit
-	// was set (including re-armed bits for rings left with work behind).
-	DoorbellWakes
-	// RemoteOps counts operations delegated across a process boundary to a
-	// peer-owned partition (the wire tier), attributed to the destination
-	// partition. Disjoint from RemoteSend/AsyncSend, which count in-process
-	// ring delegations only.
-	RemoteOps
-	// RemoteBytes counts the encoded request-entry bytes staged toward
-	// peer-owned partitions: each entry's fixed part plus its data. Frame
-	// headers are not counted, and the peer accounts its responses.
-	RemoteBytes
-	// PeerStalls counts wire-tier waits that crossed a stall window with no
-	// completion frame arriving — the cross-process analogue of Stalls,
-	// where the remedy is the deadline machinery rather than rescue (a
-	// sender cannot reach into a peer process's shard).
-	PeerStalls
-	// Parks counts waiter park episodes: an idle thread armed its park
-	// slot and blocked instead of sleeping a blind quantum, attributed to
-	// the thread's own locality. Parks minus Wakes approximates how often
-	// waiters ran to their park timeout (the rescue/fallback cadence).
-	Parks
-	// Wakes counts direct park wakeups delivered — a doorbell Set picking
-	// a parked locality thread, or a server waking a sender whose ring it
-	// drained — attributed to the partition whose event caused the wake. A
-	// synchronous burst toward a locality whose every thread is parked
-	// wakes none: its sender serves it (Rescued).
-	Wakes
-	// ArenaAcquires counts delegated payloads placed in the destination
-	// locality's arena pool instead of the shared GC heap.
-	ArenaAcquires
-	// ArenaFallbacks counts payloads that wanted an arena buffer but fell
-	// back to the heap (pool empty or payload oversized). A high ratio to
-	// ArenaAcquires means core.DefaultArenaBufs is undersized for the
-	// in-flight window.
-	ArenaFallbacks
-	// NumCounters is the number of counters per block.
-	NumCounters
+	LocalExec        = Counter(unsafe.Offsetof(Totals{}.LocalExecs) / 8)
+	RemoteSend       = Counter(unsafe.Offsetof(Totals{}.RemoteSends) / 8)
+	AsyncSend        = Counter(unsafe.Offsetof(Totals{}.AsyncSends) / 8)
+	Served           = Counter(unsafe.Offsetof(Totals{}.Served) / 8)
+	RingFull         = Counter(unsafe.Offsetof(Totals{}.RingFullWaits) / 8)
+	Rescued          = Counter(unsafe.Offsetof(Totals{}.Rescued) / 8)
+	Stalls           = Counter(unsafe.Offsetof(Totals{}.Stalls) / 8)
+	Panics           = Counter(unsafe.Offsetof(Totals{}.Panics) / 8)
+	Abandoned        = Counter(unsafe.Offsetof(Totals{}.Abandoned) / 8)
+	RingScansSkipped = Counter(unsafe.Offsetof(Totals{}.RingScansSkipped) / 8)
+	DoorbellWakes    = Counter(unsafe.Offsetof(Totals{}.DoorbellWakes) / 8)
+	RemoteOps        = Counter(unsafe.Offsetof(Totals{}.RemoteOps) / 8)
+	RemoteBytes      = Counter(unsafe.Offsetof(Totals{}.RemoteBytes) / 8)
+	PeerStalls       = Counter(unsafe.Offsetof(Totals{}.PeerStalls) / 8)
+	Parks            = Counter(unsafe.Offsetof(Totals{}.Parks) / 8)
+	Wakes            = Counter(unsafe.Offsetof(Totals{}.Wakes) / 8)
+	ArenaAcquires    = Counter(unsafe.Offsetof(Totals{}.ArenaAcquires) / 8)
+	ArenaFallbacks   = Counter(unsafe.Offsetof(Totals{}.ArenaFallbacks) / 8)
+	// NumCounters is the number of counters per block: one per Totals word.
+	NumCounters = Counter(unsafe.Sizeof(Totals{}) / 8)
 )
 
 // blockStride is the unit the counter block is padded to: two cache lines,
@@ -347,48 +298,19 @@ func (r *Recorder) Snapshot() Snapshot {
 		s.PerPartition[part].Partition = part
 	}
 	for tid := 0; tid < r.threads; tid++ {
-		for part := 0; part < r.parts; part++ {
+		for part := range s.PerPartition {
 			b := &r.blocks[tid*r.parts+part]
-			pm := &s.PerPartition[part]
-			pm.LocalExecs += b.c[LocalExec].Load()
-			pm.RemoteSends += b.c[RemoteSend].Load()
-			pm.AsyncSends += b.c[AsyncSend].Load()
-			pm.Served += b.c[Served].Load()
-			pm.RingFullWaits += b.c[RingFull].Load()
-			pm.Rescued += b.c[Rescued].Load()
-			pm.Stalls += b.c[Stalls].Load()
-			pm.Panics += b.c[Panics].Load()
-			pm.Abandoned += b.c[Abandoned].Load()
-			pm.RingScansSkipped += b.c[RingScansSkipped].Load()
-			pm.DoorbellWakes += b.c[DoorbellWakes].Load()
-			pm.RemoteOps += b.c[RemoteOps].Load()
-			pm.RemoteBytes += b.c[RemoteBytes].Load()
-			pm.PeerStalls += b.c[PeerStalls].Load()
-			pm.Parks += b.c[Parks].Load()
-			pm.Wakes += b.c[Wakes].Load()
-			pm.ArenaAcquires += b.c[ArenaAcquires].Load()
-			pm.ArenaFallbacks += b.c[ArenaFallbacks].Load()
+			pm := words(&s.PerPartition[part].Totals)
+			for c := range b.c {
+				pm[c] += b.c[c].Load()
+			}
 		}
 	}
-	for _, pm := range s.PerPartition {
-		s.Totals.LocalExecs += pm.LocalExecs
-		s.Totals.RemoteSends += pm.RemoteSends
-		s.Totals.AsyncSends += pm.AsyncSends
-		s.Totals.Served += pm.Served
-		s.Totals.RingFullWaits += pm.RingFullWaits
-		s.Totals.Rescued += pm.Rescued
-		s.Totals.Stalls += pm.Stalls
-		s.Totals.Panics += pm.Panics
-		s.Totals.Abandoned += pm.Abandoned
-		s.Totals.RingScansSkipped += pm.RingScansSkipped
-		s.Totals.DoorbellWakes += pm.DoorbellWakes
-		s.Totals.RemoteOps += pm.RemoteOps
-		s.Totals.RemoteBytes += pm.RemoteBytes
-		s.Totals.PeerStalls += pm.PeerStalls
-		s.Totals.Parks += pm.Parks
-		s.Totals.Wakes += pm.Wakes
-		s.Totals.ArenaAcquires += pm.ArenaAcquires
-		s.Totals.ArenaFallbacks += pm.ArenaFallbacks
+	total := words(&s.Totals)
+	for part := range s.PerPartition {
+		for c, n := range words(&s.PerPartition[part].Totals) {
+			total[c] += n
+		}
 	}
 	s.Latency.LocalExec = r.summary(HistLocalExec)
 	s.Latency.SyncDelegation = r.summary(HistSyncDelegation)

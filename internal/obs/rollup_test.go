@@ -6,11 +6,13 @@ import (
 	"testing"
 )
 
-// The counter schema is written out by hand in several places — the
-// Counter constants, Totals, Recorder.Snapshot's two roll-up loops, and
-// the sub methods behind Snapshot.Delta. These tests iterate the schema
-// instead, so a counter added to one place and missed in another fails
-// here rather than reading zero in a report.
+// Each counter family is declared once — Totals, ServerCounters,
+// PeerCounters — and the Counter indices, Recorder.Snapshot's two roll-up
+// loops and Snapshot.Delta are derived from the declaration: offsets and
+// loops over the struct's words. These tests check the derived code field
+// by field, so a field the word loops would miss or misplace (a non-uint64
+// counter, a gauge inside a family) fails here rather than reading wrong in
+// a report.
 
 // TestCounterRollupConservation adds each Counter on partition 1 and
 // checks it lands in exactly one Totals field, a different one per

@@ -5,85 +5,68 @@ import (
 	"sync/atomic"
 )
 
-// ServerStats is the network front door's live counter block: lock-free
-// atomics bumped on the accept and per-connection serve paths, snapshotted
-// into a ServerMetrics for reporting. One instance per server; the fields
-// are written from many connection goroutines, so they are individual
-// atomics rather than a mutex-guarded struct.
-type ServerStats struct {
+// ServerCounters is the network front door's counter family and its one
+// declaration. Instantiated over atomic.Uint64 it is the live block
+// (ServerStats), bumped on the accept and per-connection serve paths from
+// many connection goroutines; over uint64 it is the report (ServerMetrics).
+// Snapshot and Delta loop over its words, so a counter is added by adding a
+// field here (and, to show it, a line in ServerMetrics.String or the
+// memcached stats reply).
+type ServerCounters[T counterWord] struct {
 	// ConnsAccepted counts connections admitted past the max-conns gate.
-	ConnsAccepted atomic.Uint64
+	ConnsAccepted T
 	// ConnsRejected counts connections refused by the max-conns gate.
-	ConnsRejected atomic.Uint64
-	// CurrConns is the number of currently open connections (a gauge).
-	CurrConns atomic.Int64
+	ConnsRejected T
 	// CmdGet / CmdSet / CmdDelete / CmdOther count protocol commands by
 	// class (get and gets are CmdGet; set and add are CmdSet; version,
 	// stats and quit are CmdOther).
-	CmdGet    atomic.Uint64
-	CmdSet    atomic.Uint64
-	CmdDelete atomic.Uint64
-	CmdOther  atomic.Uint64
+	CmdGet    T
+	CmdSet    T
+	CmdDelete T
+	CmdOther  T
 	// GetHits / GetMisses split gets by outcome.
-	GetHits   atomic.Uint64
-	GetMisses atomic.Uint64
+	GetHits   T
+	GetMisses T
 	// ProtocolErrors counts malformed requests answered with ERROR,
 	// CLIENT_ERROR or SERVER_ERROR.
-	ProtocolErrors atomic.Uint64
+	ProtocolErrors T
 	// PeerDownErrors counts commands refused because the backing peer's
 	// link was down (SERVER_ERROR peer down) — degradation, not protocol
 	// failure, so it is tracked apart from ProtocolErrors.
-	PeerDownErrors atomic.Uint64
+	PeerDownErrors T
 	// BytesIn / BytesOut count payload bytes moved over accepted
 	// connections.
-	BytesIn  atomic.Uint64
-	BytesOut atomic.Uint64
+	BytesIn  T
+	BytesOut T
 	// Batches counts pipelined batches flushed into the runtime; BatchedOps
 	// counts the commands those batches carried. BatchedOps/Batches is the
 	// observed pipeline depth — the network-side analogue of ops/slot.
-	Batches    atomic.Uint64
-	BatchedOps atomic.Uint64
+	Batches    T
+	BatchedOps T
+}
+
+// ServerStats is the front door's live counter block, one per server.
+type ServerStats struct {
+	ServerCounters[atomic.Uint64]
+	// CurrConns is the number of currently open connections (a gauge).
+	CurrConns atomic.Int64
 }
 
 // Snapshot captures the counters into a plain ServerMetrics value.
 func (s *ServerStats) Snapshot() ServerMetrics {
 	return ServerMetrics{
-		ConnsAccepted:  s.ConnsAccepted.Load(),
-		ConnsRejected:  s.ConnsRejected.Load(),
 		CurrConns:      s.CurrConns.Load(),
-		CmdGet:         s.CmdGet.Load(),
-		CmdSet:         s.CmdSet.Load(),
-		CmdDelete:      s.CmdDelete.Load(),
-		CmdOther:       s.CmdOther.Load(),
-		GetHits:        s.GetHits.Load(),
-		GetMisses:      s.GetMisses.Load(),
-		ProtocolErrors: s.ProtocolErrors.Load(),
-		PeerDownErrors: s.PeerDownErrors.Load(),
-		BytesIn:        s.BytesIn.Load(),
-		BytesOut:       s.BytesOut.Load(),
-		Batches:        s.Batches.Load(),
-		BatchedOps:     s.BatchedOps.Load(),
+		ServerCounters: load[ServerCounters[uint64]](&s.ServerCounters),
 	}
 }
 
 // ServerMetrics is the plain-data view of a server's activity, carried on
 // Snapshot.Server. The zero value means "no server attached".
 type ServerMetrics struct {
-	ConnsAccepted  uint64
-	ConnsRejected  uint64
-	CurrConns      int64
-	CmdGet         uint64
-	CmdSet         uint64
-	CmdDelete      uint64
-	CmdOther       uint64
-	GetHits        uint64
-	GetMisses      uint64
-	ProtocolErrors uint64
-	PeerDownErrors uint64
-	BytesIn        uint64
-	BytesOut       uint64
-	Batches        uint64
-	BatchedOps     uint64
+	// CurrConns is the number of open connections at snapshot time (a
+	// gauge; Delta keeps the current value).
+	CurrConns int64
+	ServerCounters[uint64]
 }
 
 // Commands sums the per-class command counters.
@@ -103,26 +86,6 @@ func (m ServerMetrics) PipelineDepth() float64 {
 // value; String omits the server line in that case).
 func (m ServerMetrics) Zero() bool {
 	return m == ServerMetrics{}
-}
-
-func (m ServerMetrics) sub(prev ServerMetrics) ServerMetrics {
-	return ServerMetrics{
-		ConnsAccepted:  m.ConnsAccepted - prev.ConnsAccepted,
-		ConnsRejected:  m.ConnsRejected - prev.ConnsRejected,
-		CurrConns:      m.CurrConns, // gauge: Delta keeps the current value
-		CmdGet:         m.CmdGet - prev.CmdGet,
-		CmdSet:         m.CmdSet - prev.CmdSet,
-		CmdDelete:      m.CmdDelete - prev.CmdDelete,
-		CmdOther:       m.CmdOther - prev.CmdOther,
-		GetHits:        m.GetHits - prev.GetHits,
-		GetMisses:      m.GetMisses - prev.GetMisses,
-		ProtocolErrors: m.ProtocolErrors - prev.ProtocolErrors,
-		PeerDownErrors: m.PeerDownErrors - prev.PeerDownErrors,
-		BytesIn:        m.BytesIn - prev.BytesIn,
-		BytesOut:       m.BytesOut - prev.BytesOut,
-		Batches:        m.Batches - prev.Batches,
-		BatchedOps:     m.BatchedOps - prev.BatchedOps,
-	}
 }
 
 // String renders the metrics as two compact report lines.

@@ -4,97 +4,134 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
-// Totals is the aggregate counter set — the backward-compatible Metrics
-// surface. The counters quantify the behaviours the paper's evaluation
-// discusses: the local/remote split (§4.1), peer-served work (§4.3) and
-// ring back-pressure under asynchronous execution (§4.4).
+// Totals is the runtime's counter family and its one declaration: each
+// field is a counter, the recorder's Counter index for it is derived from
+// its offset, and the roll-ups and Delta loop over the struct's words, so a
+// counter is added by adding a field here (and, to show it, a line in
+// Snapshot.String). The counters quantify the behaviours the paper's
+// evaluation discusses: the local/remote split (§4.1), peer-served work
+// (§4.3) and ring back-pressure under asynchronous execution (§4.4).
+// Totals is also the backward-compatible Metrics surface.
+//
+// Every field must be a uint64. DedupReplays is the one the recorder does
+// not count — Runtime.Metrics fills it — and its recorder block keeps an
+// unused slot for it, inside the block's padding.
 type Totals struct {
-	// LocalExecs counts operations executed inline because their key was
-	// local (or local execution was requested).
+	// LocalExecs counts operations executed inline on the calling thread
+	// (local key, empty-locality fallback, or explicit local execution).
 	LocalExecs uint64
 	// RemoteSends counts synchronous delegations to remote localities.
 	RemoteSends uint64
-	// AsyncSends counts fire-and-forget delegations.
+	// AsyncSends counts fire-and-forget delegations (§4.4).
 	AsyncSends uint64
-	// Served counts delegated requests this runtime's threads executed on
-	// behalf of peers.
+	// Served counts delegated requests executed on behalf of peers (§4.3).
 	Served uint64
-	// RingFullWaits counts send attempts that had to serve/yield because
-	// the destination ring was full.
+	// RingFullWaits counts send attempts that found the destination ring
+	// full and had to serve/yield instead (§4.4 back-pressure).
 	RingFullWaits uint64
-	// Rescued counts pending requests a sender executed itself off its
-	// own ring: every thread of the destination locality was parked or
-	// had unregistered, or the stall detector forced it.
+	// Rescued counts pending requests executed by their sender off its own
+	// ring: the destination locality had no running thread — every thread
+	// parked (its synchronous burst carried no wake), or none left — or the
+	// stall detector forced it.
 	Rescued uint64
-	// Stalls counts stall-detector trips: a waiter saw the destination
-	// partition serve nothing across a full detection window.
+	// Stalls counts stall-detector trips: a waiter observed the destination
+	// partition make no serving progress across a full detection window
+	// while its own request stayed pending (the degraded-mode signal).
 	Stalls uint64
-	// Panics counts delegated operations that panicked while executing.
+	// Panics counts delegated operations that panicked while executing,
+	// whatever the panic's eventual routing (re-raise at the awaiter, the
+	// panic handler, or the crash policy).
 	Panics uint64
-	// Abandoned counts requests their sender gave up on (deadline expiry
-	// or runtime shutdown).
+	// Abandoned counts delegated requests their sender gave up on —
+	// deadline expiry or runtime shutdown — whose results, if any, were
+	// discarded.
 	Abandoned uint64
-	// RingScansSkipped counts sender rings serve passes did not have to
-	// visit because their doorbell bit was clear — the polling work the
-	// doorbell saves relative to a full ring-table scan.
+	// RingScansSkipped counts sender rings a doorbell-driven serve pass did
+	// NOT visit (registered rings minus rung rings). It is the work the
+	// doorbell saves: the pre-doorbell loop polled every one of these.
 	RingScansSkipped uint64
-	// DoorbellWakes counts sender rings serve passes visited because their
-	// doorbell bit was set.
+	// DoorbellWakes counts sender rings visited because their doorbell bit
+	// was set (including re-armed bits for rings left with work behind).
 	DoorbellWakes uint64
-	// RemoteOps counts operations delegated across a process boundary to
-	// peer-owned partitions (the wire tier; disjoint from RemoteSends).
+	// RemoteOps counts operations delegated across a process boundary to a
+	// peer-owned partition (the wire tier), attributed to the destination
+	// partition. Disjoint from RemoteSends/AsyncSends, which count
+	// in-process ring delegations only.
 	RemoteOps uint64
-	// RemoteBytes counts encoded request-entry bytes staged toward
-	// peer-owned partitions (frame headers are not counted).
+	// RemoteBytes counts the encoded request-entry bytes staged toward
+	// peer-owned partitions: each entry's fixed part plus its data. Frame
+	// headers are not counted, and the peer accounts its responses.
 	RemoteBytes uint64
 	// PeerStalls counts wire-tier waits that crossed a stall window with no
-	// completion frame arriving.
+	// completion frame arriving — the cross-process analogue of Stalls,
+	// where the remedy is the deadline machinery rather than rescue (a
+	// sender cannot reach into a peer process's shard).
 	PeerStalls uint64
 	// DedupReplays counts retransmitted bursts this runtime's peer servers
 	// answered from their dedup window instead of re-executing — each one
 	// a duplicate side effect the window prevented. Runtime.Metrics reads
 	// it from the wire servers into Totals only; it is zero per partition.
 	DedupReplays uint64
-	// Parks counts waiter park episodes (idle threads blocking on their
-	// park slot instead of sleep-polling).
+	// Parks counts waiter park episodes: an idle thread armed its park
+	// slot and blocked instead of sleeping a blind quantum, attributed to
+	// the thread's own locality. Parks minus Wakes approximates how often
+	// waiters ran to their park timeout (the rescue/fallback cadence).
 	Parks uint64
-	// Wakes counts direct park wakeups delivered (doorbell arrivals and
-	// ring drains reaching a parked waiter).
+	// Wakes counts direct park wakeups delivered — a doorbell Set picking
+	// a parked locality thread, or a server waking a sender whose ring it
+	// drained — attributed to the partition whose event caused the wake. A
+	// synchronous burst toward a locality whose every thread is parked
+	// wakes none: its sender serves it (Rescued).
 	Wakes uint64
-	// ArenaAcquires counts delegated payloads carried in locality-owned
-	// arena buffers instead of the shared GC heap.
+	// ArenaAcquires counts delegated payloads placed in the destination
+	// locality's arena pool instead of the shared GC heap.
 	ArenaAcquires uint64
-	// ArenaFallbacks counts payloads that fell back to the heap because
-	// the destination's arena pool was empty.
+	// ArenaFallbacks counts payloads that wanted an arena buffer but fell
+	// back to the heap (pool empty or payload oversized). A high ratio to
+	// ArenaAcquires means core.DefaultArenaBufs is undersized for the
+	// in-flight window.
 	ArenaFallbacks uint64
 }
 
-func (t Totals) sub(prev Totals) Totals {
-	return Totals{
-		LocalExecs:    t.LocalExecs - prev.LocalExecs,
-		RemoteSends:   t.RemoteSends - prev.RemoteSends,
-		AsyncSends:    t.AsyncSends - prev.AsyncSends,
-		Served:        t.Served - prev.Served,
-		RingFullWaits: t.RingFullWaits - prev.RingFullWaits,
-		Rescued:       t.Rescued - prev.Rescued,
-		Stalls:        t.Stalls - prev.Stalls,
-		Panics:        t.Panics - prev.Panics,
-		Abandoned:     t.Abandoned - prev.Abandoned,
+// counterWord is the word a counter family is instantiated over: uint64
+// for the report a Snapshot carries, atomic.Uint64 for the live block
+// recording threads add to. Both are 8 bytes, so either instance of a
+// family is a sequence of words the helpers below can loop over.
+type counterWord interface {
+	uint64 | atomic.Uint64
+}
 
-		RingScansSkipped: t.RingScansSkipped - prev.RingScansSkipped,
-		DoorbellWakes:    t.DoorbellWakes - prev.DoorbellWakes,
-		RemoteOps:        t.RemoteOps - prev.RemoteOps,
-		RemoteBytes:      t.RemoteBytes - prev.RemoteBytes,
-		PeerStalls:       t.PeerStalls - prev.PeerStalls,
-		DedupReplays:     t.DedupReplays - prev.DedupReplays,
-		Parks:            t.Parks - prev.Parks,
-		Wakes:            t.Wakes - prev.Wakes,
-		ArenaAcquires:    t.ArenaAcquires - prev.ArenaAcquires,
-		ArenaFallbacks:   t.ArenaFallbacks - prev.ArenaFallbacks,
+// words views s, a struct of uint64 fields only (Totals or a family's
+// report instance), as a slice of its words.
+func words[S any](s *S) []uint64 {
+	return unsafe.Slice((*uint64)(unsafe.Pointer(s)), unsafe.Sizeof(*s)/8)
+}
+
+// load reads the live block of a family (an instance over atomic.Uint64)
+// into its report instance R, one atomic load per counter; the block as a
+// whole is not read atomically.
+func load[R, L any](live *L) R {
+	var r R
+	dst := words(&r)
+	src := unsafe.Slice((*atomic.Uint64)(unsafe.Pointer(live)), len(dst))
+	for i := range dst {
+		dst[i] = src[i].Load()
 	}
+	return r
+}
+
+// sub returns cur − prev counter by counter.
+func sub[S any](cur, prev S) S {
+	d := words(&cur)
+	for i, n := range words(&prev) {
+		d[i] -= n
+	}
+	return cur
 }
 
 // BurstSummary aggregates the burst-occupancy histogram: how many
@@ -269,29 +306,24 @@ type Snapshot struct {
 // subtracted; gauges (Workers, RingOccupancy) and histogram maxima keep
 // s's current values.
 func (s Snapshot) Delta(prev Snapshot) Snapshot {
-	d := Snapshot{
-		Totals:        s.Totals.sub(prev.Totals),
-		PerPartition:  make([]PartitionMetrics, len(s.PerPartition)),
-		PinnedThreads: s.PinnedThreads,
-	}
+	d := s
+	d.Totals = sub(s.Totals, prev.Totals)
+	d.PerPartition = make([]PartitionMetrics, len(s.PerPartition))
 	copy(d.PerPartition, s.PerPartition)
 	for i := range d.PerPartition {
 		if i < len(prev.PerPartition) {
-			d.PerPartition[i].Totals = s.PerPartition[i].Totals.sub(prev.PerPartition[i].Totals)
+			d.PerPartition[i].Totals = sub(s.PerPartition[i].Totals, prev.PerPartition[i].Totals)
 		}
 	}
 	d.Latency.LocalExec = s.Latency.LocalExec.Delta(prev.Latency.LocalExec)
 	d.Latency.SyncDelegation = s.Latency.SyncDelegation.Delta(prev.Latency.SyncDelegation)
 	d.Latency.Served = s.Latency.Served.Delta(prev.Latency.Served)
 	d.Bursts = s.Bursts.Delta(prev.Bursts)
-	d.Server = s.Server.sub(prev.Server)
-	if len(s.Peers) > 0 {
-		d.Peers = make([]PeerMetrics, len(s.Peers))
-		copy(d.Peers, s.Peers)
-		for i := range d.Peers {
-			if i < len(prev.Peers) {
-				d.Peers[i] = s.Peers[i].sub(prev.Peers[i])
-			}
+	d.Server.ServerCounters = sub(s.Server.ServerCounters, prev.Server.ServerCounters)
+	d.Peers = append([]PeerMetrics(nil), s.Peers...)
+	for i := range d.Peers {
+		if i < len(prev.Peers) {
+			d.Peers[i].PeerCounters = sub(s.Peers[i].PeerCounters, prev.Peers[i].PeerCounters)
 		}
 	}
 	return d

@@ -238,7 +238,7 @@ func (t Tok) Await(deadline time.Time) (ring.Result, error) {
 			return p.res[t.i], p.res[t.i].Err
 		}
 		if p.pc != nil {
-			p.pc.peer.timeouts.Add(1)
+			p.pc.peer.stats.Timeouts.Add(1)
 		}
 		t.consume()
 		return ring.Result{Err: ring.ErrTimeout}, ring.ErrTimeout

@@ -81,19 +81,7 @@ type Peer struct {
 	idx    int
 	conns  []*pconn
 	closed atomic.Bool
-
-	framesSent    atomic.Uint64
-	framesRecvd   atomic.Uint64
-	bytesSent     atomic.Uint64
-	bytesRecvd    atomic.Uint64
-	ops           atomic.Uint64
-	timeouts      atomic.Uint64
-	failed        atomic.Uint64
-	reconnects    atomic.Uint64
-	framesDropped atomic.Uint64
-	retries       atomic.Uint64
-	hbSent        atomic.Uint64
-	hbMissed      atomic.Uint64
+	stats  obs.PeerCounters[atomic.Uint64]
 }
 
 // NewPeer validates cfg and builds the (unconnected) peer. idx is the
@@ -177,22 +165,11 @@ func (pr *Peer) Stats() obs.PeerMetrics {
 		pc.mu.Unlock()
 	}
 	return obs.PeerMetrics{
-		Peer:             pr.idx,
-		Addr:             pr.cfg.Addr,
-		Parts:            len(pr.cfg.Parts),
-		FramesSent:       pr.framesSent.Load(),
-		FramesRecvd:      pr.framesRecvd.Load(),
-		BytesSent:        pr.bytesSent.Load(),
-		BytesRecvd:       pr.bytesRecvd.Load(),
-		Ops:              pr.ops.Load(),
-		Timeouts:         pr.timeouts.Load(),
-		Failed:           pr.failed.Load(),
-		Reconnects:       pr.reconnects.Load(),
-		FramesDropped:    pr.framesDropped.Load(),
-		Retries:          pr.retries.Load(),
-		HeartbeatsSent:   pr.hbSent.Load(),
-		HeartbeatsMissed: pr.hbMissed.Load(),
-		Pending:          pending,
+		Peer:         pr.idx,
+		Addr:         pr.cfg.Addr,
+		Parts:        len(pr.cfg.Parts),
+		PeerCounters: pr.stats.Load(),
+		Pending:      pending,
 	}
 }
 
@@ -295,7 +272,7 @@ func (pc *pconn) ensureConn() (net.Conn, error) {
 		return nil, ring.ErrPeerDown
 	}
 	if pc.dialed {
-		pc.peer.reconnects.Add(1)
+		pc.peer.stats.Reconnects.Add(1)
 	}
 	pc.dialed = true
 	pc.pmu.Lock()
@@ -356,8 +333,8 @@ func (pc *pconn) readLoop(c net.Conn, fr *frameReader, gen uint64) {
 		if fresh {
 			pc.lastRecv.Store(time.Now().UnixNano())
 		}
-		pc.peer.framesRecvd.Add(1)
-		pc.peer.bytesRecvd.Add(uint64(size))
+		pc.peer.stats.FramesRecvd.Add(1)
+		pc.peer.stats.BytesRecvd.Add(uint64(size))
 		if f.Type == FramePong {
 			continue
 		}
@@ -396,7 +373,7 @@ func (pc *pconn) heartbeat(c net.Conn, gen uint64) {
 		idle := time.Duration(time.Now().UnixNano() - pc.lastRecv.Load())
 		if idle >= deadAfter {
 			pc.mu.Unlock()
-			pc.peer.hbMissed.Add(1)
+			pc.peer.stats.HeartbeatsMissed.Add(1)
 			pc.linkDown(c, gen)
 			return
 		}
@@ -407,7 +384,7 @@ func (pc *pconn) heartbeat(c net.Conn, gen uint64) {
 				pc.linkDown(c, gen)
 				return
 			}
-			pc.peer.hbSent.Add(1)
+			pc.peer.stats.HeartbeatsSent.Add(1)
 		}
 		pc.mu.Unlock()
 	}
@@ -476,7 +453,7 @@ func (pc *pconn) redial() {
 			pc.retryq, pc.redialing = nil, false
 			pc.mu.Unlock()
 			for _, p := range q {
-				pc.peer.failed.Add(uint64(p.n))
+				pc.peer.stats.Failed.Add(uint64(p.n))
 				p.fail(ring.ErrClosed)
 			}
 			return
@@ -507,7 +484,7 @@ func (pc *pconn) redial() {
 				pc.mu.Unlock()
 				pc.expire(expired)
 				for _, p := range q {
-					pc.peer.failed.Add(uint64(p.n))
+					pc.peer.stats.Failed.Add(uint64(p.n))
 					p.fail(err)
 				}
 				return
@@ -528,7 +505,7 @@ func (pc *pconn) redial() {
 			if p.consumed.Load() == p.n {
 				// Every awaiter gave up; retransmitting buys nothing.
 				pc.retryq = pc.retryq[0:copy(pc.retryq, pc.retryq[1:])]
-				pc.peer.failed.Add(uint64(p.n))
+				pc.peer.stats.Failed.Add(uint64(p.n))
 				p.fail(ring.ErrTimeout)
 				continue
 			}
@@ -550,9 +527,9 @@ func (pc *pconn) redial() {
 				break
 			}
 			pc.retryq = pc.retryq[0:copy(pc.retryq, pc.retryq[1:])]
-			pc.peer.retries.Add(1)
-			pc.peer.framesSent.Add(1)
-			pc.peer.bytesSent.Add(uint64(len(frame)))
+			pc.peer.stats.Retries.Add(1)
+			pc.peer.stats.FramesSent.Add(1)
+			pc.peer.stats.BytesSent.Add(uint64(len(frame)))
 		}
 		if !wrote {
 			pc.mu.Unlock()
@@ -574,10 +551,10 @@ func (pc *pconn) redial() {
 func (pc *pconn) expire(ps []*Pending) {
 	for _, p := range ps {
 		if p.attempts > 0 {
-			pc.peer.timeouts.Add(uint64(p.n))
+			pc.peer.stats.Timeouts.Add(uint64(p.n))
 			p.fail(ring.ErrTimeout)
 		} else {
-			pc.peer.failed.Add(uint64(p.n))
+			pc.peer.stats.Failed.Add(uint64(p.n))
 			p.fail(ring.ErrPeerDown)
 		}
 	}
@@ -609,7 +586,7 @@ func (pc *pconn) shutdown(err error) {
 	}
 	pc.failPending(0, err)
 	for _, p := range q {
-		pc.peer.failed.Add(uint64(p.n))
+		pc.peer.stats.Failed.Add(uint64(p.n))
 		p.fail(err)
 	}
 }
@@ -628,7 +605,7 @@ func (pc *pconn) failPending(gen uint64, err error) {
 	}
 	pc.pmu.Unlock()
 	for _, p := range failed {
-		pc.peer.failed.Add(uint64(p.n))
+		pc.peer.stats.Failed.Add(uint64(p.n))
 		p.fail(err)
 	}
 }
@@ -656,7 +633,7 @@ func (pc *pconn) publish(p *Pending) error {
 	pc.mu.Lock()
 	if pc.peer.closed.Load() {
 		pc.mu.Unlock()
-		pc.peer.failed.Add(uint64(p.n))
+		pc.peer.stats.Failed.Add(uint64(p.n))
 		p.fail(ring.ErrClosed)
 		return ring.ErrClosed
 	}
@@ -676,7 +653,7 @@ func (pc *pconn) publish(p *Pending) error {
 		if errors.Is(err, ring.ErrClosed) || !errors.Is(err, ring.ErrPeerDown) {
 			// Shutdown or a configuration error: retrying cannot help.
 			pc.mu.Unlock()
-			pc.peer.failed.Add(uint64(p.n))
+			pc.peer.stats.Failed.Add(uint64(p.n))
 			p.fail(err)
 			return err
 		}
@@ -693,14 +670,14 @@ func (pc *pconn) publish(p *Pending) error {
 	if inj != nil {
 		if inj.PeerDown() {
 			pc.mu.Unlock()
-			pc.peer.framesDropped.Add(1)
+			pc.peer.stats.FramesDropped.Add(1)
 			pc.linkDown(c, gen)
 			return nil // p moved to the retry queue with the rest of gen
 		}
 		if inj.DropFrame() {
 			p.attempts++
 			pc.mu.Unlock()
-			pc.peer.framesDropped.Add(1)
+			pc.peer.stats.FramesDropped.Add(1)
 			return nil // burst stays pending; its awaiters time out
 		}
 		inj.SlowLink()
@@ -714,9 +691,9 @@ func (pc *pconn) publish(p *Pending) error {
 		pc.linkDown(c, gen)
 		return nil // p moved to the retry queue with the rest of gen
 	}
-	pc.peer.framesSent.Add(1)
-	pc.peer.bytesSent.Add(uint64(flen))
-	pc.peer.ops.Add(uint64(n))
+	pc.peer.stats.FramesSent.Add(1)
+	pc.peer.stats.BytesSent.Add(uint64(flen))
+	pc.peer.stats.Ops.Add(uint64(n))
 	return nil
 }
 
@@ -724,8 +701,8 @@ func (pc *pconn) publish(p *Pending) error {
 // just published, so its budget is whole, and the redialer expires it if
 // the link does not come back in time. Caller holds pc.mu.
 func (pc *pconn) deferLocked(p *Pending) {
-	pc.retryq = append(pc.retryq, p) //dps:owner-ok caller holds pc.mu (deferLocked contract)
-	pc.peer.ops.Add(uint64(p.n))     // accepted for delivery
+	pc.retryq = append(pc.retryq, p)   //dps:owner-ok caller holds pc.mu (deferLocked contract)
+	pc.peer.stats.Ops.Add(uint64(p.n)) // accepted for delivery
 	if !pc.redialing {
 		pc.redialing = true
 		go pc.redial()
