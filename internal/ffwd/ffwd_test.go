@@ -2,9 +2,11 @@ package ffwd
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // mapShard is the per-server structure; servers are serial so no locking.
@@ -333,5 +335,57 @@ func TestRegisterCloseRace(t *testing.T) {
 				t.Fatalf("round %d: Register = %v, want nil or ErrClosed", round, err)
 			}
 		}
+	}
+}
+
+// The two ffwd poll loops — the server's idle sweep and the client's wait
+// for its response — must yield: on one P a loop that spins without
+// yielding keeps the CPU until async preemption (~10 ms) takes it. Each
+// test below runs n hand-offs on one P and bounds them well below n × that
+// quantum.
+
+// oneProc runs the rest of the test on a single P.
+func oneProc(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// TestIdleServerYieldsUnderOneProc: with a server idling (no clients), the
+// test goroutine yields n times; each yield hands the P to the server,
+// whose idle sweep must hand it back.
+func TestIdleServerYieldsUnderOneProc(t *testing.T) {
+	oneProc(t)
+	sys := newSystem(t, 1)
+	defer sys.Close()
+	const n = 200
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		runtime.Gosched()
+	}
+	if d := time.Since(start); d > n*2*time.Millisecond {
+		t.Fatalf("%d yields past an idle server took %v on one P: the server's idle sweep does not yield", n, d)
+	}
+}
+
+// TestCallYieldsUnderOneProc: n synchronous calls on one P; a client that
+// waits for its response without yielding keeps the server from running.
+func TestCallYieldsUnderOneProc(t *testing.T) {
+	oneProc(t)
+	sys := newSystem(t, 1)
+	defer sys.Close()
+	c, err := sys.Register()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Unregister()
+	const n = 200
+	start := time.Now()
+	for i := uint64(0); i < n; i++ {
+		if res := c.Call(i, opPut, Args{U: [4]uint64{i}}); res.U != i {
+			t.Fatalf("call %d = %d", i, res.U)
+		}
+	}
+	if d := time.Since(start); d > n*2*time.Millisecond {
+		t.Fatalf("%d calls took %v on one P: a waiting client does not yield", n, d)
 	}
 }

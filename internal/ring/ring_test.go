@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 	"unsafe"
 )
 
@@ -233,5 +234,33 @@ func TestConcurrentSendServe(t *testing.T) {
 	}
 	if sum != want {
 		t.Fatalf("payload sum = %d, want %d", sum, want)
+	}
+}
+
+// TestClaimYieldsUnderOneProc: on one P, a server waiting in Claim must
+// yield, or the token's holder cannot run to Unclaim until async preemption
+// (~10 ms) takes the CPU from the waiter. Two claimers hand the token back
+// and forth n times, each holding it across a yield so the other finds it
+// taken; the whole exchange stays well below n × that quantum.
+func TestClaimYieldsUnderOneProc(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	r := New[payload](1)
+	const n = 200
+	start := time.Now()
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				r.Claim()
+				runtime.Gosched() // let the other claimer find the token held
+				r.Unclaim()
+			}
+		}()
+	}
+	wg.Wait()
+	if d := time.Since(start); d > n*2*time.Millisecond {
+		t.Fatalf("%d contended claims took %v on one P: a waiting claimer does not yield", 2*n, d)
 	}
 }

@@ -128,6 +128,11 @@ func TestPeerHeartbeatDetectsDeadLink(t *testing.T) {
 	if st.HeartbeatsSent == 0 || st.HeartbeatsMissed == 0 {
 		t.Fatalf("heartbeat never fired: %+v", st)
 	}
+	// One ping per interval of silence at most: a heartbeat loop that
+	// stopped sleeping would ping on every pass once the link went idle.
+	if max := uint64(time.Since(start)/heartbeatInterval) + 1; st.HeartbeatsSent > max {
+		t.Fatalf("%d heartbeats in %v, want at most %d (one per %v)", st.HeartbeatsSent, time.Since(start), max, heartbeatInterval)
+	}
 	if st.Retries == 0 {
 		t.Fatalf("dead link never retransmitted: %+v", st)
 	}
