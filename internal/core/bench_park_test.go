@@ -57,7 +57,9 @@ func parkedServerRuntime(b testing.TB, parkFor time.Duration) (th *Thread, stop 
 // BenchmarkDelegationIdleSenders and BenchmarkServePassIdle) and a server
 // parked in ServeWait (BenchmarkIdleWakeLatency; BenchmarkIdleCPUBurn/parked
 // idles in the same park). In each, a serve pass that finds nothing to do
-// and a synchronous delegation allocate nothing.
+// and a synchronous delegation allocate nothing. The two BenchmarkIdleCPUBurn
+// loops are pinned too: spin's Serve + Gosched is the idle serve pass, and
+// parked's ServeWait timing out on an idle locality is the last subtest.
 func TestIdleAllocPins(t *testing.T) {
 	pin := func(t *testing.T, th *Thread, gap time.Duration) {
 		for i := uint64(0); i < 100; i++ { // warm the rings, the park timer and the wake path
@@ -88,6 +90,20 @@ func TestIdleAllocPins(t *testing.T) {
 		th, stop := parkedServerRuntime(t, 100*time.Microsecond)
 		defer stop()
 		pin(t, th, 300*time.Microsecond) // past the server's park timeout
+	})
+	t.Run("idle serve wait", func(t *testing.T) {
+		// BenchmarkIdleCPUBurn/parked's server loop: ServeWait parking to
+		// its timeout on a locality a registered sender sends nothing to.
+		rt, cleanup := idleRuntime(t, 1)
+		defer cleanup()
+		srv, err := rt.RegisterAt(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Unregister()
+		if n := testing.AllocsPerRun(50, func() { srv.ServeWait(100 * time.Microsecond) }); n != 0 {
+			t.Errorf("a ServeWait that times out allocates %v per call, want 0", n)
+		}
 	})
 }
 
