@@ -15,8 +15,9 @@ test:
 # front door) — whose correctness depends on concurrent access. bench-build
 # goes first, because none of the root-module commands below compiles the
 # benchmark module. The last two lines repeat the concurrent data-structure
-# suites, and the race of a sender serving its own ring against a server
-# woken by its park timeout, at three GOMAXPROCS settings:
+# suites, and the races of a sender serving its own ring against a server
+# woken by its park timeout and against a thread leaving its Idle mark, at
+# three GOMAXPROCS settings:
 # their interleavings, and so their failures, depend on the host's CPU count
 # (the lock-free skip list hung about one run in sixty on 2 CPUs only).
 check: bench-build
@@ -25,7 +26,7 @@ check: bench-build
 	$(GO) build ./...
 	$(GO) test -race ./internal/ring/... ./internal/core/... ./internal/obs/... ./internal/ffwd/... ./internal/wire/... ./internal/mcd/... ./internal/server/...
 	$(GO) test -count=20 -cpu 1,2,4 ./internal/skiplist ./internal/dpsds
-	$(GO) test -race -count=20 -cpu 1,2,4 -run '^TestRescueRaceParkTimeout$$' ./internal/core
+	$(GO) test -race -count=20 -cpu 1,2,4 -run '^(TestRescueRaceParkTimeout|TestRescueRaceIdleBorrow)$$' ./internal/core
 
 # bench-build vets and unit-tests benchmark/, which is a Go module of its own
 # (dps/benchmark, replace dps => ../): the root module's build and tests never
@@ -51,9 +52,10 @@ loc:
 # injector's own tests plus the runtime's chaos and rescue scenarios
 # (dropped claims, forced full rings, injected panics, wedged localities,
 # shutdown under load, a sender serving its own ring toward a locality whose
-# every thread is parked), the table tests of the one drain, the one wait
-# loop and the one park, and the OpTimeout rule at a full ring through the
-# wave (mcd) and the front door (server). Run it after touching any of them.
+# every thread is parked or idle), the table tests of the one drain, the one
+# wait loop and the one park, and the OpTimeout rule at a full ring through
+# the wave (mcd) and the front door (server). Run it after touching any of
+# them.
 chaos:
 	$(GO) test -race -timeout 120s ./internal/chaos/...
 	$(GO) test -race -timeout 120s -run 'TestChaos|TestRescue|TestOne|TestWaveRingFull|TestWaveBackendTimeout' -v ./internal/core/... ./internal/mcd/... ./internal/server/...

@@ -243,8 +243,14 @@ type Partition struct {
 	// idle. An idle locality costs ~zero CPU, yet a publish toward it is
 	// served without riding out a sleep quantum: the doorbell Set path
 	// picks one parked thread and wakes it, or — a synchronous burst when
-	// every worker is parked — the burst's sender serves it (flushOpen).
+	// every worker is parked or idle — the burst's sender serves it
+	// (flushOpen).
 	parked *ring.ParkSet
+
+	// idle counts this locality's threads under an Idle mark: outside every
+	// call, so serving nothing until their next one. flushOpen counts them
+	// with the parked ones.
+	idle atomic.Int32
 
 	// arena is the locality-owned payload pool: delegated payloads too
 	// large for the inline burst entry are copied into arena buffers

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"errors"
 	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"dps/internal/chaos"
+	"dps/internal/obs"
 )
 
 // A locality whose every thread is parked is served by the sender: a
@@ -214,4 +216,210 @@ func TestRescueRaceParkTimeout(t *testing.T) {
 	if m := rt.Metrics().Totals; m.Served+m.Rescued != n {
 		t.Errorf("Served + Rescued = %d + %d, want %d", m.Served, m.Rescued, n)
 	}
+}
+
+// TestRescueIdleLocality: a thread under an Idle mark counts like a parked
+// thread when a sender decides whether to ring (flushOpen), and only until
+// its next call; a fire-and-forget burst rings whatever the locality does;
+// Unregister drops the mark, with or without Shutdown first.
+func TestRescueIdleLocality(t *testing.T) {
+	type env struct {
+		rt     *Runtime
+		sender *Thread      // at locality 0
+		idle   *Thread      // at locality 1, declared Idle before the row runs
+		p      *Partition   // locality 1
+		key    uint64       // a key of locality 1
+		parked func() int64 // ServeWait returns of locality 1's parked crew thread
+	}
+	add := func(t *testing.T, e *env, want uint64) {
+		t.Helper()
+		if res := e.sender.ExecuteSync(e.key, opAdd, Args{U: [4]uint64{1}}); res.Err != nil || res.U != want {
+			t.Fatalf("add = (%d, %v), want (%d, nil)", res.U, res.Err, want)
+		}
+	}
+	// delta reports what the row's operations added to the counters the rule
+	// decides between: a wake, a served operation, a sender-served one.
+	delta := func(e *env, before obs.Totals) (wakes, served, rescued uint64) {
+		m := e.rt.Metrics().Totals
+		return m.Wakes - before.Wakes, m.Served - before.Served, m.Rescued - before.Rescued
+	}
+	rows := []struct {
+		name string
+		crew bool // a second thread of locality 1 parks in ServeWait
+		run  func(t *testing.T, e *env)
+	}{
+		{name: "idle thread and parked crew: sender serves", crew: true, run: func(t *testing.T, e *env) {
+			const n = 16
+			before := e.rt.Metrics().Totals
+			for i := uint64(1); i <= n; i++ {
+				add(t, e, i)
+			}
+			if w, s, r := delta(e, before); w != 0 || s != 0 || r != n {
+				t.Errorf("Wakes, Served, Rescued rose by %d, %d, %d, want 0, 0, %d", w, s, r, n)
+			}
+			if n := e.parked(); n != 0 {
+				t.Errorf("the parked thread returned from ServeWait %d times, want 0", n)
+			}
+		}},
+		// Without a crew the idle thread is locality 1's only thread, so the
+		// burst that rings after its next call can only be served by it.
+		{name: "next call ends the mark", run: func(t *testing.T, e *env) {
+			add(t, e, 1)
+			e.idle.Flush()
+			if n := e.p.idle.Load(); n != 0 {
+				t.Fatalf("idle count after the thread's next call = %d, want 0", n)
+			}
+			before := e.rt.Metrics().Totals
+			var c Completion
+			e.sender.ExecuteInto(&c, e.key, opAdd, Args{U: [4]uint64{1}})
+			e.sender.Flush()
+			if !e.p.bell.Any() {
+				t.Fatal("the burst toward a locality with a running thread rang no doorbell")
+			}
+			if n := e.idle.Serve(); n != 1 {
+				t.Fatalf("the once-idle thread served %d operations, want 1", n)
+			}
+			if res := c.Result(); res.Err != nil || res.U != 2 {
+				t.Fatalf("add = (%d, %v), want (2, nil)", res.U, res.Err)
+			}
+			if w, s, r := delta(e, before); w != 0 || s != 1 || r != 0 {
+				t.Errorf("Wakes, Served, Rescued rose by %d, %d, %d, want 0, 1, 0", w, s, r)
+			}
+		}},
+		{name: "fire-and-forget burst still rings and wakes", crew: true, run: func(t *testing.T, e *env) {
+			before := e.rt.Metrics().Totals
+			e.sender.ExecuteAsync(e.key, opAdd, Args{U: [4]uint64{1}})
+			e.sender.Drain()
+			if w, s, r := delta(e, before); w != 1 || s != 1 || r != 0 {
+				t.Errorf("Wakes, Served, Rescued rose by %d, %d, %d, want 1, 1, 0", w, s, r)
+			}
+			if e.parked() == 0 {
+				t.Error("the parked thread never returned from ServeWait")
+			}
+		}},
+		{name: "Unregister drops the mark, before and after Shutdown", run: func(t *testing.T, e *env) {
+			e.idle.Unregister()
+			if n := e.p.idle.Load(); n != 0 {
+				t.Fatalf("idle count after Unregister = %d, want 0", n)
+			}
+			late, err := e.rt.RegisterAt(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			late.Idle()
+			if n := e.p.idle.Load(); n != 1 {
+				t.Fatalf("idle count after Idle = %d, want 1", n)
+			}
+			// The sender and the idle thread are still registered, as a
+			// pool's sessions are when its store shuts down.
+			if _, err := e.rt.Shutdown(30 * time.Millisecond); !errors.Is(err, ErrTimeout) {
+				t.Fatalf("Shutdown with threads registered = %v, want ErrTimeout", err)
+			}
+			late.Unregister()
+			if n := e.p.idle.Load(); n != 0 {
+				t.Errorf("idle count after Shutdown and Unregister = %d, want 0", n)
+			}
+		}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			t.Parallel()
+			rt := newTestRuntime(t, 2)
+			e := &env{rt: rt, p: rt.Partition(1), key: keyFor(t, rt, 1)}
+			var err error
+			if e.sender, err = rt.RegisterAt(0); err != nil {
+				t.Fatal(err)
+			}
+			defer e.sender.Unregister()
+			if row.crew {
+				var stop func()
+				e.parked, stop = parkedServer(t, rt, 1, 10*time.Second)
+				defer stop()
+			}
+			if e.idle, err = rt.RegisterAt(1); err != nil {
+				t.Fatal(err)
+			}
+			defer e.idle.Unregister()
+			e.idle.Idle()
+			if n := e.p.idle.Load(); n != 1 {
+				t.Fatalf("idle count after Idle = %d, want 1", n)
+			}
+			row.run(t, e)
+		})
+	}
+}
+
+// TestRescueRaceIdleBorrow: a thread of locality 1 alternates between Idle
+// and a synchronous call — a pooled session put back and borrowed again —
+// while a sender adds to a counter of locality 1, so the sender finds the
+// thread idle (and serves its own burst) or busy (and rings for it, and
+// the thread's wait serves the burst) at any point of the alternation. Every
+// add is applied exactly once. The counter is a plain variable, so the race
+// detector also checks that the two servers' executions are ordered by the
+// ring's claim.
+func TestRescueRaceIdleBorrow(t *testing.T) {
+	t.Parallel()
+	rt := newTestRuntime(t, 2)
+	sender, err := rt.RegisterAt(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sender.Unregister()
+	// Registered here, not in its goroutine, so locality 1 is never empty.
+	borrower, err := rt.RegisterAt(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stopped atomic.Bool
+	var borrows uint64
+	done := make(chan struct{})
+	home := keyFor(t, rt, 0)
+	go func() {
+		defer close(done)
+		defer borrower.Unregister()
+		for !stopped.Load() {
+			borrower.Idle()
+			runtime.Gosched()
+			// A call toward the sender's locality, so the borrower waits —
+			// serving locality 1 — until the sender's own wait serves it.
+			if res := borrower.ExecuteSync(home, opPut, Args{U: [4]uint64{1}}); res.Err != nil {
+				t.Errorf("borrower put: %v", res.Err)
+				return
+			}
+			borrows++
+		}
+	}()
+
+	count := uint64(0)
+	inc := func(*Partition, uint64, *Args) Result {
+		count++
+		runtime.Gosched()
+		return Result{U: count}
+	}
+	key := keyFor(t, rt, 1)
+	const n = 2000
+	for i := uint64(1); i <= n; i++ {
+		if res := sender.ExecuteSync(key, inc, Args{}); res.Err != nil || res.U != i {
+			t.Fatalf("add %d = (%d, %v)", i, res.U, res.Err)
+		}
+	}
+	// The borrower's last call toward locality 0 needs the sender to serve.
+	stopped.Store(true)
+	for waiting := true; waiting; {
+		select {
+		case <-done:
+			waiting = false
+		default:
+			sender.Serve()
+			runtime.Gosched()
+		}
+	}
+	if count != n {
+		t.Errorf("count = %d, want %d", count, n)
+	}
+	m := rt.Metrics().Totals
+	if m.Served+m.Rescued != n+borrows {
+		t.Errorf("Served + Rescued = %d + %d, want %d adds + %d borrower puts", m.Served, m.Rescued, n, borrows)
+	}
+	t.Logf("Served %d, Rescued %d, borrower puts %d", m.Served, m.Rescued, borrows)
 }

@@ -114,6 +114,12 @@ type Thread struct {
 	// drains without injecting further faults.
 	chaos *chaos.Injector
 
+	// idle is the thread's Idle mark, counted in its partition's idle until
+	// the next entry point clears it.
+	//
+	//dps:owned-by=sender
+	idle bool
+
 	unregistered bool
 }
 
@@ -185,6 +191,7 @@ func (t *Thread) Unregister() {
 	if !t.rt.down.Load() {
 		t.Drain()
 	}
+	t.clearIdle()
 	t.unregistered = true
 	t.rt.unregister(t)
 }
@@ -197,7 +204,8 @@ func (t *Thread) partitionFor(key uint64) *Partition {
 }
 
 // checkLive panics with ErrUnregistered on use-after-Unregister and with
-// ErrClosed on use after Shutdown, the documented misuse paths.
+// ErrClosed on use after Shutdown, the documented misuse paths. Every entry
+// point calls it, so it is also where an Idle mark ends.
 //
 //dps:noalloc via ExecuteSync
 func (t *Thread) checkLive() {
@@ -206,6 +214,39 @@ func (t *Thread) checkLive() {
 	}
 	if t.rt.down.Load() {
 		panic(ErrClosed)
+	}
+	t.clearIdle()
+}
+
+// Idle declares that the thread makes no call, and so serves nothing, until
+// its next call: a synchronous burst toward its locality then counts it like
+// a parked thread (flushOpen), and the burst's sender serves it instead of
+// ringing for a thread that will not come. The next entry point — any
+// Execute form, Flush, Drain, Serve, ServeWait — ends the declaration;
+// Unregister drops it. Completion.Ready and Result do not, so a thread
+// declares itself idle with nothing left to await. Idle publishes the open
+// burst first, like Flush. A thread that never calls Idle is counted as
+// running, which is always safe: a declaration only lets senders serve more
+// of their own bursts, and a sender executes its ring under the claim, so
+// every operation still runs exactly once. A thread pool calls it on each
+// thread it puts back, so a burst toward a locality whose threads are all
+// parked or pooled runs on its sender without a wake.
+//
+//dps:domain=sender
+func (t *Thread) Idle() {
+	t.checkLive()
+	t.flushOpen()
+	t.idle = true
+	t.rt.parts[t.locality].idle.Add(1)
+}
+
+// clearIdle ends the thread's Idle mark, if any.
+//
+//dps:noalloc via ExecuteSync
+func (t *Thread) clearIdle() {
+	if t.idle {
+		t.idle = false
+		t.rt.parts[t.locality].idle.Add(-1)
 	}
 }
 
@@ -310,9 +351,9 @@ func (t *Thread) issue(c *Completion, p *Partition, key uint64, op Op, args Args
 // to the owning locality and c becomes ready once a peer thread there
 // executes it; poll it with Ready or block with Result, both of which serve
 // requests delegated to this thread's locality in the meantime. When every
-// thread of the owning locality is parked, no thread is woken for it: the
-// first Ready or Result executes it on this thread (or a parked thread
-// finds it after its park timeout).
+// thread of the owning locality is parked or Idle, no thread is woken for
+// it: the first Ready or Result executes it on this thread (or a parked
+// thread finds it after its park timeout).
 //
 // Consecutive operations to the same partition pack into one burst slot; the
 // burst is published at the latest when any completion is polled, another
@@ -627,16 +668,16 @@ func (t *Thread) flushOpen() {
 	p := t.openPart
 	m := s.Payload()
 	n := int(m.n)
-	// A synchronous burst toward a locality whose every thread is parked
-	// rings no doorbell: its sender, which awaits it at once, serves it
-	// itself (selfServe) on the processor a woken server would borrow
-	// anyway, without the wake and the two goroutine switches, and no
-	// server's doorbell pass collides with the sender's claim. A burst with
-	// a fire-and-forget entry still rings: nobody awaits it. Decided before
-	// the publish, the one point the flag can be written; a burst its
-	// sender stops awaiting is found by the full scan that follows a timed-
-	// out park, or by the sender's next wait on it.
-	senderServes := !m.tracked && p.parked.Count() >= int(p.workers.Load())
+	// A synchronous burst toward a locality whose every thread is parked or
+	// idle (Idle) rings no doorbell: its sender, which awaits it at once,
+	// serves it itself (selfServe) on the processor a woken server would
+	// borrow anyway, without the wake and the two goroutine switches, and
+	// no server's doorbell pass collides with the sender's claim. A burst
+	// with a fire-and-forget entry still rings: nobody awaits it. Decided
+	// before the publish, the one point the flag can be written; a burst
+	// its sender stops awaiting is found by the full scan that follows a
+	// timed-out park, or by the sender's next wait on it.
+	senderServes := !m.tracked && p.parked.Count()+int(p.idle.Load()) >= int(p.workers.Load())
 	m.senderServes = senderServes
 	t.open, t.openPart = nil, nil
 	s.Publish()
@@ -801,11 +842,11 @@ func (t *Thread) forceFullScan() {
 // selfServe is the sender's half of stage 3 of the wait loop: while s, its
 // burst toward p, is pending and no running thread of p will serve it — it
 // was published without a doorbell because every thread of p was parked
-// (flushOpen), or p has no threads left — the sender executes its own ring
-// to p, a remote-memory access in the paper's terms, in FIFO order, so every
-// earlier burst of that ring runs first. A claim held elsewhere is a thread
-// of p serving the ring already. s is nil for a wait on a peer process,
-// which no sender reaches into. It returns the operations executed.
+// or Idle (flushOpen), or p has no threads left — the sender executes its
+// own ring to p, a remote-memory access in the paper's terms, in FIFO order,
+// so every earlier burst of that ring runs first. A claim held elsewhere is
+// a thread of p serving the ring already. s is nil for a wait on a peer
+// process, which no sender reaches into. It returns the operations executed.
 //
 //dps:noalloc via ExecuteSync
 func (t *Thread) selfServe(p *Partition, s *slot) int {

@@ -163,6 +163,9 @@ func (h *DPSHandle) Pin() bool { return h.t.Pin() }
 // Drain waits for the handle's asynchronous sets to complete.
 func (h *DPSHandle) Drain() { h.t.Drain() }
 
+// Idle declares the handle idle until its next call (core.Thread.Idle).
+func (h *DPSHandle) Idle() { h.t.Idle() }
+
 func opGet(p *core.Partition, key uint64, _ *core.Args) core.Result {
 	v, ok := p.Data().(Cache).Get(key)
 	return core.Result{P: v, U: boolU(ok)}

@@ -66,6 +66,14 @@ type Session interface {
 	// Drain blocks until every asynchronous set issued by this session has
 	// been applied — the barrier after which other sessions observe them.
 	Drain()
+	// Idle declares that the session makes no call until its next one — a
+	// pool calls it on each session it puts back. On the dps variants the
+	// session's thread then counts as serving nothing, so a synchronous
+	// operation toward a locality whose every thread is parked or idle runs
+	// on its sender instead of waking a serving thread; the next call ends
+	// the declaration. Omitting it is always safe: an undeclared session
+	// only costs a wake. The other variants do nothing.
+	Idle()
 	// Close releases the session. The Session must not be used afterwards.
 	Close()
 }
@@ -116,10 +124,11 @@ type Config struct {
 	// reserve Servers additional thread slots on top of this.
 	MaxThreads int
 	// Servers is the number of dedicated serving goroutines the dps
-	// variants run so delegations complete promptly even when every
-	// session is idle (e.g. parked in a network server's handle pool).
-	// Default: one per partition. Negative: none — then delegations are
-	// only served by sessions that are themselves waiting.
+	// variants run so delegations complete promptly whatever the sessions
+	// do: asynchronous sets, and operations toward a locality with a busy
+	// session (see dpsStore). Default: one per partition. Negative: none —
+	// then delegations are only served by sessions that are themselves
+	// waiting, or by their senders when every session there is Idle.
 	Servers int
 	// PinServers pins each dedicated serving goroutine's OS thread to a
 	// CPU owned by its locality (dps variants, Linux only; a no-op
@@ -246,6 +255,7 @@ func (s cacheSession) SetAsync(key uint64, val []byte)  { _ = s.c.Set(key, val) 
 func (s cacheSession) Delete(key uint64) (bool, error)  { return s.c.Delete(key), nil }
 func (s cacheSession) Flush()                           {}
 func (s cacheSession) Drain()                           {}
+func (s cacheSession) Idle()                            {}
 func (s cacheSession) Close()                           {}
 
 // ---- parsec ----
@@ -277,6 +287,7 @@ func (s *parsecSession) SetAsync(key uint64, val []byte)  { _ = s.c.Set(key, val
 func (s *parsecSession) Delete(key uint64) (bool, error)  { return s.c.Delete(key), nil }
 func (s *parsecSession) Flush()                           {}
 func (s *parsecSession) Drain()                           {}
+func (s *parsecSession) Idle()                            {}
 func (s *parsecSession) Close()                           { s.th.Unregister() }
 
 // ---- ffwd ----
@@ -308,6 +319,7 @@ func (s ffwdSession) SetAsync(key uint64, val []byte)  { s.h.SetAsync(key, val) 
 func (s ffwdSession) Delete(key uint64) (bool, error)  { return s.h.Delete(key), nil }
 func (s ffwdSession) Flush()                           { s.h.Flush() }
 func (s ffwdSession) Drain()                           { s.h.Drain() }
+func (s ffwdSession) Idle()                            {}
 func (s ffwdSession) Close()                           { s.h.Unregister() }
 
 // ---- dps / dps-parsec ----
@@ -417,10 +429,13 @@ func openDPS(localGets bool, cfg Config) (Store, error) {
 }
 
 // dpsStore fronts the DPS-partitioned cache: sessions are registered DPS
-// threads, and a small crew of dedicated serving goroutines keeps
-// delegations flowing when sessions sit idle (a network server parks its
-// session pool between request batches; without the crew a parked pool
-// would stall every remote operation until the stall detector trips).
+// threads, and a small crew of dedicated serving goroutines serves what no
+// sender serves itself. A synchronous operation toward a locality whose
+// threads are all parked crew or Idle sessions (a network server's pool
+// between request batches) runs on its sender; the crew is woken for
+// fire-and-forget sets, which nobody awaits, and for operations toward a
+// locality with a busy session, which serves only while it waits. Without
+// the crew those would wait for a session of their locality to call in.
 type dpsStore struct {
 	d            *DPS
 	ps           *core.PeerServer

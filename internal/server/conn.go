@@ -180,14 +180,16 @@ func (c *conn) session() (mcd.Session, error) {
 }
 
 // releaseSession drains pending asynchronous writes and returns the session
-// to the pool. The drain is what makes a batch's noreply sets visible to
-// every later borrower — cross-connection read-your-writes at batch
-// granularity.
+// to the pool, declared Idle: a pooled session serves nothing, so its
+// locality's senders serve their own synchronous bursts. The drain is what
+// makes a batch's noreply sets visible to every later borrower —
+// cross-connection read-your-writes at batch granularity.
 func (c *conn) releaseSession() {
 	if c.sess == nil {
 		return
 	}
 	c.sess.Drain()
+	c.sess.Idle()
 	c.srv.stats.Batches.Add(1)
 	c.srv.stats.BatchedOps.Add(c.ops)
 	c.srv.pool <- c.sess

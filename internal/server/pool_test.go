@@ -195,3 +195,77 @@ func TestSessionPoolWedgedPeer(t *testing.T) {
 		t.Fatalf("peer applied %d operations, want between %d and %d", served, lo, hi)
 	}
 }
+
+// TestPooledSessionsIdle: the pool declares its sessions Idle, so a replied
+// operation toward a locality whose threads are the parked serving crew and
+// pooled sessions runs on the session that sends it — counted as Rescued —
+// and wakes nobody. A default front door on a dps store with the crew left to
+// park gets a pipeline of replied sets and gets that reaches every partition;
+// each reply is checked byte for byte. Without the declaration every such
+// operation rings its locality and wakes the crew thread (Wakes > 0), so the
+// Wakes check holds on every run. A crew thread's park timeout (every 50 ms)
+// can land mid-pipeline, and the operations that then find it running ring
+// for it and are Served instead — the rule working, not a miss — so the exact
+// Served/Rescued split is required of one run in a few.
+func TestPooledSessionsIdle(t *testing.T) {
+	const parts, keys, tries = 4, 32, 5
+	store, err := mcd.Open("dps", mcd.Config{Partitions: parts, MemLimit: 8 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := serveStore(t, store, Config{Sessions: DefaultSessions})
+	for parked := 0; parked < parts; {
+		time.Sleep(time.Millisecond)
+		parked = 0
+		for _, p := range store.Metrics().PerPartition {
+			if p.Parks > 0 {
+				parked++
+			}
+		}
+	}
+	nc := dial(t, srv)
+	for try := 1; ; try++ {
+		var req, want, multi, multiWant strings.Builder
+		for i := 0; i < keys; i++ {
+			key, val := fmt.Sprintf("k%d", i), fmt.Sprintf("v%d.%d", try, i)
+			fmt.Fprintf(&req, "set %s 0 0 %d\r\n%s\r\nget %s\r\n", key, len(val), val, key)
+			want.WriteString("STORED\r\n" + valueBlock(key, 0, val) + "END\r\n")
+			multi.WriteString(" " + key)
+			multiWant.WriteString(valueBlock(key, 0, val))
+		}
+		req.WriteString("get" + multi.String() + "\r\n")
+		want.WriteString(multiWant.String() + "END\r\n")
+
+		before := store.Metrics()
+		roundTrip(t, nc, req.String(), want.String())
+		d := store.Metrics().Delta(before)
+		m := d.Totals
+		if m.Wakes != 0 {
+			t.Fatalf("try %d: Wakes rose by %d, want 0", try, m.Wakes)
+		}
+		remote := m.RemoteSends
+		if ops := uint64(3 * keys); m.LocalExecs+remote != ops || m.AsyncSends != 0 {
+			t.Fatalf("try %d: %d local + %d remote + %d async operations, want %d local or remote",
+				try, m.LocalExecs, remote, m.AsyncSends, ops)
+		}
+		if m.Served+m.Rescued != remote {
+			t.Fatalf("try %d: Served + Rescued = %d + %d, want the %d remote operations",
+				try, m.Served, m.Rescued, remote)
+		}
+		for _, p := range d.PerPartition {
+			if p.LocalExecs+p.RemoteSends == 0 {
+				t.Fatalf("try %d: no operation reached partition %d", try, p.Partition)
+			}
+		}
+		if m.Served == 0 {
+			if remote == 0 {
+				t.Fatal("every operation ran on its session's own locality")
+			}
+			return
+		}
+		t.Logf("try %d: %d of %d remote operations found a crew thread between parks", try, m.Served, remote)
+		if try == tries {
+			t.Fatalf("%d runs in a row had operations served by a running thread, want one with Rescued = remote", tries)
+		}
+	}
+}
