@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check lint loc chaos chaos-peer fuzz bench bench-build bench-compare bench-pair bench-gate serve-smoke peer-smoke pin-smoke
+.PHONY: build test check lint loc chaos chaos-peer fuzz bench bench-build bench-compare bench-pair bench-gate serve-smoke peer-smoke
 
 build:
 	$(GO) build ./...
@@ -14,19 +14,21 @@ test:
 # (the peer links), ffwd (the baseline), obs, mcd (the stores) and server (the
 # front door) — whose correctness depends on concurrent access. bench-build
 # goes first, because none of the root-module commands below compiles the
-# benchmark module. The last two lines repeat the concurrent data-structure
-# suites, and the races of a sender serving its own ring against a server
-# woken by its park timeout and against a thread leaving its Idle mark, at
-# three GOMAXPROCS settings:
-# their interleavings, and so their failures, depend on the host's CPU count
-# (the lock-free skip list hung about one run in sixty on 2 CPUs only).
+# benchmark module. The last two lines repeat, at three GOMAXPROCS settings,
+# the concurrent data-structure suites and the tests of who runs an
+# operation: the history checker (every operation applied once, in issue
+# order, linearizable) and the races of a sender running operations toward
+# an unattended locality — inline at issue and off its own ring — against a
+# server woken by its park timeout and against a thread leaving its Idle
+# mark. Their interleavings, and so their failures, depend on the host's CPU
+# count (the lock-free skip list hung about one run in sixty on 2 CPUs only).
 check: bench-build
 	$(GO) vet ./...
 	$(GO) run ./cmd/dpslint
 	$(GO) build ./...
 	$(GO) test -race ./internal/ring/... ./internal/core/... ./internal/obs/... ./internal/ffwd/... ./internal/wire/... ./internal/mcd/... ./internal/server/...
 	$(GO) test -count=20 -cpu 1,2,4 ./internal/skiplist ./internal/dpsds
-	$(GO) test -race -count=20 -cpu 1,2,4 -run '^(TestRescueRaceParkTimeout|TestRescueRaceIdleBorrow)$$' ./internal/core
+	$(GO) test -race -count=20 -cpu 1,2,4 -run '^(TestRescueRaceParkTimeout|TestRescueRaceIdleBorrow|TestHistoryLinearizable)$$' ./internal/core
 
 # bench-build vets and unit-tests benchmark/, which is a Go module of its own
 # (dps/benchmark, replace dps => ../): the root module's build and tests never
@@ -51,7 +53,7 @@ loc:
 # chaos runs the fault-injection suite under the race detector: the
 # injector's own tests plus the runtime's chaos and rescue scenarios
 # (dropped claims, forced full rings, injected panics, wedged localities,
-# shutdown under load, a sender serving its own ring toward a locality whose
+# shutdown under load, a sender running operations toward a locality whose
 # every thread is parked or idle), the table tests of the one drain, the one
 # wait loop and the one park, and the OpTimeout rule at a full ring through
 # the wave (mcd) and the front door (server). Run it after touching any of
@@ -91,12 +93,6 @@ fuzz:
 # SIGTERM and assert a clean drain. See scripts/serve_smoke.sh.
 serve-smoke:
 	bash scripts/serve_smoke.sh
-
-# pin-smoke is serve-smoke with the server booted under -pin-servers
-# (dedicated serving threads locked to locality-owned CPUs) — proving
-# pinning, parked serving, and graceful shutdown compose.
-pin-smoke:
-	bash scripts/serve_smoke.sh -pin-servers
 
 # peer-smoke is the wire tier's end-to-end gate: two dpsnode processes
 # with split partition ownership over real TCP, verifying cross-process

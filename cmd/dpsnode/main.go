@@ -82,7 +82,6 @@ func run() int {
 		chaosDelay  = flag.Duration("chaos-slow-delay", 2*time.Millisecond, "delay applied when -chaos-slow fires")
 		chaosDown   = flag.Float64("chaos-peerdown", 0, "probability the peer link is severed before a write")
 		chaosSeed   = flag.Uint64("chaos-seed", 1, "chaos decision-stream seed")
-		pinServers  = flag.Bool("pin-servers", false, "pin dedicated serving threads to locality-owned CPUs (Linux)")
 		verbose     = flag.Bool("v", false, "log per-phase progress")
 	)
 	var peers peerFlag
@@ -93,7 +92,6 @@ func run() int {
 		Partitions: *partitions,
 		PeerListen: *listen,
 		OpTimeout:  *opTimeout,
-		PinServers: *pinServers,
 	}
 	chaosOn := *chaosDrop > 0 || *chaosSlow > 0 || *chaosDown > 0
 	if chaosOn {

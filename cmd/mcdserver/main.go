@@ -33,7 +33,6 @@ func main() {
 		writeTimeout = flag.Duration("write-timeout", server.DefaultWriteTimeout, "response flush timeout")
 		opTimeout    = flag.Duration("op-timeout", 2*time.Second, "per-operation delegation timeout (0: wait forever)")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown budget")
-		pinServers   = flag.Bool("pin-servers", false, "pin dedicated serving threads to locality-owned CPUs (dps variants, Linux)")
 		quiet        = flag.Bool("quiet", false, "suppress startup and metrics output")
 	)
 	flag.Parse()
@@ -45,7 +44,6 @@ func main() {
 		MemLimit:     *mem,
 		OpTimeout:    *opTimeout,
 		DrainTimeout: *drainTimeout,
-		PinServers:   *pinServers,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mcdserver:", err)

@@ -72,9 +72,11 @@ type (
 	// operation split (§4.1), AsyncSends fire-and-forget delegation
 	// (§4.4), Served the peer-delegation overlap that keeps every core on
 	// data-structure work (§4.3), RingFullWaits ring back-pressure
-	// (§4.4), and Rescued the operations a sender executed off its own
-	// ring: toward a locality with no running thread (every thread parked,
-	// or none left), or one stalled.
+	// (§4.4), Rescued the operations a sender executed off its own ring
+	// (toward a locality that turned unattended after they were staged, or
+	// one stalled), and UnattendedExecs the operations a sender ran inline
+	// at issue toward a locality whose every thread was parked or idle, or
+	// that had none left — the remote-memory access of §1.
 	Metrics = core.Metrics
 	// Snapshot is the structured view returned by Runtime.Metrics:
 	// Totals (the Metrics aggregate), PerPartition (the §5.2 partition

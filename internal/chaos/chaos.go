@@ -70,9 +70,7 @@ type Config struct {
 	// DropDoorbellProb makes a sender publish a slot WITHOUT ringing the
 	// destination locality's doorbell — the lost-wakeup fault. Correctness
 	// then rests entirely on the serve loop's periodic full-scan fallback
-	// (and the rescue machinery) finding the silent ring. A burst that
-	// rings no doorbell anyway — one its sender serves itself — is not
-	// drawn for.
+	// (and the rescue machinery) finding the silent ring.
 	DropDoorbellProb float64
 
 	// SplitBurstProb makes a sender close its open burst early, so an

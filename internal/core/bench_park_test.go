@@ -109,13 +109,13 @@ func TestIdleAllocPins(t *testing.T) {
 
 // BenchmarkIdleWakeLatency measures the synchronous operation's round-trip
 // toward a locality whose only server idles by parking. An operation that
-// finds the server parked wakes nothing: its sender serves its own ring
-// (Thread.selfServe), so that is the path measured here, not a doorbell wake
-// (a fire-and-forget burst still wakes the server). The hot variant sends
-// back-to-back, so the server is usually parked or, just after its park
-// timeout, mid-serve, when the operation is delegated to it; the parked
-// variant idles between operations long past the server's park timeout, so
-// every operation finds the server parked, and the sender's caches cold.
+// finds the server parked wakes nothing: it runs inline on its sender at
+// issue (Thread.issue), so that inline path is what is measured here, not a
+// doorbell wake. The hot variant sends back-to-back, so the server is usually
+// parked or, just after its park timeout, mid-serve, when the operation is
+// delegated to it; the parked variant idles between operations long past the
+// server's park timeout, so every operation finds the server parked, and the
+// sender's caches cold.
 // The wake-ns/op metric isolates the round-trip itself (ns/op includes the
 // idle gap); compare with BenchmarkDelegation/sync, whose server spins and
 // never parks.

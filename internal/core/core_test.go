@@ -255,11 +255,12 @@ func TestPeerServingWhileAwaiting(t *testing.T) {
 		}
 	}
 	m := rt.Metrics().Totals
-	// The thread that finishes first unregisters and empties its locality:
-	// the other's remaining operations run inline instead of being sent, and
-	// a request already in flight is executed by its sender.
-	if m.RemoteSends+m.LocalExecs != 400 || m.RemoteSends < 200 {
-		t.Fatalf("RemoteSends+LocalExecs = %d+%d, want 400 with at least 200 sent", m.RemoteSends, m.LocalExecs)
+	// The thread that finishes first unregisters and empties its locality,
+	// and a thread parked in its wait leaves its locality unattended: the
+	// other's operations then run inline instead of being sent, and a
+	// request already in flight is executed by its sender.
+	if m.RemoteSends+m.UnattendedExecs != 400 || m.LocalExecs != 0 {
+		t.Fatalf("RemoteSends+UnattendedExecs = %d+%d, LocalExecs = %d, want 400, 0", m.RemoteSends, m.UnattendedExecs, m.LocalExecs)
 	}
 	if m.Served+m.Rescued != m.RemoteSends {
 		t.Fatalf("Served+Rescued = %d+%d, want RemoteSends = %d", m.Served, m.Rescued, m.RemoteSends)
@@ -269,7 +270,8 @@ func TestPeerServingWhileAwaiting(t *testing.T) {
 func TestExecuteFallsBackInlineWhenLocalityEmpty(t *testing.T) {
 	t.Parallel()
 	// Locality 1 has no registered threads: Execute must run inline rather
-	// than deadlock waiting for a server that will never come.
+	// than deadlock waiting for a server that will never come, counted as
+	// an operation toward an unattended locality.
 	rt := newTestRuntime(t, 2)
 	t0, err := rt.RegisterAt(0)
 	if err != nil {
@@ -284,7 +286,7 @@ func TestExecuteFallsBackInlineWhenLocalityEmpty(t *testing.T) {
 	if res.U != 5 {
 		t.Fatalf("res.U = %d, want 5", res.U)
 	}
-	if m := rt.Metrics().Totals; m.RemoteSends != 0 || m.LocalExecs != 1 {
+	if m := rt.Metrics().Totals; m.RemoteSends != 0 || m.LocalExecs != 0 || m.UnattendedExecs != 1 {
 		t.Fatalf("metrics = %+v, want inline fallback", m)
 	}
 }

@@ -33,7 +33,6 @@ type (
 // plain data; interval activity is snap2.Delta(snap1).
 func (rt *Runtime) Metrics() Snapshot {
 	s := rt.rec.Snapshot()
-	s.PinnedThreads = int(rt.pinned.Load())
 	for i, p := range rt.parts {
 		s.PerPartition[i].Workers = int(p.workers.Load())
 		s.PerPartition[i].RingOccupancy = p.ringOccupancy()

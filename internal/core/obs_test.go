@@ -93,7 +93,8 @@ func TestPerPartitionAttribution(t *testing.T) {
 // TestAttributionUnderChurn hammers the runtime with workers that register
 // and unregister continuously while issuing operations, then checks the
 // books still balance: per-partition sums equal totals, every issued op is
-// accounted as exactly one local exec or remote send, and every remote
+// accounted as exactly one local exec, unattended exec or remote send, and
+// every remote
 // send was served or rescued.
 func TestAttributionUnderChurn(t *testing.T) {
 	t.Parallel()
@@ -133,8 +134,8 @@ func TestAttributionUnderChurn(t *testing.T) {
 	if sum := sumPartitions(t, s); sum != s.Totals {
 		t.Fatalf("per-partition sum %+v != totals %+v", sum, s.Totals)
 	}
-	if got := s.Totals.LocalExecs + s.Totals.RemoteSends; got != issued.Load() {
-		t.Fatalf("LocalExecs+RemoteSends = %d, want %d issued ops", got, issued.Load())
+	if got := s.Totals.LocalExecs + s.Totals.UnattendedExecs + s.Totals.RemoteSends; got != issued.Load() {
+		t.Fatalf("LocalExecs+UnattendedExecs+RemoteSends = %d, want %d issued ops", got, issued.Load())
 	}
 	if got := s.Totals.Served + s.Totals.Rescued; got < s.Totals.RemoteSends {
 		t.Fatalf("Served+Rescued = %d < RemoteSends = %d", got, s.Totals.RemoteSends)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"dps/internal/chaos"
+	"dps/internal/wire"
 )
 
 // The remote tests run a two-node cluster inside one test process: a
@@ -34,6 +35,7 @@ const (
 	// made blockPeer closes it.
 	codeBlock uint16 = 5
 	codeEcho  uint16 = 6
+	codePanic uint16 = 7
 )
 
 // remotePut stores a copy of the value: the wire hands ops a decode
@@ -63,12 +65,17 @@ func remoteEcho(p *Partition, key uint64, a *Args) Result {
 	return Result{U: key, P: a.P}
 }
 
+// remotePanic panics with its key, in whichever process serves it.
+func remotePanic(p *Partition, key uint64, a *Args) Result {
+	panic(fmt.Sprintf("boom %d", key))
+}
+
 func registerTestOps(t testing.TB, rt *Runtime) {
 	t.Helper()
 	for _, r := range []struct {
 		code uint16
 		op   Op
-	}{{codePut, remotePut}, {codeGet, remoteGet}, {codeLen, remoteLen}, {codeBlock, remoteBlock}, {codeEcho, remoteEcho}} {
+	}{{codePut, remotePut}, {codeGet, remoteGet}, {codeLen, remoteLen}, {codeBlock, remoteBlock}, {codeEcho, remoteEcho}, {codePanic, remotePanic}} {
 		if err := rt.RegisterOp(r.code, r.op); err != nil {
 			t.Fatalf("RegisterOp(%d): %v", r.code, err)
 		}
@@ -86,13 +93,16 @@ func startCluster(t testing.TB, clientCfg func(*Config)) (client *Runtime, clien
 	if err != nil {
 		t.Fatal(err)
 	}
-	return startClusterOn(t, ln, clientCfg)
+	client, clientThread, _ = startClusterOn(t, ln, clientCfg)
+	return client, clientThread
 }
 
-// startClusterOn is startCluster with the server listening on ln.
-func startClusterOn(t testing.TB, ln net.Listener, clientCfg func(*Config)) (client *Runtime, clientThread *Thread) {
+// startClusterOn is startCluster with the server listening on ln; it also
+// returns the serving runtime.
+func startClusterOn(t testing.TB, ln net.Listener, clientCfg func(*Config)) (client *Runtime, clientThread *Thread, server *Runtime) {
 	t.Helper()
-	server, err := New(Config{Partitions: rtParts, Hash: rtHash, Init: mapInit})
+	var err error
+	server, err = New(Config{Partitions: rtParts, Hash: rtHash, Init: mapInit})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +145,7 @@ func startClusterOn(t testing.TB, ln net.Listener, clientCfg func(*Config)) (cli
 		}
 		client.Shutdown(time.Second)
 	})
-	return client, th
+	return client, th, server
 }
 
 func TestRemoteSyncReadYourWrites(t *testing.T) {
@@ -178,6 +188,48 @@ func TestRemoteErrorIdentity(t *testing.T) {
 }
 
 func opMissing(p *Partition, key uint64, a *Args) Result { return Result{} }
+
+// TestRemotePanicCrossesAsError pins what a panic in an operation served by a
+// peer process does. A synchronous one returns a Result whose Err reads "dps:
+// remote op panicked: <value>" — a wire.OpError at the sender, since the
+// panic value itself cannot cross the process boundary — the serving
+// runtime's Panics counter rises, and the link serves the next operation. A
+// panicking fire-and-forget one neither kills the server nor stalls Drain,
+// and the operation after it on the link still applies.
+func TestRemotePanicCrossesAsError(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, th, server := startClusterOn(t, ln, nil)
+
+	res := th.ExecuteSync(2, remotePanic, Args{})
+	var opErr wire.OpError
+	if !errors.As(res.Err, &opErr) || res.Err.Error() != "dps: remote op panicked: boom 2" {
+		t.Fatalf("panicking op: Err = %#v, want wire.OpError(\"dps: remote op panicked: boom 2\")", res.Err)
+	}
+	if n := server.Metrics().Totals.Panics; n != 1 {
+		t.Errorf("serving runtime's Panics = %d, want 1", n)
+	}
+	if res := th.ExecuteSync(2, remotePut, Args{P: []byte("after")}); res.Err != nil {
+		t.Fatalf("put after the panic: %v", res.Err)
+	}
+
+	th.ExecuteAsync(6, remotePanic, Args{})
+	th.ExecuteAsync(6, remotePut, Args{P: []byte("after async")})
+	start := time.Now()
+	th.Drain()
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("Drain after a panicking fire-and-forget op took %v", d)
+	}
+	if n := server.Metrics().Totals.Panics; n != 2 {
+		t.Errorf("serving runtime's Panics = %d, want 2", n)
+	}
+	got := th.ExecuteSync(6, remoteGet, Args{})
+	if got.Err != nil || got.U != 1 || !bytes.Equal(got.P.([]byte), []byte("after async")) {
+		t.Fatalf("get after the fire-and-forget panic = (%d, %v, %v), want the put after it", got.U, got.P, got.Err)
+	}
+}
 
 func TestRemoteAsyncDrain(t *testing.T) {
 	_, th := startCluster(t, nil)
@@ -678,7 +730,7 @@ func TestCloseSeversPeerLinks(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := &connWatcher{Listener: ln}
-	client, th := startClusterOn(t, w, nil)
+	client, th, _ := startClusterOn(t, w, nil)
 	if res := th.ExecuteSync(2, remotePut, Args{P: []byte("dial")}); res.Err != nil {
 		t.Fatal(res.Err)
 	}

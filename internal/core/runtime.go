@@ -33,12 +33,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dps/internal/affinity"
 	"dps/internal/chaos"
 	"dps/internal/obs"
 	"dps/internal/parsec"
 	"dps/internal/ring"
-	"dps/internal/topology"
 	"dps/internal/wire"
 )
 
@@ -172,16 +170,6 @@ type Config struct {
 	// Partitions, NamespaceSize and Hash, and register the same op codes
 	// (RegisterOp). Optional.
 	Peers []Peer
-
-	// PinServers enables Thread.Pin, the explicit pin for dedicated
-	// serving goroutines: the serving loop calls Pin from the goroutine
-	// that runs it, after registration, so pooled registration patterns
-	// (register on one goroutine, serve on another) pin the goroutine that
-	// actually serves, to a CPU owned by its locality (chosen by
-	// internal/topology's assignment plan) for as long as the thread stays
-	// registered. A no-op where thread affinity is unsupported (see
-	// internal/affinity).
-	PinServers bool
 }
 
 func (c *Config) setDefaults() error {
@@ -234,23 +222,15 @@ type Partition struct {
 	// rings of active senders instead of scanning the whole table.
 	bell *ring.Doorbell
 
-	// workers counts threads currently registered to this locality. When
-	// it is zero, a send falls back to inline execution (there is nobody
-	// to serve the ring — see Thread.issue).
+	// workers counts threads currently registered to this locality; parked
+	// is the bitmap of those parked idle, and idle counts those under an
+	// Idle mark (outside every call, so serving nothing until their next
+	// one). Together they decide unattended. An idle locality costs ~zero
+	// CPU, yet an operation toward it waits out no sleep quantum: it runs
+	// on its sender, or its publish picks one parked thread and wakes it.
 	workers atomic.Int32
-
-	// parked is the bitmap of this locality's threads currently parked
-	// idle. An idle locality costs ~zero CPU, yet a publish toward it is
-	// served without riding out a sleep quantum: the doorbell Set path
-	// picks one parked thread and wakes it, or — a synchronous burst when
-	// every worker is parked or idle — the burst's sender serves it
-	// (flushOpen).
-	parked *ring.ParkSet
-
-	// idle counts this locality's threads under an Idle mark: outside every
-	// call, so serving nothing until their next one. flushOpen counts them
-	// with the parked ones.
-	idle atomic.Int32
+	parked  *ring.ParkSet
+	idle    atomic.Int32
 
 	// arena is the locality-owned payload pool: delegated payloads too
 	// large for the inline burst entry are copied into arena buffers
@@ -264,6 +244,17 @@ type Partition struct {
 	// hot path pays exactly one nil-check on this field.
 	peer    *wire.Peer
 	peerIdx int
+}
+
+// unattended reports whether no thread of the locality will serve a burst
+// toward it: every registered thread is parked or Idle, which includes none
+// being registered. It is the one statement of when a sender runs an
+// operation toward the locality itself — at issue (Thread.issue), or off its
+// own ring while it waits (Thread.selfServe). Local partitions only.
+//
+//dps:noalloc via ExecuteSync
+func (p *Partition) unattended() bool {
+	return p.parked.Count()+int(p.idle.Load()) >= int(p.workers.Load())
 }
 
 // ID returns the partition's index in [0, Partitions).
@@ -327,16 +318,6 @@ type Runtime struct {
 	// parker holds one park slot per thread id; idle waiters block on
 	// their slot and the doorbell/serve paths wake them directly.
 	parker *ring.Parker
-
-	// pinPlan[loc] is the CPU list locality loc's pinned threads cycle
-	// through (topology.Assign); nil when pinning is disabled. pinNext
-	// is the per-locality rotation cursor, guarded by mu.
-	pinPlan [][]int
-	pinNext []int
-
-	// pinned counts threads currently pinned to a CPU (the
-	// Snapshot.PinnedThreads gauge).
-	pinned atomic.Int32
 }
 
 // New creates a DPS runtime. It is the analogue of the paper's
@@ -368,13 +349,6 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	rt.optab.Store(&opTable{})
 	rt.parker = ring.NewParker(cfg.MaxThreads)
-	if cfg.PinServers && affinity.Supported() {
-		// SMT width 1: cloud vCPUs are already hardware threads, and
-		// without sibling information treating every CPU as its own core
-		// is the conservative plan.
-		rt.pinPlan = topology.Assign(cfg.Partitions, affinity.NumCPU(), 1)
-		rt.pinNext = make([]int, cfg.Partitions)
-	}
 	for i := range rt.parts {
 		lo, hi := ns.Range(i)
 		rt.parts[i] = &Partition{id: i, lo: lo, hi: hi, rt: rt}
@@ -418,7 +392,7 @@ func (rt *Runtime) Partitions() int { return len(rt.parts) }
 func (rt *Runtime) RingDepth() int { return rt.cfg.RingDepth }
 
 // wholeRing is the drain bound of the callers that want everything one claim
-// can reach (a sender serving its own ring, stall escalation, the shutdown
+// can reach (a sender draining its own ring, stall escalation, the shutdown
 // sweep): a full ring of maximally packed bursts, in operations.
 func (rt *Runtime) wholeRing() int { return rt.cfg.RingDepth * burstSize }
 
@@ -557,26 +531,12 @@ func (rt *Runtime) registerLocked(loc int) (*Thread, error) {
 
 // unregister returns t's resources. Called via Thread.Unregister.
 func (rt *Runtime) unregister(t *Thread) {
-	t.unpinSelf()
 	t.smr.Unregister()
 	rt.mu.Lock()
 	rt.parts[t.locality].workers.Add(-1)
 	rt.freeTID = append(rt.freeTID, t.id)
 	rt.nlive--
 	rt.mu.Unlock()
-}
-
-// nextCPU returns the next CPU in locality loc's rotation, or -1 when pinning
-// is disabled.
-func (rt *Runtime) nextCPU(loc int) int {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if rt.pinPlan == nil || loc >= len(rt.pinPlan) || len(rt.pinPlan[loc]) == 0 {
-		return -1
-	}
-	cpu := rt.pinPlan[loc][rt.pinNext[loc]%len(rt.pinPlan[loc])]
-	rt.pinNext[loc]++
-	return cpu
 }
 
 // Mix64 is the default key hash: a Stafford/SplitMix64 finalizer, spreading

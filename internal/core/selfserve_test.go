@@ -11,10 +11,12 @@ import (
 	"dps/internal/obs"
 )
 
-// A locality whose every thread is parked is served by the sender: a
-// synchronous burst toward it carries no wake, and the sender's wait — the
-// wait loop, Completion.Ready, the ring-full wait — executes its own ring to
-// it (Thread.selfServe), credited to Rescued.
+// A locality whose every thread is parked or Idle (Partition.unattended) is
+// served by the sender: an operation toward it runs inline at issue, credited
+// to UnattendedExecs, once everything the sender sent there earlier has run;
+// a burst staged before the locality turned unattended is executed by the
+// sender's wait — the wait loop, Completion.Ready, the ring-full wait — off
+// its own ring (Thread.selfServe), credited to Rescued.
 
 // parkedServer registers a thread at locality loc whose goroutine idles in
 // ServeWait(d) — mcd's serve loop — and returns once that thread is parked.
@@ -56,7 +58,7 @@ func parkedServer(t *testing.T, rt *Runtime, loc int, d time.Duration) (returns 
 
 // TestRescueParkedLocality: synchronous operations toward a locality whose
 // only thread is parked in ServeWait return the right results, wake nobody,
-// are executed by their sender and leave the parked thread parked.
+// run inline on their sender at issue and leave the parked thread parked.
 func TestRescueParkedLocality(t *testing.T) {
 	t.Parallel()
 	rt := newTestRuntime(t, 2)
@@ -80,8 +82,8 @@ func TestRescueParkedLocality(t *testing.T) {
 	if d := m.Wakes - before.Wakes; d != 0 {
 		t.Errorf("Wakes rose by %d, want 0", d)
 	}
-	if m.Rescued != 2 || m.Served != 0 {
-		t.Errorf("Rescued = %d, Served = %d, want 2, 0", m.Rescued, m.Served)
+	if m.UnattendedExecs != 2 || m.Rescued != 0 || m.Served != 0 {
+		t.Errorf("UnattendedExecs = %d, Rescued = %d, Served = %d, want 2, 0, 0", m.UnattendedExecs, m.Rescued, m.Served)
 	}
 	if n := returns(); n != 0 {
 		t.Errorf("the parked thread returned from ServeWait %d times, want 0", n)
@@ -116,8 +118,10 @@ func TestRescueRunningOwnerServes(t *testing.T) {
 }
 
 // TestChaosDroppedWakeAppliedBeforeSelfServedRead: an asynchronous write
-// whose doorbell and wake were dropped is still pending when the sender
-// reads the same key synchronously; the sender serves its ring in FIFO
+// sent while locality 1 had a running thread, whose doorbell and wake were
+// dropped, is still pending when that thread goes Idle and the sender reads
+// the same key synchronously. The write is unserved, so the read is staged
+// behind it rather than run inline, and the sender serves its ring in FIFO
 // order, so the read sees the write.
 func TestChaosDroppedWakeAppliedBeforeSelfServedRead(t *testing.T) {
 	t.Parallel()
@@ -129,6 +133,11 @@ func TestChaosDroppedWakeAppliedBeforeSelfServedRead(t *testing.T) {
 	defer sender.Unregister()
 	_, stop := parkedServer(t, rt, 1, 10*time.Second)
 	defer stop()
+	running, err := rt.RegisterAt(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer running.Unregister()
 
 	key := keyFor(t, rt, 1)
 	sender.ExecuteAsync(key, opPut, Args{U: [4]uint64{9}})
@@ -136,20 +145,22 @@ func TestChaosDroppedWakeAppliedBeforeSelfServedRead(t *testing.T) {
 	if c := inj.Counts(); c.DoorbellsLost != 1 {
 		t.Fatalf("DoorbellsLost = %d, want 1", c.DoorbellsLost)
 	}
+	running.Idle()
 	if !rt.Partition(1).rings[sender.id].Load().Slot(0).Pending() {
 		t.Fatal("the asynchronous write was served before the read was sent")
 	}
 	if res := sender.ExecuteSync(key, opGet, Args{}); res.Err != nil || res.U != 9 {
 		t.Fatalf("get = (%d, %v), want (9, nil)", res.U, res.Err)
 	}
-	if m := rt.Metrics().Totals; m.Rescued != 2 || m.Wakes != 0 {
-		t.Errorf("Rescued = %d, Wakes = %d, want 2, 0", m.Rescued, m.Wakes)
+	if m := rt.Metrics().Totals; m.Rescued != 2 || m.UnattendedExecs != 0 || m.Wakes != 0 {
+		t.Errorf("Rescued = %d, UnattendedExecs = %d, Wakes = %d, want 2, 0, 0", m.Rescued, m.UnattendedExecs, m.Wakes)
 	}
 }
 
-// TestRescueReadyPoll: a synchronous operation polled only through Ready
-// resolves on the first poll — the poll serves the sender's own ring — rather
-// than after the parked thread's park timeout.
+// TestRescueReadyPoll: a synchronous operation published while locality 1's
+// only thread was running, and polled only through Ready after that thread
+// went Idle, resolves on the first poll — the poll serves the sender's own
+// ring — rather than whenever the thread makes its next call.
 func TestRescueReadyPoll(t *testing.T) {
 	t.Parallel()
 	rt := newTestRuntime(t, 2)
@@ -158,11 +169,16 @@ func TestRescueReadyPoll(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sender.Unregister()
-	returns, stop := parkedServer(t, rt, 1, 10*time.Second)
-	defer stop()
+	owner, err := rt.RegisterAt(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer owner.Unregister()
 
 	var c Completion
 	sender.ExecuteInto(&c, keyFor(t, rt, 1), opPut, Args{U: [4]uint64{5}})
+	sender.Flush()
+	owner.Idle()
 	res, ok := c.Ready()
 	if !ok {
 		t.Fatal("the first Ready did not resolve the operation")
@@ -173,19 +189,18 @@ func TestRescueReadyPoll(t *testing.T) {
 	if m := rt.Metrics().Totals; m.Rescued != 1 || m.Wakes != 0 {
 		t.Errorf("Rescued = %d, Wakes = %d, want 1, 0", m.Rescued, m.Wakes)
 	}
-	if n := returns(); n != 0 {
-		t.Errorf("the parked thread returned from ServeWait %d times, want 0", n)
-	}
 }
 
-// TestRescueRaceParkTimeout: the sender's own serving races a thread whose
-// ServeWait times out at waitParkMin — each timeout makes its next pass a
-// full scan, which finds the sender's ring — and every operation is applied
-// exactly once. The operation yields, so the woken thread runs mid-drain even
-// on one processor, and the sender pauses now and then, so some bursts find
-// that thread awake and are delegated to it. The operation counts in a plain
-// variable: the race detector also checks that the two servers' executions
-// are ordered by the ring's claim.
+// TestRescueRaceParkTimeout: the sender's own serving — inline at issue and
+// off its ring — races a thread whose ServeWait times out at waitParkMin —
+// each timeout makes its next pass a full scan, which finds the sender's
+// ring — and every operation is applied exactly once. The operation yields,
+// so the woken thread runs mid-drain even on one processor, and the sender
+// pauses now and then, so some operations find that thread awake and are
+// delegated to it. The operation counts in a plain variable: the race
+// detector also checks that the two threads' executions are ordered by the
+// ring's claim and, for an inline one, by the release of the sender's last
+// slot.
 func TestRescueRaceParkTimeout(t *testing.T) {
 	t.Parallel()
 	rt := newTestRuntime(t, 2)
@@ -213,15 +228,15 @@ func TestRescueRaceParkTimeout(t *testing.T) {
 			t.Fatalf("op %d = (%d, %v)", i, res.U, res.Err)
 		}
 	}
-	if m := rt.Metrics().Totals; m.Served+m.Rescued != n {
-		t.Errorf("Served + Rescued = %d + %d, want %d", m.Served, m.Rescued, n)
+	if m := rt.Metrics().Totals; m.Served+m.Rescued+m.UnattendedExecs != n {
+		t.Errorf("Served + Rescued + UnattendedExecs = %d + %d + %d, want %d", m.Served, m.Rescued, m.UnattendedExecs, n)
 	}
 }
 
 // TestRescueIdleLocality: a thread under an Idle mark counts like a parked
-// thread when a sender decides whether to ring (flushOpen), and only until
-// its next call; a fire-and-forget burst rings whatever the locality does;
-// Unregister drops the mark, with or without Shutdown first.
+// thread when a sender decides who runs an operation (Partition.unattended),
+// and only until its next call; a fire-and-forget operation follows the same
+// rule; Unregister drops the mark, with or without Shutdown first.
 func TestRescueIdleLocality(t *testing.T) {
 	type env struct {
 		rt     *Runtime
@@ -238,24 +253,26 @@ func TestRescueIdleLocality(t *testing.T) {
 		}
 	}
 	// delta reports what the row's operations added to the counters the rule
-	// decides between: a wake, a served operation, a sender-served one.
-	delta := func(e *env, before obs.Totals) (wakes, served, rescued uint64) {
+	// decides between: a wake, a served operation, one its sender drained
+	// off its ring, one its sender ran at issue.
+	delta := func(e *env, before obs.Totals) (wakes, served, rescued, inline uint64) {
 		m := e.rt.Metrics().Totals
-		return m.Wakes - before.Wakes, m.Served - before.Served, m.Rescued - before.Rescued
+		return m.Wakes - before.Wakes, m.Served - before.Served, m.Rescued - before.Rescued,
+			m.UnattendedExecs - before.UnattendedExecs
 	}
 	rows := []struct {
 		name string
 		crew bool // a second thread of locality 1 parks in ServeWait
 		run  func(t *testing.T, e *env)
 	}{
-		{name: "idle thread and parked crew: sender serves", crew: true, run: func(t *testing.T, e *env) {
+		{name: "idle thread and parked crew: sender runs the operations", crew: true, run: func(t *testing.T, e *env) {
 			const n = 16
 			before := e.rt.Metrics().Totals
 			for i := uint64(1); i <= n; i++ {
 				add(t, e, i)
 			}
-			if w, s, r := delta(e, before); w != 0 || s != 0 || r != n {
-				t.Errorf("Wakes, Served, Rescued rose by %d, %d, %d, want 0, 0, %d", w, s, r, n)
+			if w, s, r, u := delta(e, before); w != 0 || s != 0 || r != 0 || u != n {
+				t.Errorf("Wakes, Served, Rescued, UnattendedExecs rose by %d, %d, %d, %d, want 0, 0, 0, %d", w, s, r, u, n)
 			}
 			if n := e.parked(); n != 0 {
 				t.Errorf("the parked thread returned from ServeWait %d times, want 0", n)
@@ -282,19 +299,19 @@ func TestRescueIdleLocality(t *testing.T) {
 			if res := c.Result(); res.Err != nil || res.U != 2 {
 				t.Fatalf("add = (%d, %v), want (2, nil)", res.U, res.Err)
 			}
-			if w, s, r := delta(e, before); w != 0 || s != 1 || r != 0 {
-				t.Errorf("Wakes, Served, Rescued rose by %d, %d, %d, want 0, 1, 0", w, s, r)
+			if w, s, r, u := delta(e, before); w != 0 || s != 1 || r != 0 || u != 0 {
+				t.Errorf("Wakes, Served, Rescued, UnattendedExecs rose by %d, %d, %d, %d, want 0, 1, 0, 0", w, s, r, u)
 			}
 		}},
-		{name: "fire-and-forget burst still rings and wakes", crew: true, run: func(t *testing.T, e *env) {
+		{name: "fire-and-forget operation runs on its sender too", crew: true, run: func(t *testing.T, e *env) {
 			before := e.rt.Metrics().Totals
 			e.sender.ExecuteAsync(e.key, opAdd, Args{U: [4]uint64{1}})
 			e.sender.Drain()
-			if w, s, r := delta(e, before); w != 1 || s != 1 || r != 0 {
-				t.Errorf("Wakes, Served, Rescued rose by %d, %d, %d, want 1, 1, 0", w, s, r)
+			if w, s, r, u := delta(e, before); w != 0 || s != 0 || r != 0 || u != 1 {
+				t.Errorf("Wakes, Served, Rescued, UnattendedExecs rose by %d, %d, %d, %d, want 0, 0, 0, 1", w, s, r, u)
 			}
-			if e.parked() == 0 {
-				t.Error("the parked thread never returned from ServeWait")
+			if n := e.parked(); n != 0 {
+				t.Errorf("the parked thread returned from ServeWait %d times, want 0", n)
 			}
 		}},
 		{name: "Unregister drops the mark, before and after Shutdown", run: func(t *testing.T, e *env) {
@@ -352,11 +369,12 @@ func TestRescueIdleLocality(t *testing.T) {
 // TestRescueRaceIdleBorrow: a thread of locality 1 alternates between Idle
 // and a synchronous call — a pooled session put back and borrowed again —
 // while a sender adds to a counter of locality 1, so the sender finds the
-// thread idle (and serves its own burst) or busy (and rings for it, and
+// thread idle (and runs its add inline, or drains its own ring when the
+// thread went idle after the add was staged) or busy (and rings for it, and
 // the thread's wait serves the burst) at any point of the alternation. Every
 // add is applied exactly once. The counter is a plain variable, so the race
-// detector also checks that the two servers' executions are ordered by the
-// ring's claim.
+// detector also checks that the two threads' executions are ordered by the
+// ring's claim and by the release of the sender's last slot.
 func TestRescueRaceIdleBorrow(t *testing.T) {
 	t.Parallel()
 	rt := newTestRuntime(t, 2)
@@ -418,8 +436,9 @@ func TestRescueRaceIdleBorrow(t *testing.T) {
 		t.Errorf("count = %d, want %d", count, n)
 	}
 	m := rt.Metrics().Totals
-	if m.Served+m.Rescued != n+borrows {
-		t.Errorf("Served + Rescued = %d + %d, want %d adds + %d borrower puts", m.Served, m.Rescued, n, borrows)
+	if m.Served+m.Rescued+m.UnattendedExecs != n+borrows {
+		t.Errorf("Served + Rescued + UnattendedExecs = %d + %d + %d, want %d adds + %d borrower puts",
+			m.Served, m.Rescued, m.UnattendedExecs, n, borrows)
 	}
-	t.Logf("Served %d, Rescued %d, borrower puts %d", m.Served, m.Rescued, borrows)
+	t.Logf("Served %d, Rescued %d, UnattendedExecs %d, borrower puts %d", m.Served, m.Rescued, m.UnattendedExecs, borrows)
 }

@@ -61,10 +61,9 @@ type opEntry struct {
 // destination partition plus an inline vector of up to burstSize op
 // entries. The enclosing ring.Slot's toggle carries ownership of the whole
 // burst: the sender fills entries [0, n) and publishes once, the server
-// executes them in order and releases once. n, live, tracked and
-// senderServes are sender-private outside the published window (n is read by
-// the server between Publish and Release; the others are never
-// server-touched). The trailing pad keeps ring.Slot[msg] a whole number of
+// executes them in order and releases once. n, live and tracked are
+// sender-private outside the published window (n is read by the server
+// between Publish and Release; the others are never server-touched). The trailing pad keeps ring.Slot[msg] a whole number of
 // strides so neighbouring slots never false-share (asserted below).
 type msg struct {
 	part *Partition // destination partition, for Drain and reapAbandoned
@@ -75,11 +74,8 @@ type msg struct {
 	// slot-free check is one plain read instead of a per-entry scan.
 	live    int32
 	tracked bool // sender-private: slot already on the outstanding list
-	// senderServes marks a burst published without a doorbell, which its
-	// sender serves itself (Thread.selfServe). Sender-private.
-	senderServes bool
-	ops          [burstSize]opEntry
-	_            [96]byte
+	ops     [burstSize]opEntry
+	_       [96]byte
 }
 
 // slot and dring are the runtime's instantiations of the shared transport.

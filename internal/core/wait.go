@@ -19,11 +19,11 @@ import (
 //     keep its waiter from timing out (expired says how often the clock is
 //     read);
 //  3. serve: the waiter serves one pass of its own locality (§4.3, §4.4) —
-//     and, when no running thread of the destination locality will serve
-//     its target (the burst was published without a doorbell because every
-//     thread there was parked or Idle, or none is left), executes its own
-//     ring to it (selfServe). A round that executed something made
-//     progress: the waiter returns to stage 1 of the pause schedule below;
+//     and, when no thread of the destination locality will serve its
+//     target (every thread there is parked or Idle, or none is left:
+//     Partition.unattended, the rule issue applies), executes its own ring
+//     to it (selfServe). A round that executed something made progress:
+//     the waiter returns to stage 1 of the pause schedule below;
 //  4. pause, if the target is still pending after all that.
 //
 // What the wait ends in is the caller's: Completion.await consumes the result

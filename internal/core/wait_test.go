@@ -3,13 +3,11 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"dps/internal/affinity"
 	"dps/internal/chaos"
 	"dps/internal/wire"
 )
@@ -132,8 +130,9 @@ func BenchmarkPeerSyncRTT(b *testing.B) {
 // wedged is the fixture of TestOneWaitLoop: a cluster client whose thread w
 // (locality 0) can be made to wait on something that will not resolve until
 // the test says so — a ring slot toward partition 1, where f is registered
-// (so sends are delegated) but the test holds the claim of w's ring (so
-// neither f nor w's own stall rescue can serve it), or a wire token whose
+// next to a thread that makes no call (so sends are delegated even while f
+// parks) but the test holds the claim of w's ring (so neither f nor w's own
+// stall rescue can serve it), or a wire token whose
 // operation blocks in the peer. Rings are two slots deep; bound is both the
 // client's OpTimeout and the peer's Timeout (0: the defaults).
 type wedged struct {
@@ -158,6 +157,11 @@ func newWedged(t *testing.T, bound time.Duration) *wedged {
 	if err != nil {
 		t.Fatal(err)
 	}
+	bystander, err := client.RegisterAt(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(bystander.Unregister)
 	e := &wedged{client: client, w: w, f: f, ring: client.Partition(1).rings[w.id].Load(), bound: bound}
 	if !e.ring.TryClaim() {
 		t.Fatal("fresh ring already claimed")
@@ -398,6 +402,15 @@ func TestOnePark(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer sender.Unregister()
+			// A thread of locality 0 that makes no call keeps it attended,
+			// so the sender's operation is published toward th's locality
+			// rather than run inline (Partition.unattended), and serves
+			// nothing.
+			bystander, err := rt.RegisterAt(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer bystander.Unregister()
 			own := keyFor(t, rt, 0)
 
 			var stop, ended atomic.Bool
@@ -441,53 +454,5 @@ func TestOnePark(t *testing.T) {
 				t.Errorf("thread %d still advertised as parked after the wait", idx)
 			}
 		})
-	}
-}
-
-// TestThreadPin: Thread.Pin takes effect only under Config.PinServers, shows
-// in Pinned and the PinnedThreads gauge, and Unregister gives the OS thread
-// its affinity mask back.
-func TestThreadPin(t *testing.T) {
-	if !affinity.Supported() {
-		t.Skip("no thread affinity on this platform")
-	}
-	runtime.LockOSThread()
-	defer runtime.UnlockOSThread()
-	before, err := affinity.CurrentMask()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pinServers := range []bool{false, true} {
-		rt, err := New(Config{Partitions: 2, PinServers: pinServers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		th, err := rt.RegisterAt(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := th.Pin(); got != pinServers {
-			t.Errorf("PinServers=%v: Pin() = %v", pinServers, got)
-		}
-		if th.Pinned() != pinServers {
-			t.Errorf("PinServers=%v: Pinned() = %v", pinServers, th.Pinned())
-		}
-		want := 0
-		if pinServers {
-			want = 1
-			if now, _ := affinity.CurrentMask(); now == before {
-				t.Error("Pin() reported true and left the affinity mask unchanged")
-			}
-		}
-		if got := rt.Metrics().PinnedThreads; got != want {
-			t.Errorf("PinServers=%v: PinnedThreads = %d, want %d", pinServers, got, want)
-		}
-		th.Unregister()
-		if after, _ := affinity.CurrentMask(); after != before {
-			t.Errorf("PinServers=%v: Unregister did not restore the affinity mask", pinServers)
-		}
-		if got := rt.Metrics().PinnedThreads; got != 0 {
-			t.Errorf("PinServers=%v: PinnedThreads = %d after Unregister", pinServers, got)
-		}
 	}
 }

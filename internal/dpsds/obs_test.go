@@ -10,7 +10,9 @@ import (
 
 // TestOpsAccounting checks the observability books from the data-structure
 // layer: every single-key operation issued through a handle is recorded as
-// exactly one local execution or one remote send, and per-partition counts
+// exactly one local execution, one execution toward an unattended locality
+// (a thread parked in its own wait, or a handle already unregistered, leaves
+// one) or one remote send, and per-partition counts
 // sum to the totals. Only Insert/Lookup/Remove are used — broadcasts (Size,
 // Keys) fan out to every partition and would break the 1:1 mapping.
 func TestOpsAccounting(t *testing.T) {
@@ -53,15 +55,16 @@ func TestOpsAccounting(t *testing.T) {
 	wg.Wait()
 
 	snap := s.Runtime().Metrics()
-	if got := snap.Totals.LocalExecs + snap.Totals.RemoteSends; got != issued.Load() {
-		t.Fatalf("LocalExecs+RemoteSends = %d, want %d issued ops", got, issued.Load())
+	tot := snap.Totals
+	if got := tot.LocalExecs + tot.UnattendedExecs + tot.RemoteSends; got != issued.Load() {
+		t.Fatalf("LocalExecs+UnattendedExecs+RemoteSends = %d, want %d issued ops", got, issued.Load())
 	}
 	var sum uint64
 	for _, pm := range snap.PerPartition {
-		sum += pm.LocalExecs + pm.RemoteSends
+		sum += pm.LocalExecs + pm.UnattendedExecs + pm.RemoteSends
 	}
 	if sum != issued.Load() {
-		t.Fatalf("per-partition LocalExecs+RemoteSends sum = %d, want %d", sum, issued.Load())
+		t.Fatalf("per-partition LocalExecs+UnattendedExecs+RemoteSends sum = %d, want %d", sum, issued.Load())
 	}
 	if snap.Latency.SyncDelegation.Count != snap.Totals.RemoteSends {
 		t.Fatalf("sync-delegation histogram count = %d, want %d",

@@ -42,9 +42,6 @@ type DPSConfig struct {
 	// same Partitions count (the hello handshake verifies it) and the
 	// default key hash.
 	Peers []core.Peer
-	// PinServers lets serving handles pin their OS threads to
-	// locality-owned CPUs (DPSHandle.Pin; see core.Config.PinServers).
-	PinServers bool
 	// OpTimeout is the runtime's core.Config.OpTimeout: Get, Set, Delete
 	// and every get of a Wave end in core.ErrTimeout once they outlive it.
 	// 0 means no bound.
@@ -74,7 +71,6 @@ func NewDPS(cfg DPSConfig) (*DPS, error) {
 		Partitions: cfg.Partitions,
 		MaxThreads: cfg.MaxThreads,
 		Peers:      cfg.Peers,
-		PinServers: cfg.PinServers,
 		OpTimeout:  cfg.OpTimeout,
 		Chaos:      cfg.Chaos,
 		Init: func(p *core.Partition) any {
@@ -153,12 +149,6 @@ func (h *DPSHandle) Serve() int { return h.t.Serve() }
 // to d when a pass finds nothing (see core.Thread.ServeWait): the serving
 // loop of an idle store burns no CPU between requests.
 func (h *DPSHandle) ServeWait(d time.Duration) int { return h.t.ServeWait(d) }
-
-// Pin pins the calling goroutine's OS thread to a CPU owned by the
-// handle's locality (no-op unless DPSConfig.PinServers is set and the
-// platform supports affinity control). Call it from the goroutine that
-// serves with this handle.
-func (h *DPSHandle) Pin() bool { return h.t.Pin() }
 
 // Drain waits for the handle's asynchronous sets to complete.
 func (h *DPSHandle) Drain() { h.t.Drain() }

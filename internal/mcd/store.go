@@ -68,11 +68,11 @@ type Session interface {
 	Drain()
 	// Idle declares that the session makes no call until its next one — a
 	// pool calls it on each session it puts back. On the dps variants the
-	// session's thread then counts as serving nothing, so a synchronous
-	// operation toward a locality whose every thread is parked or idle runs
-	// on its sender instead of waking a serving thread; the next call ends
-	// the declaration. Omitting it is always safe: an undeclared session
-	// only costs a wake. The other variants do nothing.
+	// session's thread then counts as serving nothing, so an operation
+	// toward a locality whose every thread is parked or idle runs on its
+	// sender, at issue, instead of waking a serving thread; the next call
+	// ends the declaration. Omitting it is always safe: an undeclared
+	// session only costs a wake. The other variants do nothing.
 	Idle()
 	// Close releases the session. The Session must not be used afterwards.
 	Close()
@@ -125,15 +125,12 @@ type Config struct {
 	MaxThreads int
 	// Servers is the number of dedicated serving goroutines the dps
 	// variants run so delegations complete promptly whatever the sessions
-	// do: asynchronous sets, and operations toward a locality with a busy
-	// session (see dpsStore). Default: one per partition. Negative: none —
-	// then delegations are only served by sessions that are themselves
-	// waiting, or by their senders when every session there is Idle.
+	// do: an operation toward a locality with a busy session, which serves
+	// only while it waits, is sent there and wakes one (see dpsStore).
+	// Default: one per partition. Negative: none — then delegations are
+	// only served by sessions that are themselves waiting, or run on their
+	// senders when every session there is Idle.
 	Servers int
-	// PinServers pins each dedicated serving goroutine's OS thread to a
-	// CPU owned by its locality (dps variants, Linux only; a no-op
-	// elsewhere), keeping a partition's shard hot in one core's cache.
-	PinServers bool
 	// OpTimeout bounds each synchronous delegated operation (dps variants
 	// only; it is the runtime's core.Config.OpTimeout): Get, Set, Delete and
 	// each get of a Wave return ErrTimeout when the owning locality does not
@@ -331,7 +328,6 @@ func openDPS(localGets bool, cfg Config) (Store, error) {
 		LocalGets:  localGets,
 		MaxThreads: cfg.MaxThreads,
 		Peers:      cfg.Peers,
-		PinServers: cfg.PinServers,
 		OpTimeout:  cfg.OpTimeout,
 		Chaos:      cfg.Chaos,
 	}
@@ -429,13 +425,14 @@ func openDPS(localGets bool, cfg Config) (Store, error) {
 }
 
 // dpsStore fronts the DPS-partitioned cache: sessions are registered DPS
-// threads, and a small crew of dedicated serving goroutines serves what no
-// sender serves itself. A synchronous operation toward a locality whose
-// threads are all parked crew or Idle sessions (a network server's pool
-// between request batches) runs on its sender; the crew is woken for
-// fire-and-forget sets, which nobody awaits, and for operations toward a
-// locality with a busy session, which serves only while it waits. Without
-// the crew those would wait for a session of their locality to call in.
+// threads, and a small crew of dedicated serving goroutines serves what its
+// senders do not run themselves. An operation — a get, a set, a
+// fire-and-forget set alike — toward a locality whose threads are all
+// parked crew or Idle sessions (a network server's pool between request
+// batches) runs on its sender, at issue; the crew is woken for operations
+// toward a locality with a busy session, which serves only while it waits.
+// Without the crew those would wait for a session of their locality to call
+// in.
 type dpsStore struct {
 	d            *DPS
 	ps           *core.PeerServer
@@ -487,14 +484,10 @@ const serveLoopPark = 50 * time.Millisecond
 // serveLoop is one dedicated serving thread: doorbell-driven serve passes
 // that park between requests (core.Thread.ServeWait), so an idle store
 // burns no CPU at all — senders wake a parked server directly when they
-// publish a burst. With Config.PinServers the loop first pins its OS
-// thread to a CPU owned by its locality; pinning here (not at
-// registration) matters because the handle was registered on the opening
-// goroutine, and affinity belongs to the goroutine that serves.
+// publish a burst.
 func (s *dpsStore) serveLoop(h *DPSHandle) {
 	defer s.wg.Done()
 	defer h.Close()
-	h.Pin()
 	for {
 		select {
 		case <-s.stop:

@@ -225,6 +225,16 @@ func TestWaveRingFullHonoursOpTimeout(t *testing.T) {
 	}
 	defer sess.Close()
 	h := sess.(*DPSHandle)
+	// A handle at every locality that makes no call keeps each one attended,
+	// so the gets are sent into the full rings rather than run inline on the
+	// session while the crew parks.
+	for loc := 0; loc < h.d.rt.Partitions(); loc++ {
+		b, err := h.d.RegisterAt(loc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer b.Close()
+	}
 	ops := remoteGets(h)
 	done := make(chan any, 1)
 	start := time.Now()

@@ -27,6 +27,7 @@ var goldenCounters = []Counter{
 	LocalExec, RemoteSend, AsyncSend, Served, RingFull, Rescued, Stalls,
 	Panics, Abandoned, RingScansSkipped, DoorbellWakes, RemoteOps,
 	RemoteBytes, PeerStalls, Parks, Wakes, ArenaAcquires, ArenaFallbacks,
+	UnattendedExec,
 }
 
 // goldenSnapshot builds a snapshot through the live recording surfaces —
@@ -50,7 +51,6 @@ func goldenSnapshot(scale uint64) Snapshot {
 	}
 	s := r.Snapshot()
 	s.Totals.DedupReplays = 17 * scale
-	s.PinnedThreads = 2
 	for i := range s.PerPartition {
 		s.PerPartition[i].Workers = i + 1
 		s.PerPartition[i].RingOccupancy = 10 + i

@@ -49,6 +49,7 @@ const (
 	Wakes            = Counter(unsafe.Offsetof(Totals{}.Wakes) / 8)
 	ArenaAcquires    = Counter(unsafe.Offsetof(Totals{}.ArenaAcquires) / 8)
 	ArenaFallbacks   = Counter(unsafe.Offsetof(Totals{}.ArenaFallbacks) / 8)
+	UnattendedExec   = Counter(unsafe.Offsetof(Totals{}.UnattendedExecs) / 8)
 	// NumCounters is the number of counters per block: one per Totals word.
 	NumCounters = Counter(unsafe.Sizeof(Totals{}) / 8)
 )

@@ -54,7 +54,7 @@ func TestCounterRollupConservation(t *testing.T) {
 // Totals, PartitionMetrics, ServerMetrics and PeerMetrics is a counter
 // and must be subtracted.
 var deltaKept = map[string]bool{
-	"Workers": true, "RingOccupancy": true, "PinnedThreads": true,
+	"Workers": true, "RingOccupancy": true,
 	"Peer": true, "Parts": true, "Pending": true, "CurrConns": true,
 	"Partition": true,
 }

@@ -35,9 +35,9 @@ type Totals struct {
 	// full and had to serve/yield instead (§4.4 back-pressure).
 	RingFullWaits uint64
 	// Rescued counts pending requests executed by their sender off its own
-	// ring: the destination locality had no running thread — every thread
-	// parked (its synchronous burst carried no wake), or none left — or the
-	// stall detector forced it.
+	// ring: the destination locality turned unattended — every thread
+	// parked or idle, or none left — after they were staged, or the stall
+	// detector forced it.
 	Rescued uint64
 	// Stalls counts stall-detector trips: a waiter observed the destination
 	// partition make no serving progress across a full detection window
@@ -84,9 +84,9 @@ type Totals struct {
 	Parks uint64
 	// Wakes counts direct park wakeups delivered — a doorbell Set picking
 	// a parked locality thread, or a server waking a sender whose ring it
-	// drained — attributed to the partition whose event caused the wake. A
-	// synchronous burst toward a locality whose every thread is parked
-	// wakes none: its sender serves it (Rescued).
+	// drained — attributed to the partition whose event caused the wake. An
+	// operation toward a locality whose every thread is parked wakes none:
+	// it runs on its sender (UnattendedExecs).
 	Wakes uint64
 	// ArenaAcquires counts delegated payloads placed in the destination
 	// locality's arena pool instead of the shared GC heap.
@@ -96,6 +96,12 @@ type Totals struct {
 	// ArenaAcquires means core.DefaultArenaBufs is undersized for the
 	// in-flight window.
 	ArenaFallbacks uint64
+	// UnattendedExecs counts operations toward another locality that ran
+	// inline on their sender at issue, because every thread there was
+	// parked or idle (or none was left), attributed to the destination
+	// partition. It is no serving progress: the stall detector's clock
+	// leaves it out, so inline work never masks a stalled ring.
+	UnattendedExecs uint64
 }
 
 // counterWord is the word a counter family is instantiated over: uint64
@@ -295,10 +301,6 @@ type Snapshot struct {
 	// link-level counters, filled by Runtime.Metrics from the transport);
 	// nil when the runtime owns every partition locally.
 	Peers []PeerMetrics
-	// PinnedThreads is the number of registered threads currently pinned
-	// to a CPU (a gauge filled by Runtime.Metrics; Delta keeps the
-	// current value). Zero when pinning is disabled or unsupported.
-	PinnedThreads int
 }
 
 // Delta returns the activity recorded between prev and s (prev must be an
@@ -330,9 +332,10 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 }
 
 // Executed returns the number of operations partition p's shard actually
-// executed: inline locals plus peer serves plus rescues.
+// executed: inline locals plus peer serves plus rescues plus operations run
+// inline toward an unattended locality.
 func (pm PartitionMetrics) Executed() uint64 {
-	return pm.LocalExecs + pm.Served + pm.Rescued
+	return pm.LocalExecs + pm.Served + pm.Rescued + pm.UnattendedExecs
 }
 
 // Imbalance reports how unevenly executed work spreads over partitions, as
@@ -362,10 +365,10 @@ func (s Snapshot) Imbalance() float64 {
 func (s Snapshot) String() string {
 	var b strings.Builder
 	t := s.Totals
-	fmt.Fprintf(&b, "totals: local=%d remote=%d async=%d served=%d ringfull=%d rescued=%d stalls=%d panics=%d abandoned=%d\n",
-		t.LocalExecs, t.RemoteSends, t.AsyncSends, t.Served, t.RingFullWaits, t.Rescued, t.Stalls, t.Panics, t.Abandoned)
-	fmt.Fprintf(&b, "serving: wakes=%d scans-skipped=%d parks=%d park-wakes=%d pinned=%d\n",
-		t.DoorbellWakes, t.RingScansSkipped, t.Parks, t.Wakes, s.PinnedThreads)
+	fmt.Fprintf(&b, "totals: local=%d remote=%d async=%d served=%d ringfull=%d rescued=%d unattended=%d stalls=%d panics=%d abandoned=%d\n",
+		t.LocalExecs, t.RemoteSends, t.AsyncSends, t.Served, t.RingFullWaits, t.Rescued, t.UnattendedExecs, t.Stalls, t.Panics, t.Abandoned)
+	fmt.Fprintf(&b, "serving: wakes=%d scans-skipped=%d parks=%d park-wakes=%d\n",
+		t.DoorbellWakes, t.RingScansSkipped, t.Parks, t.Wakes)
 	if t.ArenaAcquires+t.ArenaFallbacks > 0 {
 		fmt.Fprintf(&b, "arena: acquires=%d fallbacks=%d\n", t.ArenaAcquires, t.ArenaFallbacks)
 	}

@@ -180,8 +180,9 @@ func (c *conn) session() (mcd.Session, error) {
 }
 
 // releaseSession drains pending asynchronous writes and returns the session
-// to the pool, declared Idle: a pooled session serves nothing, so its
-// locality's senders serve their own synchronous bursts. The drain is what
+// to the pool, declared Idle: a pooled session serves nothing, so an
+// operation toward its locality runs on its sender while every other thread
+// there is parked or idle too. The drain is what
 // makes a batch's noreply sets visible to every later borrower —
 // cross-connection read-your-writes at batch granularity.
 func (c *conn) releaseSession() {

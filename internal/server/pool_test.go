@@ -198,15 +198,16 @@ func TestSessionPoolWedgedPeer(t *testing.T) {
 
 // TestPooledSessionsIdle: the pool declares its sessions Idle, so a replied
 // operation toward a locality whose threads are the parked serving crew and
-// pooled sessions runs on the session that sends it — counted as Rescued —
-// and wakes nobody. A default front door on a dps store with the crew left to
-// park gets a pipeline of replied sets and gets that reaches every partition;
-// each reply is checked byte for byte. Without the declaration every such
-// operation rings its locality and wakes the crew thread (Wakes > 0), so the
-// Wakes check holds on every run. A crew thread's park timeout (every 50 ms)
-// can land mid-pipeline, and the operations that then find it running ring
-// for it and are Served instead — the rule working, not a miss — so the exact
-// Served/Rescued split is required of one run in a few.
+// pooled sessions runs on the session that sends it, at issue — counted as
+// UnattendedExecs — and wakes nobody. A default front door on a dps store with
+// the crew left to park gets a pipeline of replied sets and gets that reaches
+// every partition; each reply is checked byte for byte. Without the
+// declaration every such operation rings its locality and wakes the crew
+// thread (Wakes > 0), so the Wakes check holds on every run. A crew thread's
+// park timeout (every 50 ms) can land mid-pipeline, and the operations that
+// then find it running ring for it and are Served (or Rescued) instead — the
+// rule working, not a miss — so a run with no operation sent is required of
+// one run in a few.
 func TestPooledSessionsIdle(t *testing.T) {
 	const parts, keys, tries = 4, 32, 5
 	store, err := mcd.Open("dps", mcd.Config{Partitions: parts, MemLimit: 8 << 20})
@@ -243,29 +244,29 @@ func TestPooledSessionsIdle(t *testing.T) {
 		if m.Wakes != 0 {
 			t.Fatalf("try %d: Wakes rose by %d, want 0", try, m.Wakes)
 		}
-		remote := m.RemoteSends
-		if ops := uint64(3 * keys); m.LocalExecs+remote != ops || m.AsyncSends != 0 {
-			t.Fatalf("try %d: %d local + %d remote + %d async operations, want %d local or remote",
-				try, m.LocalExecs, remote, m.AsyncSends, ops)
+		remote, inline := m.RemoteSends, m.UnattendedExecs
+		if ops := uint64(3 * keys); m.LocalExecs+inline+remote != ops || m.AsyncSends != 0 {
+			t.Fatalf("try %d: %d local + %d unattended + %d remote + %d async operations, want %d local, unattended or remote",
+				try, m.LocalExecs, inline, remote, m.AsyncSends, ops)
 		}
 		if m.Served+m.Rescued != remote {
 			t.Fatalf("try %d: Served + Rescued = %d + %d, want the %d remote operations",
 				try, m.Served, m.Rescued, remote)
 		}
 		for _, p := range d.PerPartition {
-			if p.LocalExecs+p.RemoteSends == 0 {
+			if p.LocalExecs+p.UnattendedExecs+p.RemoteSends == 0 {
 				t.Fatalf("try %d: no operation reached partition %d", try, p.Partition)
 			}
 		}
-		if m.Served == 0 {
-			if remote == 0 {
+		if remote == 0 {
+			if inline == 0 {
 				t.Fatal("every operation ran on its session's own locality")
 			}
 			return
 		}
-		t.Logf("try %d: %d of %d remote operations found a crew thread between parks", try, m.Served, remote)
+		t.Logf("try %d: %d of %d operations toward another locality found a crew thread between parks", try, remote, remote+inline)
 		if try == tries {
-			t.Fatalf("%d runs in a row had operations served by a running thread, want one with Rescued = remote", tries)
+			t.Fatalf("%d runs in a row had operations sent to a running thread, want one with every such operation run on its session", tries)
 		}
 	}
 }

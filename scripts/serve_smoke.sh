@@ -3,11 +3,7 @@
 # build cmd/mcdserver, start it on a free port, drive it with the loadgen
 # for ~2 seconds via `mcdbench -net -addr`, then SIGTERM it and assert a
 # clean drain (exit 0) and zero protocol errors (mcdbench exits nonzero on
-# any). Arguments are passed on to mcdserver: `serve_smoke.sh -pin-servers`
-# is the core-pinning smoke test (dedicated serving threads locked to
-# locality-owned CPUs, parked when idle; where sched_setaffinity is
-# unavailable the flag degrades to unpinned serving, so it is safe on any CI
-# container). Run via `make serve-smoke` / `make pin-smoke`.
+# any). Arguments are passed on to mcdserver. Run via `make serve-smoke`.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
