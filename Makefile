@@ -17,10 +17,12 @@ test:
 # benchmark module. The last two lines repeat, at three GOMAXPROCS settings,
 # the concurrent data-structure suites and the tests of who runs an
 # operation: the history checker (every operation applied once, in issue
-# order, linearizable) and the races of a sender running operations toward
-# an unattended locality — inline at issue and off its own ring — against a
-# server woken by its park timeout and against a thread leaving its Idle
-# mark. Their interleavings, and so their failures, depend on the host's CPU
+# order, linearizable, with a row of peer senders through a PeerServer), the
+# races of a sender running operations toward an unattended locality —
+# inline at issue and off its own ring — against a server woken by its park
+# timeout and against a thread leaving its Idle mark, and a peer server's
+# burst crossing a ring (a panic counted once, fire-and-forget operations
+# applied before the response). Their interleavings, and so their failures, depend on the host's CPU
 # count (the lock-free skip list hung about one run in sixty on 2 CPUs only).
 check: bench-build
 	$(GO) vet ./...
@@ -28,7 +30,7 @@ check: bench-build
 	$(GO) build ./...
 	$(GO) test -race ./internal/ring/... ./internal/core/... ./internal/obs/... ./internal/ffwd/... ./internal/wire/... ./internal/mcd/... ./internal/server/...
 	$(GO) test -count=20 -cpu 1,2,4 ./internal/skiplist ./internal/dpsds
-	$(GO) test -race -count=20 -cpu 1,2,4 -run '^(TestRescueRaceParkTimeout|TestRescueRaceIdleBorrow|TestHistoryLinearizable)$$' ./internal/core
+	$(GO) test -race -count=20 -cpu 1,2,4 -run '^(TestRescueRaceParkTimeout|TestRescueRaceIdleBorrow|TestHistoryLinearizable|TestRemotePanicCrossesAsError)$$' ./internal/core
 
 # bench-build vets and unit-tests benchmark/, which is a Go module of its own
 # (dps/benchmark, replace dps => ../): the root module's build and tests never

@@ -20,9 +20,10 @@ const codeIncr uint16 = 4
 // remoteIncr appends one byte to the key's value, so len(m[key]) counts
 // exactly how many times the op executed — the duplicate detector.
 func remoteIncr(p *Partition, key uint64, a *Args) Result {
-	m := p.Data().(map[uint64][]byte)
-	m[key] = append(m[key], 1)
-	return Result{U: uint64(len(m[key]))}
+	s := lockKV(p)
+	defer s.mu.Unlock()
+	s.m[key] = append(s.m[key], 1)
+	return Result{U: uint64(len(s.m[key]))}
 }
 
 // TestRemotePeerRestartConvergence is the kill/restart storm: a scripted
@@ -145,10 +146,7 @@ func TestRemotePeerRestartConvergence(t *testing.T) {
 		}
 	}
 
-	// Audit every completion against the server's actual state. The
-	// audit threads register at the remote-owned partitions so the reads
-	// execute inline — the PeerServer's pool threads only serve borrowed
-	// bursts, not a locality ring.
+	// Audit every completion against the server's actual state.
 	audit := make(map[uint64]*Thread)
 	for _, part := range []int{2, 3} {
 		ath, err := server.RegisterAt(part)

@@ -347,7 +347,7 @@ func New(cfg Config) (*Runtime, error) {
 	if rt.tracer == nil {
 		rt.tracer = obs.NopTracer{}
 	}
-	rt.optab.Store(&opTable{})
+	rt.optab.Store(&opTable{byCode: map[uint16]Op{}, byPtr: map[uintptr]uint16{}})
 	rt.parker = ring.NewParker(cfg.MaxThreads)
 	for i := range rt.parts {
 		lo, hi := ns.Range(i)

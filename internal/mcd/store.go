@@ -345,8 +345,8 @@ func openDPS(localGets bool, cfg Config) (Store, error) {
 	if dcfg.MaxThreads == 0 {
 		dcfg.MaxThreads = 128
 	}
-	// The dedicated servers — and the peer server's per-partition applier
-	// threads — ride on top of the caller's session budget.
+	// The dedicated servers — and the peer server's threads, one per local
+	// partition — ride on top of the caller's session budget.
 	dcfg.MaxThreads += servers
 	if cfg.PeerListen != "" {
 		dcfg.MaxThreads += localParts
