@@ -229,6 +229,12 @@ func (t *Thread) checkLive() {
 //dps:domain=sender
 func (t *Thread) Idle() {
 	t.checkLive()
+	t.markIdle()
+}
+
+// markIdle is Idle past its entry checks, for a pool that takes a thread back
+// after Shutdown too.
+func (t *Thread) markIdle() {
 	t.flushOpen()
 	t.idle = true
 	t.rt.parts[t.locality].idle.Add(1)
