@@ -17,20 +17,24 @@ test:
 # benchmark module. The last two lines repeat, at three GOMAXPROCS settings,
 # the concurrent data-structure suites and the tests of who runs an
 # operation: the history checker (every operation applied once, in issue
-# order, linearizable, with a row of peer senders through a PeerServer), the
+# order, linearizable, with a row of peer senders through a PeerServer and a
+# row of threads that mark Idle after every call, as mcd sessions do), the
 # races of a sender running operations toward an unattended locality —
 # inline at issue and off its own ring — against a server woken by its park
-# timeout and against a thread leaving its Idle mark, and a peer server's
-# burst crossing a ring (a panic counted once, fire-and-forget operations
-# applied before the response). Their interleavings, and so their failures, depend on the host's CPU
-# count (the lock-free skip list hung about one run in sixty on 2 CPUs only).
+# timeout and against a thread leaving its Idle mark, a peer server's burst
+# crossing a ring (a panic counted once, fire-and-forget operations applied
+# before the response), and two mcd sessions with no other thread, each
+# locality served only by its session's waits or, between its calls, by the
+# other session at issue (read-your-writes on each session's keys). Their
+# interleavings, and so their failures, depend on the host's CPU count (the
+# lock-free skip list hung about one run in sixty on 2 CPUs only).
 check: bench-build
 	$(GO) vet ./...
 	$(GO) run ./cmd/dpslint
 	$(GO) build ./...
 	$(GO) test -race ./internal/ring/... ./internal/core/... ./internal/obs/... ./internal/ffwd/... ./internal/wire/... ./internal/mcd/... ./internal/server/...
 	$(GO) test -count=20 -cpu 1,2,4 ./internal/skiplist ./internal/dpsds
-	$(GO) test -race -count=20 -cpu 1,2,4 -run '^(TestRescueRaceParkTimeout|TestRescueRaceIdleBorrow|TestHistoryLinearizable|TestRemotePanicCrossesAsError)$$' ./internal/core
+	$(GO) test -race -count=20 -cpu 1,2,4 -run '^(TestRescueRaceParkTimeout|TestRescueRaceIdleBorrow|TestHistoryLinearizable|TestRemotePanicCrossesAsError|TestTwoSessionsRace)$$' ./internal/core ./internal/mcd
 
 # bench-build vets and unit-tests benchmark/, which is a Go module of its own
 # (dps/benchmark, replace dps => ../): the root module's build and tests never

@@ -255,7 +255,17 @@ type histSender struct {
 	writes uint64 // values written are unique per run: sender<<32 | writes
 	// fired are fire-and-forget operations whose response is the next Drain.
 	fired []*histOp
-	err   error
+	// session marks Idle after every call, as an mcd session does, so a
+	// fire-and-forget burst stays open across marks.
+	session bool
+	err     error
+}
+
+// called ends a call of the sender's: under the session rule, with the mark.
+func (s *histSender) called() {
+	if s.session {
+		s.th.Idle()
+	}
 }
 
 func (s *histSender) newOp(write bool) (*histOp, uint64, uint64) {
@@ -280,7 +290,9 @@ func (s *histSender) done(o *histOp, res Result) {
 func (s *histSender) sync() {
 	o, idx, key := s.newOp(s.rng.Intn(2) == 0)
 	o.invoke = s.h.now()
-	s.done(o, s.th.ExecuteSync(key, histApply, Args{U: [4]uint64{idx}}))
+	res := s.th.ExecuteSync(key, histApply, Args{U: [4]uint64{idx}})
+	s.called()
+	s.done(o, res)
 }
 
 func (s *histSender) wave() {
@@ -292,6 +304,7 @@ func (s *histSender) wave() {
 		ops[i] = o
 		o.invoke = s.h.now()
 		s.th.ExecuteInto(&cs[i], key, histApply, Args{U: [4]uint64{idx}})
+		s.called()
 	}
 	for i := n - 1; i >= 0; i-- {
 		s.done(ops[i], cs[i].Result())
@@ -303,12 +316,14 @@ func (s *histSender) async() {
 		o, idx, key := s.newOp(true)
 		o.invoke = s.h.now()
 		s.th.ExecuteAsync(key, histApply, Args{U: [4]uint64{idx}})
+		s.called()
 		s.fired = append(s.fired, o)
 	}
 }
 
 func (s *histSender) drain() {
 	s.th.Drain()
+	s.called()
 	now := s.h.now()
 	for _, o := range s.fired {
 		o.response = now
@@ -316,14 +331,24 @@ func (s *histSender) drain() {
 	s.fired = s.fired[:0]
 }
 
+// histRow is one run of TestHistoryLinearizable.
+type histRow struct {
+	name  string
+	form  func(s *histSender)
+	peers bool
+	// session runs the senders under an mcd session's rule, Idle after
+	// every call, with no dedicated thread.
+	session bool
+}
+
 // runHistory drives senders at both localities of a two-partition runtime
-// whose locality 1 also has a dedicated ServeWait thread that parks, over two
-// keys of each partition. With peers, the runtime also serves its partitions
-// on a PeerServer, two senders of a second process's runtime join in over the
-// wire (peerSenders), and the keys are four of partition 1, the one they
-// reach. Each sender alternates Idle and one call of form; the returned
-// history holds every operation.
-func runHistory(t *testing.T, rounds int, form func(s *histSender), peers bool) *history {
+// whose locality 1 also has a dedicated ServeWait thread that parks (unless
+// the row's senders are sessions), over two keys of each partition. With
+// peers, the runtime also serves its partitions on a PeerServer, two senders
+// of a second process's runtime join in over the wire (peerSenders), and the
+// keys are four of partition 1, the one they reach. Each sender alternates
+// Idle and one call of form; the returned history holds every operation.
+func runHistory(t *testing.T, rounds int, row histRow) *history {
 	h := &history{}
 	cfg := Config{Partitions: 2, RingDepth: 4, Init: func(*Partition) any {
 		return &histShard{h: h, reg: map[uint64]uint64{}}
@@ -335,12 +360,14 @@ func runHistory(t *testing.T, rounds int, form func(s *histSender), peers bool) 
 	var keys []uint64
 	for key := uint64(0); len(keys) < 4; key++ {
 		n := rt.PartitionForKey(key).ID()
-		if peers && n == 1 || !peers && countKeys(rt, keys, n) < 2 {
+		if row.peers && n == 1 || !row.peers && countKeys(rt, keys, n) < 2 {
 			keys = append(keys, key)
 		}
 	}
-	_, stop := parkedServer(t, rt, 1, waitParkMin)
-	defer stop()
+	if !row.session {
+		_, stop := parkedServer(t, rt, 1, waitParkMin)
+		defer stop()
+	}
 
 	// Registered up front, so no locality is ever empty while they run.
 	var ths []*Thread
@@ -351,12 +378,12 @@ func runHistory(t *testing.T, rounds int, form func(s *histSender), peers bool) 
 		}
 		ths = append(ths, th)
 	}
-	if peers {
+	if row.peers {
 		ths = append(ths, peerSenders(t, rt, cfg, 2)...)
 	}
 	senders := make([]*histSender, len(ths))
 	for i, th := range ths {
-		senders[i] = &histSender{h: h, id: i, th: th, keys: keys, rng: rand.New(rand.NewSource(int64(i + 1)))}
+		senders[i] = &histSender{h: h, id: i, th: th, keys: keys, rng: rand.New(rand.NewSource(int64(i + 1))), session: row.session}
 	}
 	var wg sync.WaitGroup
 	for _, s := range senders {
@@ -368,7 +395,7 @@ func runHistory(t *testing.T, rounds int, form func(s *histSender), peers bool) 
 				if s.rng.Intn(4) == 0 {
 					runtime.Gosched()
 				}
-				form(s)
+				row.form(s)
 			}
 			s.drain()
 			// Leave the locality only once every sender is done: a sender
@@ -447,7 +474,11 @@ func countKeys(rt *Runtime, keys []uint64, part int) int {
 // whose dedicated thread parks in ServeWait, leave per-key histories that
 // apply every operation once, inside its call, in its sender's issue order,
 // and linearize as a register. So do the mixed forms when threads of another
-// process send them to the same keys through a PeerServer.
+// process send them to the same keys through a PeerServer, and when every
+// thread marks Idle after each of its calls, as an mcd session does, with no
+// dedicated thread: a fire-and-forget burst then stays open across the mark,
+// and the sender's next operation toward that partition must join it or
+// queue behind it, never run inline ahead of it.
 func TestHistoryLinearizable(t *testing.T) {
 	mixed := func(s *histSender) {
 		switch s.rng.Intn(5) {
@@ -464,19 +495,16 @@ func TestHistoryLinearizable(t *testing.T) {
 			s.drain()
 		}
 	}
-	rows := []struct {
-		name  string
-		form  func(s *histSender)
-		peers bool
-	}{
-		{"ExecuteSync", (*histSender).sync, false},
-		{"ExecuteInto waves", (*histSender).wave, false},
-		{"ExecuteAsync and Drain", func(s *histSender) {
+	rows := []histRow{
+		{name: "ExecuteSync", form: (*histSender).sync},
+		{name: "ExecuteInto waves", form: (*histSender).wave},
+		{name: "ExecuteAsync and Drain", form: func(s *histSender) {
 			s.async()
 			s.drain()
-		}, false},
-		{"mixed", mixed, false},
-		{"mixed with peer senders", mixed, true},
+		}},
+		{name: "mixed", form: mixed},
+		{name: "mixed with peer senders", form: mixed, peers: true},
+		{name: "Idle after each call", form: mixed, session: true},
 	}
 	rounds := 400
 	if testing.Short() {
@@ -485,7 +513,7 @@ func TestHistoryLinearizable(t *testing.T) {
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			t.Parallel()
-			h := runHistory(t, rounds, row.form, row.peers)
+			h := runHistory(t, rounds, row)
 			if bad := h.check(); len(bad) > 0 {
 				if len(bad) > 5 {
 					bad = append(bad[:5], fmt.Sprintf("... and %d more", len(bad)-5))

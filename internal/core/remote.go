@@ -283,7 +283,7 @@ func (ps *PeerServer) Apply(_ uint64, _ uint32, part int, req []wire.ReqOp, resp
 	p := rt.parts[part]
 	t := <-ps.pool
 	defer func() {
-		t.markIdle()
+		t.Idle()
 		ps.pool <- t
 	}()
 	// A thread holds at most RingDepth unconsumed completions toward one

@@ -36,9 +36,9 @@ type Store interface {
 	// Metrics returns the store's runtime activity snapshot. Variants
 	// without a DPS runtime return the zero Snapshot.
 	Metrics() obs.Snapshot
-	// Close releases the variant's resources — dedicated serving threads,
-	// the DPS runtime (via Runtime.Shutdown), the ffwd servers. Sessions
-	// must be Closed first.
+	// Close releases the variant's resources — the peer server, the DPS
+	// runtime (via Runtime.Shutdown), the ffwd servers. Sessions must be
+	// Closed first.
 	Close() error
 }
 
@@ -46,6 +46,11 @@ type Store interface {
 // synchronous operations return an error slot so the delegated variants can
 // surface back-pressure (ErrTimeout under a configured OpTimeout) and
 // shutdown (ErrClosed); the in-process variants always return nil errors.
+// On the dps variants a session serves its locality only while it waits
+// inside a call, so between calls it counts as serving nothing: an operation
+// toward a locality whose sessions are all between calls runs on its sender.
+// A session that sits unused therefore holds nobody up, and no caller has to
+// declare it so.
 type Session interface {
 	// Get fetches key's value. ok distinguishes a miss from an empty
 	// value; err is non-nil only for delegation timeout/shutdown, in which
@@ -66,14 +71,6 @@ type Session interface {
 	// Drain blocks until every asynchronous set issued by this session has
 	// been applied — the barrier after which other sessions observe them.
 	Drain()
-	// Idle declares that the session makes no call until its next one — a
-	// pool calls it on each session it puts back. On the dps variants the
-	// session's thread then counts as serving nothing, so an operation
-	// toward a locality whose every thread is parked or idle runs on its
-	// sender, at issue, instead of waking a serving thread; the next call
-	// ends the declaration. Omitting it is always safe: an undeclared
-	// session only costs a wake. The other variants do nothing.
-	Idle()
 	// Close releases the session. The Session must not be used afterwards.
 	Close()
 }
@@ -120,17 +117,10 @@ type Config struct {
 	// Buckets is the hash-bucket count across the store (default 1024).
 	Buckets int
 	// MaxThreads bounds concurrently live Sessions on the delegated
-	// variants (default: the runtime default, 128). The dps variants
-	// reserve Servers additional thread slots on top of this.
+	// variants (default: the runtime default, 128). A dps store serving
+	// peers (PeerListen) reserves one more thread slot per local partition
+	// for its peer server on top of this.
 	MaxThreads int
-	// Servers is the number of dedicated serving goroutines the dps
-	// variants run so delegations complete promptly whatever the sessions
-	// do: an operation toward a locality with a busy session, which serves
-	// only while it waits, is sent there and wakes one (see dpsStore).
-	// Default: one per partition. Negative: none — then delegations are
-	// only served by sessions that are themselves waiting, or run on their
-	// senders when every session there is Idle.
-	Servers int
 	// OpTimeout bounds each synchronous delegated operation (dps variants
 	// only; it is the runtime's core.Config.OpTimeout): Get, Set, Delete and
 	// each get of a Wave return ErrTimeout when the owning locality does not
@@ -139,9 +129,6 @@ type Config struct {
 	OpTimeout time.Duration
 	// DrainTimeout bounds Close's runtime shutdown (default 5s).
 	DrainTimeout time.Duration
-	// LocalGets forces the DPS-ParSec local-get configuration; implied by
-	// the "dps-parsec" variant name.
-	LocalGets bool
 	// Peers hands ownership of some partitions to peer processes (dps
 	// variants only): operations on their keys are delegated over TCP
 	// through the wire tier. Every process in a cluster must configure
@@ -223,7 +210,7 @@ func Open(variant string, cfg Config) (Store, error) {
 		}
 		return &ffwdStore{f: f, shard: shard}, nil
 	case "dps", "dps-parsec":
-		return openDPS(variant == "dps-parsec" || cfg.LocalGets, cfg)
+		return openDPS(variant == "dps-parsec", cfg)
 	default:
 		return nil, fmt.Errorf("mcd: unknown variant %q (have %v)", variant, Variants())
 	}
@@ -252,7 +239,6 @@ func (s cacheSession) SetAsync(key uint64, val []byte)  { _ = s.c.Set(key, val) 
 func (s cacheSession) Delete(key uint64) (bool, error)  { return s.c.Delete(key), nil }
 func (s cacheSession) Flush()                           {}
 func (s cacheSession) Drain()                           {}
-func (s cacheSession) Idle()                            {}
 func (s cacheSession) Close()                           {}
 
 // ---- parsec ----
@@ -284,7 +270,6 @@ func (s *parsecSession) SetAsync(key uint64, val []byte)  { _ = s.c.Set(key, val
 func (s *parsecSession) Delete(key uint64) (bool, error)  { return s.c.Delete(key), nil }
 func (s *parsecSession) Flush()                           {}
 func (s *parsecSession) Drain()                           {}
-func (s *parsecSession) Idle()                            {}
 func (s *parsecSession) Close()                           { s.th.Unregister() }
 
 // ---- ffwd ----
@@ -316,7 +301,6 @@ func (s ffwdSession) SetAsync(key uint64, val []byte)  { s.h.SetAsync(key, val) 
 func (s ffwdSession) Delete(key uint64) (bool, error)  { return s.h.Delete(key), nil }
 func (s ffwdSession) Flush()                           { s.h.Flush() }
 func (s ffwdSession) Drain()                           { s.h.Drain() }
-func (s ffwdSession) Idle()                            {}
 func (s ffwdSession) Close()                           { s.h.Unregister() }
 
 // ---- dps / dps-parsec ----
@@ -331,25 +315,16 @@ func openDPS(localGets bool, cfg Config) (Store, error) {
 		OpTimeout:  cfg.OpTimeout,
 		Chaos:      cfg.Chaos,
 	}
-	localParts := parts
-	for _, p := range cfg.Peers {
-		localParts -= len(p.Parts)
-	}
-	servers := cfg.Servers
-	if servers == 0 {
-		servers = localParts
-	}
-	if servers < 0 {
-		servers = 0
-	}
-	if dcfg.MaxThreads == 0 {
-		dcfg.MaxThreads = 128
-	}
-	// The dedicated servers — and the peer server's threads, one per local
-	// partition — ride on top of the caller's session budget.
-	dcfg.MaxThreads += servers
+	// The peer server's threads, one per local partition, ride on top of
+	// the caller's session budget.
 	if cfg.PeerListen != "" {
-		dcfg.MaxThreads += localParts
+		if dcfg.MaxThreads == 0 {
+			dcfg.MaxThreads = core.DefaultMaxThreads
+		}
+		dcfg.MaxThreads += parts
+		for _, p := range cfg.Peers {
+			dcfg.MaxThreads -= len(p.Parts)
+		}
 	}
 	perShardMem := cfg.MemLimit / int64(parts)
 	perShardBuckets := cfg.Buckets / parts
@@ -369,21 +344,9 @@ func openDPS(localGets bool, cfg Config) (Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &dpsStore{
-		d:            d,
-		drainTimeout: cfg.DrainTimeout,
-		stop:         make(chan struct{}),
-	}
-	// The serving crew binds to locally-owned partitions only — a peer's
-	// partitions have no shard (or ring) in this process to serve.
-	rt := d.Runtime()
-	var local []int
-	for i := 0; i < rt.Partitions(); i++ {
-		if !rt.Partition(i).Remote() {
-			local = append(local, i)
-		}
-	}
+	st := &dpsStore{d: d, drainTimeout: cfg.DrainTimeout}
 	if cfg.PeerListen != "" {
+		rt := d.Runtime()
 		ln, err := net.Listen("tcp", cfg.PeerListen)
 		if err != nil {
 			_ = rt.Close()
@@ -398,47 +361,18 @@ func openDPS(localGets bool, cfg Config) (Store, error) {
 		st.ps = ps
 		go ps.Serve()
 	}
-	// Register the dedicated serving handles synchronously — before any
-	// session exists — so every partition has a worker from the first
-	// operation on (otherwise early operations take the empty-locality
-	// inline fallback, a scheduling hazard on small machines). A partial
-	// failure releases the handles already claimed.
-	handles := make([]*DPSHandle, 0, servers)
-	for i := 0; i < servers && len(local) > 0; i++ {
-		h, err := d.RegisterAt(local[i%len(local)])
-		if err != nil {
-			for _, prev := range handles {
-				prev.Close()
-			}
-			if st.ps != nil {
-				st.ps.Close()
-			}
-			return nil, fmt.Errorf("mcd: registering serving thread %d: %w", i, err)
-		}
-		handles = append(handles, h)
-	}
-	for _, h := range handles {
-		st.wg.Add(1)
-		go st.serveLoop(h)
-	}
 	return st, nil
 }
 
-// dpsStore fronts the DPS-partitioned cache: sessions are registered DPS
-// threads, and a small crew of dedicated serving goroutines serves what its
-// senders do not run themselves. An operation — a get, a set, a
-// fire-and-forget set alike — toward a locality whose threads are all
-// parked crew or Idle sessions (a network server's pool between request
-// batches) runs on its sender, at issue; the crew is woken for operations
-// toward a locality with a busy session, which serves only while it waits.
-// Without the crew those would wait for a session of their locality to call
-// in.
+// dpsStore fronts the DPS-partitioned cache. Its sessions are registered
+// DPS threads, and nothing else serves: a session serves its locality while it
+// waits inside a call (§4.3), and between calls it is Idle, so an operation
+// toward a locality whose sessions are all between calls runs on its sender,
+// at issue (core.Thread.Idle). The peer server's pooled threads are Idle too.
 type dpsStore struct {
 	d            *DPS
 	ps           *core.PeerServer
 	drainTimeout time.Duration
-	stop         chan struct{}
-	wg           sync.WaitGroup
 	closeOnce    sync.Once
 	closeErr     error
 }
@@ -475,29 +409,6 @@ func (s *dpsStore) BouncePeer(down time.Duration) error {
 	return nil
 }
 
-// serveLoopPark bounds how long a serving thread stays parked with no
-// wake: senders wake it directly through the doorbell path, so this is
-// only the staleness bound on lost wakes — and the worst-case latency of
-// Close observing the stop signal.
-const serveLoopPark = 50 * time.Millisecond
-
-// serveLoop is one dedicated serving thread: doorbell-driven serve passes
-// that park between requests (core.Thread.ServeWait), so an idle store
-// burns no CPU at all — senders wake a parked server directly when they
-// publish a burst.
-func (s *dpsStore) serveLoop(h *DPSHandle) {
-	defer s.wg.Done()
-	defer h.Close()
-	for {
-		select {
-		case <-s.stop:
-			return
-		default:
-		}
-		h.ServeWait(serveLoopPark)
-	}
-}
-
 func (s *dpsStore) Session() (Session, error) {
 	h, err := s.d.Register()
 	if err != nil {
@@ -523,13 +434,13 @@ func (s *dpsStore) Len() int {
 
 func (s *dpsStore) Metrics() obs.Snapshot { return s.d.Runtime().Metrics() }
 
-// Close stops the serving crew and the peer server, then shuts the
-// runtime down gracefully — draining in-flight delegations within
-// DrainTimeout.
+// Runtime exposes the store's DPS runtime.
+func (s *dpsStore) Runtime() *core.Runtime { return s.d.Runtime() }
+
+// Close stops the peer server, then shuts the runtime down gracefully —
+// draining in-flight delegations within DrainTimeout.
 func (s *dpsStore) Close() error {
 	s.closeOnce.Do(func() {
-		close(s.stop)
-		s.wg.Wait()
 		if s.ps != nil {
 			s.ps.Close()
 		}

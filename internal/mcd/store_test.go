@@ -170,8 +170,7 @@ func TestStoreOpTimeoutSurface(t *testing.T) {
 // thread budget and released sessions can be re-acquired — the
 // registration-leak fix's user-visible contract.
 func TestSessionBudgetExhaustion(t *testing.T) {
-	// Budget: MaxThreads sessions on top of the serving crew.
-	st, err := Open("dps", Config{Partitions: 2, MaxThreads: 3, Servers: 2})
+	st, err := Open("dps", Config{Partitions: 2, MaxThreads: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

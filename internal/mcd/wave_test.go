@@ -97,14 +97,15 @@ func TestWaveMatchesGet(t *testing.T) {
 	}
 }
 
-// TestWaveTimeoutHitsOnlyTheWedgedLocality: with no serving crew and the
-// only thread of locality 1 sitting idle, a wave's gets to partition 1 time
+// TestWaveTimeoutHitsOnlyTheWedgedLocality: with the only thread of locality
+// 1 a raw core thread that never calls (so, unlike a session between calls,
+// never Idle), a wave's gets to partition 1 time
 // out under OpTimeout while its gets to the caller's own partition answer —
 // each op carries its own verdict, in request order. The timed-out entries
 // are abandoned, then reclaimed by the session's next Drain, so any number
 // of such waves can follow without filling the ring.
 func TestWaveTimeoutHitsOnlyTheWedgedLocality(t *testing.T) {
-	st, err := Open("dps", Config{Partitions: 2, MaxThreads: 8, Servers: -1, OpTimeout: 20 * time.Millisecond})
+	st, err := Open("dps", Config{Partitions: 2, MaxThreads: 8, OpTimeout: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,11 +115,6 @@ func TestWaveTimeoutHitsOnlyTheWedgedLocality(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sessA.Close()
-	sessB, err := st.Session() // locality 1, never serves: it only ever sets its own keys
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sessB.Close()
 
 	rt := st.(*dpsStore).d.Runtime()
 	var keys [2][]uint64 // by owning partition
@@ -126,13 +122,18 @@ func TestWaveTimeoutHitsOnlyTheWedgedLocality(t *testing.T) {
 		p := rt.PartitionForKey(k).ID()
 		keys[p] = append(keys[p], k)
 	}
-	for p, sess := range []Session{sessA, sessB} {
+	for p := range keys {
 		for _, k := range keys[p][:2] {
-			if err := sess.Set(k, []byte("here")); err != nil {
+			if err := sessA.Set(k, []byte("here")); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
+	wedge, err := rt.RegisterAt(1) // locality 1's only thread; it never calls
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wedge.Unregister()
 
 	w := sessA.(Waver)
 	rounds := rt.RingDepth() + 4 // one abandoned slot a round: more than the ring holds, unless they are reaped
@@ -225,15 +226,15 @@ func TestWaveRingFullHonoursOpTimeout(t *testing.T) {
 	}
 	defer sess.Close()
 	h := sess.(*DPSHandle)
-	// A handle at every locality that makes no call keeps each one attended,
-	// so the gets are sent into the full rings rather than run inline on the
-	// session while the crew parks.
+	// A raw core thread at every locality that never calls keeps each one
+	// attended (a handle would be Idle), so the gets are sent into the full
+	// rings rather than run inline on the session.
 	for loc := 0; loc < h.d.rt.Partitions(); loc++ {
-		b, err := h.d.RegisterAt(loc)
+		b, err := h.d.rt.RegisterAt(loc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer b.Close()
+		defer b.Unregister()
 	}
 	ops := remoteGets(h)
 	done := make(chan any, 1)

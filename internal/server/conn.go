@@ -180,17 +180,15 @@ func (c *conn) session() (mcd.Session, error) {
 }
 
 // releaseSession drains pending asynchronous writes and returns the session
-// to the pool, declared Idle: a pooled session serves nothing, so an
-// operation toward its locality runs on its sender while every other thread
-// there is parked or idle too. The drain is what
-// makes a batch's noreply sets visible to every later borrower —
-// cross-connection read-your-writes at batch granularity.
+// to the pool. The drain is what makes a batch's noreply sets visible to
+// every later borrower — cross-connection read-your-writes at batch
+// granularity. A pooled session is between calls, so on the dps variants it
+// serves nothing and an operation toward its locality runs on its sender.
 func (c *conn) releaseSession() {
 	if c.sess == nil {
 		return
 	}
 	c.sess.Drain()
-	c.sess.Idle()
 	c.srv.stats.Batches.Add(1)
 	c.srv.stats.BatchedOps.Add(c.ops)
 	c.srv.pool <- c.sess

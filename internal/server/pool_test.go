@@ -199,27 +199,23 @@ func TestSessionPoolWedgedPeer(t *testing.T) {
 	}
 }
 
-// TestPooledSessionsIdle: the pool declares its sessions Idle, so a replied
-// operation toward a locality whose threads are the parked serving crew and
+// TestPooledSessionsIdle: a pooled session is between calls, so it serves
+// nothing, and a replied operation toward a locality whose threads are all
 // pooled sessions runs on the session that sends it, at issue — counted as
-// UnattendedExecs — and wakes nobody. A default front door on a dps store with
-// the crew left to park gets a pipeline of replied sets and gets that reaches
-// every partition; each reply is checked byte for byte. Without the
-// declaration every such operation rings its locality and wakes the crew
-// thread (Wakes > 0), so the Wakes check holds on every run. A crew thread's
-// park timeout (every 50 ms) can land mid-pipeline, and the operations that
-// then find it running ring for it and are Served (or Rescued) instead — the
-// rule working, not a miss — so a run with no operation sent is required of
-// one run in a few. A store that also serves its partitions to peer processes
-// keeps the rule: the peer server's threads wait for bursts under an Idle mark
-// too.
+// UnattendedExecs — and wakes nobody. A default front door on a dps store
+// gets a pipeline of replied sets and gets that reaches every partition; each
+// reply is checked byte for byte. Were a pooled session counted as running,
+// every such operation would ring its locality for a thread that never comes
+// and be Rescued by its sender's wait. A store that also serves its
+// partitions to peer processes keeps the rule: the peer server's threads wait
+// for bursts under an Idle mark too.
 func TestPooledSessionsIdle(t *testing.T) {
 	const parts = 4
 	for _, row := range []struct {
 		name string
 		cfg  mcd.Config
 	}{
-		{"crew only", mcd.Config{Partitions: parts, MemLimit: 8 << 20}},
+		{"sessions only", mcd.Config{Partitions: parts, MemLimit: 8 << 20}},
 		{"peer listener", mcd.Config{Partitions: parts, MemLimit: 8 << 20, PeerListen: "127.0.0.1:0"}},
 	} {
 		t.Run(row.name, func(t *testing.T) { testPooledSessionsIdle(t, row.cfg) })
@@ -227,65 +223,46 @@ func TestPooledSessionsIdle(t *testing.T) {
 }
 
 func testPooledSessionsIdle(t *testing.T, cfg mcd.Config) {
-	const keys, tries = 32, 5
-	parts := cfg.Partitions
+	const keys = 32
 	store, err := mcd.Open("dps", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := serveStore(t, store, Config{Sessions: DefaultSessions})
-	for parked := 0; parked < parts; {
-		time.Sleep(time.Millisecond)
-		parked = 0
-		for _, p := range store.Metrics().PerPartition {
-			if p.Parks > 0 {
-				parked++
-			}
+	nc := dial(t, srv)
+	var req, want, multi, multiWant strings.Builder
+	for i := 0; i < keys; i++ {
+		key, val := fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i)
+		fmt.Fprintf(&req, "set %s 0 0 %d\r\n%s\r\nget %s\r\n", key, len(val), val, key)
+		want.WriteString("STORED\r\n" + valueBlock(key, 0, val) + "END\r\n")
+		multi.WriteString(" " + key)
+		multiWant.WriteString(valueBlock(key, 0, val))
+	}
+	req.WriteString("get" + multi.String() + "\r\n")
+	want.WriteString(multiWant.String() + "END\r\n")
+
+	before := store.Metrics()
+	roundTrip(t, nc, req.String(), want.String())
+	d := store.Metrics().Delta(before)
+	m := d.Totals
+	if m.Wakes != 0 {
+		t.Fatalf("Wakes rose by %d, want 0", m.Wakes)
+	}
+	remote, inline := m.RemoteSends, m.UnattendedExecs
+	if ops := uint64(3 * keys); m.LocalExecs+inline+remote != ops || m.AsyncSends != 0 {
+		t.Fatalf("%d local + %d unattended + %d remote + %d async operations, want %d local, unattended or remote",
+			m.LocalExecs, inline, remote, m.AsyncSends, ops)
+	}
+	if remote != 0 || m.Served+m.Rescued != 0 {
+		t.Fatalf("%d operations sent, %d Served, %d Rescued: want every operation toward another locality run at issue",
+			remote, m.Served, m.Rescued)
+	}
+	for _, p := range d.PerPartition {
+		if p.LocalExecs+p.UnattendedExecs == 0 {
+			t.Fatalf("no operation reached partition %d", p.Partition)
 		}
 	}
-	nc := dial(t, srv)
-	for try := 1; ; try++ {
-		var req, want, multi, multiWant strings.Builder
-		for i := 0; i < keys; i++ {
-			key, val := fmt.Sprintf("k%d", i), fmt.Sprintf("v%d.%d", try, i)
-			fmt.Fprintf(&req, "set %s 0 0 %d\r\n%s\r\nget %s\r\n", key, len(val), val, key)
-			want.WriteString("STORED\r\n" + valueBlock(key, 0, val) + "END\r\n")
-			multi.WriteString(" " + key)
-			multiWant.WriteString(valueBlock(key, 0, val))
-		}
-		req.WriteString("get" + multi.String() + "\r\n")
-		want.WriteString(multiWant.String() + "END\r\n")
-
-		before := store.Metrics()
-		roundTrip(t, nc, req.String(), want.String())
-		d := store.Metrics().Delta(before)
-		m := d.Totals
-		if m.Wakes != 0 {
-			t.Fatalf("try %d: Wakes rose by %d, want 0", try, m.Wakes)
-		}
-		remote, inline := m.RemoteSends, m.UnattendedExecs
-		if ops := uint64(3 * keys); m.LocalExecs+inline+remote != ops || m.AsyncSends != 0 {
-			t.Fatalf("try %d: %d local + %d unattended + %d remote + %d async operations, want %d local, unattended or remote",
-				try, m.LocalExecs, inline, remote, m.AsyncSends, ops)
-		}
-		if m.Served+m.Rescued != remote {
-			t.Fatalf("try %d: Served + Rescued = %d + %d, want the %d remote operations",
-				try, m.Served, m.Rescued, remote)
-		}
-		for _, p := range d.PerPartition {
-			if p.LocalExecs+p.UnattendedExecs+p.RemoteSends == 0 {
-				t.Fatalf("try %d: no operation reached partition %d", try, p.Partition)
-			}
-		}
-		if remote == 0 {
-			if inline == 0 {
-				t.Fatal("every operation ran on its session's own locality")
-			}
-			return
-		}
-		t.Logf("try %d: %d of %d operations toward another locality found a crew thread between parks", try, remote, remote+inline)
-		if try == tries {
-			t.Fatalf("%d runs in a row had operations sent to a running thread, want one with every such operation run on its session", tries)
-		}
+	if inline == 0 {
+		t.Fatal("every operation ran on its session's own locality")
 	}
 }

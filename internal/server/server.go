@@ -150,7 +150,6 @@ func New(cfg Config) (*Server, error) {
 			s.drainPool()
 			return nil, fmt.Errorf("server: acquiring session %d/%d: %w", i+1, cfg.Sessions, err)
 		}
-		sess.Idle()
 		s.pool <- sess
 	}
 	return s, nil

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"dps/internal/chaos"
+	"dps/internal/core"
 	"dps/internal/mcd"
 )
 
@@ -174,8 +175,9 @@ func TestStorageStraddlingRefill(t *testing.T) {
 }
 
 // TestWaveBackendTimeoutExactKeys: one session serves the front door from
-// locality 0 and the only thread of locality 1 never serves, with no serving
-// crew, so delegations to partition 1 outlive OpTimeout — either in flight
+// locality 0 and the only thread of locality 1 is a raw core thread that
+// never calls (a session between calls would be Idle), so delegations to
+// partition 1 outlive OpTimeout — either in flight
 // (idle locality) or before they are staged, in the ring-full wait (every
 // ring full). A pipeline mixing both partitions' keys gets SERVER_ERROR
 // backend timeout in place of exactly the wedged keys' replies — everything
@@ -195,17 +197,18 @@ func TestWaveBackendTimeoutExactKeys(t *testing.T) {
 
 func testBackendTimeout(t *testing.T, inj *chaos.Injector) {
 	store, err := mcd.Open("dps", mcd.Config{
-		Partitions: 2, MaxThreads: 8, Servers: -1, OpTimeout: 20 * time.Millisecond, Chaos: inj,
+		Partitions: 2, MaxThreads: 8, OpTimeout: 20 * time.Millisecond, Chaos: inj,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := serveStore(t, store, Config{Sessions: 1}) // its one session registers at locality 0
-	idle, err := store.Session()                     // locality 1's only thread; it never serves
+	// Locality 1's only thread; it never calls.
+	wedge, err := store.(interface{ Runtime() *core.Runtime }).Runtime().RegisterAt(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(idle.Close)
+	t.Cleanup(wedge.Unregister)
 	nc := dial(t, srv)
 	br := bufio.NewReader(nc)
 
