@@ -157,11 +157,44 @@ func TestChaosDroppedWakeAppliedBeforeSelfServedRead(t *testing.T) {
 	}
 }
 
-// TestRescueReadyPoll: a synchronous operation published while locality 1's
-// only thread was running, and polled only through Ready after that thread
-// went Idle, resolves on the first poll — the poll serves the sender's own
-// ring — rather than whenever the thread makes its next call.
+// TestRescueReadyPoll: a synchronous operation issued while locality 1's
+// only thread was running, and published and polled only through Ready after
+// that thread went Idle, resolves on the first poll — the poll serves the
+// sender's own ring — rather than whenever the thread makes its next call.
+// (A burst already published when the thread goes Idle is served by its Idle.)
 func TestRescueReadyPoll(t *testing.T) {
+	t.Parallel()
+	rt := newTestRuntime(t, 2)
+	sender, err := rt.RegisterAt(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sender.Unregister()
+	owner, err := rt.RegisterAt(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer owner.Unregister()
+
+	var c Completion
+	sender.ExecuteInto(&c, keyFor(t, rt, 1), opPut, Args{U: [4]uint64{5}})
+	owner.Idle()
+	res, ok := c.Ready()
+	if !ok {
+		t.Fatal("the first Ready did not resolve the operation")
+	}
+	if res.Err != nil || res.U != 5 {
+		t.Fatalf("res = (%d, %v), want (5, nil)", res.U, res.Err)
+	}
+	if m := rt.Metrics().Totals; m.Rescued != 1 || m.Wakes != 0 {
+		t.Errorf("Rescued = %d, Wakes = %d, want 1, 0", m.Rescued, m.Wakes)
+	}
+}
+
+// TestIdleServesPendingBurst: a burst published toward a locality while its
+// only thread was in a call is served by that thread's Idle, before the mark,
+// so a sender parked on it is woken instead of sleeping out its park timeout.
+func TestIdleServesPendingBurst(t *testing.T) {
 	t.Parallel()
 	rt := newTestRuntime(t, 2)
 	sender, err := rt.RegisterAt(0)
@@ -179,15 +212,11 @@ func TestRescueReadyPoll(t *testing.T) {
 	sender.ExecuteInto(&c, keyFor(t, rt, 1), opPut, Args{U: [4]uint64{5}})
 	sender.Flush()
 	owner.Idle()
-	res, ok := c.Ready()
-	if !ok {
-		t.Fatal("the first Ready did not resolve the operation")
+	if m := rt.Metrics().Totals; m.Served != 1 || m.Rescued != 0 {
+		t.Errorf("after Idle: Served = %d, Rescued = %d, want 1, 0", m.Served, m.Rescued)
 	}
-	if res.Err != nil || res.U != 5 {
-		t.Fatalf("res = (%d, %v), want (5, nil)", res.U, res.Err)
-	}
-	if m := rt.Metrics().Totals; m.Rescued != 1 || m.Wakes != 0 {
-		t.Errorf("Rescued = %d, Wakes = %d, want 1, 0", m.Rescued, m.Wakes)
+	if res, ok := c.Ready(); !ok || res.Err != nil || res.U != 5 {
+		t.Fatalf("Ready = (%d, %v), %t, want (5, nil), true", res.U, res.Err, ok)
 	}
 }
 
