@@ -113,12 +113,14 @@ bench:
 
 # bench-compare runs the delegation-latency benchmarks with allocation
 # reporting: the core transport benchmark, the wire tier's loopback round trip
-# (1 and 2 senders, at 1 and 2 Ps), plus the root-level Fig. 3 round-trip
-# benchmark. Use it before and after transport changes; EXPERIMENTS.md
+# (1 and 2 senders, at 1 and 2 Ps), a fire-and-forget stream over a peer's two
+# partitions (with wire frames per operation), plus the root-level Fig. 3
+# round-trip benchmark. Use it before and after transport changes; EXPERIMENTS.md
 # records the reference numbers.
 bench-compare:
 	$(GO) test -run '^$$' -bench 'BenchmarkDelegation' -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkPeerSyncRTT' -benchmem -cpu 1,2 ./internal/core/
+	$(GO) test -run '^$$' -bench 'BenchmarkPeerAsyncStream' -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkFig3DelegationRoundTrip' -benchmem -benchtime=0.5s .
 
 # bench-pair is the comparison a performance claim rests on: BASE (a git
@@ -128,13 +130,14 @@ bench-compare:
 # workloads at the defaults take about 35 minutes. MICRO=1 compares
 # internal/core's delegation micro-benchmarks instead (a row per benchmark,
 # ns/op, and a check that no 0 B/op row started allocating; about 15 minutes).
+# JSON=<path> also writes the verdict table to that file as JSON.
 # See scripts/bench_pair.sh.
 WORKLOAD ?= all
 PAIRS ?= 10
 SECONDS ?= 18
 bench-pair:
-	@test -n "$(BASE)" || { echo "usage: make bench-pair BASE=<rev> [MICRO=1] [WORKLOAD=<name>] [PAIRS=10] [SECONDS=18]"; exit 2; }
-	MICRO=$(MICRO) bash scripts/bench_pair.sh $(BASE) $(WORKLOAD) $(PAIRS) $(SECONDS)
+	@test -n "$(BASE)" || { echo "usage: make bench-pair BASE=<rev> [MICRO=1] [WORKLOAD=<name>] [PAIRS=10] [SECONDS=18] [JSON=<path>]"; exit 2; }
+	MICRO=$(MICRO) JSON=$(JSON) bash scripts/bench_pair.sh $(BASE) $(WORKLOAD) $(PAIRS) $(SECONDS)
 
 # bench-gate is bench-pair's micro mode as a gate: BASE against this working
 # tree, 6 alternating pairs of internal/core's delegation micro-benchmarks.

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -333,9 +334,12 @@ func (s *histSender) drain() {
 
 // histRow is one run of TestHistoryLinearizable.
 type histRow struct {
-	name  string
-	form  func(s *histSender)
-	peers bool
+	name string
+	form func(s *histSender)
+	// peerParts are the partitions two senders of a second process reach
+	// through a PeerServer; none when empty. With two, the runtime has a
+	// third partition and the senders' frames mix both.
+	peerParts []int
 	// session runs the senders under an mcd session's rule, Idle after
 	// every call, with no dedicated thread.
 	session bool
@@ -344,13 +348,16 @@ type histRow struct {
 // runHistory drives senders at both localities of a two-partition runtime
 // whose locality 1 also has a dedicated ServeWait thread that parks (unless
 // the row's senders are sessions), over two keys of each partition. With
-// peers, the runtime also serves its partitions on a PeerServer, two senders
-// of a second process's runtime join in over the wire (peerSenders), and the
-// keys are four of partition 1, the one they reach. Each sender alternates
-// Idle and one call of form; the returned history holds every operation.
+// peer partitions, the runtime also serves its partitions on a PeerServer,
+// two senders of a second process's runtime join in over the wire
+// (peerSenders), and the keys are four of the partitions they reach, split
+// evenly; with two peer partitions the runtime has three. Each sender
+// alternates Idle and one call of form; the returned history holds every
+// operation.
 func runHistory(t *testing.T, rounds int, row histRow) *history {
 	h := &history{}
-	cfg := Config{Partitions: 2, RingDepth: 4, Init: func(*Partition) any {
+	peers := len(row.peerParts) > 0
+	cfg := Config{Partitions: 1 + max(1, len(row.peerParts)), RingDepth: 4, Init: func(*Partition) any {
 		return &histShard{h: h, reg: map[uint64]uint64{}}
 	}}
 	rt, err := New(cfg)
@@ -360,7 +367,8 @@ func runHistory(t *testing.T, rounds int, row histRow) *history {
 	var keys []uint64
 	for key := uint64(0); len(keys) < 4; key++ {
 		n := rt.PartitionForKey(key).ID()
-		if row.peers && n == 1 || !row.peers && countKeys(rt, keys, n) < 2 {
+		if peers && slices.Contains(row.peerParts, n) && countKeys(rt, keys, n) < 4/len(row.peerParts) ||
+			!peers && countKeys(rt, keys, n) < 2 {
 			keys = append(keys, key)
 		}
 	}
@@ -378,8 +386,8 @@ func runHistory(t *testing.T, rounds int, row histRow) *history {
 		}
 		ths = append(ths, th)
 	}
-	if row.peers {
-		ths = append(ths, peerSenders(t, rt, cfg, 2)...)
+	if peers {
+		ths = append(ths, peerSenders(t, rt, cfg, row.peerParts, 2)...)
 	}
 	senders := make([]*histSender, len(ths))
 	for i, th := range ths {
@@ -424,8 +432,8 @@ func runHistory(t *testing.T, rounds int, row histRow) *history {
 }
 
 // peerSenders serves rt's partitions on a PeerServer and registers n threads
-// of a second runtime, built from cfg, that delegates partition 1 to it.
-func peerSenders(t *testing.T, rt *Runtime, cfg Config, n int) []*Thread {
+// of a second runtime, built from cfg, that delegates parts to it.
+func peerSenders(t *testing.T, rt *Runtime, cfg Config, parts []int, n int) []*Thread {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -435,7 +443,7 @@ func peerSenders(t *testing.T, rt *Runtime, cfg Config, n int) []*Thread {
 		t.Fatal(err)
 	}
 	go ps.Serve()
-	cfg.Peers = []Peer{{Addr: ps.Addr().String(), Parts: []int{1}, Timeout: 10 * time.Second}}
+	cfg.Peers = []Peer{{Addr: ps.Addr().String(), Parts: parts, Timeout: 10 * time.Second}}
 	client, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -474,7 +482,9 @@ func countKeys(rt *Runtime, keys []uint64, part int) int {
 // whose dedicated thread parks in ServeWait, leave per-key histories that
 // apply every operation once, inside its call, in its sender's issue order,
 // and linearize as a register. So do the mixed forms when threads of another
-// process send them to the same keys through a PeerServer, and when every
+// process send them to the same keys through a PeerServer — also when their
+// keys span two of its partitions, so one frame carries operations toward
+// both and the server issues each toward its own — and when every
 // thread marks Idle after each of its calls, as an mcd session does, with no
 // dedicated thread: a fire-and-forget burst then stays open across the mark,
 // and the sender's next operation toward that partition must join it or
@@ -503,7 +513,8 @@ func TestHistoryLinearizable(t *testing.T) {
 			s.drain()
 		}},
 		{name: "mixed", form: mixed},
-		{name: "mixed with peer senders", form: mixed, peers: true},
+		{name: "mixed with peer senders", form: mixed, peerParts: []int{1}},
+		{name: "peer senders, frames mixing partitions", form: mixed, peerParts: []int{1, 2}},
 		{name: "Idle after each call", form: mixed, session: true},
 	}
 	rounds := 400

@@ -126,7 +126,10 @@ type wireRef struct {
 // stageRemote stages one operation toward peer-owned partition p on the
 // thread's link to that peer — issue's stage step for the wire tier, as
 // pack is for the rings — flushing any open burst on a different link first
-// (one open wire burst per thread, mirroring the one open ring burst). The
+// (one open wire burst per thread, mirroring the one open ring burst). A
+// burst spans the peer's partitions: an operation toward another partition
+// of the same peer joins the open frame, as the frame crosses to a process,
+// not to a partition. The
 // staged bytes are copied immediately; args may be reused when stageRemote
 // returns. A fire-and-forget token joins the Drain barrier: completion
 // frames (even for fire ops) are how the sender learns the peer consumed
@@ -263,24 +266,19 @@ func (ps *PeerServer) unregisterPool() {
 	}
 }
 
-// Apply executes one decoded burst toward partition part — the wire tier's
-// serve step, which the wire server calls at most once per (src, seq). It
-// borrows any pooled thread and runs the operations through the one send
-// path, issuing them all first and then collecting them in order, so the
-// ones that cross a ring share its slots; the thread goes back to the pool
-// under an Idle mark. The partition is the frame's, not the keys' hash:
-// ExecutePartition and ExecuteAll send keys of other partitions. A panic
-// crosses back as the operation's OpPanicError, counted once in Panics; a
-// fire operation's result is dropped.
-func (ps *PeerServer) Apply(_ uint64, _ uint32, part int, req []wire.ReqOp, resp []wire.RespOp) []wire.RespOp {
+// Apply executes one decoded burst — the wire tier's serve step, which the
+// wire server calls at most once per (src, seq). It borrows any pooled
+// thread and runs the operations through the one send path, each toward
+// its entry's partition, issuing them all first and then collecting them in
+// order, so the ones that cross a ring share its slots; the thread goes
+// back to the pool under an Idle mark. An entry's partition is its own, not
+// its key's hash: ExecutePartition and ExecuteAll send keys of other
+// partitions. An entry toward a partition this process does not serve gets
+// errNotServed and the others still apply. A panic crosses back as the
+// operation's OpPanicError, counted once in Panics; a fire operation's
+// result is dropped.
+func (ps *PeerServer) Apply(_ uint64, _ uint32, _ int, req []wire.ReqOp, resp []wire.RespOp) []wire.RespOp {
 	rt := ps.rt
-	if part < 0 || part >= len(rt.parts) || rt.parts[part].peer != nil {
-		for range req {
-			resp = append(resp, wire.RespOp{Err: "dps: partition not served here"})
-		}
-		return resp
-	}
-	p := rt.parts[part]
 	t := <-ps.pool
 	defer func() {
 		t.Idle()
@@ -288,12 +286,13 @@ func (ps *PeerServer) Apply(_ uint64, _ uint32, part int, req []wire.ReqOp, resp
 	}()
 	// A thread holds at most RingDepth unconsumed completions toward one
 	// partition (one per slot when bursts are split), so longer bursts are
-	// collected a ring's worth at a time.
+	// collected a ring's worth at a time; that caps the completions toward
+	// any one partition, however the entries mix them.
 	var cs [wire.MaxBurst]Completion
 	for len(req) > 0 {
 		n := min(len(req), len(cs), rt.cfg.RingDepth)
 		for i := range req[:n] {
-			ps.issue(t, &cs[i], p, &req[i])
+			ps.issue(t, &cs[i], &req[i])
 		}
 		for i := range req[:n] {
 			resp = append(resp, collect(&cs[i], req[i].Fire))
@@ -303,12 +302,22 @@ func (ps *PeerServer) Apply(_ uint64, _ uint32, part int, req []wire.ReqOp, resp
 	return resp
 }
 
-// issue sends one decoded operation toward p on t — checkLive, then
-// Thread.issue — as a synchronous one whatever its fire flag: the burst's
-// response frame is the sender's proof that it applied. A panic out of the
-// call is checkLive's ErrClosed after Shutdown, or the operation's own,
-// raised while it ran inline and so not yet counted; c is then done with it.
-func (ps *PeerServer) issue(t *Thread, c *Completion, p *Partition, r *wire.ReqOp) {
+// errNotServed answers an entry toward a partition this process does not
+// serve.
+var errNotServed = errors.New("dps: partition not served here")
+
+// issue sends one decoded operation toward its entry's partition on t —
+// checkLive, then Thread.issue — as a synchronous one whatever its fire
+// flag: the burst's response frame is the sender's proof that it applied. A
+// panic out of the call is checkLive's ErrClosed after Shutdown, or the
+// operation's own, raised while it ran inline and so not yet counted; c is
+// then done with it.
+func (ps *PeerServer) issue(t *Thread, c *Completion, r *wire.ReqOp) {
+	if int(r.Part) >= len(ps.rt.parts) || ps.rt.parts[r.Part].peer != nil {
+		*c = Completion{t: t, res: Result{Err: errNotServed}, done: true}
+		return
+	}
+	p := ps.rt.parts[r.Part]
 	defer func() {
 		if rec := recover(); rec != nil {
 			err := ErrClosed

@@ -387,6 +387,145 @@ func TestRemoteExecuteAll(t *testing.T) {
 	}
 }
 
+// TestRemoteAsyncBurstSpansPartitions: fire-and-forget operations that
+// alternate between two partitions of one peer pack into full frames — a
+// frame is a burst toward the peer process, not toward one partition — and
+// every one of them applies.
+func TestRemoteAsyncBurstSpansPartitions(t *testing.T) {
+	client, th := startCluster(t, nil)
+	const n = 256
+	key := func(i int) uint64 { return uint64(4*(i/2) + 2 + i%2) } // partitions 2, 3, 2, 3, …
+	before := client.PeerStats(0).FramesSent
+	for i := 0; i < n; i++ {
+		th.ExecuteAsync(key(i), remotePut, Args{P: []byte{byte(i), byte(i >> 8)}})
+	}
+	th.Drain()
+	if frames, limit := client.PeerStats(0).FramesSent-before, uint64((n+wire.MaxBurst-1)/wire.MaxBurst+4); frames > limit {
+		t.Fatalf("%d fire-and-forget operations over two peer partitions took %d frames, want at most %d", n, frames, limit)
+	}
+	for i := 0; i < n; i++ {
+		res := th.ExecuteSync(key(i), remoteGet, Args{})
+		if res.Err != nil || res.U != 1 || !bytes.Equal(res.P.([]byte), []byte{byte(i), byte(i >> 8)}) {
+			t.Fatalf("key %d: U=%d P=%v err=%v", key(i), res.U, res.P, res.Err)
+		}
+	}
+}
+
+// BenchmarkPeerAsyncStream is one sender's fire-and-forget stream of
+// 128-byte puts alternating between a peer's two partitions, with a Drain
+// every 512 operations, as a bulk load runs. frames/op is the wire frames
+// the stream sent per operation.
+func BenchmarkPeerAsyncStream(b *testing.B) {
+	client, th := startCluster(b, nil)
+	args := Args{P: make([]byte, 128)}
+	before := client.PeerStats(0).FramesSent
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		th.ExecuteAsync(uint64(4*(n/2%1024)+2+n%2), remotePut, args) // partitions 2, 3, 2, 3, …
+		if n%512 == 511 {
+			th.Drain()
+		}
+	}
+	th.Drain()
+	b.StopTimer()
+	b.ReportMetric(float64(client.PeerStats(0).FramesSent-before)/float64(b.N), "frames/op")
+}
+
+// TestRemoteExecuteAllOneFrame: a broadcast's shares toward a peer's two
+// partitions ride one frame.
+func TestRemoteExecuteAllOneFrame(t *testing.T) {
+	client, th := startCluster(t, nil)
+	before := client.PeerStats(0).FramesSent
+	th.ExecuteAll(remoteLen, Args{}, nil)
+	if frames := client.PeerStats(0).FramesSent - before; frames != 1 {
+		t.Fatalf("ExecuteAll over two peer partitions sent %d frames, want 1", frames)
+	}
+}
+
+// TestPeerServerMixedFrame: a frame whose entries mix partitions this
+// process serves with ones it does not answers each unserved entry with
+// its own error and still applies the served ones, in the frame's order.
+func TestPeerServerMixedFrame(t *testing.T) {
+	client, th := startCluster(t, nil) // the client serves 0 and 1; 2 and 3 are its peer's
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps, err := client.NewPeerServer(ln)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go ps.Serve()
+	t.Cleanup(func() { ps.Close() })
+
+	c, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var f wire.Frame
+	if readFrame(t, c, &f); f.Type != wire.FrameHello {
+		t.Fatalf("first frame has type %d, want hello", f.Type)
+	}
+	req, err := wire.AppendRequest(nil, 1, 0, []wire.ReqOp{
+		{Code: codePut, Part: 1, Key: 1, Data: []byte("one")},
+		{Code: codePut, Part: 2, Key: 2, Data: []byte("two")},
+		{Code: codePut, Part: 0, Key: 4, Data: []byte("four")},
+		{Code: codeLen, Part: 9, Key: 9},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Write(req); err != nil {
+		t.Fatal(err)
+	}
+	if readFrame(t, c, &f); f.Type != wire.FrameResponse || len(f.Resp) != 4 {
+		t.Fatalf("response: type %d, %d entries", f.Type, len(f.Resp))
+	}
+	for i, want := range []string{"", errNotServed.Error(), "", errNotServed.Error()} {
+		if f.Resp[i].Err != want {
+			t.Fatalf("entry %d: error %q, want %q", i, f.Resp[i].Err, want)
+		}
+	}
+	for _, kv := range []struct {
+		key  uint64
+		want string
+	}{{1, "one"}, {4, "four"}} {
+		if res := th.ExecuteSync(kv.key, remoteGet, Args{}); res.U != 1 || !bytes.Equal(res.P.([]byte), []byte(kv.want)) {
+			t.Fatalf("key %d: U=%d P=%q err=%v, want %q", kv.key, res.U, res.P, res.Err, kv.want)
+		}
+	}
+	if res := th.ExecuteSync(2, remoteGet, Args{}); res.Err != nil || res.U != 0 {
+		t.Fatalf("key 2, which the frame's server does not serve: U=%d err=%v, want absent", res.U, res.Err)
+	}
+}
+
+// readFrame reads and decodes the next whole frame off c into f.
+func readFrame(t *testing.T, c net.Conn, f *wire.Frame) {
+	t.Helper()
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var buf []byte
+	for {
+		n, err := wire.FrameLen(buf)
+		if err == nil && len(buf) >= n {
+			if _, err := wire.DecodeFrame(buf[:n], f); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+		if err != nil && !errors.Is(err, wire.ErrShort) {
+			t.Fatal(err)
+		}
+		b := make([]byte, 4096)
+		m, err := c.Read(b)
+		if m == 0 && err != nil {
+			t.Fatal(err)
+		}
+		buf = append(buf, b[:m]...)
+	}
+}
+
 func TestRemoteCompletionPolling(t *testing.T) {
 	_, th := startCluster(t, nil)
 	var c Completion

@@ -54,10 +54,8 @@ type Pending struct {
 
 	// frame is the fully encoded request frame, owned by the burst from
 	// Flush until it resolves (a link failure may need to retransmit it
-	// verbatim — same seq, same bytes). part mirrors the header's
-	// partition field for re-publication.
+	// verbatim — same seq, same bytes).
 	frame []byte
-	part  uint32
 
 	// deadline is the retry budget: publish time + the peer's Timeout.
 	// A queued burst past it fails instead of retransmitting. attempts
@@ -254,22 +252,21 @@ func (p *Pending) pconnTimeout() time.Duration {
 }
 
 // Link is one sender thread's view of a peer: a pinned connection and at
-// most one open burst, mirroring the in-process tier's open slot. Links
-// are not safe for concurrent use — like a core Thread, each belongs to
-// one goroutine.
+// most one open burst toward the peer process, mirroring the in-process
+// tier's open slot one tier up — a slot serves one partition, a frame one
+// process, whichever of its partitions each entry names. Links are not safe
+// for concurrent use — like a core Thread, each belongs to one goroutine.
 type Link struct {
 	peer *Peer
 	pc   *pconn
 
-	// The open burst: a partially encoded request frame (buf) targeting
-	// part, its completion record, and the count packed so far. part is
-	// -1 when no burst is open. Flush transfers buf's ownership to the
-	// completion record (retransmission may outlive the link's next
-	// claim), which takes a recycled buffer from the connection.
+	// The open burst: a partially encoded request frame (buf), its
+	// completion record, and the count packed so far. pend is nil when no
+	// burst is open. Flush transfers buf's ownership to the completion
+	// record (retransmission may outlive the link's next claim), which
+	// takes a recycled buffer from the connection.
 	//dps:owned-by=sender
 	buf []byte
-	//dps:owned-by=sender
-	part int
 	//dps:owned-by=sender
 	n int
 	//dps:owned-by=sender
@@ -288,7 +285,6 @@ func (pr *Peer) NewLink(tid int) *Link {
 	return &Link{
 		peer: pr,
 		pc:   pr.conns[tid%len(pr.conns)],
-		part: -1,
 	}
 }
 
@@ -300,11 +296,12 @@ func (l *Link) WakeOn(pk *ring.Parker, slot int) { l.wake, l.wslot = pk, slot }
 // Open reports whether the link holds an open (unpublished) burst.
 //
 //dps:domain=sender
-func (l *Link) Open() bool { return l.part >= 0 }
+func (l *Link) Open() bool { return l.pend != nil }
 
 // Stage packs op into the link's open burst, flushing first when the
-// open burst targets a different partition or is full, and claims a
-// fresh burst when none is open. The op's Data is copied into the frame
+// open burst is full, and claims a fresh burst when none is open. Any of
+// the peer's partitions may join the open burst: the entry carries its
+// own. The op's Data is copied into the frame
 // immediately; the caller may reuse it when Stage returns. The returned
 // token must be awaited exactly once (fire-and-forget included — that
 // await is the drain barrier).
@@ -315,48 +312,34 @@ func (l *Link) Stage(op ring.StagedOp) (Tok, error) {
 	if l.peer.closed.Load() {
 		return Tok{}, ring.ErrClosed
 	}
-	if l.part >= 0 && (l.part != op.Part || l.n == MaxBurst) {
+	if l.n == MaxBurst {
 		l.Flush()
 	}
-	if l.part < 0 {
-		l.claim(op.Part)
+	if l.pend == nil {
+		l.claim()
 	}
-	// Pack one request entry; mirrors AppendRequest's wire layout.
 	off := len(l.buf)
 	l.buf = grow(l.buf, ReqOpFixed+len(op.Data))
-	binary.BigEndian.PutUint16(l.buf[off:], op.Code)
-	flags := byte(0)
-	if op.Fire {
-		flags = 1
-	}
-	l.buf[off+2] = flags
-	binary.BigEndian.PutUint64(l.buf[off+3:], op.Key)
-	binary.BigEndian.PutUint64(l.buf[off+11:], op.U[0])
-	binary.BigEndian.PutUint64(l.buf[off+19:], op.U[1])
-	binary.BigEndian.PutUint64(l.buf[off+27:], op.U[2])
-	binary.BigEndian.PutUint64(l.buf[off+35:], op.U[3])
-	binary.BigEndian.PutUint32(l.buf[off+43:], uint32(len(op.Data)))
-	copy(l.buf[off+ReqOpFixed:], op.Data)
+	putReqOp(l.buf, off, &ReqOp{Code: op.Code, Fire: op.Fire, Part: uint32(op.Part), Key: op.Key, U: op.U, Data: op.Data})
 	tok := Tok{p: l.pend, i: int32(l.n)}
 	l.n++
 	return tok, nil
 }
 
-// claim opens a fresh burst toward part: the frame header is reserved
-// (seq and part backfilled at publish) and a completion record
+// claim opens a fresh burst: the frame header is reserved (seq
+// backfilled at publish) and a completion record
 // allocated. Flush hands the previous buffer to its burst (which may
 // have to retransmit it), so claim draws a recycled one from the
 // connection's freelist. The steady-state allocation of the wire send
 // path is the completion record — amortized over the burst, and the
 // price of results that must survive until whenever the sender
 // collects them.
-func (l *Link) claim(part int) {
+func (l *Link) claim() {
 	if l.buf == nil {
 		l.buf = l.pc.takeBuf()
 	}
 	l.buf = grow(l.buf[:0], 4+hdrSize)
 	l.buf[4] = FrameRequest
-	l.part = part
 	l.n = 0
 	l.pend = &Pending{done: make(chan struct{}), wake: l.wake, wslot: l.wslot}
 }
@@ -373,17 +356,16 @@ func (l *Link) claim(part int) {
 //
 //dps:domain=sender
 func (l *Link) Flush() error {
-	if l.part < 0 {
+	if l.pend == nil {
 		return nil
 	}
 	binary.BigEndian.PutUint32(l.buf, uint32(len(l.buf)-4))
-	binary.BigEndian.PutUint16(l.buf[13:], uint16(l.n))
+	binary.BigEndian.PutUint16(l.buf[9:], uint16(l.n))
 	p := l.pend
 	p.n = int32(l.n)
 	p.frame = l.buf
-	p.part = uint32(l.part)
 	l.buf = nil
-	l.part, l.n, l.pend = -1, 0, nil
+	l.n, l.pend = 0, nil
 	return l.pc.publish(p)
 }
 

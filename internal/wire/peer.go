@@ -295,8 +295,14 @@ func (pc *pconn) readHello(c net.Conn, fr *frameReader) error {
 	cfg := &pc.peer.cfg
 	c.SetReadDeadline(time.Now().Add(dialTimeout))
 	defer c.SetReadDeadline(time.Time{})
-	var f Frame
-	if _, _, err := fr.next(&f); err != nil || f.Type != FrameHello {
+	f := Frame{Type: FrameIdent}
+	_, _, err := fr.next(&f)
+	if f.Type == FrameHello && errors.Is(err, ErrCorrupt) {
+		// A hello this version cannot lay out is another version's: a
+		// configuration error, like a mismatched version field.
+		return fmt.Errorf("wire: peer %s sent a hello that is not protocol v%d", cfg.Addr, Version)
+	}
+	if err != nil || f.Type != FrameHello {
 		return ring.ErrPeerDown
 	}
 	if f.Hello.Version != Version {
@@ -620,7 +626,7 @@ func (pc *pconn) forget(seq uint64) {
 }
 
 // publish assigns the burst's sequence number, registers p, backfills
-// the frame header and writes the frame — the wire tier's
+// it into the frame header and writes the frame — the wire tier's
 // publish+doorbell, with chaos faults injected at the link. While the
 // link is down (retry queue non-empty or redialer active), bursts line up
 // on the retry queue behind the bursts already there — per-link order is
@@ -640,7 +646,6 @@ func (pc *pconn) publish(p *Pending) error {
 	pc.seq++
 	seq := pc.seq
 	binary.BigEndian.PutUint32(p.frame[5:], seq)
-	binary.BigEndian.PutUint32(p.frame[9:], p.part)
 	p.pc, p.seq = pc, seq
 	p.deadline = time.Now().Add(pc.peer.cfg.Timeout)
 	if len(pc.retryq) > 0 || pc.redialing { //dps:owner-ok publish holds pc.mu; a non-empty queue reroutes the burst behind it

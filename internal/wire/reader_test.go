@@ -46,7 +46,7 @@ func (c *segConn) Close() error                { return nil }
 // cloneFrame copies f and everything it sub-slices, so it survives both the
 // Frame's and the read buffer's reuse.
 func cloneFrame(f *Frame) Frame {
-	c := Frame{Type: f.Type, Seq: f.Seq, Part: f.Part}
+	c := Frame{Type: f.Type, Seq: f.Seq}
 	switch f.Type {
 	case FrameRequest:
 		for _, op := range f.Req {
@@ -116,7 +116,7 @@ func mixedStream(t testing.TB, n, maxData int) []byte {
 		case 0:
 			ops := make([]ReqOp, 1+rng.Intn(4))
 			for j := range ops {
-				ops[j] = ReqOp{Code: uint16(j), Fire: j%2 == 1, Key: rng.Uint64(), U: [4]uint64{uint64(i)}, Data: data()}
+				ops[j] = ReqOp{Code: uint16(j), Fire: j%2 == 1, Part: uint32((i + j) % 4), Key: rng.Uint64(), U: [4]uint64{uint64(i)}, Data: data()}
 			}
 			stream, err = AppendRequest(stream, uint32(i), uint32(i%4), ops)
 		case 1:
@@ -127,7 +127,7 @@ func mixedStream(t testing.TB, n, maxData int) []byte {
 					ops[j] = RespOp{Err: timeoutText}
 				}
 			}
-			stream, err = AppendResponse(stream, uint32(i), uint32(i%4), ops)
+			stream, err = AppendResponse(stream, uint32(i), ops)
 		case 2:
 			stream, err = AppendControl(stream, FramePing, uint32(i))
 		}
@@ -201,7 +201,7 @@ func TestFrameReaderGrows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stream, err = AppendResponse(stream, 2, 0, []RespOp{{U: 7, HasData: true, Data: []byte("small")}}); err != nil {
+	if stream, err = AppendResponse(stream, 2, []RespOp{{U: 7, HasData: true, Data: []byte("small")}}); err != nil {
 		t.Fatal(err)
 	}
 	want := decodeAll(t, stream)
@@ -216,8 +216,8 @@ func TestFrameReaderGrows(t *testing.T) {
 func TestFrameLifetime(t *testing.T) {
 	// Client side: Pending.resolve's results own their bytes.
 	first, second := []byte("first burst's payload"), []byte("second")
-	r1, _ := AppendResponse(nil, 1, 0, []RespOp{{U: 1, HasData: true, Data: first}})
-	r2, _ := AppendResponse(nil, 2, 0, []RespOp{{U: 2, HasData: true, Data: second}})
+	r1, _ := AppendResponse(nil, 1, []RespOp{{U: 1, HasData: true, Data: first}})
+	r2, _ := AppendResponse(nil, 2, []RespOp{{U: 2, HasData: true, Data: second}})
 	fr := newFrameReader(&segConn{segs: [][]byte{r1, r2}, poison: true})
 	var f Frame
 	if _, _, err := fr.next(&f); err != nil {

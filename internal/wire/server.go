@@ -7,7 +7,8 @@ import (
 	"sync/atomic"
 )
 
-// Handler applies one decoded request burst. The wire server calls it
+// Handler applies one decoded request burst, a burst toward this process
+// whose entries each name their own partition. The wire server calls it
 // sequentially per connection (preserving each sender link's order, the
 // property read-your-writes rests on) and concurrently across
 // connections, at most once per (src, seq): src is the sending link's
@@ -17,9 +18,11 @@ import (
 // slice to append into; the handler returns one RespOp per ReqOp, in
 // order. The returned entries' Data may sub-slice handler-owned buffers —
 // the server copies what its window keeps and encodes the response before
-// the next Apply on that connection.
+// the next Apply on that connection. The third argument is always -1: a
+// frame no longer names one partition. It stays because the benchmark
+// module's echo handler implements this signature.
 type Handler interface {
-	Apply(src uint64, seq uint32, part int, req []ReqOp, resp []RespOp) []RespOp
+	Apply(src uint64, seq uint32, _ int, req []ReqOp, resp []RespOp) []RespOp
 }
 
 // Server is the accept side of the wire tier: it owns a listener,
@@ -256,7 +259,7 @@ func (s *Server) serveConn(c net.Conn) {
 			return // handler contract violation; don't invent results
 		}
 		wbuf = wbuf[:0]
-		wbuf, err = AppendResponse(wbuf, f.Seq, f.Part, resp)
+		wbuf, err = AppendResponse(wbuf, f.Seq, resp)
 		if err != nil {
 			return
 		}
@@ -289,7 +292,7 @@ func (s *Server) apply(src uint64, f *Frame, resp []RespOp) []RespOp {
 		}
 		rec = mine
 	}
-	resp = s.h.Apply(src, f.Seq, int(f.Part), f.Req, resp)
+	resp = s.h.Apply(src, f.Seq, -1, f.Req, resp)
 	if rec != nil {
 		rec.resp = cloneResp(resp)
 		close(rec.done)

@@ -4,7 +4,9 @@
 // process boundary as length-prefixed frames over TCP.
 //
 // The mapping is deliberate. A frame is a published slot: the sender
-// packs a burst of operations into it, the single write is the publish,
+// packs a burst of operations toward one peer process into it (each entry
+// names its own partition, so a stream that alternates between the peer's
+// partitions still fills whole frames), the single write is the publish,
 // and the frame's arrival is the doorbell — the peer's read loop wakes
 // on it without scanning anything. The peer decodes the burst and applies
 // it through its normal serve path, then a response frame keyed by the
@@ -17,13 +19,13 @@
 //
 // All integers are big-endian. Every frame is
 //
-//	[u32 length] [u8 type] [u32 seq] [u32 part] [u16 nops] [payload]
+//	[u32 length] [u8 type] [u32 seq] [u16 nops] [payload]
 //
 // where length counts everything after the length field itself (so a
 // reader frames on 4 bytes + length). Payload by type:
 //
 //	hello    (type 0): [u32 version] [u32 partitions] [nops × u32 owned]
-//	request  (type 1): nops × [u16 code][u8 flags][u64 key][4×u64 u][u32 dlen][dlen bytes]
+//	request  (type 1): nops × [u16 code][u8 flags][u32 part][u64 key][4×u64 u][u32 dlen][dlen bytes]
 //	response (type 2): nops × [u8 flags][u64 u][u32 dlen][dlen bytes][u16 elen][elen bytes]
 //	ping     (type 3): empty — a liveness probe; seq is the probe number
 //	pong     (type 4): empty — answers a ping, echoing its seq
@@ -72,8 +74,9 @@ const (
 // Version is the protocol version carried in hello frames. Mismatched
 // peers refuse the connection rather than misparse each other. v2 added
 // ping/pong liveness probes and the ident frame retransmission dedup
-// keys on.
-const Version = 2
+// keys on; v3 moved the partition from the frame header into each request
+// entry.
+const Version = 3
 
 // Wire limits. A decoder rejects anything beyond them before allocating,
 // so a corrupt or hostile length field cannot balloon memory.
@@ -93,8 +96,8 @@ const (
 // byte accounting (obs.RemoteBytes) counts request entries without
 // restating the layout.
 const (
-	hdrSize     = 11 // type + seq + part + nops, after the length field
-	ReqOpFixed  = 47 // one request entry before its data: code + flags + key + 4 u64 + dlen
+	hdrSize     = 7  // type + seq + nops, after the length field
+	ReqOpFixed  = 51 // one request entry before its data: code + flags + part + key + 4 u64 + dlen
 	respOpFixed = 15 // flags + u64 + dlen + elen
 )
 
@@ -120,11 +123,13 @@ type OpError string
 func (e OpError) Error() string { return string(e) }
 
 // ReqOp is one request entry: an operation in its transport-neutral form
-// (see ring.StagedOp — Part travels in the frame header, one partition
-// per frame, exactly like one ring per destination partition).
+// (see ring.StagedOp). Part is the entry's own destination partition: a
+// frame is a burst toward one peer process, which may mix any of the
+// partitions that process serves.
 type ReqOp struct {
 	Code uint16
 	Fire bool
+	Part uint32
 	Key  uint64
 	U    [4]uint64
 	Data []byte
@@ -154,7 +159,6 @@ type Hello struct {
 type Frame struct {
 	Type  byte
 	Seq   uint32
-	Part  uint32
 	Req   []ReqOp
 	Resp  []RespOp
 	Hello Hello
@@ -203,11 +207,10 @@ func growU32(s []uint32, n int) []uint32 {
 // offset.
 //
 //dps:noalloc via AppendRequest
-func putHeader(b []byte, off int, typ byte, seq, part uint32, nops int) int {
+func putHeader(b []byte, off int, typ byte, seq uint32, nops int) int {
 	b[off] = typ
 	binary.BigEndian.PutUint32(b[off+1:], seq)
-	binary.BigEndian.PutUint32(b[off+5:], part)
-	binary.BigEndian.PutUint16(b[off+9:], uint16(nops))
+	binary.BigEndian.PutUint16(b[off+5:], uint16(nops))
 	return off + hdrSize
 }
 
@@ -244,12 +247,14 @@ func respSize(ops []RespOp) int {
 }
 
 // AppendRequest appends one complete request frame (length prefix
-// included) carrying ops toward partition part, and returns the extended
-// buffer. The ops' Data bytes are copied into the frame: the caller may
-// reuse them as soon as AppendRequest returns.
+// included) carrying ops, each toward its own Part, and returns the
+// extended buffer. The ops' Data bytes are copied into the frame: the
+// caller may reuse them as soon as AppendRequest returns. The third
+// argument is unused since frames stopped naming one partition; it stays
+// because the benchmark module's codec probe passes it.
 //
 //dps:noalloc
-func AppendRequest(dst []byte, seq, part uint32, ops []ReqOp) ([]byte, error) {
+func AppendRequest(dst []byte, seq, _ uint32, ops []ReqOp) ([]byte, error) {
 	size := reqSize(ops)
 	if size < 0 {
 		return dst, ErrCorrupt
@@ -257,32 +262,40 @@ func AppendRequest(dst []byte, seq, part uint32, ops []ReqOp) ([]byte, error) {
 	off := len(dst)
 	dst = grow(dst, 4+hdrSize+size)
 	binary.BigEndian.PutUint32(dst[off:], uint32(hdrSize+size))
-	off = putHeader(dst, off+4, FrameRequest, seq, part, len(ops))
+	off = putHeader(dst, off+4, FrameRequest, seq, len(ops))
 	for i := range ops {
-		op := &ops[i]
-		binary.BigEndian.PutUint16(dst[off:], op.Code)
-		flags := byte(0)
-		if op.Fire {
-			flags = 1
-		}
-		dst[off+2] = flags
-		binary.BigEndian.PutUint64(dst[off+3:], op.Key)
-		binary.BigEndian.PutUint64(dst[off+11:], op.U[0])
-		binary.BigEndian.PutUint64(dst[off+19:], op.U[1])
-		binary.BigEndian.PutUint64(dst[off+27:], op.U[2])
-		binary.BigEndian.PutUint64(dst[off+35:], op.U[3])
-		binary.BigEndian.PutUint32(dst[off+43:], uint32(len(op.Data)))
-		off += ReqOpFixed
-		off += copy(dst[off:], op.Data)
+		off = putReqOp(dst, off, &ops[i])
 	}
 	return dst, nil
 }
 
+// putReqOp writes one request entry at off, data included, and returns the
+// new offset: the one encoding of an entry, shared by AppendRequest and
+// Link.Stage.
+//
+//dps:noalloc via AppendRequest
+func putReqOp(b []byte, off int, op *ReqOp) int {
+	binary.BigEndian.PutUint16(b[off:], op.Code)
+	flags := byte(0)
+	if op.Fire {
+		flags = 1
+	}
+	b[off+2] = flags
+	binary.BigEndian.PutUint32(b[off+3:], op.Part)
+	binary.BigEndian.PutUint64(b[off+7:], op.Key)
+	binary.BigEndian.PutUint64(b[off+15:], op.U[0])
+	binary.BigEndian.PutUint64(b[off+23:], op.U[1])
+	binary.BigEndian.PutUint64(b[off+31:], op.U[2])
+	binary.BigEndian.PutUint64(b[off+39:], op.U[3])
+	binary.BigEndian.PutUint32(b[off+47:], uint32(len(op.Data)))
+	return off + ReqOpFixed + copy(b[off+ReqOpFixed:], op.Data)
+}
+
 // AppendResponse appends one complete response frame answering request
-// seq for partition part, and returns the extended buffer.
+// seq, and returns the extended buffer.
 //
 //dps:noalloc
-func AppendResponse(dst []byte, seq, part uint32, ops []RespOp) ([]byte, error) {
+func AppendResponse(dst []byte, seq uint32, ops []RespOp) ([]byte, error) {
 	size := respSize(ops)
 	if size < 0 {
 		return dst, ErrCorrupt
@@ -290,7 +303,7 @@ func AppendResponse(dst []byte, seq, part uint32, ops []RespOp) ([]byte, error) 
 	off := len(dst)
 	dst = grow(dst, 4+hdrSize+size)
 	binary.BigEndian.PutUint32(dst[off:], uint32(hdrSize+size))
-	off = putHeader(dst, off+4, FrameResponse, seq, part, len(ops))
+	off = putHeader(dst, off+4, FrameResponse, seq, len(ops))
 	for i := range ops {
 		op := &ops[i]
 		flags := byte(0)
@@ -322,7 +335,7 @@ func AppendHello(dst []byte, partitions uint32, owned []uint32) ([]byte, error) 
 	off := len(dst)
 	dst = grow(dst, 4+hdrSize+size)
 	binary.BigEndian.PutUint32(dst[off:], uint32(hdrSize+size))
-	off = putHeader(dst, off+4, FrameHello, 0, 0, len(owned))
+	off = putHeader(dst, off+4, FrameHello, 0, len(owned))
 	binary.BigEndian.PutUint32(dst[off:], Version)
 	binary.BigEndian.PutUint32(dst[off+4:], partitions)
 	off += 8
@@ -342,7 +355,7 @@ func AppendControl(dst []byte, typ byte, seq uint32) ([]byte, error) {
 	off := len(dst)
 	dst = grow(dst, 4+hdrSize)
 	binary.BigEndian.PutUint32(dst[off:], hdrSize)
-	putHeader(dst, off+4, typ, seq, 0, 0)
+	putHeader(dst, off+4, typ, seq, 0)
 	return dst, nil
 }
 
@@ -352,7 +365,7 @@ func AppendIdent(dst []byte, id uint64) ([]byte, error) {
 	off := len(dst)
 	dst = grow(dst, 4+hdrSize+8)
 	binary.BigEndian.PutUint32(dst[off:], hdrSize+8)
-	off = putHeader(dst, off+4, FrameIdent, 0, 0, 0)
+	off = putHeader(dst, off+4, FrameIdent, 0, 0)
 	binary.BigEndian.PutUint64(dst[off:], id)
 	return dst, nil
 }
@@ -393,8 +406,7 @@ func DecodeFrame(buf []byte, f *Frame) (int, error) {
 	b := buf[4:total]
 	f.Type = b[0]
 	f.Seq = binary.BigEndian.Uint32(b[1:])
-	f.Part = binary.BigEndian.Uint32(b[5:])
-	nops := int(binary.BigEndian.Uint16(b[9:]))
+	nops := int(binary.BigEndian.Uint16(b[5:]))
 	b = b[hdrSize:]
 	switch f.Type {
 	case FrameHello:
@@ -422,12 +434,13 @@ func DecodeFrame(buf []byte, f *Frame) (int, error) {
 				return 0, ErrCorrupt // unknown flag bits: newer peer, refuse to guess
 			}
 			op.Fire = b[2]&1 != 0
-			op.Key = binary.BigEndian.Uint64(b[3:])
-			op.U[0] = binary.BigEndian.Uint64(b[11:])
-			op.U[1] = binary.BigEndian.Uint64(b[19:])
-			op.U[2] = binary.BigEndian.Uint64(b[27:])
-			op.U[3] = binary.BigEndian.Uint64(b[35:])
-			dlen := int(binary.BigEndian.Uint32(b[43:]))
+			op.Part = binary.BigEndian.Uint32(b[3:])
+			op.Key = binary.BigEndian.Uint64(b[7:])
+			op.U[0] = binary.BigEndian.Uint64(b[15:])
+			op.U[1] = binary.BigEndian.Uint64(b[23:])
+			op.U[2] = binary.BigEndian.Uint64(b[31:])
+			op.U[3] = binary.BigEndian.Uint64(b[39:])
+			dlen := int(binary.BigEndian.Uint32(b[47:]))
 			b = b[ReqOpFixed:]
 			if dlen > MaxData || len(b) < dlen {
 				return 0, ErrCorrupt
@@ -489,11 +502,11 @@ func DecodeFrame(buf []byte, f *Frame) (int, error) {
 			return 0, ErrCorrupt
 		}
 	case FramePing, FramePong:
-		if nops != 0 || f.Part != 0 || len(b) != 0 {
+		if nops != 0 || len(b) != 0 {
 			return 0, ErrCorrupt
 		}
 	case FrameIdent:
-		if nops != 0 || f.Seq != 0 || f.Part != 0 || len(b) != 8 {
+		if nops != 0 || f.Seq != 0 || len(b) != 8 {
 			return 0, ErrCorrupt
 		}
 		f.Ident = binary.BigEndian.Uint64(b)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -20,18 +21,19 @@ func goldenRequest() ([]byte, []ReqOp) {
 	ops := []ReqOp{{
 		Code: 7,
 		Fire: true,
+		Part: 5,
 		Key:  0x1122334455667788,
 		U:    [4]uint64{1, 2, 3, 4},
 		Data: []byte("ab"),
 	}}
 	want := []byte{
-		0x00, 0x00, 0x00, 0x3c, // length: 11 + 47 + 2
+		0x00, 0x00, 0x00, 0x3c, // length: 7 + 51 + 2
 		0x01,                   // type: request
 		0x01, 0x02, 0x03, 0x04, // seq
-		0x00, 0x00, 0x00, 0x05, // part
 		0x00, 0x01, // nops
 		0x00, 0x07, // code
-		0x01,                                           // flags: fire
+		0x01,                   // flags: fire
+		0x00, 0x00, 0x00, 0x05, // part
 		0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88, // key
 		0, 0, 0, 0, 0, 0, 0, 1, // U[0]
 		0, 0, 0, 0, 0, 0, 0, 2, // U[1]
@@ -49,10 +51,9 @@ func goldenResponse() ([]byte, []RespOp) {
 		{Err: "boom"},
 	}
 	want := []byte{
-		0x00, 0x00, 0x00, 0x2f, // length: 11 + 17 + 19
+		0x00, 0x00, 0x00, 0x2b, // length: 7 + 17 + 19
 		0x02,                   // type: response
 		0x00, 0x00, 0x00, 0x09, // seq
-		0x00, 0x00, 0x00, 0x02, // part
 		0x00, 0x02, // nops
 		// entry 0: data, no error
 		0x01,                    // flags: hasData
@@ -72,12 +73,11 @@ func goldenResponse() ([]byte, []RespOp) {
 
 func goldenHello() []byte {
 	return []byte{
-		0x00, 0x00, 0x00, 0x1b, // length: 11 + 8 + 4*2
+		0x00, 0x00, 0x00, 0x17, // length: 7 + 8 + 4*2
 		0x00,                   // type: hello
 		0x00, 0x00, 0x00, 0x00, // seq
-		0x00, 0x00, 0x00, 0x00, // part
 		0x00, 0x02, // nops = len(owned)
-		0x00, 0x00, 0x00, 0x02, // version
+		0x00, 0x00, 0x00, 0x03, // version
 		0x00, 0x00, 0x00, 0x04, // partitions
 		0x00, 0x00, 0x00, 0x02, // owned[0]
 		0x00, 0x00, 0x00, 0x03, // owned[1]
@@ -98,18 +98,18 @@ func TestGoldenRequest(t *testing.T) {
 	if err != nil || n != len(got) {
 		t.Fatalf("decode: n=%d err=%v", n, err)
 	}
-	if f.Type != FrameRequest || f.Seq != 0x01020304 || f.Part != 5 || len(f.Req) != 1 {
+	if f.Type != FrameRequest || f.Seq != 0x01020304 || len(f.Req) != 1 {
 		t.Fatalf("decoded header: %+v", f)
 	}
 	r := f.Req[0]
-	if r.Code != 7 || !r.Fire || r.Key != 0x1122334455667788 || r.U != [4]uint64{1, 2, 3, 4} || !bytes.Equal(r.Data, []byte("ab")) {
+	if r.Code != 7 || !r.Fire || r.Part != 5 || r.Key != 0x1122334455667788 || r.U != [4]uint64{1, 2, 3, 4} || !bytes.Equal(r.Data, []byte("ab")) {
 		t.Fatalf("decoded op: %+v", r)
 	}
 }
 
 func TestGoldenResponse(t *testing.T) {
 	want, ops := goldenResponse()
-	got, err := AppendResponse(nil, 9, 2, ops)
+	got, err := AppendResponse(nil, 9, ops)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestGoldenHello(t *testing.T) {
 // texts come back as the canonical identities, everything else as
 // OpError.
 func TestErrorRehydration(t *testing.T) {
-	frame, err := AppendResponse(nil, 1, 0, []RespOp{
+	frame, err := AppendResponse(nil, 1, []RespOp{
 		{Err: ring.ErrClosed.Error()},
 		{Err: ring.ErrTimeout.Error()},
 		{Err: "op failed: whatever"},
@@ -197,11 +197,15 @@ func TestDecodeRejects(t *testing.T) {
 	}
 	cases := map[string][]byte{
 		"bad type":      corrupt(func(b []byte) { b[4] = 9 }),
-		"zero nops":     corrupt(func(b []byte) { b[13], b[14] = 0, 0 }),
-		"huge nops":     corrupt(func(b []byte) { b[13], b[14] = 0xff, 0xff }),
+		"zero nops":     corrupt(func(b []byte) { b[9], b[10] = 0, 0 }),
+		"huge nops":     corrupt(func(b []byte) { b[9], b[10] = 0xff, 0xff }),
 		"trailing junk": append(append([]byte(nil), req...), 0),
 		"huge length":   corrupt(func(b []byte) { b[0] = 0xff }),
 		"tiny length":   corrupt(func(b []byte) { b[0], b[1], b[2], b[3] = 0, 0, 0, 1 }),
+		// Control frames have no part field: the v2 layouts, which carried
+		// one, leave bytes behind the header.
+		"ping with a part field":  {0, 0, 0, 11, FramePing, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0},
+		"ident with a part field": {0, 0, 0, 19, FrameIdent, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8},
 	}
 	for name, b := range cases {
 		if name == "trailing junk" {
@@ -219,12 +223,47 @@ func TestDecodeRejects(t *testing.T) {
 	}
 }
 
+// mixedRequest encodes one request frame whose entries go toward parts,
+// one entry per element.
+func mixedRequest(parts []uint32) []byte {
+	ops := make([]ReqOp, len(parts))
+	for i, p := range parts {
+		ops[i] = ReqOp{Code: uint16(i), Fire: i%2 == 0, Part: p, Key: uint64(i), Data: []byte{byte(i)}}
+	}
+	b, err := AppendRequest(nil, uint32(len(parts)), 0, ops)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// TestMixedRequestRoundTrip: a frame's entries keep their own partitions
+// through the codec, in order.
+func TestMixedRequestRoundTrip(t *testing.T) {
+	parts := []uint32{2, 3, 3, 2, 0xffffffff}
+	var f Frame
+	if _, err := DecodeFrame(mixedRequest(parts), &f); err != nil {
+		t.Fatal(err)
+	}
+	if len(f.Req) != len(parts) {
+		t.Fatalf("decoded %d entries, want %d", len(f.Req), len(parts))
+	}
+	for i, p := range parts {
+		if r := f.Req[i]; r.Part != p || r.Key != uint64(i) || !bytes.Equal(r.Data, []byte{byte(i)}) {
+			t.Fatalf("entry %d: %+v, want part %d", i, r, p)
+		}
+	}
+}
+
 func FuzzDecodeFrame(f *testing.F) {
 	req, _ := goldenRequest()
 	resp, _ := goldenResponse()
 	f.Add(req)
 	f.Add(resp)
 	f.Add(goldenHello())
+	for _, parts := range [][]uint32{{2, 3}, {3, 2, 3, 2}, {0, 1, 2, 3, 0xffffffff}} {
+		f.Add(mixedRequest(parts))
+	}
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -237,14 +276,14 @@ func FuzzDecodeFrame(f *testing.F) {
 			var rerr error
 			switch fr.Type {
 			case FrameRequest:
-				re, rerr = AppendRequest(nil, fr.Seq, fr.Part, fr.Req)
+				re, rerr = AppendRequest(nil, fr.Seq, 0, fr.Req)
 			case FrameResponse:
-				re, rerr = AppendResponse(nil, fr.Seq, fr.Part, fr.Resp)
+				re, rerr = AppendResponse(nil, fr.Seq, fr.Resp)
 			case FrameHello:
 				// Hello fields the decoder tolerates but the encoder
-				// normalizes: foreign versions, nonzero seq/part, and
+				// normalizes: foreign versions, a nonzero seq, and
 				// owned lists beyond what one process would declare.
-				if fr.Hello.Version != Version || fr.Seq != 0 || fr.Part != 0 || len(fr.Hello.Owned) > MaxBurst*64 {
+				if fr.Hello.Version != Version || fr.Seq != 0 || len(fr.Hello.Owned) > MaxBurst*64 {
 					return
 				}
 				re, rerr = AppendHello(nil, fr.Hello.Partitions, fr.Hello.Owned)
@@ -285,7 +324,7 @@ func TestCodecAllocPins(t *testing.T) {
 		t.Fatalf("AppendRequest allocates %v/op", n)
 	}
 	if n := testing.AllocsPerRun(500, func() {
-		out, err := AppendResponse(buf[:0], 1, 2, respOps)
+		out, err := AppendResponse(buf[:0], 1, respOps)
 		if err != nil {
 			panic(err)
 		}
@@ -296,7 +335,7 @@ func TestCodecAllocPins(t *testing.T) {
 	// The decode pin's response frame carries success entries plus the
 	// interned sentinel texts; non-sentinel error strings are the one
 	// documented decode-side copy and would (correctly) fail this pin.
-	okResp, err := AppendResponse(nil, 3, 1, []RespOp{
+	okResp, err := AppendResponse(nil, 3, []RespOp{
 		{U: 7, HasData: true, Data: []byte("warm")},
 		{Err: closedText},
 		{Err: timeoutText},
@@ -413,6 +452,58 @@ func TestPeerRoundTrip(t *testing.T) {
 	}
 	if h.lastSrc.Load() == 0 {
 		t.Fatal("server never saw the link's ident")
+	}
+}
+
+// TestHelloRefused: a peer whose hello does not match is a configuration
+// error the first burst fails with at once, not a link failure to redial.
+func TestHelloRefused(t *testing.T) {
+	v3, _ := AppendHello(nil, 2, []uint32{1})
+	cases := []struct {
+		name  string
+		hello []byte
+		want  string
+	}{
+		// A v2 peer: a part field in the header, version 2.
+		{"v2 peer", []byte{0, 0, 0, 23, FrameHello, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0, 1}, "not protocol v3"},
+		{"version field", append(append([]byte(nil), v3[:11]...), append([]byte{0, 0, 0, 2}, v3[15:]...)...), "speaks protocol v2"},
+		{"partition count", func() []byte { b, _ := AppendHello(nil, 3, []uint32{1}); return b }(), "has 3 partitions"},
+		{"partition not owned", func() []byte { b, _ := AppendHello(nil, 2, []uint32{0}); return b }(), "does not own partition 1"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			go func() {
+				c, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				defer c.Close()
+				c.Write(tc.hello)
+				c.Read(make([]byte, 64))
+			}()
+			pr, err := NewPeer(0, PeerConfig{Addr: ln.Addr().String(), Parts: []int{1}, Partitions: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pr.Close()
+			l := pr.NewLink(0)
+			tok, err := l.Stage(ring.StagedOp{Part: 1, Code: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = l.Flush()
+			if err == nil || errors.Is(err, ring.ErrPeerDown) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("flush: %v, want a configuration error containing %q", err, tc.want)
+			}
+			if _, err := tok.Await(time.Time{}); err == nil {
+				t.Fatal("the burst's token resolved without the error")
+			}
+		})
 	}
 }
 

@@ -7,8 +7,8 @@
 # taken once proves nothing; this is the comparison PRs 12 and 14 ran by hand.
 #
 #   scripts/bench_pair.sh BASE [WORKLOAD|all] [PAIRS] [SECONDS]
-#   make bench-pair BASE=<rev> [WORKLOAD=<name>] [PAIRS=10] [SECONDS=18]
-#   make bench-pair BASE=<rev> MICRO=1 [PAIRS=10]
+#   make bench-pair BASE=<rev> [WORKLOAD=<name>] [PAIRS=10] [SECONDS=18] [JSON=<path>]
+#   make bench-pair BASE=<rev> MICRO=1 [PAIRS=10] [JSON=<path>]
 #
 # BASE is cloned (git clone, not a worktree) into a mktemp directory that is
 # removed on exit, both benchmark binaries are built once the way
@@ -29,6 +29,11 @@
 # metric's bound. Every run's values follow the table. Failed operations are
 # totalled per side, and every run whose last line does not say "correct":true
 # is listed; either makes the exit status 1. Nothing is gated on the verdicts.
+# With JSON=<path> set, the table is also written to that file as JSON: the
+# two revisions, the pair count, and one object per row with each side's
+# median and quartiles, Δ %, wins, the base's inter-quartile distance as a
+# share of its median, and the verdict (null figures for a row with no
+# complete pair).
 #
 # MICRO=1 runs the same loop and the same table over the ring tier instead:
 # both sides' internal/core test binaries are built once, a run is
@@ -139,7 +144,8 @@ echo "base $base_rev vs change $change_rev, $pairs alternating pairs, $per"
 echo
 echo "| workload | metric | base median [q1, q3] | change median [q1, q3] | Δ % | wins | base IQR % | verdict |"
 echo "|---|---|---|---|---|---|---|---|"
-awk -v workloads="$workloads" -v worse="$tmp/worse" '
+awk -v workloads="$workloads" -v worse="$tmp/worse" -v json="${JSON:-}" \
+  -v base_rev="$base_rev" -v change_rev="$change_rev" -v per="$per" '
 # quartile of the sorted values v[1..n] at share p, interpolating linearly
 function q(v, n, p,    h, lo) {
   h = (n - 1) * p + 1; lo = int(h)
@@ -150,6 +156,8 @@ function sorted(src, n, dst,    i, j, t) {
   for (i = 2; i <= n; i++) { t = dst[i]; for (j = i - 1; j >= 1 && dst[j] > t; j--) dst[j + 1] = dst[j]; dst[j + 1] = t }
 }
 function num(x) { return x >= 1000 ? sprintf("%.0f", x) : sprintf("%.4g", x) }
+function jside(m, q1, q3) { return sprintf("{\"median\": %.6g, \"q1\": %.6g, \"q3\": %.6g}", m, q1, q3) }
+function jrow(w, m, rest) { rows = rows (rows == "" ? "" : ",\n") sprintf("    {\"workload\": \"%s\", \"metric\": \"%s\", %s}", w, m, rest) }
 FILENAME == ARGV[1] { order[++nm] = $1; better[$1] = $2; bound[$1] = $3; next }
 $5 != "" { val[$1, $2, $3, $4] = $5; if ($3 > pairs) pairs = $3 }
 END {
@@ -162,7 +170,11 @@ END {
       d = better[m] == "higher" ? c[n] - b[n] : b[n] - c[n]
       if (d > 0) wins++; else if (d < 0) losses++
     }
-    if (n == 0) { printf "| %s | %s | no complete pair | | | | | unresolved |\n", w, m; continue }
+    if (n == 0) {
+      printf "| %s | %s | no complete pair | | | | | unresolved |\n", w, m
+      jrow(w, m, "\"base\": null, \"change\": null, \"delta_pct\": null, \"wins\": 0, \"pairs\": 0, \"base_iqr_pct\": null, \"verdict\": \"unresolved\"")
+      continue
+    }
     sorted(b, n, sb); sorted(c, n, sc)
     bm = q(sb, n, .5); cm = q(sc, n, .5); iqr = q(sb, n, .75) - q(sb, n, .25)
     gain = better[m] == "higher" ? cm - bm : bm - cm
@@ -173,6 +185,11 @@ END {
     printf "| %s | %s | %s [%s, %s] | %s [%s, %s] | %+.1f | %d/%d | %.1f | %s |\n", w, m,
       num(bm), num(q(sb, n, .25)), num(q(sb, n, .75)), num(cm), num(q(sc, n, .25)), num(q(sc, n, .75)),
       100 * (cm - bm) / bm, wins, n, 100 * iqr / bm, verdict
+    jrow(w, m, sprintf("\"base\": %s, \"change\": %s, \"delta_pct\": %.4g, \"wins\": %d, \"pairs\": %d, \"base_iqr_pct\": %.4g, \"verdict\": \"%s\"",
+      jside(bm, q(sb, n, .25), q(sb, n, .75)), jside(cm, q(sc, n, .25), q(sc, n, .75)), 100 * (cm - bm) / bm, wins, n, 100 * iqr / bm, verdict))
+  }
+  if (json != "") {
+    printf "{\n  \"base\": \"%s\",\n  \"change\": \"%s\",\n  \"pairs\": %d,\n  \"runs\": \"%s\",\n  \"rows\": [\n%s\n  ]\n}\n", base_rev, change_rev, pairs, per, rows >json
   }
   print "\nevery run, pair 1 -> " pairs
   for (wi = 1; wi <= nw; wi++) for (mi = 1; mi <= nm; mi++) for (si = 1; si <= 2; si++) {
