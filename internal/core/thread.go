@@ -426,7 +426,9 @@ func (t *Thread) ExecuteSync(key uint64, op Op, args Args) Result {
 // ring. Consecutive asynchronous operations to the same partition share one
 // slot claim; the burst is published when it fills, when a different
 // partition (or a blocking call) intervenes, and at the latest by Drain.
-// Results are discarded; ordering to the same partition is preserved (the
+// Toward a peer process the burst is a wire frame, which operations toward
+// any of that peer's partitions share: a switch between them does not
+// publish it. Results are discarded; ordering to the same partition is preserved (the
 // ring is FIFO and bursts execute in pack order), so read-your-writes and
 // monotonic-writes hold for subsequent operations from this thread. Use
 // Drain as the barrier before depending on completion. Its ring-full wait

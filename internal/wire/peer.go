@@ -295,7 +295,7 @@ func (pc *pconn) readHello(c net.Conn, fr *frameReader) error {
 	cfg := &pc.peer.cfg
 	c.SetReadDeadline(time.Now().Add(dialTimeout))
 	defer c.SetReadDeadline(time.Time{})
-	f := Frame{Type: FrameIdent}
+	f := Frame{Type: FrameIdent} // not a hello until a frame says it is
 	_, _, err := fr.next(&f)
 	if f.Type == FrameHello && errors.Is(err, ErrCorrupt) {
 		// A hello this version cannot lay out is another version's: a
