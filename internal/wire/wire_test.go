@@ -237,24 +237,6 @@ func mixedRequest(parts []uint32) []byte {
 	return b
 }
 
-// TestMixedRequestRoundTrip: a frame's entries keep their own partitions
-// through the codec, in order.
-func TestMixedRequestRoundTrip(t *testing.T) {
-	parts := []uint32{2, 3, 3, 2, 0xffffffff}
-	var f Frame
-	if _, err := DecodeFrame(mixedRequest(parts), &f); err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Req) != len(parts) {
-		t.Fatalf("decoded %d entries, want %d", len(f.Req), len(parts))
-	}
-	for i, p := range parts {
-		if r := f.Req[i]; r.Part != p || r.Key != uint64(i) || !bytes.Equal(r.Data, []byte{byte(i)}) {
-			t.Fatalf("entry %d: %+v, want part %d", i, r, p)
-		}
-	}
-}
-
 func FuzzDecodeFrame(f *testing.F) {
 	req, _ := goldenRequest()
 	resp, _ := goldenResponse()
