@@ -25,16 +25,21 @@ test:
 # crossing a ring (a panic counted once, fire-and-forget operations applied
 # before the response), and two mcd sessions with no other thread, each
 # locality served only by its session's waits or, between its calls, by the
-# other session at issue (read-your-writes on each session's keys). Their
-# interleavings, and so their failures, depend on the host's CPU count (the
-# lock-free skip list hung about one run in sixty on 2 CPUs only).
+# other session at issue (read-your-writes on each session's keys). The same
+# line runs the two tests of what Drain reads off a thread's rings:
+# TestDrainLeavesHeldCompletion (Drain waits only for fire-and-forget and
+# given-up entries, never a synchronous completion the caller holds) and
+# TestRingFullReapsWithoutDrain (the ring-full path reaps given-up entries on
+# its own). Their interleavings, and so their failures, depend on the host's
+# CPU count (the lock-free skip list hung about one run in sixty on 2 CPUs
+# only).
 check: bench-build
 	$(GO) vet ./...
 	$(GO) run ./cmd/dpslint
 	$(GO) build ./...
 	$(GO) test -race ./internal/ring/... ./internal/core/... ./internal/obs/... ./internal/ffwd/... ./internal/wire/... ./internal/mcd/... ./internal/server/...
 	$(GO) test -count=20 -cpu 1,2,4 ./internal/skiplist ./internal/dpsds
-	$(GO) test -race -count=20 -cpu 1,2,4 -run '^(TestRescueRaceParkTimeout|TestRescueRaceIdleBorrow|TestHistoryLinearizable|TestRemotePanicCrossesAsError|TestTwoSessionsRace)$$' ./internal/core ./internal/mcd
+	$(GO) test -race -count=20 -cpu 1,2,4 -run '^(TestRescueRaceParkTimeout|TestRescueRaceIdleBorrow|TestHistoryLinearizable|TestRemotePanicCrossesAsError|TestTwoSessionsRace|TestDrainLeavesHeldCompletion|TestRingFullReapsWithoutDrain)$$' ./internal/core ./internal/mcd
 
 # bench-build vets and unit-tests benchmark/, which is a Go module of its own
 # (dps/benchmark, replace dps => ../): the root module's build and tests never

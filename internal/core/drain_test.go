@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -111,7 +112,7 @@ func TestOneDrain(t *testing.T) {
 				st.stage(e, func(i int) {
 					e.s = e.r.Slot(i)
 					m := e.s.Payload()
-					m.part, m.n = e.p, burstSize
+					m.n = burstSize
 					for j := range m.ops {
 						m.ops[j] = opEntry{op: opAdd, key: key, args: Args{U: [4]uint64{1}}, fire: true}
 					}
@@ -155,6 +156,160 @@ func TestOneDrain(t *testing.T) {
 					t.Errorf("doorbell bit set after the pass = %v, want %v", !st.rearm, st.rearm)
 				}
 			})
+		}
+	}
+}
+
+// TestDrainLeavesHeldCompletion checks that Drain waits only for what no
+// completion awaits: with a synchronous completion toward a locality whose
+// one thread never serves still held by the caller, Drain returns at once
+// and leaves the completion pending, and the completion resolves once that
+// thread serves. A Drain that waited out the newest sent slot instead would
+// run the operation by stall rescue (or hang), so the completion would be
+// ready after it.
+func TestDrainLeavesHeldCompletion(t *testing.T) {
+	t.Parallel()
+	rt := newTestRuntime(t, 2)
+	t0, err := rt.RegisterAt(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer t0.Unregister()
+	t1, err := rt.RegisterAt(1) // keeps locality 1 attended; serves only below
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer t1.Unregister()
+
+	var c Completion
+	t0.ExecuteInto(&c, keyFor(t, rt, 1), opPut, Args{U: [4]uint64{9}})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		t0.Drain()
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Drain waited for a synchronous completion the caller holds")
+	}
+	if _, ok := c.Ready(); ok {
+		t.Fatal("the held completion ran before its locality served: Drain waited for it")
+	}
+	for t1.Serve() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	res, ok := c.Ready()
+	if !ok || res.Err != nil || res.U != 9 {
+		t.Fatalf("after Serve: Ready = (%+v, %t), want (9, true)", res, ok)
+	}
+}
+
+// TestRingFullReapsWithoutDrain fills a sender's whole ring with timed-out
+// synchronous operations toward a wedged locality (the test holds the ring's
+// claim, so neither the locality's serving thread nor the stall rescue can
+// run them), one of which panics, and then lets the locality serve. The sender never calls Drain: the
+// ring-full path alone must reap every given-up entry as it comes back round
+// to its slot, so RingDepth+1 further calls all succeed, the panic reaches
+// OnPanic once and the timed-out operations still landed.
+func TestRingFullReapsWithoutDrain(t *testing.T) {
+	t.Parallel()
+	const depth = 4
+	var panics atomic.Int32
+	rt, err := New(Config{Partitions: 2, RingDepth: depth, Init: newCounterInit(), OpTimeout: 50 * time.Millisecond,
+		OnPanic: func(PanicInfo) { panics.Add(1) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t0, err := rt.RegisterAt(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer t0.Unregister()
+	defer startServer(t, rt, 1)() // serves every ring of locality 1 but the claimed one
+	r := rt.Partition(1).rings[t0.id].Load()
+	if !r.TryClaim() {
+		t.Fatal("fresh ring already claimed")
+	}
+
+	key := keyFor(t, rt, 1)
+	for i := 0; i < depth; i++ {
+		op := opAdd
+		if i == depth/2 {
+			op = opPanic
+		}
+		if res := t0.ExecuteSync(key, op, Args{U: [4]uint64{1}}); !errors.Is(res.Err, ErrTimeout) {
+			t.Fatalf("wedged call %d: err = %v, want ErrTimeout", i, res.Err)
+		}
+	}
+	if m := rt.Metrics().Totals; m.Abandoned != depth {
+		t.Fatalf("Abandoned = %d, want %d", m.Abandoned, depth)
+	}
+
+	r.Unclaim()
+	for i := 0; i < depth+1; i++ {
+		if res := t0.ExecuteSync(key, opAdd, Args{U: [4]uint64{1}}); res.Err != nil {
+			t.Fatalf("call %d after the wedge: err = %v (a given-up entry was never reaped)", i, res.Err)
+		}
+	}
+	if n := panics.Load(); n != 1 {
+		t.Errorf("OnPanic ran %d times, want 1", n)
+	}
+	if m := rt.Metrics().Totals; m.Abandoned != depth {
+		t.Errorf("Abandoned = %d, want %d", m.Abandoned, depth)
+	}
+	if res := t0.ExecuteSync(key, opGet, Args{}); res.U != 2*depth {
+		t.Errorf("counter = %+v, want %d (the timed-out adds still land)", res, 2*depth)
+	}
+}
+
+// TestRingFullHeldDeadline sends into a ring whose every slot holds results
+// the caller has not consumed, under OpTimeout: the send waits for a slot
+// only the caller can free, and the call's deadline must end that wait. The
+// slot it waits on carries a slightly slow operation, so it is released while
+// the waiter is still in its spin stage; a waiter kept across the ring-full
+// loop then never read the clock again, and the send spun forever in about
+// half the rounds.
+func TestRingFullHeldDeadline(t *testing.T) {
+	t.Parallel()
+	rt, err := New(Config{Partitions: 2, RingDepth: 2, Init: newCounterInit(), OpTimeout: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t0, err := rt.RegisterAt(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer t0.Unregister()
+	defer startServer(t, rt, 1)()
+	key := keyFor(t, rt, 1)
+	held := make([]Completion, 2*burstSize) // two full slots: the whole ring
+	for round := 0; round < 10; round++ {
+		for i := range held {
+			op := opAdd
+			if i == 0 {
+				op = opSlow(20*time.Microsecond, opAdd)
+			}
+			t0.ExecuteInto(&held[i], key, op, Args{U: [4]uint64{1}})
+		}
+		done := make(chan error, 1)
+		go func() {
+			var c Completion
+			t0.ExecuteInto(&c, key, opAdd, Args{U: [4]uint64{1}})
+			done <- c.Result().Err
+		}()
+		select {
+		case err := <-done:
+			if !errors.Is(err, ErrTimeout) {
+				t.Fatalf("round %d: send into a ring the caller holds: err = %v, want ErrTimeout", round, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("round %d: the ring-full wait never observed its deadline", round)
+		}
+		for i := range held {
+			if res := held[i].Result(); res.Err != nil {
+				t.Fatalf("round %d: held completion %d: %v", round, i, res.Err)
+			}
 		}
 	}
 }

@@ -167,7 +167,7 @@ func (t *Thread) stageRemote(p *Partition, key uint64, op Op, args *Args, fire b
 	t.rt.rec.Add(t.id, p.id, obs.RemoteOps, 1)
 	t.rt.rec.Add(t.id, p.id, obs.RemoteBytes, uint64(wire.ReqOpFixed+len(data)))
 	if fire {
-		//dps:alloc-ok amortized growth of the wire outstanding list, same budget as noteOutstanding
+		//dps:alloc-ok amortized growth of the wire outstanding list, bounded by wireDrainHighWater
 		t.woutstanding = append(t.woutstanding, wireRef{tok: tok, p: p})
 		if len(t.woutstanding) >= wireDrainHighWater {
 			t.drainWire()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"time"
 
 	"dps/internal/chaos"
@@ -38,20 +39,13 @@ type Thread struct {
 	//dps:owned-by=sender
 	openPart *Partition
 
-	// outstanding tracks slots carrying fire-and-forget async messages so
-	// Drain and Unregister can wait for them (one entry per slot, however
-	// many async operations the burst packs).
+	// dead counts the entries of the thread's rings marked in their slot's
+	// msg.dead and not yet reaped: synchronous operations whose completion
+	// was given up on, whose slots the server may still hold. Drain scans
+	// its rings for them only while it is non-zero.
 	//
 	//dps:owned-by=sender
-	outstanding []*slot
-
-	// abandoned holds entries of synchronous operations whose completion
-	// timed out: the request is still in flight (or its unread result
-	// still occupies the entry), so the slot cannot be reclaimed until the
-	// server releases it and reapAbandoned consumes the entry.
-	//
-	//dps:owned-by=sender
-	abandoned []abandonedRef
+	dead int
 
 	// serveCursor rotates the starting ring of the full-scan pass so a
 	// locality's threads tend to scan different senders first.
@@ -116,13 +110,6 @@ type Thread struct {
 	unregistered bool
 }
 
-// abandonedRef names one timed-out synchronous entry: the slot it rode in
-// and its index within the burst.
-type abandonedRef struct {
-	s   *slot
-	idx int
-}
-
 // serveFullScanEvery is the doorbell fallback cadence: one serve pass in
 // this many scans every registered ring regardless of doorbell state.
 // Power of two so the pass test is a mask.
@@ -169,12 +156,13 @@ func (t *Thread) Locality() int { return t.locality }
 // Runtime returns the owning runtime.
 func (t *Thread) Runtime() *Runtime { return t.rt }
 
-// Unregister waits for the thread's outstanding asynchronous operations to
-// complete — and for any timed-out synchronous operations to be reclaimed,
+// Unregister runs Drain — it waits for the thread's fire-and-forget
+// operations to complete and reaps the entries of operations it gave up on,
 // so the thread id's rings return to the runtime clean — then removes the
-// thread from the runtime. After Shutdown the waits are skipped (the
-// shutdown sweep already drained or abandoned everything). The Thread must
-// not be used afterwards.
+// thread from the runtime. A synchronous completion the caller still holds
+// is not waited for. After Shutdown the waits are skipped (the shutdown sweep
+// already drained or abandoned everything). The Thread must not be used
+// afterwards.
 //
 //dps:domain=sender
 func (t *Thread) Unregister() {
@@ -310,8 +298,8 @@ func (t *Thread) runLocal(p *Partition, key uint64, op Op, args *Args) Result {
 // in the Abandoned counter.
 //
 // issue does not publish: the operation sits in an open burst until a
-// flush point. fire marks a fire-and-forget operation, which the Drain
-// barrier tracks and whose c the caller discards; call is the calling
+// flush point. fire marks a fire-and-forget operation, whose burst the Drain
+// barrier waits out and whose c the caller discards; call is the calling
 // operation's deadline, which bounds the ring-full wait (see newWaiter).
 // The argument copy confines args' escape to the peer branch, the only one
 // that needs its address.
@@ -431,8 +419,10 @@ func (t *Thread) ExecuteSync(key uint64, op Op, args Args) Result {
 // publish it. Results are discarded; ordering to the same partition is preserved (the
 // ring is FIFO and bursts execute in pack order), so read-your-writes and
 // monotonic-writes hold for subsequent operations from this thread. Use
-// Drain as the barrier before depending on completion. Its ring-full wait
-// has no deadline: there is no Result to carry ErrTimeout.
+// Drain as the barrier before depending on completion; on a ring nothing is
+// recorded for it beside the slot, whose header marks the burst as one Drain
+// waits out. Its ring-full wait has no deadline: there is no Result to carry
+// ErrTimeout.
 //
 //dps:noalloc
 //dps:domain=sender
@@ -527,35 +517,56 @@ func (t *Thread) Flush() {
 // Drain publishes any open burst, then blocks until every fire-and-forget
 // asynchronous operation issued by this thread has been executed, serving
 // delegated requests while it waits. It is the completion barrier §4.4
-// requires between dependent asynchronous operations. Drain also reclaims
-// the entries of timed-out synchronous operations once their servers
-// release them, so after Drain returns the thread's rings are fully
-// reusable (Unregister relies on this before recycling the thread id). If
-// the runtime shuts down mid-drain, Drain stops waiting — the shutdown
-// sweep owns the rings from then on.
+// requires between dependent asynchronous operations. Drain also reaps the
+// entries of operations given up on (Completion.abandon) once their servers
+// release them, so after Drain returns the thread's rings are fully reusable
+// (Unregister relies on this before recycling the thread id). A synchronous
+// completion the caller still holds is left alone: Drain waits only for what
+// no completion will await. It reads all of this off the rings: per ring, the
+// newest owed slot covers every earlier one. If the runtime shuts down
+// mid-drain, Drain stops waiting — the shutdown sweep owns the rings from
+// then on.
 //
 //dps:noalloc
 //dps:domain=sender
 func (t *Thread) Drain() {
 	t.checkLive()
 	t.flushOpen()
-	for _, s := range t.outstanding {
-		t.awaitServed(s.Payload().part, target{slot: s})
-	}
-	for i := range t.outstanding {
-		t.outstanding[i] = nil
-	}
-	t.outstanding = t.outstanding[:0]
-	for len(t.abandoned) > 0 {
-		s := t.abandoned[0].s
-		t.awaitServed(s.Payload().part, target{slot: s})
-		if t.reapAbandoned() == 0 && t.rt.down.Load() {
-			break
+	for _, p := range t.rt.parts {
+		if p.peer != nil || p.id == t.locality {
+			continue
+		}
+		r := p.rings[t.id].Load()
+		t.awaitServed(p, target{slot: owed(r)})
+		for i := 0; i < r.Depth() && t.dead > 0; i++ {
+			if s := r.Slot(i); !s.Pending() {
+				t.reap(p, s)
+			}
 		}
 	}
 	if len(t.woutstanding) > 0 {
 		t.drainWire()
 	}
+}
+
+// owed returns the newest slot of the sender's ring r that is pending and
+// carries a fire-and-forget entry or an entry given up on, nil if none does.
+// The walk goes back from the newest sent slot and stops at the first that is
+// not pending: rings drain in FIFO order, so nothing older is pending either.
+// Waiting this one slot out waits out every owed slot before it.
+//
+//dps:noalloc via Drain
+func owed(r *dring) *slot {
+	for i := 0; i < r.Depth(); i++ {
+		s := r.Sent(i)
+		if !s.Pending() {
+			return nil
+		}
+		if m := s.Payload(); m.fire || m.dead != 0 {
+			return s
+		}
+	}
+	return nil
 }
 
 // awaitServed blocks until on — a fire-and-forget burst toward p, which no
@@ -568,22 +579,6 @@ func (t *Thread) awaitServed(p *Partition, on target) bool {
 	}
 	w := newWaiter(t, p, on, nil)
 	return w.await() == nil
-}
-
-// compactOutstanding drops slots whose bursts have already been served.
-// The open slot is kept even though it is not yet pending: its async
-// entries still owe the Drain barrier a wait once it is published.
-func (t *Thread) compactOutstanding() {
-	kept := t.outstanding[:0]
-	for _, s := range t.outstanding {
-		if s.Pending() || s == t.open {
-			kept = append(kept, s)
-		}
-	}
-	for i := len(kept); i < len(t.outstanding); i++ {
-		t.outstanding[i] = nil
-	}
-	t.outstanding = kept
 }
 
 // pack stages one operation toward partition p: it joins the open burst
@@ -609,10 +604,6 @@ func (t *Thread) pack(p *Partition, key uint64, op Op, args Args, fire bool, cal
 			idx := int(m.n)
 			t.fillEntry(m, idx, key, op, args, fire)
 			m.n++
-			if fire && !m.tracked {
-				m.tracked = true
-				t.noteOutstanding(s)
-			}
 			if int(m.n) == burstSize {
 				t.flushOpen()
 			}
@@ -625,19 +616,10 @@ func (t *Thread) pack(p *Partition, key uint64, op Op, args Args, fire bool, cal
 		return nil, 0
 	}
 	m := s.Payload()
-	m.part = p
 	m.n = 1
-	m.tracked = false
+	m.fire = false
 	t.fillEntry(m, 0, key, op, args, fire)
-	// The open pointer must be set before the outstanding note: noting can
-	// trigger compaction, and compaction keeps an unpublished slot only by
-	// recognizing it as the open burst. Noting first would let compaction
-	// silently drop the slot from the Drain barrier.
 	t.open, t.openPart = s, p
-	if fire {
-		m.tracked = true
-		t.noteOutstanding(s)
-	}
 	if burstSize == 1 {
 		t.flushOpen()
 	}
@@ -645,16 +627,17 @@ func (t *Thread) pack(p *Partition, key uint64, op Op, args Args, fire bool, cal
 }
 
 // caughtUp reports whether every operation the thread sent toward p has run:
-// no open burst targets p, and the newest slot of its ring to p — the one
-// before the send cursor — is not pending. Rings drain in FIFO order, so
-// that one slot covers every earlier one.
+// no open burst targets p, and the newest slot of its ring to p — Sent(0) —
+// is not pending. Rings drain in FIFO order, so that one slot covers every
+// earlier one.
 //
 //dps:noalloc via ExecuteSync
 func (t *Thread) caughtUp(p *Partition) bool {
-	return t.openPart != p && !p.rings[t.id].Load().LastSent().Pending()
+	return t.openPart != p && !p.rings[t.id].Load().Sent(0).Pending()
 }
 
-// fillEntry writes one operation into entry idx of a sender-owned burst.
+// fillEntry writes one operation into entry idx of a sender-owned burst. A
+// fire-and-forget entry marks the burst as one the Drain barrier waits out.
 //
 //dps:noalloc via ExecuteSync
 func (t *Thread) fillEntry(m *msg, idx int, key uint64, op Op, args Args, fire bool) {
@@ -665,20 +648,10 @@ func (t *Thread) fillEntry(m *msg, idx int, key uint64, op Op, args Args, fire b
 	e.res = Result{}
 	e.panicVal = nil
 	e.fire = fire
-	if !fire {
+	if fire {
+		m.fire = true
+	} else {
 		m.live++
-	}
-}
-
-// noteOutstanding registers a slot carrying fire-and-forget entries with
-// the Drain barrier, compacting the list when it grows.
-//
-//dps:noalloc via ExecuteSync
-func (t *Thread) noteOutstanding(s *slot) {
-	//dps:alloc-ok amortized growth of the outstanding list is the documented 1-alloc baseline
-	t.outstanding = append(t.outstanding, s)
-	if len(t.outstanding) >= cap(t.outstanding) && len(t.outstanding) >= 32 {
-		t.compactOutstanding()
 	}
 }
 
@@ -722,15 +695,16 @@ func (t *Thread) flushOpen() {
 // waits for an available request slot, while performing operations
 // delegated to it"). The caller must have no open burst. A slot is free
 // once the server side has finished with it (toggle clear) and every
-// synchronous result it carried has been consumed (live == 0). Returns nil
-// only if the runtime shuts down — or the calling operation's deadline (call,
-// see newWaiter) expires — while the ring is full.
+// synchronous result it carried has been consumed (live == 0); a released
+// slot whose results belong to completions given up on is reaped on the
+// spot. Returns nil only if the runtime shuts down — or the calling
+// operation's deadline (call, see newWaiter) expires — while the ring is
+// full.
 //
 //dps:noalloc via ExecuteSync
 func (t *Thread) claimSlot(p *Partition, call *time.Time) *slot {
 	r := p.rings[t.id].Load()
 	s := r.SendSlot()
-	var w waiter
 	// The chaos hook simulates a full ring to exercise the back-pressure
 	// path.
 	for s.Pending() || !s.Payload().free() || (t.chaos != nil && t.chaos.RingFull()) {
@@ -738,9 +712,9 @@ func (t *Thread) claimSlot(p *Partition, call *time.Time) *slot {
 		if t.rt.tracing {
 			t.rt.tracer.OnRingFull(t.id, p.id)
 		}
-		// A released slot with unconsumed entries belongs to timed-out
-		// completions; reclaiming them may free the ring immediately.
-		if t.reapAbandoned() > 0 {
+		// A released slot with dead entries frees once they are reaped.
+		if !s.Pending() && s.Payload().dead != 0 {
+			t.reap(p, s)
 			continue
 		}
 		// Ring full (next slot still owned by the server side, or a result
@@ -748,9 +722,11 @@ func (t *Thread) claimSlot(p *Partition, call *time.Time) *slot {
 		// runs a round even when the slot is already released — its results
 		// are then held by the caller's own completions, or the ring is full
 		// by injection — so that case too observes shutdown and the deadline.
-		if w.t == nil {
-			w = newWaiter(t, p, target{slot: s}, call)
-		}
+		// The waiter is a fresh one each time round, whose first round reads
+		// the clock: one kept from a spin on the pending slot would go on
+		// skipping the read between its spin-stage clock checks, round after
+		// round, and never see the deadline.
+		w := newWaiter(t, p, target{slot: s}, call)
 		if w.await() != nil {
 			return nil
 		}
@@ -1107,14 +1083,15 @@ func (c *Completion) finish() {
 // abandon gives up on a pending completion, which resolves to err: ErrTimeout
 // past a deadline, ErrClosed after shutdown. The in-flight request cannot be
 // recalled — the server side may execute it at any moment. On a ring its
-// entry cannot be reclaimed until the server releases the slot, so the
-// (slot, index) pair moves to the thread's abandoned list for reapAbandoned
-// to consume later; a wire token is marked finished, and the response frame
-// finds nobody waiting.
+// entry cannot be reclaimed until the server releases the slot, so it is
+// marked dead in the slot's header for reap to consume later (the server
+// reads only n there); a wire token is marked finished, and the response
+// frame finds nobody waiting.
 func (c *Completion) abandon(err error) {
 	t := c.t
 	if c.slot != nil {
-		t.abandoned = append(t.abandoned, abandonedRef{s: c.slot, idx: c.idx})
+		c.slot.Payload().dead |= 1 << c.idx
+		t.dead++
 	} else {
 		c.tok.Finish()
 	}
@@ -1123,39 +1100,26 @@ func (c *Completion) abandon(err error) {
 	c.res, c.done = Result{Err: err}, true
 }
 
-// reapAbandoned reclaims abandoned entries whose servers have finished
-// with them: the stale result is discarded, a captured panic goes
-// to Config.OnPanic (no completion will ever re-raise it), and the
-// entry's slot moves one step closer to sendable (live reaches zero once
-// every entry is consumed). Entries in slots still pending stay on the
-// list. Returns how many entries were reclaimed.
-func (t *Thread) reapAbandoned() int {
-	if len(t.abandoned) == 0 {
-		return 0
-	}
-	kept := t.abandoned[:0]
-	reaped := 0
-	for _, a := range t.abandoned {
-		if a.s.Pending() {
-			kept = append(kept, a)
-			continue
-		}
-		m := a.s.Payload()
-		e := &m.ops[a.idx]
+// reap consumes the dead entries of s, a released slot of the thread's ring
+// to p: each stale result is discarded, a captured panic goes to
+// Config.OnPanic (no completion will ever re-raise it), and the slot moves one
+// step closer to claimable (live reaches zero once every entry is consumed).
+// Each entry is consumed before its panic is delivered, so an OnPanic that
+// panics leaves the slot consistent.
+//
+//dps:noalloc via ExecuteSync
+func (t *Thread) reap(p *Partition, s *slot) {
+	m := s.Payload()
+	for m.dead != 0 {
+		idx := bits.TrailingZeros8(m.dead)
+		m.dead &^= 1 << idx
+		e := &m.ops[idx]
 		pv := e.panicVal
-		part := m.part
-		key := e.key
-		e.res = Result{}
-		e.panicVal = nil
+		e.res, e.panicVal = Result{}, nil
 		m.live--
-		reaped++
+		t.dead--
 		if pv != nil {
-			t.rt.deliverPanic(PanicInfo{Value: pv, ThreadID: t.id, Partition: part.id, Key: key, Async: false})
+			t.rt.deliverPanic(PanicInfo{Value: pv, ThreadID: t.id, Partition: p.id, Key: e.key, Async: false})
 		}
 	}
-	for i := len(kept); i < len(t.abandoned); i++ {
-		t.abandoned[i] = abandonedRef{}
-	}
-	t.abandoned = kept
-	return reaped
 }

@@ -57,25 +57,36 @@ type opEntry struct {
 	_        [6]byte
 }
 
-// msg is the payload of one delegation slot: a header naming the
-// destination partition plus an inline vector of up to burstSize op
-// entries. The enclosing ring.Slot's toggle carries ownership of the whole
-// burst: the sender fills entries [0, n) and publishes once, the server
-// executes them in order and releases once. n, live and tracked are
-// sender-private outside the published window (n is read by the server
-// between Publish and Release; the others are never server-touched). The trailing pad keeps ring.Slot[msg] a whole number of
-// strides so neighbouring slots never false-share (asserted below).
+// msg is the payload of one delegation slot: a header plus an inline vector
+// of up to burstSize op entries. The enclosing ring.Slot's toggle carries
+// ownership of the whole burst: the sender fills entries [0, n) and publishes
+// once, the server executes them in order and releases once. The server reads
+// only n, between Publish and Release; the other header fields are
+// sender-private and may be read and written while the slot is published, so
+// the sender's rings themselves are its record of what it still owes (Drain,
+// reap). The trailing pad keeps ring.Slot[msg] a whole number of strides so
+// neighbouring slots never false-share (asserted below).
 type msg struct {
-	part *Partition // destination partition, for Drain and reapAbandoned
-	n    int32      // entries packed, written by the sender before Publish
+	n int32 // entries packed, written by the sender before Publish
 	// live counts packed synchronous entries whose results have not yet
-	// been consumed (by Completion.finish or the abandoned-slot reap).
-	// Sender-private: every consumer runs on the issuing thread, so the
-	// slot-free check is one plain read instead of a per-entry scan.
-	live    int32
-	tracked bool // sender-private: slot already on the outstanding list
-	ops     [burstSize]opEntry
-	_       [96]byte
+	// been consumed (by Completion.finish or reap). Sender-private: every
+	// consumer runs on the issuing thread, so the slot-free check is one
+	// plain read instead of a per-entry scan.
+	live int32
+	// fire marks a burst carrying a fire-and-forget entry, one the Drain
+	// barrier waits out. Set by fillEntry, cleared at claim.
+	fire bool
+	// dead has bit i set while entry i belongs to a completion given up on
+	// (Completion.abandon): its result is still owed a reap. Clear at claim,
+	// since a slot is claimable only once its dead entries are reaped.
+	dead uint8
+	// The header is padded to 24 bytes. Entries then start where each one's
+	// 16-byte panicVal begins a cache line; at offset 16 it straddles two, and
+	// a synchronous round trip measured 4–5 % slower
+	// (BenchmarkDelegation/sync, BenchmarkDelegationIdleSenders/idle0).
+	_   [8]byte
+	ops [burstSize]opEntry
+	_   [96]byte
 }
 
 // slot and dring are the runtime's instantiations of the shared transport.
@@ -98,9 +109,10 @@ const _ = -(unsafe.Sizeof(slot{}) % ring.Stride)
 // Exact-size pins, both directions: a burst entry is exactly one stride —
 // the unit the packing analysis counts coherence transfers in — and the
 // delegation slot is exactly burstSize entry strides plus one for the
-// header/toggle/pad, so a record change that silently grows (or shrinks)
-// either layout fails the build rather than quietly changing ring cache
-// traffic. Either constant goes negative (uintptr overflow) when a size
+// header/toggle/pad, and the entries start at offset 24 (see msg), so a
+// record change that silently grows (or shrinks) either layout or moves the
+// entries fails the build rather than quietly changing ring cache traffic.
+// Either constant of a pair goes negative (uintptr overflow) when a figure
 // moves off its pin.
 const (
 	_ = ring.Stride - unsafe.Sizeof(opEntry{})
@@ -108,6 +120,9 @@ const (
 
 	_ = (burstSize+1)*ring.Stride - unsafe.Sizeof(slot{})
 	_ = unsafe.Sizeof(slot{}) - (burstSize+1)*ring.Stride
+
+	_ = unsafe.Offsetof(msg{}.ops) - 24
+	_ = 24 - unsafe.Offsetof(msg{}.ops)
 )
 
 // newRing builds a delegation ring. Fresh slots are sender-owned with no

@@ -232,8 +232,8 @@ func TestRemoteExecuteSyncZeroAlloc(t *testing.T) {
 
 // TestPackedAsyncZeroAlloc pins the packed send path: a full burst of
 // remote fire-and-forget operations plus the Drain barrier — pack, claim,
-// publish, doorbell, await, reap — allocates nothing once the outstanding
-// list has warmed up.
+// publish, doorbell, await, reap — allocates nothing. Drain reads what it
+// owes off the thread's rings, so no list grows with the bursts.
 func TestPackedAsyncZeroAlloc(t *testing.T) {
 	rt := twoPartRuntime(t, DefaultRingDepth)
 	stop := startServer(t, rt, 1)
@@ -440,16 +440,11 @@ func BenchmarkDelegation(b *testing.B) {
 	})
 }
 
-// TestDrainCoversBurstOpenDuringCompaction reproduces the outstanding-list
-// compaction hazard: with async-only traffic every burst's first entry notes
-// the freshly claimed slot, so the 32nd burst's claim-path note lands exactly
-// when len == cap == 32 and triggers compactOutstanding while the slot is
-// still unpublished. Compaction must recognize it as the open burst and keep
-// it — dropping it silently removes the trailing burst from the Drain
-// barrier and its fire-and-forget ops execute after Drain returns. The
-// destination locality has a registered but never-serving worker, so the
-// bursts execute only through Drain's own stall escalation: a concurrent
-// server cannot mask a dropped slot.
+// TestDrainCoversBurstOpenDuringCompaction sends 32 bursts of fire-and-forget
+// operations toward a locality whose one worker never serves and checks that
+// Drain waits out every one of them, the newest included. The bursts execute only through Drain's own stall escalation, so a
+// concurrent server cannot mask a missed slot. (The name recalls a compaction
+// hazard of a since-deleted list of owed slots.)
 func TestDrainCoversBurstOpenDuringCompaction(t *testing.T) {
 	t.Parallel()
 	rt := twoPartRuntime(t, 64)

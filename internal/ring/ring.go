@@ -195,17 +195,19 @@ func (r *Ring[T]) Slot(i int) *Slot[T] { return &r.slots[i] }
 //dps:domain=sender
 func (r *Ring[T]) SendSlot() *Slot[T] { return &r.slots[r.sendIdx] }
 
-// LastSent returns the slot before the send cursor: the newest slot the
-// sender has advanced past. The receive side drains in FIFO order, so while
-// it is not pending no earlier slot is either. Sender-side only.
+// Sent returns the slot i places before the send cursor, 0 <= i < Depth:
+// Sent(0) is the newest slot the sender has advanced past. The receive side
+// drains in FIFO order, so while a slot is not pending no earlier slot is
+// either. Sender-side only.
 //
 //dps:noalloc via ExecuteSync
 //dps:domain=sender
-func (r *Ring[T]) LastSent() *Slot[T] {
-	if r.sendIdx == 0 {
-		return &r.slots[len(r.slots)-1]
+func (r *Ring[T]) Sent(i int) *Slot[T] {
+	j := r.sendIdx - 1 - i
+	if j < 0 {
+		j += len(r.slots)
 	}
-	return &r.slots[r.sendIdx-1]
+	return &r.slots[j]
 }
 
 // AdvanceSend moves the send cursor past the slot SendSlot returned.

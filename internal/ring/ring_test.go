@@ -100,6 +100,23 @@ func TestSendSeesRingFull(t *testing.T) {
 	}
 }
 
+// TestSentCountsBackFromCursor: Sent(i) is the slot i sends before the
+// newest, across the wrap of the send cursor.
+func TestSentCountsBackFromCursor(t *testing.T) {
+	t.Parallel()
+	const depth = 4
+	r := New[payload](depth)
+	for n := 1; n <= 2*depth; n++ {
+		r.SendSlot().Payload().seq = uint64(n)
+		r.AdvanceSend()
+		for i := 0; i < min(n, depth); i++ {
+			if got := r.Sent(i).Payload().seq; got != uint64(n-i) {
+				t.Fatalf("after %d sends: Sent(%d) carries send %d, want %d", n, i, got, n-i)
+			}
+		}
+	}
+}
+
 // TestDrainBatchBound: Drain must stop at the batch bound and resume where
 // it left off on the next claim.
 func TestDrainBatchBound(t *testing.T) {
