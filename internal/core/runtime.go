@@ -51,12 +51,6 @@ const (
 	// to return the server to its own completion polls (and to other
 	// senders' rings) soon, large enough to amortize the claim.
 	DefaultServeBatch = ring.DefaultBatch
-	// DefaultArenaBufs is the payload-arena pool size of every partition
-	// this process owns.
-	DefaultArenaBufs = 64
-	// DefaultArenaBufBytes is the payload-arena buffer capacity. Payloads
-	// larger than this take the GC-heap path.
-	DefaultArenaBufBytes = 2048
 )
 
 // ErrClosed is returned by operations on a closed runtime. It is the same
@@ -232,12 +226,6 @@ type Partition struct {
 	parked  *ring.ParkSet
 	idle    atomic.Int32
 
-	// arena is the locality-owned payload pool: delegated payloads too
-	// large for the inline burst entry are copied into arena buffers
-	// owned by the destination partition instead of crossing localities
-	// via the shared GC heap. Nil for a peer-owned partition.
-	arena *payloadArena
-
 	// peer is non-nil when the partition is owned by a peer process
 	// (Config.Peers): no local shard, no rings, no doorbell — operations
 	// route over the wire via the peer link at peerIdx. The in-process
@@ -366,7 +354,6 @@ func New(cfg Config) (*Runtime, error) {
 		p.rings = make([]atomic.Pointer[dring], cfg.MaxThreads)
 		p.bell = ring.NewDoorbell(cfg.MaxThreads)
 		p.parked = ring.NewParkSet(cfg.MaxThreads)
-		p.arena = newPayloadArena(p)
 	}
 	// Init runs after all partitions exist so initializers may inspect
 	// sibling partitions (e.g. to share configuration). Remote partitions

@@ -260,11 +260,6 @@ func (t *Thread) execInline(p *Partition, key uint64, op Op, args Args, counter 
 	t.inline = args
 	res := t.runLocal(p, key, op, &t.inline)
 	t.rt.rec.Observe(t.id, obs.HistLocalExec, t.rt.rec.Since(start))
-	// An arena payload reaches the inline path when its destination is
-	// unattended at issue (AcquirePayload leaves out only a destination
-	// without workers); without the serve path to release it, the buffer is
-	// returned here.
-	releasePayload(&t.inline)
 	// The record outlives the call; the caller's reference argument must not.
 	t.inline.P = nil
 	return res
@@ -293,9 +288,8 @@ func (t *Thread) runLocal(p *Partition, key uint64, op Op, args *Args) Result {
 // open burst of its ring to p, the send is counted and traced, and c is
 // pending. If the operation was never staged (an unregistered op or a
 // closed link toward a peer; shutdown or the deadline while the ring was
-// full), c is done with that error as its result, an arena payload the
-// operation carried is back in its pool, and a fire-and-forget drop shows
-// in the Abandoned counter.
+// full), c is done with that error as its result, and a fire-and-forget
+// drop shows in the Abandoned counter.
 //
 // issue does not publish: the operation sits in an open burst until a
 // flush point. fire marks a fire-and-forget operation, whose burst the Drain
@@ -338,7 +332,6 @@ func (t *Thread) issue(c *Completion, p *Partition, key uint64, op Op, args Args
 		t.rt.rec.Add(t.id, p.id, obs.RemoteSend, 1)
 	}
 	if err != nil {
-		releasePayload(&args)
 		if fire {
 			t.rt.rec.Add(t.id, p.id, obs.Abandoned, 1)
 		}
@@ -422,7 +415,9 @@ func (t *Thread) ExecuteSync(key uint64, op Op, args Args) Result {
 // Drain as the barrier before depending on completion; on a ring nothing is
 // recorded for it beside the slot, whose header marks the burst as one Drain
 // waits out. Its ring-full wait has no deadline: there is no Result to carry
-// ErrTimeout.
+// ErrTimeout. What args.P references, a []byte payload say, belongs to the
+// runtime until the operation has run: the caller must not modify it before
+// Drain returns.
 //
 //dps:noalloc
 //dps:domain=sender
@@ -897,7 +892,6 @@ func (t *Thread) executeMessage(p *Partition, s *slot) int {
 		d := t.rt.rec.Since(start)
 		pv := e.panicVal
 		e.op = nil
-		releasePayload(&e.args)
 		e.args.P = nil
 		if fire {
 			// Nobody will read a fire-and-forget result: drop its

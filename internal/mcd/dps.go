@@ -168,14 +168,10 @@ func opGet(p *core.Partition, key uint64, _ *core.Args) core.Result {
 }
 
 func opSet(p *core.Partition, key uint64, args *core.Args) core.Result {
-	// PayloadBytes accepts all three payload encodings: an arena buffer
-	// (in-process delegation through AcquirePayload), a plain []byte (the
-	// heap fallback), and nil — a zero-length value arrives from the wire
-	// tier with args.P unset (the frame cannot distinguish nil from
-	// empty, and the cache stores both as empty). Stock/ParSec Set copies
-	// the value into its own slab, so an arena buffer is not retained
-	// past the op's return — the arena contract.
-	val := core.PayloadBytes(args.P)
+	// A zero-length value arrives from the wire tier with args.P unset (the
+	// frame cannot distinguish nil from empty, and the cache stores both as
+	// empty). Stock/ParSec Set copies the value into its own slab.
+	val, _ := args.P.([]byte)
 	if err := p.Data().(Cache).Set(key, val); err != nil {
 		return core.Result{Err: err}
 	}
@@ -277,24 +273,10 @@ func valOK(res core.Result) ([]byte, bool) {
 	return res.P.([]byte), true
 }
 
-// payload stages val for delegation to key's owner: copied into an arena
-// buffer of the destination locality when one is available (the buffer
-// pointer rides Args.P without allocating, and the serving side returns
-// it to the pool after opSet copies into the shard), otherwise the value
-// itself — the heap path, where boxing the slice header allocates. Local,
-// peer-owned, and oversized destinations always take the value path.
-func (h *DPSHandle) payload(key uint64, val []byte) any {
-	if b := h.t.AcquirePayload(key, len(val)); b != nil {
-		copy(b.Bytes(), val)
-		return b
-	}
-	return val
-}
-
 // Set stores key->val and waits for the result (synchronous delegation).
 func (h *DPSHandle) Set(key uint64, val []byte) error {
 	defer h.t.Idle()
-	return h.t.ExecuteSync(key, opSet, core.Args{P: h.payload(key, val)}).Err
+	return h.t.ExecuteSync(key, opSet, core.Args{P: val}).Err
 }
 
 // SetAsync stores key->val asynchronously (fire-and-forget delegation).
@@ -303,10 +285,11 @@ func (h *DPSHandle) Set(key uint64, val []byte) error {
 // asynchronous sets (cache full, oversized value) are dropped; use Set when
 // the caller must observe them. Flush publishes buffered sets, Drain awaits
 // them. The set may stay buffered past the call, which consecutive sets to
-// the same partition pack beside.
+// the same partition pack beside; val is the runtime's until the set has
+// run, so the caller must not modify it before Drain returns.
 func (h *DPSHandle) SetAsync(key uint64, val []byte) {
 	defer h.t.Idle()
-	h.t.ExecuteAsync(key, opSet, core.Args{P: h.payload(key, val)})
+	h.t.ExecuteAsync(key, opSet, core.Args{P: val})
 }
 
 // Flush publishes this handle's buffered asynchronous sets without waiting

@@ -62,7 +62,9 @@ type Session interface {
 	// SetAsync stores key->val without waiting for completion. Ordering to
 	// the same key from this session is preserved (read-your-writes holds
 	// for this session's later Gets); errors are dropped. Flush publishes
-	// pending asynchronous sets, Drain awaits them.
+	// pending asynchronous sets, Drain awaits them. A store may hold val
+	// until the set has run: the caller must not modify it before Drain
+	// returns.
 	SetAsync(key uint64, val []byte)
 	// Delete removes key, reporting whether it was present.
 	Delete(key uint64) (bool, error)

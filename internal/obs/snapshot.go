@@ -88,13 +88,11 @@ type Totals struct {
 	// operation toward a locality whose every thread is parked wakes none:
 	// it runs on its sender (UnattendedExecs).
 	Wakes uint64
-	// ArenaAcquires counts delegated payloads placed in the destination
-	// locality's arena pool instead of the shared GC heap.
-	ArenaAcquires uint64
-	// ArenaFallbacks counts payloads that wanted an arena buffer but fell
-	// back to the heap (pool empty or payload oversized). A high ratio to
-	// ArenaAcquires means core.DefaultArenaBufs is undersized for the
-	// in-flight window.
+	// ArenaAcquires and ArenaFallbacks counted the payloads that did and
+	// did not find a buffer in a per-locality payload arena. The arenas are
+	// gone and nothing counts these any more; they stay, always 0, because
+	// the benchmark's mcd.arena_fallback_share reads them.
+	ArenaAcquires  uint64
 	ArenaFallbacks uint64
 	// UnattendedExecs counts operations toward another locality that ran
 	// inline on their sender at issue, because every thread there was
