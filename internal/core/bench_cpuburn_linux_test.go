@@ -80,12 +80,13 @@ func BenchmarkIdleCPUBurn(b *testing.B) {
 
 			wall0 := time.Now()
 			cpu0 := processCPUMillis(b)
+			report := reportPaths(b, rt)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				time.Sleep(5 * time.Millisecond)
 			}
-			b.StopTimer()
+			report()
 			cpu := processCPUMillis(b) - cpu0
 			if wall := time.Since(wall0).Seconds(); wall > 0 {
 				b.ReportMetric(cpu/wall, "cpu-ms/s")

@@ -75,12 +75,13 @@ func BenchmarkDelegationIdleSenders(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			report := reportPaths(b, rt)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				th.ExecuteSync(1000+uint64(i)%7, opNop, Args{U: [4]uint64{uint64(i)}})
 			}
-			b.StopTimer()
+			report()
 			th.Unregister()
 			stopped.Store(true)
 			wg.Wait()
@@ -100,12 +101,13 @@ func BenchmarkServePassIdle(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			report := reportPaths(b, rt)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				th.Serve()
 			}
-			b.StopTimer()
+			report()
 			th.Unregister()
 		})
 	}

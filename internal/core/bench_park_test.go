@@ -127,6 +127,7 @@ func BenchmarkIdleWakeLatency(b *testing.B) {
 			th.ExecuteSync(1000+i%7, opNop, Args{U: [4]uint64{i}})
 		}
 		var inOp time.Duration
+		report := reportPaths(b, th.Runtime())
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -137,7 +138,7 @@ func BenchmarkIdleWakeLatency(b *testing.B) {
 			th.ExecuteSync(1000+uint64(i)%7, opNop, Args{U: [4]uint64{uint64(i)}})
 			inOp += time.Since(t0)
 		}
-		b.StopTimer()
+		report()
 		b.ReportMetric(float64(inOp.Nanoseconds())/float64(b.N), "wake-ns/op")
 	}
 	b.Run("hot", func(b *testing.B) { run(b, 0) })
@@ -160,11 +161,12 @@ func BenchmarkDelegationArenaPayload(b *testing.B) {
 			th.ExecuteSync(1000+i%7, opPayloadSum, Args{P: payload})
 		}
 		b.SetBytes(int64(len(payload)))
+		report := reportPaths(b, th.Runtime())
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			th.ExecuteSync(1000+uint64(i)%7, opPayloadSum, Args{P: payload})
 		}
-		b.StopTimer()
+		report()
 	})
 }

@@ -123,17 +123,15 @@ type wireRef struct {
 	p   *Partition
 }
 
-// stageRemote stages one operation toward peer-owned partition p on the
-// thread's link to that peer — issue's stage step for the wire tier, as
-// pack is for the rings — flushing any open burst on a different link first
-// (one open wire burst per thread, mirroring the one open ring burst). A
-// burst spans the peer's partitions: an operation toward another partition
-// of the same peer joins the open frame, as the frame crosses to a process,
-// not to a partition. The
-// staged bytes are copied immediately; args may be reused when stageRemote
-// returns. A fire-and-forget token joins the Drain barrier: completion
-// frames (even for fire ops) are how the sender learns the peer consumed
-// the burst.
+// stageRemote stages one operation toward peer-owned partition p into the
+// open frame of the thread's link to that peer — issue's stage step for the
+// wire tier, as pack is for the rings. Each link keeps its own open frame, as
+// each ring keeps its own open slot: the link publishes a full frame, and
+// flushOpen the rest where the thread waits. A frame spans the peer's
+// partitions, as it crosses to a process, not to a partition. The staged
+// bytes are copied immediately; args may be reused when stageRemote returns.
+// A fire-and-forget token joins the Drain barrier: completion frames (even
+// for fire ops) are how the sender learns the peer consumed the burst.
 //
 //dps:noalloc via ExecuteSync
 func (t *Thread) stageRemote(p *Partition, key uint64, op Op, args *Args, fire bool) (wire.Tok, error) {
@@ -147,11 +145,7 @@ func (t *Thread) stageRemote(p *Partition, key uint64, op Op, args *Args, fire b
 			return wire.Tok{}, ErrRemoteArgs
 		}
 	}
-	l := t.links[p.peerIdx]
-	if t.wopen != nil && t.wopen != l {
-		t.wopen.Flush()
-	}
-	tok, err := l.Stage(ring.StagedOp{
+	tok, err := t.links[p.peerIdx].Stage(ring.StagedOp{
 		Part: p.id,
 		Code: code,
 		Key:  key,
@@ -160,10 +154,9 @@ func (t *Thread) stageRemote(p *Partition, key uint64, op Op, args *Args, fire b
 		Fire: fire,
 	})
 	if err != nil {
-		t.wopen = nil
 		return wire.Tok{}, err
 	}
-	t.wopen = l
+	t.listOpen(p)
 	t.rt.rec.Add(t.id, p.id, obs.RemoteOps, 1)
 	t.rt.rec.Add(t.id, p.id, obs.RemoteBytes, uint64(wire.ReqOpFixed+len(data)))
 	if fire {
@@ -176,28 +169,18 @@ func (t *Thread) stageRemote(p *Partition, key uint64, op Op, args *Args, fire b
 	return tok, nil
 }
 
-// flushWire publishes the thread's open wire burst, if any.
-//
-//dps:noalloc via ExecuteSync
-func (t *Thread) flushWire() {
-	l := t.wopen
-	t.wopen = nil
-	if l != nil {
-		l.Flush()
-	}
-}
-
 // wireDrainHighWater bounds the outstanding wire-token list: past it the
 // sender collects completions before staging more, the wire tier's
 // back-pressure (the analogue of the ring-full wait).
 const wireDrainHighWater = 4 * wire.MaxBurst
 
-// drainWire awaits every outstanding wire token. The barrier never wedges
+// drainWire publishes every open burst and awaits every outstanding wire
+// token. The barrier never wedges
 // on a dead peer: a closed link resolves its tokens with errors, the bound
 // on every wait for a peer process ends the rest, and the list is finite. A
 // token given up on counts as Abandoned.
 func (t *Thread) drainWire() {
-	t.flushWire()
+	t.flushOpen()
 	for i := range t.woutstanding {
 		r := &t.woutstanding[i]
 		if !t.awaitServed(r.p, target{tok: r.tok}) {

@@ -419,6 +419,7 @@ func BenchmarkPeerAsyncStream(b *testing.B) {
 	client, th := startCluster(b, nil)
 	args := Args{P: make([]byte, 128)}
 	before := client.PeerStats(0).FramesSent
+	report := reportPaths(b, client)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
@@ -428,7 +429,7 @@ func BenchmarkPeerAsyncStream(b *testing.B) {
 		}
 	}
 	th.Drain()
-	b.StopTimer()
+	report()
 	b.ReportMetric(float64(client.PeerStats(0).FramesSent-before)/float64(b.N), "frames/op")
 }
 

@@ -485,6 +485,7 @@ func (rt *Runtime) registerLocked(loc int) (*Thread, error) {
 		locality: loc,
 		smr:      smrTh,
 		chaos:    rt.chaos,
+		opened:   make([]*Partition, 0, len(rt.parts)),
 	}
 	// Create this thread's rings (one per cross-locality partition),
 	// allocated on first registration of the thread id and reused across

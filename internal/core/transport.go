@@ -80,6 +80,10 @@ type msg struct {
 	// (Completion.abandon): its result is still owed a reap. Clear at claim,
 	// since a slot is claimable only once its dead entries are reaped.
 	dead uint8
+	// open marks the ring's open burst: its newest claimed slot, not yet
+	// published, which the sender's next operations toward the partition
+	// join. Set at claim (Thread.pack), cleared at publish.
+	open bool
 	// The header is padded to 24 bytes. Entries then start where each one's
 	// 16-byte panicVal begins a cache line; at offset 16 it straddles two, and
 	// a synchronous round trip measured 4–5 % slower

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"dps/internal/wire"
 )
 
 // Tests for the ring-transport rewiring: wraparound at minimal depth,
@@ -368,6 +370,22 @@ func TestMixedBurstCompletions(t *testing.T) {
 	}
 }
 
+// reportPaths starts counting the paths rt's operations take, and the
+// returned func stops b's timer and reports them per operation of b: ring
+// sends, synchronous and fire-and-forget (remote/op), and operations run
+// inline on their sender toward another locality (inline/op, UnattendedExecs).
+// Every benchmark of the package reports both, so a row that never crosses a
+// ring shows it.
+func reportPaths(b *testing.B, rt *Runtime) func() {
+	before := rt.Metrics().Totals
+	return func() {
+		b.StopTimer()
+		after, n := rt.Metrics().Totals, float64(b.N)
+		b.ReportMetric(float64(after.RemoteSends+after.AsyncSends-before.RemoteSends-before.AsyncSends)/n, "remote/op")
+		b.ReportMetric(float64(after.UnattendedExecs-before.UnattendedExecs)/n, "inline/op")
+	}
+}
+
 // BenchmarkDelegation measures the remote delegation round-trip over the
 // ring transport against a dedicated serving peer (compare with
 // BenchmarkFig3DelegationRoundTrip at the repo root, which serves from
@@ -405,10 +423,11 @@ func BenchmarkDelegation(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		report := reportPaths(b, rt)
 		b.ReportAllocs()
 		b.ResetTimer()
 		body(b, th)
-		b.StopTimer()
+		report()
 		th.Unregister()
 		stopped.Store(true)
 		wg.Wait()
@@ -473,5 +492,62 @@ func TestDrainCoversBurstOpenDuringCompaction(t *testing.T) {
 	}
 	if res.U != n {
 		t.Fatalf("after Drain: counter = %d, want %d (a burst escaped the drain barrier)", res.U, n)
+	}
+}
+
+// TestOpenBurstPerDestination: fire-and-forget operations that alternate
+// between two destinations pack as densely as a stream toward one, because
+// each destination keeps its own open burst, published only when it fills or
+// the thread waits. Alternating between two attended partitions, every slot
+// carries burstSize operations. Alternating between a peer's partition and an
+// attended local one, the peer's n operations ride ⌈n / MaxBurst⌉ frames, and
+// the ring's slots stay full too. Each Drain comes before any ring or the
+// outstanding wire tokens fill, whose waits would publish a partial burst.
+func TestOpenBurstPerDestination(t *testing.T) {
+	const rounds, each = 3, 3 * wire.MaxBurst // operations per destination between Drains
+	for _, tc := range []struct {
+		name string
+		peer bool
+	}{{"ring", false}, {"wire", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var rt *Runtime
+			var th *Thread
+			keys, op := [2]uint64{1000, 2000}, Op(opAdd)
+			if tc.peer {
+				// th is at locality 0; rtHash puts key 1 on partition 1 and
+				// key 2 on partition 2, the peer's.
+				rt, th = startCluster(t, nil)
+				keys, op = [2]uint64{1, 2}, remotePut
+			} else {
+				var err error
+				if rt, err = New(Config{Partitions: 3, NamespaceSize: 3000, Hash: IdentityHash, Init: newCounterInit()}); err != nil {
+					t.Fatal(err)
+				}
+				if th, err = rt.RegisterAt(0); err != nil {
+					t.Fatal(err)
+				}
+				defer th.Unregister()
+				defer startServer(t, rt, 2)()
+			}
+			defer startServer(t, rt, 1)()
+
+			for r := 0; r < rounds; r++ {
+				for i := 0; i < 2*each; i++ {
+					th.ExecuteAsync(keys[i%2], op, Args{U: [4]uint64{1}, P: []byte{byte(i)}})
+				}
+				th.Drain()
+			}
+			ringOps := uint64(rounds * 2 * each)
+			if tc.peer {
+				ringOps /= 2
+				want := uint64(rounds * each / wire.MaxBurst)
+				if frames := rt.PeerStats(0).FramesSent; frames != want {
+					t.Errorf("%d operations toward the peer sent %d frames, want %d", rounds*each, frames, want)
+				}
+			}
+			if bs := rt.Metrics().Bursts; bs.Ops != ringOps || bs.OpsPerSlot() != burstSize {
+				t.Errorf("bursts %v, want %d operations at %d per slot", bs, ringOps, burstSize)
+			}
+		})
 	}
 }

@@ -28,8 +28,9 @@ import (
 //
 // What the wait ends in is the caller's: Completion.await consumes the result
 // or abandons the operation with the loop's error, Drain moves on to the next
-// burst, the ring-full path re-examines its slot. The open burst is flushed
-// once, before the loop — nothing a round does can open another.
+// burst, the ring-full path re-examines its slot. The thread's open bursts
+// are published once, before the loop — nothing a round does can open
+// another.
 //
 // The deadline is one rule: Config.OpTimeout bounds every call that hands
 // its caller a Result — ExecuteSync, ExecuteInto, Completion.Result,

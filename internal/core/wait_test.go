@@ -103,6 +103,7 @@ func BenchmarkPeerSyncRTT(b *testing.B) {
 				threads = append(threads, extra)
 			}
 			args := Args{P: make([]byte, 128)}
+			report := reportPaths(b, client)
 			b.ReportAllocs()
 			b.ResetTimer()
 			var wg sync.WaitGroup
@@ -123,6 +124,7 @@ func BenchmarkPeerSyncRTT(b *testing.B) {
 				}()
 			}
 			wg.Wait()
+			report()
 		})
 	}
 }
