@@ -34,9 +34,10 @@
 // ExecuteLocal (run read-only ops on the caller), ExecutePartition (one
 // partition as a whole), and ExecuteAll (broadcast/range operations with
 // user aggregation). Config.OpTimeout bounds every call that returns a
-// Result. Consecutive same-partition operations from one thread are
-// burst-packed into shared delegation slots; any blocking call (or Flush)
-// publishes the open burst.
+// Result. Same-partition operations from one thread are burst-packed into
+// shared delegation slots, one open burst per destination; a burst is
+// published when it fills, and any blocking call (or Flush) publishes them
+// all.
 package dps
 
 import "dps/internal/core"

@@ -208,8 +208,8 @@ func (h *DPSHandle) Get(key uint64) ([]byte, bool, error) {
 }
 
 // Wave runs ops as gets with all of them in flight at once: every get is
-// issued (consecutive same-partition gets share a burst slot, peer-owned
-// ones a wire frame) before the first is awaited, then the results are
+// issued (gets toward one partition share a burst slot, peer-owned ones a
+// wire frame) before the first is awaited, then the results are
 // collected in request order. At most min(MaxWave, ring depth) gets are in
 // flight — a completion holds its ring slot until collected, so a deeper
 // wave could wait on a slot only this handle can free — and longer op lists
