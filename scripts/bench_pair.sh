@@ -43,7 +43,11 @@
 # every benchmark that allocates on the change but not on the base is listed —
 # except the IdleCPUBurn rows, whose B/op is the whole process's mallocs over
 # a sleep window (one new OS thread lifts it); TestIdleAllocPins holds both of
-# their loops at 0 allocations instead.
+# their loops at 0 allocations instead. A second table gives each row's
+# path per operation, the median over the pairs of what its benchmark reports
+# as remote/op (ring sends) and inline/op (operations run on their sender
+# toward another locality), so a row that never crosses a ring shows it; a
+# side whose benchmarks do not report them reads "-".
 # MICRO=1 is a gate, which `make bench-gate` runs: a row resolved worse or a
 # row whose B/op left 0 makes the exit status 1. WORKLOAD and SECONDS are not
 # used.
@@ -100,11 +104,12 @@ done
 run_micro() {
   (cd "${dir[$1]}/internal/core" && "$tmp/$1.bin" -test.run '^$' -test.benchmem -test.timeout 20m \
     -test.bench 'BenchmarkDelegation|BenchmarkIdle|BenchmarkServePass') 2>&1 |
-    awk -v side="$1" -v pair="$3" -v allocs="$tmp/allocs" '/^Benchmark.* ns\/op/ {
+    awk -v side="$1" -v pair="$3" -v allocs="$tmp/allocs" -v paths="$tmp/paths" '/^Benchmark.* ns\/op/ {
       row = $1; sub(/^Benchmark/, "", row); sub(/-[0-9]+$/, "", row)
       for (i = 2; i < NF; i++) {
         if ($(i + 1) == "ns/op") print row, "ns/op", pair, side, $i
         if ($(i + 1) == "B/op" && $i > 0 && row !~ /^IdleCPUBurn\//) print side, row >>allocs
+        if ($(i + 1) == "remote/op" || $(i + 1) == "inline/op") print row, $(i + 1), side, $i >>paths
       }
     }' >>"$tmp/values"
 }
@@ -125,7 +130,7 @@ run() {
 }
 
 echo "bench-pair: base $base_rev vs change $change_rev; $pairs alternating pairs, $per" >&2
-: >"$tmp/incorrect" >"$tmp/failed" >"$tmp/values" >"$tmp/allocs" >"$tmp/worse"
+: >"$tmp/incorrect" >"$tmp/failed" >"$tmp/values" >"$tmp/allocs" >"$tmp/worse" >"$tmp/paths"
 for i in $(seq 1 "$pairs"); do
   order="base change"
   [ $((i % 2)) -eq 1 ] || order="change base"
@@ -202,6 +207,25 @@ END {
 
 echo
 if [ -n "$micro" ]; then
+  echo "path per operation, median over the pairs (- where a side does not report it):"
+  echo
+  echo "| row | remote/op base | remote/op change | inline/op base | inline/op change |"
+  echo "|---|---|---|---|---|"
+  awk -v rows="$workloads" '
+    function med(s,    a, n, i, j, t) {
+      n = split(s, a, " ")
+      if (n == 0) return "-"
+      for (i = 2; i <= n; i++) { t = a[i]; for (j = i - 1; j >= 1 && a[j] + 0 > t + 0; j--) a[j + 1] = a[j]; a[j + 1] = t }
+      return sprintf("%.4g", n % 2 ? a[(n + 1) / 2] : (a[n / 2] + a[n / 2 + 1]) / 2)
+    }
+    { v[$1, $2, $3] = v[$1, $2, $3] " " $4 }
+    END {
+      n = split(rows, r, " ")
+      for (i = 1; i <= n; i++)
+        printf "| %s | %s | %s | %s | %s |\n", r[i], med(v[r[i], "remote/op", "base"]), med(v[r[i], "remote/op", "change"]),
+          med(v[r[i], "inline/op", "base"]), med(v[r[i], "inline/op", "change"])
+    }' "$tmp/paths"
+  echo
   # A row whose B/op left 0: it allocates on the change and never did on the base.
   left="$(awk '$1 == "base" { base[$2] } $1 == "change" { change[$2] } END { for (r in change) if (!(r in base)) print "  " r }' "$tmp/allocs")"
   status=0
