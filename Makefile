@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check lint loc chaos chaos-peer fuzz bench bench-build bench-compare bench-pair bench-gate serve-smoke peer-smoke
+.PHONY: build test check loc chaos chaos-peer fuzz bench bench-build bench-compare bench-pair bench-gate serve-smoke peer-smoke
 
 build:
 	$(GO) build ./...
@@ -8,7 +8,7 @@ build:
 test:
 	$(GO) test ./...
 
-# check is the pre-PR gate (run by CI): vet, lint and build everything,
+# check is the pre-PR gate (run by CI): vet and build everything,
 # then race-test the delegation transport and the packages built on it —
 # ring (the shared slot/ring primitives), core (the DPS runtime), wire
 # (the peer links), ffwd (the baseline), obs, mcd (the stores) and server (the
@@ -30,16 +30,18 @@ test:
 # TestDrainLeavesHeldCompletion (Drain waits only for fire-and-forget and
 # given-up entries, never a synchronous completion the caller holds) and
 # TestRingFullReapsWithoutDrain (the ring-full path reaps given-up entries on
-# its own). Their interleavings, and so their failures, depend on the host's
-# CPU count (the lock-free skip list hung about one run in sixty on 2 CPUs
-# only).
+# its own), and two tests of the wire tier's ownership rules:
+# TestResolvePublishesResults (a burst's results are written before its state
+# flips to resolved) and TestServerAddrWhileServing (Addr leaves the dedup
+# window to the connections). Their interleavings, and so their failures,
+# depend on the host's CPU count (the lock-free skip list hung about one run
+# in sixty on 2 CPUs only).
 check: bench-build
 	$(GO) vet ./...
-	$(GO) run ./cmd/dpslint
 	$(GO) build ./...
 	$(GO) test -race ./internal/ring/... ./internal/core/... ./internal/obs/... ./internal/ffwd/... ./internal/wire/... ./internal/mcd/... ./internal/server/...
 	$(GO) test -count=20 -cpu 1,2,4 ./internal/skiplist ./internal/dpsds
-	$(GO) test -race -count=20 -cpu 1,2,4 -run '^(TestRescueRaceParkTimeout|TestRescueRaceIdleBorrow|TestHistoryLinearizable|TestRemotePanicCrossesAsError|TestTwoSessionsRace|TestDrainLeavesHeldCompletion|TestRingFullReapsWithoutDrain)$$' ./internal/core ./internal/mcd
+	$(GO) test -race -count=20 -cpu 1,2,4 -run '^(TestRescueRaceParkTimeout|TestRescueRaceIdleBorrow|TestHistoryLinearizable|TestRemotePanicCrossesAsError|TestTwoSessionsRace|TestDrainLeavesHeldCompletion|TestRingFullReapsWithoutDrain|TestResolvePublishesResults|TestServerAddrWhileServing)$$' ./internal/core ./internal/mcd ./internal/wire
 
 # bench-build vets and unit-tests benchmark/, which is a Go module of its own
 # (dps/benchmark, replace dps => ../): the root module's build and tests never
@@ -48,12 +50,6 @@ check: bench-build
 # skips its smoke run; nothing is measured here.
 bench-build:
 	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
-
-# lint runs dpslint, the static checks of the invariants the compiler, go
-# vet and the tests do not catch. DESIGN.md §8 lists its rules and markers.
-# Use `-json` for machine output (CI's problem matcher consumes it).
-lint:
-	$(GO) run ./cmd/dpslint
 
 # loc prints the non-test Go lines of every package outside benchmark/, blank
 # and //-only lines dropped, plus the total: the size ROADMAP.md quotes. See

@@ -144,29 +144,3 @@ func BenchmarkIdleWakeLatency(b *testing.B) {
 	b.Run("hot", func(b *testing.B) { run(b, 0) })
 	b.Run("parked", func(b *testing.B) { run(b, 300*time.Microsecond) })
 }
-
-// BenchmarkDelegationArenaPayload measures a synchronous delegation
-// carrying a 1 KiB []byte payload, boxed into Args.P. Payloads once had a
-// second path through per-locality arenas; the name and its one sub-benchmark,
-// heap, are kept so that bench-gate pairs this row across that change.
-func BenchmarkDelegationArenaPayload(b *testing.B) {
-	payload := make([]byte, 1024)
-	for i := range payload {
-		payload[i] = byte(i)
-	}
-	b.Run("heap", func(b *testing.B) {
-		th, stop := parkedServerRuntime(b, 100*time.Microsecond)
-		defer stop()
-		for i := uint64(0); i < 100; i++ {
-			th.ExecuteSync(1000+i%7, opPayloadSum, Args{P: payload})
-		}
-		b.SetBytes(int64(len(payload)))
-		report := reportPaths(b, th.Runtime())
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			th.ExecuteSync(1000+uint64(i)%7, opPayloadSum, Args{P: payload})
-		}
-		report()
-	})
-}

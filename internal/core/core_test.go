@@ -72,7 +72,7 @@ func newTestRuntime(t testing.TB, parts int) *Runtime {
 // startServer registers a thread at locality loc synchronously (so callers
 // never race with registration) and serves on it from a goroutine until the
 // returned stop function is called.
-func startServer(t *testing.T, rt *Runtime, loc int) (stop func()) {
+func startServer(t testing.TB, rt *Runtime, loc int) (stop func()) {
 	t.Helper()
 	th, err := rt.RegisterAt(loc)
 	if err != nil {

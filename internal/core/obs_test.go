@@ -182,8 +182,7 @@ func TestUseAfterUnregisterPanics(t *testing.T) {
 
 // recordingTracer counts hook invocations.
 type recordingTracer struct {
-	NopTracer
-	sends, serves, completes, ringFulls atomic.Uint64
+	sends, serves, completes, ringFulls, stalls atomic.Uint64
 }
 
 func (tr *recordingTracer) OnSend(tid, part int, key uint64, sync bool) { tr.sends.Add(1) }
@@ -193,7 +192,8 @@ func (tr *recordingTracer) OnServe(tid, part int, key uint64, d time.Duration) {
 func (tr *recordingTracer) OnComplete(tid, part int, key uint64, d time.Duration) {
 	tr.completes.Add(1)
 }
-func (tr *recordingTracer) OnRingFull(tid, part int) { tr.ringFulls.Add(1) }
+func (tr *recordingTracer) OnRingFull(tid, part int)          { tr.ringFulls.Add(1) }
+func (tr *recordingTracer) OnStall(tid, part int, key uint64) { tr.stalls.Add(1) }
 
 func TestTracerHooksFire(t *testing.T) {
 	t.Parallel()
@@ -232,6 +232,46 @@ func TestTracerHooksFire(t *testing.T) {
 	}
 	if got := tr.ringFulls.Load(); got != m.RingFullWaits {
 		t.Errorf("OnRingFull fired %d times, RingFullWaits = %d", got, m.RingFullWaits)
+	}
+}
+
+// TestUnsetTracerFiresNoHook holds every hook site to its tracing guard:
+// without Config.Tracer the runtime calls no hook at all, so a disabled
+// tracer costs one predictable branch per site. A counting tracer is put in
+// behind the unset flag, and one sender drives each hooked event toward a
+// locality whose only thread makes no call: a send, a full one-slot ring, a
+// stall, the stall rescue serving the ring, and a completion.
+func TestUnsetTracerFiresNoHook(t *testing.T) {
+	t.Parallel()
+	rt := twoPartRuntime(t, 1)
+	tr := &recordingTracer{}
+	rt.tracer = tr // rt.tracing stays false
+	th, err := rt.RegisterAt(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer th.Unregister()
+	silent, err := rt.RegisterAt(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Unregister()
+
+	// A full burst is published and fills the ring; the next send waits
+	// for the slot until its stall rescue serves it.
+	for i := 0; i <= burstSize; i++ {
+		th.ExecuteAsync(1000, opAdd, Args{U: [4]uint64{1}})
+	}
+	if res := th.ExecuteSync(1000, opGet, Args{}); res.Err != nil || res.U != burstSize+1 {
+		t.Fatalf("res = (%d, %v), want (%d, nil)", res.U, res.Err, burstSize+1)
+	}
+	m := rt.Metrics().Totals
+	if m.RemoteSends == 0 || m.RingFullWaits == 0 || m.Stalls == 0 || m.Rescued == 0 {
+		t.Fatalf("not every hooked event happened: sends %d, ring-full waits %d, stalls %d, rescued %d",
+			m.RemoteSends, m.RingFullWaits, m.Stalls, m.Rescued)
+	}
+	if n := tr.sends.Load() + tr.serves.Load() + tr.completes.Load() + tr.ringFulls.Load() + tr.stalls.Load(); n != 0 {
+		t.Fatalf("an unset tracer was called %d times", n)
 	}
 }
 

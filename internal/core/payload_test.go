@@ -132,3 +132,32 @@ func TestPayloadRoundTrip(t *testing.T) {
 		}
 	})
 }
+
+// BenchmarkDelegationPayload measures a synchronous delegation carrying a
+// 1 KiB []byte payload, boxed into Args.P, toward a locality whose thread
+// runs a Serve loop, so every operation crosses the ring (remote/op 1) and
+// none runs inline on its sender (inline/op 0).
+func BenchmarkDelegationPayload(b *testing.B) {
+	payload := make([]byte, 1024)
+	for i := range payload {
+		payload[i] = byte(i)
+	}
+	rt := twoPartRuntime(b, DefaultRingDepth)
+	defer startServer(b, rt, 1)()
+	th, err := rt.RegisterAt(0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer th.Unregister()
+	for i := uint64(0); i < 100; i++ {
+		th.ExecuteSync(1000+i%7, opPayloadSum, Args{P: payload})
+	}
+	b.SetBytes(int64(len(payload)))
+	report := reportPaths(b, rt)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		th.ExecuteSync(1000+uint64(i)%7, opPayloadSum, Args{P: payload})
+	}
+	report()
+}

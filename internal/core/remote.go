@@ -63,8 +63,6 @@ type opTable struct {
 // top-level functions, which is why RegisterOp requires them (each
 // closure evaluation mints a fresh funcval, so closures would alias or
 // miss).
-//
-//dps:noalloc
 func fnptr(op Op) uintptr {
 	return *(*uintptr)(unsafe.Pointer(&op))
 }
@@ -99,15 +97,11 @@ func (rt *Runtime) RegisterOp(code uint16, op Op) error {
 }
 
 // opByCode resolves a wire code to its registered op (nil if unknown).
-//
-//dps:noalloc
 func (rt *Runtime) opByCode(code uint16) Op {
 	return rt.optab.Load().byCode[code]
 }
 
 // codeOf resolves an op to its wire code.
-//
-//dps:noalloc
 func (rt *Runtime) codeOf(op Op) (uint16, bool) {
 	c, ok := rt.optab.Load().byPtr[fnptr(op)]
 	return c, ok
@@ -132,8 +126,6 @@ type wireRef struct {
 // bytes are copied immediately; args may be reused when stageRemote returns.
 // A fire-and-forget token joins the Drain barrier: completion frames (even
 // for fire ops) are how the sender learns the peer consumed the burst.
-//
-//dps:noalloc via ExecuteSync
 func (t *Thread) stageRemote(p *Partition, key uint64, op Op, args *Args, fire bool) (wire.Tok, error) {
 	code, ok := t.rt.codeOf(op)
 	if !ok {
@@ -160,7 +152,7 @@ func (t *Thread) stageRemote(p *Partition, key uint64, op Op, args *Args, fire b
 	t.rt.rec.Add(t.id, p.id, obs.RemoteOps, 1)
 	t.rt.rec.Add(t.id, p.id, obs.RemoteBytes, uint64(wire.ReqOpFixed+len(data)))
 	if fire {
-		//dps:alloc-ok amortized growth of the wire outstanding list, bounded by wireDrainHighWater
+		// Amortized growth, bounded by wireDrainHighWater.
 		t.woutstanding = append(t.woutstanding, wireRef{tok: tok, p: p})
 		if len(t.woutstanding) >= wireDrainHighWater {
 			t.drainWire()

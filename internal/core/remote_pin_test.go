@@ -5,10 +5,10 @@ import (
 	"time"
 )
 
-// TestRegistryAllocPins holds the //dps:noalloc markers on the op
-// registry's read side to their meaning: resolving wire codes and
-// function identities on the remote delegation hot path allocates
-// nothing (the copy-on-write table makes lookups plain map reads).
+// TestRegistryAllocPins pins the op registry's read side: resolving wire
+// codes and function identities on the remote delegation hot path
+// allocates nothing (the copy-on-write table makes lookups plain map
+// reads).
 func TestRegistryAllocPins(t *testing.T) {
 	rt, err := New(Config{Partitions: 1})
 	if err != nil {

@@ -239,8 +239,6 @@ type Partition struct {
 // being registered. It is the one statement of when a sender runs an
 // operation toward the locality itself — at issue (Thread.issue), or off its
 // own ring while it waits (Thread.selfServe). Local partitions only.
-//
-//dps:noalloc via ExecuteSync
 func (p *Partition) unattended() bool {
 	return p.parked.Count()+int(p.idle.Load()) >= int(p.workers.Load())
 }
@@ -283,8 +281,6 @@ type Runtime struct {
 	// tracer is never nil (New installs NopTracer), but every hot-path
 	// hook site still tests the tracing flag first so disabled tracing
 	// costs one predictable branch, not an interface call.
-	//
-	//dps:hook guard=tracing
 	tracer  obs.Tracer
 	tracing bool
 

@@ -117,8 +117,6 @@ func (rt *Runtime) stop() {
 // registered threads) or the deadline passes. It runs on its own goroutine
 // so a delegated operation that never returns wedges the sweep, not
 // Shutdown.
-//
-//dps:domain=sweeper
 func (rt *Runtime) shutdownSweep(deadline time.Time, drained *atomic.Int64, done chan<- bool) {
 	quiescent := false
 	defer func() { done <- quiescent }()

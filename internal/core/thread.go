@@ -33,29 +33,21 @@ type Thread struct {
 	// ring or link. flushOpen publishes what each still holds open and
 	// empties the list. Register sizes it to every partition, so it never
 	// grows.
-	//
-	//dps:owned-by=sender
 	opened []*Partition
 
 	// dead counts the entries of the thread's rings marked in their slot's
 	// msg.dead and not yet reaped: synchronous operations whose completion
 	// was given up on, whose slots the server may still hold. Drain scans
 	// its rings for them only while it is non-zero.
-	//
-	//dps:owned-by=sender
 	dead int
 
 	// serveCursor rotates the starting ring of the full-scan pass so a
 	// locality's threads tend to scan different senders first.
-	//
-	//dps:owned-by=sender
 	serveCursor int
 
 	// servePass counts serve passes; every serveFullScanEvery-th pass
 	// ignores the doorbell and scans the whole ring table, so a doorbell
 	// bit lost to a fault delays service instead of wedging it.
-	//
-	//dps:owned-by=sender
 	servePass uint64
 
 	// links[i] is this thread's sender link to peer i (Config.Peers
@@ -65,23 +57,17 @@ type Thread struct {
 
 	// woutstanding tracks wire tokens of fire-and-forget operations
 	// delegated to peers, awaited by the Drain barrier.
-	//
-	//dps:owned-by=sender
 	woutstanding []wireRef
 
 	// parkTimer is the reusable timer backing this thread's park timeouts
 	// (ring.Parker.Park lazily allocates it once, then resets it), so a
 	// steady-state parked waiter allocates nothing.
-	//
-	//dps:owned-by=sender
 	parkTimer *time.Timer
 
 	// inline is the argument record an inline operation runs against: an op
 	// takes its arguments by address and the call is indirect, so a by-value
 	// copy made per call would escape to the heap. Like a burst entry's
 	// arguments it is valid for the duration of one call only.
-	//
-	//dps:owned-by=sender
 	inline Args
 
 	smr *parsec.Thread
@@ -94,8 +80,6 @@ type Thread struct {
 
 	// idle is the thread's Idle mark, counted in its partition's idle until
 	// the next entry point clears it.
-	//
-	//dps:owned-by=sender
 	idle bool
 
 	unregistered bool
@@ -154,8 +138,6 @@ func (t *Thread) Runtime() *Runtime { return t.rt }
 // is not waited for. After Shutdown the waits are skipped (the shutdown sweep
 // already drained or abandoned everything). The Thread must not be used
 // afterwards.
-//
-//dps:domain=sender
 func (t *Thread) Unregister() {
 	if t.unregistered {
 		return
@@ -169,8 +151,6 @@ func (t *Thread) Unregister() {
 }
 
 // partitionFor maps a key to its owning partition.
-//
-//dps:noalloc via ExecuteSync
 func (t *Thread) partitionFor(key uint64) *Partition {
 	return t.rt.parts[t.rt.ns.Lookup(t.rt.cfg.Hash(key))]
 }
@@ -178,8 +158,6 @@ func (t *Thread) partitionFor(key uint64) *Partition {
 // checkLive panics with ErrUnregistered on use-after-Unregister and with
 // ErrClosed on use after Shutdown, the documented misuse paths. Every entry
 // point calls it, so it is also where an Idle mark ends.
-//
-//dps:noalloc via ExecuteSync
 func (t *Thread) checkLive() {
 	if t.unregistered {
 		panic(ErrUnregistered)
@@ -212,9 +190,6 @@ func (t *Thread) checkLive() {
 // each thread it puts back in its pool, so an operation toward a locality
 // whose threads are all parked or between calls runs on its sender without a
 // wake.
-//
-//dps:noalloc via ExecuteSync
-//dps:domain=sender
 func (t *Thread) Idle() {
 	if t.unregistered {
 		panic(ErrUnregistered)
@@ -229,8 +204,6 @@ func (t *Thread) Idle() {
 }
 
 // clearIdle ends the thread's Idle mark, if any.
-//
-//dps:noalloc via ExecuteSync
 func (t *Thread) clearIdle() {
 	if t.idle {
 		t.idle = false
@@ -243,8 +216,6 @@ func (t *Thread) clearIdle() {
 // UnattendedExec for an operation toward another locality) plus a local-exec
 // latency observation. The clock is consulted once, through the obs layer, so
 // disabling timing removes the reads entirely.
-//
-//dps:noalloc via ExecuteSync
 func (t *Thread) execInline(p *Partition, key uint64, op Op, args Args, counter obs.Counter) Result {
 	t.rt.rec.Add(t.id, p.id, counter, 1)
 	start := t.rt.rec.Start()
@@ -259,8 +230,6 @@ func (t *Thread) execInline(p *Partition, key uint64, op Op, args Args, counter 
 // runLocal executes op inline on the calling thread, inside a quiescence
 // read-side section so the op may safely traverse nodes being retired by
 // other threads' ops.
-//
-//dps:noalloc via ExecuteSync
 func (t *Thread) runLocal(p *Partition, key uint64, op Op, args *Args) Result {
 	t.smr.Enter()
 	defer t.smr.Exit()
@@ -290,9 +259,6 @@ func (t *Thread) runLocal(p *Partition, key uint64, op Op, args *Args) Result {
 // operation's deadline, which bounds the ring-full wait (see newWaiter).
 // The argument copy confines args' escape to the peer branch, the only one
 // that needs its address.
-//
-//dps:noalloc via ExecuteSync
-//dps:domain=sender
 func (t *Thread) issue(c *Completion, p *Partition, key uint64, op Op, args Args, fire bool, call *time.Time) {
 	*c = Completion{t: t, p: p, key: key}
 	if p.peer == nil {
@@ -362,9 +328,6 @@ func (t *Thread) issue(c *Completion, p *Partition, key uint64, op Op, args Args
 // the ring-full path for a slot only the thread itself can free. That wait is
 // bounded by Config.OpTimeout, and c then resolves to ErrTimeout with the
 // operation never staged.
-//
-//dps:noalloc
-//dps:domain=sender
 func (t *Thread) ExecuteInto(c *Completion, key uint64, op Op, args Args) {
 	t.checkLive()
 	var call time.Time
@@ -384,9 +347,6 @@ func (t *Thread) ExecuteInto(c *Completion, key uint64, op Op, args Args) {
 // its burst entry until the owning locality releases the slot, so a locality
 // that stays wedged past every timeout eventually exerts ring-full
 // back-pressure on new sends.
-//
-//dps:noalloc
-//dps:domain=sender
 func (t *Thread) ExecuteSync(key uint64, op Op, args Args) Result {
 	t.checkLive()
 	var c Completion
@@ -412,9 +372,6 @@ func (t *Thread) ExecuteSync(key uint64, op Op, args Args) Result {
 // ErrTimeout. What args.P references, a []byte payload say, belongs to the
 // runtime until the operation has run: the caller must not modify it before
 // Drain returns.
-//
-//dps:noalloc
-//dps:domain=sender
 func (t *Thread) ExecuteAsync(key uint64, op Op, args Args) {
 	t.checkLive()
 	var c Completion
@@ -426,9 +383,6 @@ func (t *Thread) ExecuteAsync(key uint64, op Op, args Args) {
 // operations on data-structures whose concurrent implementation already
 // tolerates cross-locality readers. The operation still sees the owning
 // partition's shard.
-//
-//dps:noalloc
-//dps:domain=sender
 func (t *Thread) ExecuteLocal(key uint64, op Op, args Args) Result {
 	t.checkLive()
 	p := t.partitionFor(key)
@@ -444,8 +398,6 @@ func (t *Thread) ExecuteLocal(key uint64, op Op, args Args) Result {
 // routing by key hash. It is used by operations that target a partition as
 // a whole — e.g. the priority-queue dequeue that follows a broadcast findMin
 // (§3.4). The key is passed through to op uninterpreted.
-//
-//dps:domain=sender
 func (t *Thread) ExecutePartition(part int, key uint64, op Op, args Args) Result {
 	t.checkLive()
 	var c Completion
@@ -460,8 +412,6 @@ func (t *Thread) ExecutePartition(part int, key uint64, op Op, args Args) Result
 // whole broadcast. ExecuteAll is not linearizable with respect to concurrent
 // single-key operations: each partition executes its share at an independent
 // point in time.
-//
-//dps:domain=sender
 func (t *Thread) ExecuteAll(op Op, args Args, agg func(results []Result) Result) Result {
 	t.checkLive()
 	parts := t.rt.parts
@@ -496,9 +446,6 @@ func (t *Thread) ExecuteAll(op Op, args Args, agg func(results []Result) Result)
 // only needed when a sender goes quiet without ever blocking — e.g. a
 // producer that issues a few fire-and-forget operations and then leaves
 // the runtime alone.
-//
-//dps:noalloc via ExecuteSync
-//dps:domain=sender
 func (t *Thread) Flush() {
 	t.checkLive()
 	t.flushOpen()
@@ -516,9 +463,6 @@ func (t *Thread) Flush() {
 // newest owed slot covers every earlier one. If the runtime shuts down
 // mid-drain, Drain stops waiting — the shutdown sweep owns the rings from
 // then on.
-//
-//dps:noalloc
-//dps:domain=sender
 func (t *Thread) Drain() {
 	t.checkLive()
 	t.flushOpen()
@@ -544,8 +488,6 @@ func (t *Thread) Drain() {
 // The walk goes back from the newest sent slot and stops at the first that is
 // not pending: rings drain in FIFO order, so nothing older is pending either.
 // Waiting this one slot out waits out every owed slot before it.
-//
-//dps:noalloc via Drain
 func owed(r *dring) *slot {
 	for i := 0; i < r.Depth(); i++ {
 		s := r.Sent(i)
@@ -583,8 +525,6 @@ func (t *Thread) awaitServed(p *Partition, on target) bool {
 // never observes a published slot behind an unpublished one (Drain would stop
 // at the gap and strand it). A burst split by chaos is published before the
 // next claim for the same reason.
-//
-//dps:noalloc via ExecuteSync
 func (t *Thread) pack(p *Partition, key uint64, op Op, args Args, fire bool, call *time.Time) (*slot, int) {
 	s := p.rings[t.id].Load().Sent(0)
 	m := s.Payload()
@@ -610,23 +550,20 @@ func (t *Thread) pack(p *Partition, key uint64, op Op, args Args, fire bool, cal
 
 // listOpen records that p's ring or link holds an open burst, once per ring
 // or link: partitions of one peer share its link.
-//
-//dps:noalloc via ExecuteSync
 func (t *Thread) listOpen(p *Partition) {
 	for _, q := range t.opened {
 		if q == p || (p.peer != nil && q.peer == p.peer) {
 			return
 		}
 	}
-	//dps:alloc-ok Register gives opened a capacity of every partition, and a destination is listed once
+	// Register sizes opened to every partition and a destination is listed
+	// once, so this append never grows it.
 	t.opened = append(t.opened, p)
 }
 
 // caughtUp reports whether every operation the thread sent toward p has run:
 // the newest slot of its ring to p — Sent(0) — is neither pending nor open.
 // Rings drain in FIFO order, so that one slot covers every earlier one.
-//
-//dps:noalloc via ExecuteSync
 func (t *Thread) caughtUp(p *Partition) bool {
 	s := p.rings[t.id].Load().Sent(0)
 	return !s.Pending() && !s.Payload().open
@@ -634,8 +571,6 @@ func (t *Thread) caughtUp(p *Partition) bool {
 
 // fillEntry writes one operation into entry idx of a sender-owned burst. A
 // fire-and-forget entry marks the burst as one the Drain barrier waits out.
-//
-//dps:noalloc via ExecuteSync
 func (t *Thread) fillEntry(m *msg, idx int, key uint64, op Op, args Args, fire bool) {
 	e := &m.ops[idx]
 	e.op = op
@@ -655,8 +590,6 @@ func (t *Thread) fillEntry(m *msg, idx int, key uint64, op Op, args Args, fire b
 // listed ring, and each listed link's open frame. It is the publish step of
 // every point where the thread waits; elsewhere only a full burst is
 // published. No-op when nothing is open.
-//
-//dps:noalloc via ExecuteSync
 func (t *Thread) flushOpen() {
 	for _, p := range t.opened {
 		if p.peer != nil {
@@ -671,9 +604,6 @@ func (t *Thread) flushOpen() {
 // publish transfers s, the open slot of the thread's ring to p, to the server
 // side (all entry writes happen-before) and rings p's doorbell so serving
 // threads find the ring without a full scan.
-//
-//dps:noalloc via ExecuteSync
-//dps:publish
 func (t *Thread) publish(p *Partition, s *slot) {
 	m := s.Payload()
 	m.open = false
@@ -703,8 +633,6 @@ func (t *Thread) publish(p *Partition, s *slot) {
 // spot. The thread waits here, so it publishes every open burst first.
 // Returns nil only if the runtime shuts down — or the calling operation's
 // deadline (call, see newWaiter) expires — while the ring is full.
-//
-//dps:noalloc via ExecuteSync
 func (t *Thread) claimSlot(p *Partition, call *time.Time) *slot {
 	r := p.rings[t.id].Load()
 	s := r.SendSlot()
@@ -749,8 +677,6 @@ func (t *Thread) claimSlot(p *Partition, call *time.Time) *slot {
 // pre-doorbell behaviour, kept as the fallback that finds a ring whose
 // doorbell bit was lost (chaos.DropDoorbell, or a server that died between
 // Collect and drain) without a doorbell.
-//
-//dps:noalloc via ExecuteSync
 func (t *Thread) serve() int {
 	p := t.rt.parts[t.locality]
 	served := 0
@@ -803,8 +729,6 @@ func (t *Thread) serve() int {
 // monopolizing a busy ring: the server returns to polling its own
 // completions (and other senders' rings) every batch of operations,
 // mirroring ffwd's response batching.
-//
-//dps:noalloc via ExecuteSync
 func (t *Thread) drain(p *Partition, idx int, max int, counter obs.Counter) (int, bool) {
 	r := p.rings[idx].Load()
 	if r == nil {
@@ -817,7 +741,8 @@ func (t *Thread) drain(p *Partition, idx int, max int, counter obs.Counter) (int
 		return 0, true
 	}
 	defer r.Unclaim()
-	//dps:alloc-ok the drain callback does not escape Drain; the remote 0-alloc pin proves it stays on the stack
+	// The callback does not escape r.Drain, so it stays on the stack
+	// (TestRemoteExecuteSyncZeroAlloc).
 	n := r.Drain(max, func(s *slot) int {
 		return t.executeMessage(p, s)
 	})
@@ -835,8 +760,6 @@ func (t *Thread) drain(p *Partition, idx int, max int, counter obs.Counter) (int
 // out with no wake suggests a lost doorbell bit, and the forced scan
 // rediscovers the orphaned ring within one park timeout instead of the
 // serveFullScanEvery cadence.
-//
-//dps:noalloc via ExecuteSync
 func (t *Thread) forceFullScan() {
 	t.servePass |= serveFullScanEvery - 1
 }
@@ -849,8 +772,6 @@ func (t *Thread) forceFullScan() {
 // first. A claim held elsewhere is a thread of p serving the ring already. s
 // is nil for a wait on a peer process, which no sender reaches into. It
 // returns the operations executed.
-//
-//dps:noalloc via ExecuteSync
 func (t *Thread) selfServe(p *Partition, s *slot) int {
 	if s == nil || !s.Pending() || !p.unattended() {
 		return 0
@@ -869,9 +790,6 @@ func (t *Thread) selfServe(p *Partition, s *slot) int {
 // thread via Completion.finish; a fire-and-forget panic (which no
 // completion will ever observe) goes to Config.OnPanic; so does a
 // timed-out synchronous request's panic, when its sender reaps the entry.
-//
-//dps:noalloc via ExecuteSync
-//dps:publish
 func (t *Thread) executeMessage(p *Partition, s *slot) int {
 	m := s.Payload()
 	n := int(m.n)
@@ -931,8 +849,6 @@ func (t *Thread) executeMessage(p *Partition, s *slot) int {
 // It implements the liveness interface from §4.4: an application can
 // devote a thread (or a periodic callback) to Serve so delegations
 // complete even when all other locality threads are blocked outside DPS.
-//
-//dps:domain=sender
 func (t *Thread) Serve() int {
 	t.checkLive()
 	t.flushOpen()
@@ -950,8 +866,6 @@ func (t *Thread) Serve() int {
 // CPU between requests and wakes in microseconds when one lands; d only
 // bounds how long a wake lost to a fault can delay service. Like every
 // Thread method it panics with ErrClosed after Shutdown.
-//
-//dps:domain=sender
 func (t *Thread) ServeWait(d time.Duration) int {
 	t.checkLive()
 	t.flushOpen()
@@ -979,9 +893,6 @@ func (t *Thread) ServeWait(d time.Duration) int {
 // ring slot it polls may already have been recycled to a new thread.
 // Completions that finished before Unregister stay readable. After
 // Shutdown a still-pending completion resolves (done) with ErrClosed.
-//
-//dps:noalloc via ExecuteSync
-//dps:domain=sender
 func (c *Completion) Ready() (Result, bool) {
 	if c.done {
 		return c.res, true
@@ -1016,9 +927,6 @@ func (c *Completion) Ready() (Result, bool) {
 // entry is reclaimed by the issuing thread once the server releases the
 // slot. If the runtime is shut down while the operation is pending, the
 // Result's Err is ErrClosed.
-//
-//dps:noalloc
-//dps:domain=sender
 func (c *Completion) Result() Result {
 	var call time.Time
 	return c.await(&call)
@@ -1029,8 +937,6 @@ func (c *Completion) Result() Result {
 // consumes the result or gives the operation up. A completion already done
 // returns at once, and one resolved by the time the open bursts are published
 // never reads the clock.
-//
-//dps:noalloc via ExecuteSync
 func (c *Completion) await(call *time.Time) Result {
 	if c.done {
 		return c.res
@@ -1057,8 +963,6 @@ func (c *Completion) await(call *time.Time) Result {
 // claimable once its last live entry is consumed) — or out of the wire
 // token's burst, marking the token finished — records the send→completion
 // latency, and re-raises any panic captured from the operation.
-//
-//dps:noalloc via ExecuteSync
 func (c *Completion) finish() {
 	var pv any
 	if c.slot != nil {
@@ -1109,8 +1013,6 @@ func (c *Completion) abandon(err error) {
 // step closer to claimable (live reaches zero once every entry is consumed).
 // Each entry is consumed before its panic is delivered, so an OnPanic that
 // panics leaves the slot consistent.
-//
-//dps:noalloc via ExecuteSync
 func (t *Thread) reap(p *Partition, s *slot) {
 	m := s.Payload()
 	for m.dead != 0 {

@@ -101,8 +101,6 @@ type (
 
 // free reports whether every packed entry's result has been consumed, i.e.
 // the released slot may be claimed for a new burst. Sender-side only.
-//
-//dps:noalloc via ExecuteSync
 func (m *msg) free() bool { return m.live == 0 }
 
 // Compile-time assertion: the padded slot is a whole number of strides. A

@@ -106,8 +106,6 @@ type target struct {
 }
 
 // pending reports whether the target is still in the serving side's hands.
-//
-//dps:noalloc via ExecuteSync
 func (g target) pending() bool {
 	if g.slot != nil {
 		return g.slot.Pending()
@@ -170,8 +168,6 @@ func newWaiter(t *Thread, p *Partition, on target, call *time.Time) waiter {
 // — the first after every reset included — and past it on every pause; the
 // deadline is noticed at most waitClockEvery-1 yields late, or the waiter's
 // whole spin budget when that is shorter.
-//
-//dps:noalloc via ExecuteSync
 func (w *waiter) expired() bool {
 	if w.deadline.IsZero() || (w.idle <= w.spin && w.idle%waitClockEvery != 0) {
 		return false
@@ -191,8 +187,6 @@ func (w *waiter) reset() { w.idle, w.parks, w.timeout, w.sampled = 0, 0, 0, fals
 // once on a resolved target themselves, and the ring-full path enters with a
 // released slot it still cannot use, where the round is what observes
 // shutdown and the deadline.
-//
-//dps:noalloc via ExecuteSync
 func (w *waiter) await() error {
 	t := w.t
 	for {
@@ -221,8 +215,6 @@ func (w *waiter) await() error {
 // within the spin budget, then timed parks that double from waitParkMin to
 // waitParkMax, with a stall sample every waitStallParks parks (which cannot
 // trigger in the spin stage).
-//
-//dps:noalloc via ExecuteSync
 func (w *waiter) pause() {
 	w.idle++
 	if w.idle <= w.spin {
@@ -257,8 +249,6 @@ func (w *waiter) pause() {
 // signal and makes the next serve pass a full ring scan, so a dropped
 // doorbell bit is rediscovered within one park timeout instead of the full
 // serveFullScanEvery cadence.
-//
-//dps:noalloc via ExecuteSync
 func (t *Thread) park(on *target, part int, d time.Duration) bool {
 	rt := t.rt
 	myloc := rt.parts[t.locality]
@@ -279,8 +269,6 @@ func (t *Thread) park(on *target, part int, d time.Duration) bool {
 
 // checkStall samples the partition's progress clock and escalates when two
 // consecutive samples match while the target is still pending.
-//
-//dps:noalloc via ExecuteSync
 func (w *waiter) checkStall() {
 	prog := w.t.rt.rec.PartitionProgress(w.p.id)
 	if !w.sampled {
@@ -303,8 +291,6 @@ func (w *waiter) checkStall() {
 // held — possibly by the very thread that is wedged — the waiter simply
 // escalates again next window. On a peer's partition (s is nil there)
 // nothing follows the PeerStalls mark.
-//
-//dps:noalloc via ExecuteSync
 func (t *Thread) stalledOn(p *Partition, s *slot) {
 	stalls := obs.Stalls
 	if p.peer != nil {

@@ -100,15 +100,13 @@ type System struct {
 	bells []*ring.Doorbell
 
 	maxClients int
-	// mu guards the id allocator; Register/Unregister form the registrar
-	// domain.
-	mu sync.Mutex
-	//dps:owned-by=registrar
+	// mu guards the id allocator (nextClient, freeIDs); only Register and
+	// Unregister touch it.
+	mu         sync.Mutex
 	nextClient int
-	//dps:owned-by=registrar
-	freeIDs []int
-	closed  atomic.Bool
-	wg      sync.WaitGroup
+	freeIDs    []int
+	closed     atomic.Bool
+	wg         sync.WaitGroup
 }
 
 // Config parameterizes an ffwd System.
@@ -204,25 +202,21 @@ const serveScanEvery = 64
 // ("a full sweep served nothing after close") and the lost-bit fallback
 // stay exact. After the one-time setup the sweep allocates nothing — the
 // response batch reuses a fixed-capacity buffer.
-//
-//dps:noalloc via CallServer
 func (sys *System) serverLoop(s int) {
 	defer sys.wg.Done()
 	lines := sys.lines[s]
 	shard := sys.shards[s]
 	bell := sys.bells[s]
 	// pendingResp collects executed lines whose toggles are not yet
-	// cleared — the response batch.
-	//dps:alloc-ok one-time setup before the serve loop
+	// cleared — the response batch. It and the two closures below are
+	// allocated once per server, not per operation.
 	pendingResp := make([]*reqLine, 0, sys.batch)
-	//dps:alloc-ok one-time setup; the closure lives for the whole loop
 	flush := func() {
 		for _, l := range pendingResp {
 			l.Release()
 		}
 		pendingResp = pendingResp[:0]
 	}
-	//dps:alloc-ok one-time setup; the closure lives for the whole loop
 	serveLine := func(c int) bool {
 		l := &lines[c]
 		if !l.Pending() {
@@ -232,7 +226,7 @@ func (sys *System) serverLoop(s int) {
 		}
 		q := l.Payload()
 		q.res = runOp(shard, q)
-		//dps:alloc-ok append never exceeds the batch capacity reserved at setup
+		// Never past the batch capacity reserved above: no allocation.
 		pendingResp = append(pendingResp, l)
 		if len(pendingResp) >= sys.batch {
 			flush()
@@ -274,12 +268,10 @@ func (sys *System) serverLoop(s int) {
 
 // runOp executes a request, converting a panic into an error result rather
 // than killing the server thread.
-//
-//dps:noalloc via CallServer
 func runOp(shard any, q *request) (res Result) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			//dps:alloc-ok panic path only; the no-panic fast path stays allocation-free
+			// Panic path only; the no-panic fast path stays allocation-free.
 			res = Result{Err: fmt.Errorf("ffwd: panic in delegated op: %v", rec)}
 		}
 	}()
@@ -294,8 +286,6 @@ type Client struct {
 }
 
 // Register adds a client.
-//
-//dps:domain=registrar
 func (sys *System) Register() (*Client, error) {
 	sys.mu.Lock()
 	defer sys.mu.Unlock()
@@ -321,8 +311,6 @@ func (sys *System) Register() (*Client, error) {
 }
 
 // Unregister releases the client's id.
-//
-//dps:domain=registrar
 func (c *Client) Unregister() {
 	c.sys.mu.Lock()
 	c.sys.freeIDs = append(c.sys.freeIDs, c.id)
@@ -332,8 +320,6 @@ func (c *Client) Unregister() {
 // Call delegates op on key to the owning server and spins until the
 // response arrives (ffwd clients busy-wait; §3.2 of the paper contrasts
 // this with DPS's overlapped waiting).
-//
-//dps:noalloc via CallServer
 func (c *Client) Call(key uint64, op Op, args Args) Result {
 	return c.CallServer(c.sys.ServerFor(key), key, op, args)
 }
@@ -341,9 +327,6 @@ func (c *Client) Call(key uint64, op Op, args Args) Result {
 // CallServer delegates to a specific server, for callers that shard keys
 // themselves (e.g. one-server deployments where clients pre-traverse, as in
 // the paper's linked-list setup).
-//
-//dps:noalloc
-//dps:publish
 func (c *Client) CallServer(s int, key uint64, op Op, args Args) Result {
 	l := &c.sys.lines[s][c.id]
 	q := l.Payload()
@@ -361,7 +344,7 @@ func (c *Client) CallServer(s int, key uint64, op Op, args Args) Result {
 		runtime.Gosched()
 	}
 	res := q.res
-	q.res = Result{} //dps:publish-ok the await loop above re-acquired sender ownership (toggle observed clear)
-	q.args.P = nil   //dps:publish-ok same re-acquired ownership as the line above
+	q.res = Result{} // the line is the client's again: the toggle cleared
+	q.args.P = nil
 	return res
 }

@@ -274,9 +274,8 @@ func BenchmarkFFWDRoundTrip(b *testing.B) {
 // TestCallServerZeroAlloc pins ffwd's request/response round-trip at zero
 // heap allocations per call on both sides: the client publishes into its
 // preallocated line and busy-waits, and the server's sweep reuses its
-// fixed-capacity response batch. The pin is what the //dps:noalloc markers
-// in ffwd.go claim at runtime (dpslint's pinsync check keeps the two in
-// agreement).
+// fixed-capacity response batch. Both entry points are pinned: CallServer
+// and Call, which routes by key first.
 func TestCallServerZeroAlloc(t *testing.T) {
 	sys, err := New(Config{Servers: 1, ShardInit: func(int) any { return mapShard{} }})
 	if err != nil {
@@ -299,6 +298,11 @@ func TestCallServerZeroAlloc(t *testing.T) {
 		c.CallServer(0, 3, nop, Args{})
 	}); n != 0 {
 		t.Errorf("CallServer allocated %.1f objects/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		c.Call(3, nop, Args{})
+	}); n != 0 {
+		t.Errorf("Call allocated %.1f objects/op, want 0", n)
 	}
 }
 

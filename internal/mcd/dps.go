@@ -215,8 +215,6 @@ func (h *DPSHandle) Get(key uint64) ([]byte, bool, error) {
 // wave could wait on a slot only this handle can free — and longer op lists
 // run as consecutive waves. Each issue and each collect is a call of its own
 // under OpTimeout.
-//
-//dps:noalloc
 func (h *DPSHandle) Wave(ops []WaveOp) {
 	defer h.t.Idle()
 	depth := min(MaxWave, h.t.Runtime().RingDepth())
@@ -230,8 +228,6 @@ func (h *DPSHandle) Wave(ops []WaveOp) {
 // issueWave starts every op's get. LocalGets lookups of locally-owned
 // partitions run here, on the calling thread; the returned mask has bit i set
 // for each op answered that way.
-//
-//dps:noalloc via Wave
 func (h *DPSHandle) issueWave(ops []WaveOp) (answered uint16) {
 	rt := h.t.Runtime()
 	for i := range ops {
@@ -248,8 +244,6 @@ func (h *DPSHandle) issueWave(ops []WaveOp) (answered uint16) {
 }
 
 // collectWave awaits the delegated gets in request order.
-//
-//dps:noalloc via Wave
 func (h *DPSHandle) collectWave(ops []WaveOp, answered uint16) {
 	for i := range ops {
 		if answered&(1<<i) != 0 {

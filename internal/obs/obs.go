@@ -211,8 +211,6 @@ type Stamp struct{ t time.Time }
 // Start captures the clock for a latency measurement — the single time
 // source consulted per operation side. With timing disabled it returns the
 // zero Stamp without reading the clock.
-//
-//dps:noalloc via ExecuteSync
 func (r *Recorder) Start() Stamp {
 	if !r.timed {
 		return Stamp{}
@@ -222,8 +220,6 @@ func (r *Recorder) Start() Stamp {
 
 // Since returns the elapsed time from a Start stamp, or 0 with timing
 // disabled (the duration then flows to Tracer hooks as zero).
-//
-//dps:noalloc via ExecuteSync
 func (r *Recorder) Since(s Stamp) time.Duration {
 	if !r.timed {
 		return 0
@@ -232,8 +228,6 @@ func (r *Recorder) Since(s Stamp) time.Duration {
 }
 
 // Add adds n to counter c of thread tid's block for partition part.
-//
-//dps:noalloc
 func (r *Recorder) Add(tid, part int, c Counter, n uint64) {
 	r.blocks[tid*r.parts+part].c[c].Add(n)
 }
@@ -257,8 +251,6 @@ func (r *Recorder) PartitionProgress(part int) uint64 {
 // Observe records one duration into thread tid's shard of histogram h.
 // It is a no-op with timing disabled, keeping histogram counts consistent
 // with the absence of measurements.
-//
-//dps:noalloc
 func (r *Recorder) Observe(tid int, h Hist, d time.Duration) {
 	if !r.timed {
 		return
@@ -281,8 +273,6 @@ func (r *Recorder) Observe(tid int, h Hist, d time.Duration) {
 // n operations. Unlike Observe it is not gated on timing — burst occupancy
 // is a count, not a latency, and the ops/slot ratio is the number the
 // packing optimization is judged by.
-//
-//dps:noalloc
 func (r *Recorder) ObserveBurst(tid, n int) {
 	if n >= BurstBuckets {
 		n = BurstBuckets - 1

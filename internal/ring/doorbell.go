@@ -60,8 +60,6 @@ func (d *Doorbell) Words() int { return len(d.words) }
 // a visible pending slot). The load-test first keeps a sender streaming
 // into an already-advertised ring on a shared cache line instead of
 // re-dirtying the word on every send.
-//
-//dps:noalloc via ExecuteSync
 func (d *Doorbell) Set(i int) {
 	w := &d.words[i>>6].bits
 	bit := uint64(1) << (uint(i) & 63)
@@ -72,8 +70,6 @@ func (d *Doorbell) Set(i int) {
 
 // Collect atomically takes and clears word w's set bits. A zero word is
 // the idle fast path: one shared load, no store, no line invalidation.
-//
-//dps:noalloc via ExecuteSync
 func (d *Doorbell) Collect(w int) uint64 {
 	word := &d.words[w].bits
 	if word.Load() == 0 {
@@ -84,8 +80,6 @@ func (d *Doorbell) Collect(w int) uint64 {
 
 // PopBit pops the lowest set bit from *bitsp (a Collect snapshot of word
 // w) and returns its channel index. Call only with *bitsp != 0.
-//
-//dps:noalloc via ExecuteSync
 func PopBit(w int, bitsp *uint64) int {
 	b := *bitsp
 	i := bits.TrailingZeros64(b)

@@ -72,8 +72,6 @@ func NewParker(n int) *Parker {
 // earlier episode. After Prepare, the waiter must re-check its wake
 // condition before calling Park (or call Cancel if the condition already
 // holds).
-//
-//dps:noalloc via ExecuteSync
 func (p *Parker) Prepare(i int) {
 	s := &p.slots[i]
 	s.state.Store(parkArmed)
@@ -85,8 +83,6 @@ func (p *Parker) Prepare(i int) {
 
 // Cancel disarms slot i after Prepare without blocking. A token delivered
 // in the window stays in the channel and is drained by the next Prepare.
-//
-//dps:noalloc via ExecuteSync
 func (p *Parker) Cancel(i int) {
 	p.slots[i].state.Store(parkIdle)
 }
@@ -98,7 +94,7 @@ func (p *Parker) Cancel(i int) {
 func (p *Parker) Park(i int, timer **time.Timer, d time.Duration) bool {
 	s := &p.slots[i]
 	if *timer == nil {
-		//dps:alloc-ok one timer per thread, allocated on first park (cold)
+		// One timer per thread, allocated on first park (cold).
 		*timer = time.NewTimer(d)
 	} else {
 		(*timer).Reset(d)
@@ -117,8 +113,6 @@ func (p *Parker) Park(i int, timer **time.Timer, d time.Duration) bool {
 // Wake delivers a wake to slot i and reports whether a waiter was armed.
 // When no waiter is armed this is one load — the cost a busy runtime pays
 // for having the park path at all.
-//
-//dps:noalloc via ExecuteSync
 func (p *Parker) Wake(i int) bool {
 	s := &p.slots[i]
 	if s.state.Load() != parkArmed {
@@ -157,8 +151,6 @@ func NewParkSet(n int) *ParkSet {
 
 // Set registers waiter i as parked. The load-test keeps a re-parking
 // waiter off the shared word when its bit survived the previous episode.
-//
-//dps:noalloc via ExecuteSync
 func (s *ParkSet) Set(i int) {
 	w := &s.words[i>>6].bits
 	bit := uint64(1) << (uint(i) & 63)
@@ -168,8 +160,6 @@ func (s *ParkSet) Set(i int) {
 }
 
 // Clear removes waiter i, called by the waiter itself after unparking.
-//
-//dps:noalloc via ExecuteSync
 func (s *ParkSet) Clear(i int) {
 	w := &s.words[i>>6].bits
 	bit := uint64(1) << (uint(i) & 63)
@@ -181,8 +171,6 @@ func (s *ParkSet) Clear(i int) {
 // Pick claims one parked waiter — clearing its bit — and returns its
 // index. The zero-load fast path keeps the no-parked-waiters case (a busy
 // runtime) at one shared read per word.
-//
-//dps:noalloc via ExecuteSync
 func (s *ParkSet) Pick() (int, bool) {
 	for w := range s.words {
 		word := &s.words[w].bits
@@ -202,8 +190,6 @@ func (s *ParkSet) Pick() (int, bool) {
 // Count returns how many waiters are registered as parked: a sender's test
 // of whether any thread of the locality is awake to serve it. Like Pick it
 // reads each word once.
-//
-//dps:noalloc via ExecuteSync
 func (s *ParkSet) Count() int {
 	n := 0
 	for w := range s.words {
@@ -215,8 +201,6 @@ func (s *ParkSet) Count() int {
 // Any reports whether a doorbell has any bit set, without consuming. The
 // parked waiter's pre-block re-check uses it: a set bit means work was
 // published for this locality after its last serve pass.
-//
-//dps:noalloc via ExecuteSync
 func (d *Doorbell) Any() bool {
 	for w := range d.words {
 		if d.words[w].bits.Load() != 0 {

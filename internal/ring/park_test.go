@@ -152,3 +152,20 @@ func TestDoorbellAny(t *testing.T) {
 		t.Fatal("Any() true after Collect cleared the only bit")
 	}
 }
+
+// TestRingAllocPins pins the ring primitives no runtime pin drives at zero
+// allocations: a claim taken with Claim (the end-to-end benchmark's ring
+// probe serves through it) and a park armed and then cancelled, the path
+// of a waiter whose re-check finds its wake condition already true.
+func TestRingAllocPins(t *testing.T) {
+	r := New[payload](4)
+	p := NewParker(1)
+	if n := testing.AllocsPerRun(200, func() {
+		r.Claim()
+		r.Unclaim()
+		p.Prepare(0)
+		p.Cancel(0)
+	}); n != 0 {
+		t.Errorf("Claim and a cancelled park allocate %v per round, want 0", n)
+	}
+}

@@ -108,37 +108,25 @@ type Slot[T any] struct {
 	val T
 	// toggle is the ownership word: storing it publishes every preceding
 	// payload write to the other side.
-	//
-	//dps:publishes
 	toggle atomic.Uint32
 }
 
 // Payload returns the slot's payload. The caller must own the slot per the
 // toggle protocol (sender before Publish, server between Pending and
 // Release); the pointer is stable for the slot's lifetime.
-//
-//dps:noalloc via ExecuteSync
 func (s *Slot[T]) Payload() *T { return &s.val }
 
 // Pending reports whether the server side owns the slot (toggle set). The
 // atomic load acquires the owner's preceding payload writes.
-//
-//dps:noalloc via ExecuteSync
 func (s *Slot[T]) Pending() bool { return s.toggle.Load() == 1 }
 
 // Publish transfers the slot to the server side, releasing the sender's
 // payload writes.
-//
-//dps:noalloc via ExecuteSync
-//dps:publish
 func (s *Slot[T]) Publish() { s.toggle.Store(1) }
 
 // Release transfers the slot back to the sender side, releasing the
 // server's response writes. ffwd batches Releases to amortize response
 // coherence traffic; DPS releases per message.
-//
-//dps:noalloc via ExecuteSync
-//dps:publish
 func (s *Slot[T]) Release() { s.toggle.Store(0) }
 
 // Ring is a fixed-depth buffer of slots for one sender/receiver channel.
@@ -158,15 +146,11 @@ type Ring[T any] struct {
 	// sendIdx is the sender's next-slot cursor, padded away from the
 	// receive-side state so the sender's cursor bump never invalidates the
 	// server's line.
-	//
-	//dps:owned-by=sender
 	sendIdx int
 	_       [Stride - 32]byte
 
 	// cursor is the receive-side scan position; read and written only
 	// while claim is held.
-	//
-	//dps:owned-by=server
 	cursor int
 	claim  atomic.Uint32
 
@@ -190,18 +174,12 @@ func (r *Ring[T]) Slot(i int) *Slot[T] { return &r.slots[i] }
 // SendSlot returns the slot at the send cursor. The sender checks
 // availability itself (Pending plus any sender-private reuse condition) and
 // calls AdvanceSend once it decides to use the slot. Sender-side only.
-//
-//dps:noalloc via ExecuteSync
-//dps:domain=sender
 func (r *Ring[T]) SendSlot() *Slot[T] { return &r.slots[r.sendIdx] }
 
 // Sent returns the slot i places before the send cursor, 0 <= i < Depth:
 // Sent(0) is the newest slot the sender has advanced past. The receive side
 // drains in FIFO order, so while a slot is not pending no earlier slot is
 // either. Sender-side only.
-//
-//dps:noalloc via ExecuteSync
-//dps:domain=sender
 func (r *Ring[T]) Sent(i int) *Slot[T] {
 	j := r.sendIdx - 1 - i
 	if j < 0 {
@@ -212,9 +190,6 @@ func (r *Ring[T]) Sent(i int) *Slot[T] {
 
 // AdvanceSend moves the send cursor past the slot SendSlot returned.
 // Sender-side only.
-//
-//dps:noalloc via ExecuteSync
-//dps:domain=sender
 func (r *Ring[T]) AdvanceSend() {
 	r.sendIdx++
 	if r.sendIdx == len(r.slots) {
@@ -230,8 +205,6 @@ func (r *Ring[T]) SetClaimFault(f func() bool) { r.claimFault = f }
 
 // TryClaim attempts to acquire the serve token without blocking. On success
 // the caller owns the receive cursor until Unclaim.
-//
-//dps:noalloc via ExecuteSync
 func (r *Ring[T]) TryClaim() bool {
 	if r.claimFault != nil && r.claimFault() {
 		return false
@@ -243,8 +216,6 @@ func (r *Ring[T]) TryClaim() bool {
 // for a server that must win the ring (the end-to-end benchmark's ring
 // probe; the DPS runtime serves through TryClaim only). The wait is bounded
 // by the claim holder's current drain batch.
-//
-//dps:noalloc via ExecuteSync
 func (r *Ring[T]) Claim() {
 	for !r.claim.CompareAndSwap(0, 1) {
 		runtime.Gosched()
@@ -252,14 +223,9 @@ func (r *Ring[T]) Claim() {
 }
 
 // Unclaim releases the serve token acquired by TryClaim or Claim.
-//
-//dps:noalloc via ExecuteSync
 func (r *Ring[T]) Unclaim() { r.claim.Store(0) }
 
 // Head returns the slot at the receive cursor. Claim must be held.
-//
-//dps:noalloc via ExecuteSync
-//dps:domain=server
 func (r *Ring[T]) Head() *Slot[T] { return &r.slots[r.cursor] }
 
 // Drain serves pending slots from the receive cursor in FIFO order until
@@ -273,9 +239,6 @@ func (r *Ring[T]) Head() *Slot[T] { return &r.slots[r.cursor] }
 // senders pack: the server republishes its own liveness (completion
 // checks, claim hand-off) every max operations, mirroring ffwd's response
 // batching.
-//
-//dps:noalloc via ExecuteSync
-//dps:domain=server
 func (r *Ring[T]) Drain(max int, serve func(*Slot[T]) int) int {
 	served := 0
 	for served < max {
@@ -307,10 +270,10 @@ func (r *Ring[T]) Occupancy() int {
 }
 
 // Compile-time layout asserts on the ring header (the payload-dependent
-// slot-size asserts live with each payload type; dpslint's padcheck rule
-// re-checks them at every instantiation). Both expressions are constants:
-// a non-zero remainder or a negative difference overflows and fails the
-// build.
+// slot-size asserts live with each payload type: core's transport.go,
+// ffwd.go and, for the tests' payload, ring_test.go). Both expressions are
+// constants: a non-zero remainder or a negative difference overflows and
+// fails the build.
 //
 // The receive-side state must start on its own stride so a serve-side
 // cursor/claim update never invalidates the sender's line...

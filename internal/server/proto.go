@@ -74,11 +74,9 @@ func newCommand() *command {
 // parseCommand parses one request line (CRLF already stripped) into cmd.
 // The hot path of the server: it allocates nothing, tokenizing in place and
 // aliasing key tokens into line.
-//
-//dps:noalloc
 func parseCommand(line []byte, cmd *command) error {
 	cmd.op = opNone
-	//dps:alloc-ok reslice to zero length reuses the preallocated backing array
+	// Reslice to zero length reuses the preallocated backing array.
 	cmd.keys = cmd.keys[:0]
 	cmd.flags = 0
 	cmd.exptime = 0
@@ -105,7 +103,7 @@ func parseCommand(line []byte, cmd *command) error {
 			if len(cmd.keys) == maxGetKeys {
 				return errTooManyKeys
 			}
-			//dps:alloc-ok append stays within the cap reserved by newCommand
+			// Append stays within the cap reserved by newCommand.
 			cmd.keys = append(cmd.keys, key)
 		}
 		if len(cmd.keys) == 0 {
@@ -126,7 +124,7 @@ func parseCommand(line []byte, cmd *command) error {
 		if !validKey(key) {
 			return errBadKey
 		}
-		//dps:alloc-ok append stays within the cap reserved by newCommand
+		// Append stays within the cap reserved by newCommand.
 		cmd.keys = append(cmd.keys, key)
 		return parseNoreply(rest, cmd)
 	case tokenIs(name, "stats"):
@@ -146,14 +144,12 @@ func parseCommand(line []byte, cmd *command) error {
 // parseStorage parses the "<key> <flags> <exptime> <bytes> [noreply]" tail
 // shared by set and add. exptime is parsed for wire compatibility but not
 // enforced (the variants evict by memory pressure, not TTL).
-//
-//dps:noalloc via parseCommand
 func parseStorage(rest []byte, cmd *command) error {
 	key, rest := nextToken(rest)
 	if !validKey(key) {
 		return errBadKey
 	}
-	//dps:alloc-ok append stays within the cap reserved by newCommand
+	// Append stays within the cap reserved by newCommand.
 	cmd.keys = append(cmd.keys, key)
 	tok, rest := nextToken(rest)
 	flags, ok := parseUint(tok)
@@ -177,8 +173,6 @@ func parseStorage(rest []byte, cmd *command) error {
 }
 
 // parseNoreply consumes an optional trailing "noreply" token.
-//
-//dps:noalloc via parseCommand
 func parseNoreply(rest []byte, cmd *command) error {
 	tok, rest := nextToken(rest)
 	if tok == nil {
@@ -196,8 +190,6 @@ func parseNoreply(rest []byte, cmd *command) error {
 
 // nextToken splits off the next space-delimited token, skipping leading
 // spaces. A nil token means the line is exhausted.
-//
-//dps:noalloc via parseCommand
 func nextToken(b []byte) (tok, rest []byte) {
 	i := 0
 	for i < len(b) && b[i] == ' ' {
@@ -214,8 +206,6 @@ func nextToken(b []byte) (tok, rest []byte) {
 }
 
 // tokenIs compares a token to a literal without converting either.
-//
-//dps:noalloc via parseCommand
 func tokenIs(tok []byte, lit string) bool {
 	if len(tok) != len(lit) {
 		return false
@@ -230,8 +220,6 @@ func tokenIs(tok []byte, lit string) bool {
 
 // parseUint is a manual base-10 parser ([]byte → uint64 without the
 // string conversion strconv would force).
-//
-//dps:noalloc via parseCommand
 func parseUint(b []byte) (uint64, bool) {
 	if len(b) == 0 || len(b) > 20 {
 		return 0, false
@@ -252,8 +240,6 @@ func parseUint(b []byte) (uint64, bool) {
 
 // validKey enforces the protocol's key rules: 1..250 bytes, no control
 // characters or spaces.
-//
-//dps:noalloc via parseCommand
 func validKey(key []byte) bool {
 	if len(key) == 0 || len(key) > maxKeyLen {
 		return false
@@ -271,8 +257,6 @@ func validKey(key []byte) bool {
 // hashKey maps a protocol key to the uint64 key space (FNV-1a, matching
 // dps.HashBytes). Different protocol keys can collide on one uint64 key, so
 // entries embed the full key and readers verify it (decodeEntry).
-//
-//dps:noalloc
 func hashKey(key []byte) uint64 {
 	h := uint64(14695981039346656037)
 	for _, c := range key {

@@ -121,8 +121,8 @@ func TestEntryCASDeterministic(t *testing.T) {
 	}
 }
 
-// TestParseCommandAllocs is the AllocsPerRun pin backing parseCommand's
-// //dps:noalloc marker (and, via it, the tokenizer helpers).
+// TestParseCommandAllocs pins parseCommand, and through it the tokenizer
+// helpers, at zero allocations per command.
 func TestParseCommandAllocs(t *testing.T) {
 	cmd := newCommand()
 	lines := [][]byte{
@@ -143,7 +143,7 @@ func TestParseCommandAllocs(t *testing.T) {
 	}
 }
 
-// TestHashKeyAllocs pins hashKey's //dps:noalloc marker.
+// TestHashKeyAllocs pins hashKey at zero allocations.
 func TestHashKeyAllocs(t *testing.T) {
 	key := []byte("some-protocol-key")
 	var sink uint64

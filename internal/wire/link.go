@@ -71,8 +71,6 @@ type Pending struct {
 	// state is 0 while in flight and 1 once resolved; done is closed at
 	// resolve time for blocking awaiters. Results are published before
 	// state flips, so a Ready poll that observes state==1 may read res.
-	//
-	//dps:publishes
 	state atomic.Uint32
 	done  chan struct{}
 
@@ -94,8 +92,6 @@ type Pending struct {
 }
 
 // resolve publishes the response frame's results.
-//
-//dps:publish
 func (p *Pending) resolve(f *Frame) {
 	n := int(p.n)
 	if len(f.Resp) < n {
@@ -119,8 +115,6 @@ func (p *Pending) resolve(f *Frame) {
 }
 
 // fail resolves every operation in the burst with err.
-//
-//dps:publish
 func (p *Pending) fail(err error) {
 	for i := range p.res[:p.n] {
 		p.res[i] = ring.Result{Err: err}
@@ -265,11 +259,8 @@ type Link struct {
 	// burst is open. Flush transfers buf's ownership to the completion
 	// record (retransmission may outlive the link's next claim), which
 	// takes a recycled buffer from the connection.
-	//dps:owned-by=sender
-	buf []byte
-	//dps:owned-by=sender
-	n int
-	//dps:owned-by=sender
+	buf  []byte
+	n    int
 	pend *Pending
 
 	// wake/wslot are copied into every burst the link claims (WakeOn).
@@ -299,9 +290,6 @@ func (l *Link) WakeOn(pk *ring.Parker, slot int) { l.wake, l.wslot = pk, slot }
 // Data is copied into the frame immediately; the caller may reuse it when
 // Stage returns. The returned token must be awaited exactly once
 // (fire-and-forget included — that await is the drain barrier).
-//
-//dps:noalloc
-//dps:domain=sender
 func (l *Link) Stage(op ring.StagedOp) (Tok, error) {
 	if l.peer.closed.Load() {
 		return Tok{}, ring.ErrClosed
@@ -347,8 +335,6 @@ func (l *Link) claim() {
 // queued for retransmission — the link was down, or it died under this
 // write — returns nil: its tokens resolve later, and a caller must await
 // them rather than retry, or the op may apply twice.
-//
-//dps:domain=sender
 func (l *Link) Flush() error {
 	if l.pend == nil {
 		return nil
@@ -365,8 +351,6 @@ func (l *Link) Flush() error {
 
 // Close flushes and detaches the link. The underlying peer (shared by
 // all links) is closed by its owner, not here.
-//
-//dps:domain=sender
 func (l *Link) Close() error {
 	return l.Flush()
 }

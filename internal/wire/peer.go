@@ -161,7 +161,7 @@ func (pr *Peer) Stats() obs.PeerMetrics {
 		pending += len(pc.pending)
 		pc.pmu.Unlock()
 		pc.mu.Lock()
-		pending += len(pc.retryq) //dps:owner-ok mu-guarded racy gauge; any goroutine may sample stats
+		pending += len(pc.retryq)
 		pc.mu.Unlock()
 	}
 	return obs.PeerMetrics{
@@ -190,16 +190,11 @@ type pconn struct {
 	c      net.Conn
 	seq    uint32 // monotonic per link, never reset on reconnect
 	dialed bool   // a dial has succeeded at least once (reconnects count from here)
-	// retryq is handed between failing writers and the single active
-	// redialer under mu; accesses outside the redial loop carry owner-ok
-	// suppressions naming the lock.
-	//
-	//dps:owned-by=redialer
+	// retryq is handed between failing writers, publish, shutdown and the
+	// single active redialer; every access holds mu.
 	retryq    []*Pending
 	redialing bool
 	// rng is the redial jitter state; only the active redialer touches it.
-	//
-	//dps:owned-by=redialer
 	rng  uint64
 	free [][]byte // recycled frame buffers for Link.claim
 
@@ -423,16 +418,16 @@ func (pc *pconn) linkDown(c net.Conn, gen uint64) {
 	var failed []*Pending
 	for _, p := range moved {
 		if now.Before(p.deadline) {
-			pc.retryq = append(pc.retryq, p) //dps:owner-ok link teardown runs under pc.mu from whichever goroutine saw the failure first
+			pc.retryq = append(pc.retryq, p)
 		} else {
 			failed = append(failed, p)
 		}
 	}
-	if len(pc.retryq) > 1 { //dps:owner-ok link teardown runs under pc.mu from whichever goroutine saw the failure first
-		q := pc.retryq //dps:owner-ok same pc.mu critical section as above
+	if len(pc.retryq) > 1 {
+		q := pc.retryq
 		sort.Slice(q, func(i, j int) bool { return q[i].seq < q[j].seq })
 	}
-	if len(pc.retryq) > 0 && !pc.redialing && !pc.peer.closed.Load() { //dps:owner-ok same pc.mu critical section as above
+	if len(pc.retryq) > 0 && !pc.redialing && !pc.peer.closed.Load() {
 		pc.redialing = true
 		go pc.redial()
 	}
@@ -446,8 +441,6 @@ func (pc *pconn) linkDown(c net.Conn, gen uint64) {
 // redialer runs per pconn (the redialing flag, under mu). Its backoff
 // ladder is the link's only dial pacing: a peer that stays dark is dialed
 // once per capped step, however long the outage lasts.
-//
-//dps:domain=redialer
 func (pc *pconn) redial() {
 	backoff := retryBackoff
 	for {
@@ -584,8 +577,8 @@ func (pc *pconn) shutdown(err error) {
 	pc.mu.Lock()
 	c := pc.c
 	pc.c = nil
-	q := pc.retryq  //dps:owner-ok shutdown steals the queue under pc.mu; the redialer observes it empty and exits
-	pc.retryq = nil //dps:owner-ok same pc.mu critical section as above
+	q := pc.retryq // the redialer finds the queue empty and exits
+	pc.retryq = nil
 	pc.mu.Unlock()
 	if c != nil {
 		c.Close()
@@ -648,7 +641,7 @@ func (pc *pconn) publish(p *Pending) error {
 	binary.BigEndian.PutUint32(p.frame[5:], seq)
 	p.pc, p.seq = pc, seq
 	p.deadline = time.Now().Add(pc.peer.cfg.Timeout)
-	if len(pc.retryq) > 0 || pc.redialing { //dps:owner-ok publish holds pc.mu; a non-empty queue reroutes the burst behind it
+	if len(pc.retryq) > 0 || pc.redialing { // queue behind the bursts awaiting a redial
 		pc.deferLocked(p)
 		pc.mu.Unlock()
 		return nil
@@ -706,7 +699,7 @@ func (pc *pconn) publish(p *Pending) error {
 // just published, so its budget is whole, and the redialer expires it if
 // the link does not come back in time. Caller holds pc.mu.
 func (pc *pconn) deferLocked(p *Pending) {
-	pc.retryq = append(pc.retryq, p)   //dps:owner-ok caller holds pc.mu (deferLocked contract)
+	pc.retryq = append(pc.retryq, p)   // caller holds pc.mu (deferLocked contract)
 	pc.peer.stats.Ops.Add(uint64(p.n)) // accepted for delivery
 	if !pc.redialing {
 		pc.redialing = true

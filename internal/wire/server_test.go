@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -112,6 +113,39 @@ func TestServerDedupWindow(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) { tc.run(t, newDedupRig(t)) })
 	}
+}
+
+// TestServerAddrWhileServing calls Addr from another goroutine while a
+// connection's bursts pass through the dedup window. Addr reads the listener
+// under mu and nothing else; the window belongs to dmu. Under -race a write
+// to the window from outside dmu is a reported data race.
+func TestServerAddrWhileServing(t *testing.T) {
+	r := newDedupRig(t)
+	c := r.dial(7)
+	stop := make(chan struct{})
+	polled := make(chan struct{})
+	go func() {
+		defer close(polled)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if r.srv.Addr() == nil {
+				t.Error("Addr is nil while the server is serving")
+				return
+			}
+			runtime.Gosched()
+		}
+	}()
+	const bursts = 50
+	for seq := uint32(1); seq <= bursts; seq++ {
+		r.call(c, seq, 5)
+	}
+	close(stop)
+	<-polled
+	r.want(5, bursts, 0)
 }
 
 // blockKey is the key countHandler holds in Apply until its block channel

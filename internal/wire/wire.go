@@ -205,8 +205,6 @@ func growU32(s []uint32, n int) []uint32 {
 
 // putHeader writes the post-length header at off and returns the new
 // offset.
-//
-//dps:noalloc via AppendRequest
 func putHeader(b []byte, off int, typ byte, seq uint32, nops int) int {
 	b[off] = typ
 	binary.BigEndian.PutUint32(b[off+1:], seq)
@@ -252,8 +250,6 @@ func respSize(ops []RespOp) int {
 // caller may reuse them as soon as AppendRequest returns. The third
 // argument is unused since frames stopped naming one partition; it stays
 // because the benchmark module's codec probe passes it.
-//
-//dps:noalloc
 func AppendRequest(dst []byte, seq, _ uint32, ops []ReqOp) ([]byte, error) {
 	size := reqSize(ops)
 	if size < 0 {
@@ -272,8 +268,6 @@ func AppendRequest(dst []byte, seq, _ uint32, ops []ReqOp) ([]byte, error) {
 // putReqOp writes one request entry at off, data included, and returns the
 // new offset: the one encoding of an entry, shared by AppendRequest and
 // Link.Stage.
-//
-//dps:noalloc via AppendRequest
 func putReqOp(b []byte, off int, op *ReqOp) int {
 	binary.BigEndian.PutUint16(b[off:], op.Code)
 	flags := byte(0)
@@ -293,8 +287,6 @@ func putReqOp(b []byte, off int, op *ReqOp) int {
 
 // AppendResponse appends one complete response frame answering request
 // seq, and returns the extended buffer.
-//
-//dps:noalloc
 func AppendResponse(dst []byte, seq uint32, ops []RespOp) ([]byte, error) {
 	size := respSize(ops)
 	if size < 0 {
@@ -375,8 +367,6 @@ func AppendIdent(dst []byte, id uint64) ([]byte, error) {
 // prefix, ErrShort while it does not, and ErrCorrupt if the declared
 // length is outside the wire limits. Stream readers use it to size the
 // next read; DecodeFrame re-validates.
-//
-//dps:noalloc via DecodeFrame
 func FrameLen(buf []byte) (int, error) {
 	if len(buf) < 4 {
 		return 0, ErrShort
@@ -393,8 +383,6 @@ func FrameLen(buf []byte) (int, error) {
 // number of bytes consumed. Entry Data sub-slices buf. A buffer ending
 // mid-frame returns ErrShort; structural violations return ErrCorrupt.
 // Arbitrary input never panics.
-//
-//dps:noalloc
 func DecodeFrame(buf []byte, f *Frame) (int, error) {
 	total, err := FrameLen(buf)
 	if err != nil {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"net"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -286,9 +288,8 @@ func FuzzDecodeFrame(f *testing.F) {
 
 // --- allocation pins -----------------------------------------------------
 
-// TestCodecAllocPins holds the //dps:noalloc markers on the codec hot
-// path to their meaning: with warm buffers, encode and decode allocate
-// nothing.
+// TestCodecAllocPins pins the codec hot path: with warm buffers, encode
+// and decode allocate nothing.
 func TestCodecAllocPins(t *testing.T) {
 	reqFrame, reqOps := goldenRequest()
 	respFrame, respOps := goldenResponse()
@@ -367,6 +368,54 @@ func TestLinkStageAllocPin(t *testing.T) {
 		l.n = 1
 	}); n != 0 {
 		t.Fatalf("Link.Stage allocates %v/op in an open burst", n)
+	}
+}
+
+// TestResolvePublishesResults holds resolve and fail to the publish order
+// Tok.Ready relies on: a burst's results are written before its state flips
+// to resolved, so a poller that sees the flip reads finished results. A
+// goroutine polls every token of the burst while it resolves; under -race a
+// result written after the flip is a reported data race, and without it the
+// poller may read a result not yet written.
+func TestResolvePublishesResults(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		publish func(p *Pending)
+		want    []ring.Result
+	}{
+		{"resolve", func(p *Pending) {
+			p.resolve(&Frame{Resp: []RespOp{{U: 1}, {U: 2, HasData: true, Data: []byte("x")}, {Err: closedText}}})
+		}, []ring.Result{{U: 1}, {U: 2, P: []byte("x")}, {Err: ring.ErrClosed}}},
+		{"fail", func(p *Pending) { p.fail(ring.ErrPeerDown) },
+			[]ring.Result{{Err: ring.ErrPeerDown}, {Err: ring.ErrPeerDown}, {Err: ring.ErrPeerDown}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for round := 0; round < 50; round++ {
+				p := &Pending{n: int32(len(tc.want)), done: make(chan struct{})}
+				seen := make([]ring.Result, len(tc.want))
+				polled := make(chan struct{})
+				go func() {
+					defer close(polled)
+					for i := range seen {
+						tok := Tok{p: p, i: int32(i)}
+						for {
+							if r, ok := tok.Ready(); ok {
+								seen[i] = r
+								break
+							}
+							runtime.Gosched()
+						}
+					}
+				}()
+				tc.publish(p)
+				<-polled
+				for i, w := range tc.want {
+					if g := seen[i]; !reflect.DeepEqual(g, w) {
+						t.Fatalf("round %d: token %d read %+v, want %+v", round, i, g, w)
+					}
+				}
+			}
+		})
 	}
 }
 
