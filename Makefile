@@ -17,8 +17,9 @@ test:
 # benchmark module. The last two lines repeat, at three GOMAXPROCS settings,
 # the concurrent data-structure suites and the tests of who runs an
 # operation: the history checker (every operation applied once, in issue
-# order, linearizable, with a row of peer senders through a PeerServer and a
-# row of threads that mark Idle after every call, as mcd sessions do), the
+# order, linearizable, with rows of peer senders through a PeerServer — two
+# of them sharing each connection in one — and a row of threads that mark
+# Idle after every call, as mcd sessions do), the
 # races of a sender running operations toward an unattended locality —
 # inline at issue and off its own ring — against a server woken by its park
 # timeout and against a thread leaving its Idle mark, a peer server's burst
@@ -30,10 +31,13 @@ test:
 # TestDrainLeavesHeldCompletion (Drain waits only for fire-and-forget and
 # given-up entries, never a synchronous completion the caller holds) and
 # TestRingFullReapsWithoutDrain (the ring-full path reaps given-up entries on
-# its own), and two tests of the wire tier's ownership rules:
+# its own), two tests of the wire tier's ownership rules:
 # TestResolvePublishesResults (a burst's results are written before its state
 # flips to resolved) and TestServerAddrWhileServing (Addr leaves the dedup
-# window to the connections). Their interleavings, and so their failures,
+# window to the connections), and TestPeerSendersShareConnection (threads
+# whose links share a connection take its reader role in turn and read for
+# each other: every completion resolves once, each thread reads its own
+# writes, no peer stall). Their interleavings, and so their failures,
 # depend on the host's CPU count (the lock-free skip list hung about one run
 # in sixty on 2 CPUs only).
 check: bench-build
@@ -41,7 +45,7 @@ check: bench-build
 	$(GO) build ./...
 	$(GO) test -race ./internal/ring/... ./internal/core/... ./internal/obs/... ./internal/ffwd/... ./internal/wire/... ./internal/mcd/... ./internal/server/...
 	$(GO) test -count=20 -cpu 1,2,4 ./internal/skiplist ./internal/dpsds
-	$(GO) test -race -count=20 -cpu 1,2,4 -run '^(TestRescueRaceParkTimeout|TestRescueRaceIdleBorrow|TestHistoryLinearizable|TestRemotePanicCrossesAsError|TestTwoSessionsRace|TestDrainLeavesHeldCompletion|TestRingFullReapsWithoutDrain|TestResolvePublishesResults|TestServerAddrWhileServing)$$' ./internal/core ./internal/mcd ./internal/wire
+	$(GO) test -race -count=20 -cpu 1,2,4 -run '^(TestRescueRaceParkTimeout|TestRescueRaceIdleBorrow|TestHistoryLinearizable|TestRemotePanicCrossesAsError|TestTwoSessionsRace|TestDrainLeavesHeldCompletion|TestRingFullReapsWithoutDrain|TestResolvePublishesResults|TestServerAddrWhileServing|TestPeerSendersShareConnection)$$' ./internal/core ./internal/mcd ./internal/wire
 
 # bench-build vets and unit-tests benchmark/, which is a Go module of its own
 # (dps/benchmark, replace dps => ../): the root module's build and tests never
@@ -114,13 +118,15 @@ bench:
 
 # bench-compare runs the delegation-latency benchmarks with allocation
 # reporting: the core transport benchmark, the wire tier's loopback round trip
-# (1 and 2 senders, at 1 and 2 Ps), a fire-and-forget stream over a peer's two
-# partitions (with wire frames per operation), plus the root-level Fig. 3
+# (1 and 2 senders, at 1 and 2 Ps) beside its floor (a raw 128-byte TCP echo
+# whose sender reads its own reply), a fire-and-forget stream over a peer's
+# two partitions (with wire frames per operation), plus the root-level Fig. 3
 # round-trip benchmark. Use it before and after transport changes; EXPERIMENTS.md
 # records the reference numbers.
 bench-compare:
 	$(GO) test -run '^$$' -bench 'BenchmarkDelegation' -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkPeerSyncRTT' -benchmem -cpu 1,2 ./internal/core/
+	$(GO) test -run '^$$' -bench 'BenchmarkLoopbackPingPong' -benchmem -cpu 1,2 ./internal/wire/
 	$(GO) test -run '^$$' -bench 'BenchmarkPeerAsyncStream' -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkFig3DelegationRoundTrip' -benchmem -benchtime=0.5s .
 

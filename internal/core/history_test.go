@@ -372,6 +372,9 @@ type histRow struct {
 	// through a PeerServer; none when empty. With two, the runtime has a
 	// third partition and the senders' frames mix both.
 	peerParts []int
+	// peerThreads, when set, replaces the two peer senders' count; with
+	// four, two senders share each connection of the peer link.
+	peerThreads int
 	// session runs the senders under an mcd session's rule, Idle after
 	// every call, with no dedicated thread.
 	session bool
@@ -388,7 +391,8 @@ type histRow struct {
 // whose locality 1 also has a dedicated ServeWait thread that parks (unless
 // the row's senders are sessions), over two keys of each partition. With
 // peer partitions, the runtime also serves its partitions on a PeerServer,
-// two senders of a second process's runtime join in over the wire
+// two senders (row.peerThreads when set) of a second process's runtime join
+// in over the wire
 // (peerSenders), and the keys are four of the partitions they reach, split
 // evenly; with two peer partitions the runtime has three. Each sender
 // alternates Idle and one call of form; the returned history holds every
@@ -426,7 +430,7 @@ func runHistory(t *testing.T, rounds int, row histRow) *history {
 		ths = append(ths, th)
 	}
 	if peers {
-		ths = append(ths, peerSenders(t, rt, cfg, row.peerParts, 2)...)
+		ths = append(ths, peerSenders(t, rt, cfg, row.peerParts, max(2, row.peerThreads))...)
 	}
 	senders := make([]*histSender, len(ths))
 	for i, th := range ths {
@@ -523,7 +527,8 @@ func countKeys(rt *Runtime, keys []uint64, part int) int {
 // and linearize as a register. So do the mixed forms when threads of another
 // process send them to the same keys through a PeerServer — also when their
 // keys span two of its partitions, so one frame carries operations toward
-// both and the server issues each toward its own — and when every
+// both and the server issues each toward its own, or when two of them share
+// each connection of their link and read it for each other — and when every
 // thread marks Idle after each of its calls, as an mcd session does, with no
 // dedicated thread: a fire-and-forget burst then stays open across the mark,
 // and the sender's next operation toward that partition must join it or
@@ -562,6 +567,7 @@ func TestHistoryLinearizable(t *testing.T) {
 		{name: "mixed", form: mixed},
 		{name: "mixed with peer senders", form: mixed, peerParts: []int{1}},
 		{name: "peer senders, frames mixing partitions", form: mixed, peerParts: []int{1, 2}},
+		{name: "peer senders sharing one connection", form: mixed, peerParts: []int{1}, peerThreads: 4, rounds: 200},
 		{name: "Idle after each call", form: mixed, session: true},
 		{name: "async writes alternating partitions, then sync reads", form: alternate, partitions: 3},
 		{name: "async writes alternating partitions, then sync reads, peer senders", form: alternate, peerParts: []int{1, 2}, rounds: 150},

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"dps/internal/chaos"
+	"dps/internal/obs"
 	"dps/internal/wire"
 )
 
@@ -982,9 +983,9 @@ func (c *watchedConn) Close() error {
 
 // TestCloseSeversPeerLinks: Close is Shutdown with no threads to sweep, so it
 // too severs the links a delegation dialled — the wire server sees the
-// connection close, and the link's reader and heartbeat goroutines exit with
-// it. (While Close only marked the runtime closed, the connection stayed open
-// and its goroutines ran on.)
+// connection close, and the link's heartbeat goroutine exits with it. (While
+// Close only marked the runtime closed, the connection stayed open and its
+// goroutines ran on.)
 func TestCloseSeversPeerLinks(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -1054,4 +1055,143 @@ func TestRegisterOpRules(t *testing.T) {
 	if err := rt.RegisterOp(3, nil); err == nil {
 		t.Fatal("nil op accepted")
 	}
+}
+
+// TestPeerSendersShareConnection: threads whose links ride one connection
+// (tid mod the peer's pool) take its reader role in turn, each reading for
+// the others while it waits. Every thread mixes ExecuteSync, ExecuteInto
+// waves and ExecuteAsync with Drain on keys of its own in both peer
+// partitions: every completion resolves once and without error (a burst
+// resolved twice panics closing its done channel), every thread reads its own
+// writes, and no wait sees a peer stall.
+func TestPeerSendersShareConnection(t *testing.T) {
+	const senders, rounds, keys = 6, 60, 4
+	client, th := startCluster(t, nil)
+	ths := []*Thread{th}
+	for len(ths) < senders {
+		extra, err := client.Register()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ths = append(ths, extra)
+	}
+	errs := make(chan error, senders)
+	var wg sync.WaitGroup
+	for i, th := range ths {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs <- shareConnection(th, i, senders, rounds, keys)
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	for _, th := range ths[1:] {
+		th.Unregister()
+	}
+	m := client.Metrics()
+	if m.Totals.PeerStalls != 0 || m.Totals.Abandoned != 0 {
+		t.Errorf("PeerStalls %d, Abandoned %d, want 0 and 0", m.Totals.PeerStalls, m.Totals.Abandoned)
+	}
+	if pm := m.Peers[0]; pm.Pending != 0 || pm.Timeouts != 0 || pm.Failed != 0 {
+		t.Errorf("peer link: %d bursts pending, %d timeouts, %d failed, want none", pm.Pending, pm.Timeouts, pm.Failed)
+	}
+}
+
+// shareConnection is one thread of TestPeerSendersShareConnection: thread i
+// of n owns keys 2+4(i+n·k) and 3+4(i+n·k), k < keys, on the peer's
+// partitions 2 and 3.
+func shareConnection(th *Thread, i, n, rounds, keys int) error {
+	key := func(k int) uint64 { return uint64(2 + k%2 + 4*(i+n*(k/2))) }
+	val := func(r, k int) []byte { return []byte(fmt.Sprintf("%d/%d/%d", i, r, k)) }
+	check := func(r int) error {
+		for k := 0; k < 2*keys; k++ {
+			res := th.ExecuteSync(key(k), remoteGet, Args{})
+			if res.Err != nil {
+				return fmt.Errorf("thread %d round %d: get key %d: %v", i, r, key(k), res.Err)
+			}
+			if got, _ := res.P.([]byte); !bytes.Equal(got, val(r, k)) {
+				return fmt.Errorf("thread %d round %d: key %d reads %q, want its own write %q", i, r, key(k), got, val(r, k))
+			}
+		}
+		return nil
+	}
+	cs := make([]Completion, 2*keys)
+	for r := 0; r < rounds; r++ {
+		switch r % 3 {
+		case 0:
+			for k := 0; k < 2*keys; k++ {
+				if res := th.ExecuteSync(key(k), remotePut, Args{P: val(r, k)}); res.Err != nil {
+					return fmt.Errorf("thread %d round %d: put: %v", i, r, res.Err)
+				}
+			}
+		case 1:
+			for k := 0; k < 2*keys; k++ {
+				th.ExecuteInto(&cs[k], key(k), remotePut, Args{P: val(r, k)})
+			}
+			for k := 2*keys - 1; k >= 0; k-- {
+				if res := cs[k].Result(); res.Err != nil {
+					return fmt.Errorf("thread %d round %d: wave put: %v", i, r, res.Err)
+				}
+			}
+		default:
+			for k := 0; k < 2*keys; k++ {
+				th.ExecuteAsync(key(k), remotePut, Args{P: val(r, k)})
+			}
+			th.Drain()
+		}
+		if err := check(r); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestReadingWaiterLeavesLocalityUnattended: a thread waiting on a peer reads
+// the connection itself, and while it is blocked in that read it is parked
+// for the rings — in its locality's parked set, armed like any park — so an
+// operation another thread sends toward its locality runs inline on that
+// sender: no ring send and no wake.
+func TestReadingWaiterLeavesLocalityUnattended(t *testing.T) {
+	blockPeer = make(chan struct{})
+	client, a := startCluster(t, nil)
+	if a.Locality() != 0 {
+		t.Fatalf("waiter registered at locality %d, want 0", a.Locality())
+	}
+	b, err := client.RegisterAt(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Unregister()
+	waited := make(chan Result, 1)
+	go func() { waited <- a.ExecuteSync(2, remoteBlock, Args{}) }()
+	defer func() {
+		close(blockPeer)
+		if res := <-waited; res.Err != nil {
+			t.Errorf("blocked operation: %v", res.Err)
+		}
+	}()
+	// After 10 ms the waiter reads for a millisecond at a time, so it is
+	// almost always inside a read; an attempt that lands between two reads
+	// publishes instead and is tried again.
+	time.Sleep(10 * time.Millisecond)
+	var m obs.Totals
+	for try := 0; try < 5; try++ {
+		time.Sleep(time.Duration(try) * 300 * time.Microsecond)
+		before := client.Metrics()
+		if res := b.ExecuteSync(0, remoteLen, Args{}); res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		m = client.Metrics().Delta(before).Totals
+		if m.UnattendedExecs == 1 && m.Wakes == 0 && m.RemoteSends == 0 {
+			return
+		}
+	}
+	t.Fatalf("UnattendedExecs +%d, Wakes +%d, RemoteSends +%d, want +1, +0, +0: the reading waiter's locality was attended",
+		m.UnattendedExecs, m.Wakes, m.RemoteSends)
 }

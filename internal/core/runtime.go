@@ -503,8 +503,9 @@ func (rt *Runtime) registerLocked(loc int) (*Thread, error) {
 		t.links = make([]*wire.Link, len(rt.peers))
 		for i, wp := range rt.peers {
 			t.links[i] = wp.NewLink(tid)
-			// The link's reader wakes this thread's park slot when one of
-			// its bursts resolves, as a serving thread does for a ring.
+			// Whoever reads the link's connection wakes this thread's park
+			// slot when one of its bursts resolves, as a serving thread does
+			// for a ring, and when it hands the reading on.
 			t.links[i].WakeOn(rt.parker, tid)
 		}
 	}

@@ -50,16 +50,19 @@ import (
 //     resolves its target. A ring slot is released by a serving goroutine
 //     that needs a processor, and a yield hands it ours: the reply is a few
 //     polls away and blocking would add latency, so the budget is
-//     waitSpinYield pauses. A wire token is resolved by a socket turning
-//     readable, and Go polls the network only from a processor with nothing
-//     to run — a yielding waiter keeps the poll from happening — so the
-//     budget is the few pauses of wire.AwaitSpin;
+//     waitSpinYield pauses. A wire token is resolved by whoever reads its
+//     connection, which is the waiter itself when nobody else is: a yield
+//     reads nothing, so the budget is zero;
 //  2. parking (Thread.park, which a dedicated server's ServeWait shares): the
 //     waiter arms its ring.Parker slot, advertises itself in its locality's
 //     parked set, re-checks its wake condition (so a wake that raced the
 //     arming is never lost), and blocks until it is woken — by a sender
 //     ringing its locality's doorbell, by the thread that served its ring, by
-//     the link reader that resolved its wire burst — or a timeout fires.
+//     the thread reading the connection that resolved its wire burst or
+//     handed the reading on — or a timeout fires. A waiter on a wire token
+//     whose connection nobody reads blocks in the socket read instead
+//     (wire.Tok.Read), with the timeout as the read's deadline, resolving
+//     whatever bursts it reads; it is parked for the rings all the same.
 //     Timeouts double from waitParkMin to waitParkMax, so even a lost wake
 //     costs at most ~1ms of latency — and a timed-out park forces the
 //     thread's next serve pass to be a full ring scan, so a doorbell bit lost
@@ -78,7 +81,7 @@ import (
 // resets the waiter to stage 1.
 const (
 	// waitSpinYield is how many pauses of a wait on a ring slot stay pure
-	// Gosched before parking (a wait on a wire token: wire.AwaitSpin).
+	// Gosched before parking (a wait on a wire token parks at once).
 	waitSpinYield = 64
 	// waitParkMin is the first park timeout; it doubles each park.
 	waitParkMin = 64 * time.Microsecond
@@ -139,8 +142,8 @@ type waiter struct {
 // wait on a partition owned by a peer process is never unbounded — no rescue
 // reaches into that process, so a connected peer that stops answering would
 // hold the waiter forever — and takes the peer's configured timeout when it
-// has no other deadline. The same wait is resolved by the network, not by a
-// goroutine a yield could run, and spins for wire.AwaitSpin pauses only.
+// has no other deadline. The same wait is resolved by its own read of the
+// connection, which a yield does not do, so it has no spin stage.
 func newWaiter(t *Thread, p *Partition, on target, call *time.Time) waiter {
 	var deadline time.Time
 	if call != nil && t.rt.cfg.OpTimeout > 0 {
@@ -151,7 +154,7 @@ func newWaiter(t *Thread, p *Partition, on target, call *time.Time) waiter {
 	}
 	spin := waitSpinYield
 	if p.peer != nil {
-		spin = wire.AwaitSpin
+		spin = 0
 		if deadline.IsZero() {
 			deadline = time.Now().Add(p.peer.Timeout())
 		}
@@ -241,14 +244,17 @@ func (w *waiter) pause() {
 // server, which waits for work only) and part the partition the park is
 // counted against. The arm → advertise → re-check order is the lost-wakeup
 // guard: whoever would wake the thread — a sender ringing its locality's
-// doorbell, a server releasing its slot, the link reader resolving its burst,
-// Shutdown — publishes that state and then calls Wake, so it either sees the
-// armed slot (and wakes us) or ran before we armed — in which case the
-// re-check observes its published state and the thread never blocks; park
-// then reports false. A park that times out with no wake assumes a lost
-// signal and makes the next serve pass a full ring scan, so a dropped
-// doorbell bit is rediscovered within one park timeout instead of the full
-// serveFullScanEvery cadence.
+// doorbell, a server releasing its slot, the thread reading its connection
+// resolving its burst or handing the reading on, Shutdown — publishes that
+// state and then calls Wake, so it either sees the armed slot (and wakes us)
+// or ran before we armed — in which case the re-check observes its published
+// state and the thread never blocks; park then reports false. A wait on a
+// wire token whose connection nobody reads reads it for d instead of
+// blocking on the slot, armed and advertised all the same. A park that times
+// out with no wake — or a read that ends with the token still pending —
+// assumes a lost signal and makes the next serve pass a full ring scan, so a
+// dropped doorbell bit is rediscovered within one park timeout instead of the
+// full serveFullScanEvery cadence.
 func (t *Thread) park(on *target, part int, d time.Duration) bool {
 	rt := t.rt
 	myloc := rt.parts[t.locality]
@@ -259,7 +265,11 @@ func (t *Thread) park(on *target, part int, d time.Duration) bool {
 		rt.parker.Cancel(t.id)
 	} else {
 		rt.rec.Add(t.id, part, obs.Parks, 1)
-		if !rt.parker.Park(t.id, &t.parkTimer, d) {
+		read := on != nil && on.tok.Read(d)
+		if read {
+			rt.parker.Cancel(t.id)
+		}
+		if read && on.pending() || !read && !rt.parker.Park(t.id, &t.parkTimer, d) {
 			t.forceFullScan()
 		}
 	}

@@ -9,14 +9,13 @@ import (
 	"time"
 
 	"dps/internal/chaos"
-	"dps/internal/wire"
 )
 
 // TestWaiterSpinBudgets drives waiter.pause directly against one pending
 // target of each kind: a wait on a ring slot yields waitSpinYield times and
-// parks on the next pause, a wait on a wire token yields wire.AwaitSpin
-// times, reset returns each to the start of its own budget, and expired
-// samples the clock on the budget's own grid.
+// parks on the next pause, a wait on a wire token parks (reads its
+// connection) on its first, reset returns each to the start of its own
+// budget, and expired samples the clock on the budget's own grid.
 func TestWaiterSpinBudgets(t *testing.T) {
 	blockPeer = make(chan struct{})
 	client, th := startCluster(t, nil)
@@ -45,7 +44,7 @@ func TestWaiterSpinBudgets(t *testing.T) {
 		spin int
 	}{
 		{"ring", &onRing, waitSpinYield},
-		{"peer", &onWire, wire.AwaitSpin},
+		{"peer", &onWire, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if !tc.c.target.pending() {
@@ -221,8 +220,8 @@ func serveUntil(th *Thread, fn func()) {
 //     with one operation after another delegated to its locality in lockstep
 //     the waiter finds the next within its spin budget and does not park —
 //     unless the kernel takes the sender's processor away, which costs a few
-//     parks each time (and on a wire token the budget is only wire.AwaitSpin
-//     yields), so the check is that fewer than half the operations see a
+//     parks each time (and a wait on a wire token has no spin budget at
+//     all), so the check is that fewer than half the operations see a
 //     park. Without the reset a completion's wait parks once per operation
 //     here (1941 and 1998 times in 2000 when the reset was missing).
 func TestOneWaitLoop(t *testing.T) {

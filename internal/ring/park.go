@@ -11,8 +11,8 @@ import (
 // slot: a padded state word plus a one-token wake channel. Instead of
 // sleeping a blind quantum and re-polling, an idle thread parks on its slot
 // and the event that makes progress possible (a doorbell Set for its
-// locality, a server draining its ring, a peer link's reader resolving its
-// burst, shutdown) wakes it directly. Waking costs the
+// locality, a server draining its ring, the thread reading a peer connection
+// resolving its burst, shutdown) wakes it directly. Waking costs the
 // waker one swap on a line it otherwise never touches, and only when a
 // waiter is actually armed does it touch the channel.
 //

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"encoding/binary"
-	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -180,17 +179,15 @@ func (t Tok) consume() {
 	p.frame = nil
 }
 
-// AwaitSpin is how many times a wait for a peer's response yields before it
-// blocks — Tok.Await here, and the pauses of core's waiter on a wire token.
-// What resolves such a wait is a socket turning readable, and Go polls the
-// network only from a processor with nothing left to run: a goroutine that
-// keeps yielding is always runnable, so while every waiter spins nobody calls
-// the netpoller and the response sits in the socket. A few yields still catch
-// a response already on its way up through the link reader; past them,
-// blocking is what lets it arrive. The value is measured, not derived
-// (EXPERIMENTS.md "Wire waits and the netpoller": 0 costs latency, 64 costs
-// throughput).
-const AwaitSpin = 4
+// Read takes the reader role of the token's connection, if it is free and
+// the link is up, reads the connection for at most d, resolving every burst
+// it decodes, until the token's own burst resolves, and hands the role on
+// when it leaves. It reports whether it held the role; a caller that did not
+// must block until the burst resolves or the role is handed on — for a
+// staging thread, parked on the slot Link.WakeOn named, armed before Read.
+func (t Tok) Read(d time.Duration) bool {
+	return t.p != nil && t.p.pc != nil && t.p.pc.read(t.p, time.Now().Add(d))
+}
 
 // Await blocks until the burst resolves or the deadline expires. A zero
 // deadline applies the peer's default timeout (the liveness backstop —
@@ -198,43 +195,41 @@ const AwaitSpin = 4
 // a peer process's shard). Each token must be awaited exactly once; the
 // runtime's sync and drain paths do so.
 //
-// The wait yields AwaitSpin times, then blocks on the resolve channel, which
-// frees its processor to poll the network for the response.
+// The wait reads the connection itself (Read); while another waiter holds
+// the reader role it blocks until that reader resolves the burst or hands
+// the role on.
 func (t Tok) Await(deadline time.Time) (ring.Result, error) {
 	p := t.p
-	for spin := 0; spin < AwaitSpin; spin++ {
-		if p.state.Load() != 0 {
-			t.consume()
-			return p.res[t.i], p.res[t.i].Err
-		}
-		runtime.Gosched()
-	}
-	var timeout time.Duration
 	if deadline.IsZero() {
-		timeout = p.pconnTimeout()
-	} else {
-		timeout = time.Until(deadline)
+		deadline = time.Now().Add(p.pconnTimeout())
 	}
-	if timeout <= 0 {
-		timeout = time.Nanosecond
+	var turn chan struct{}
+	if p.pc != nil {
+		turn = p.pc.turn
 	}
-	tm := time.NewTimer(timeout)
-	defer tm.Stop()
-	select {
-	case <-p.done:
-		t.consume()
-		return p.res[t.i], p.res[t.i].Err
-	case <-tm.C:
-		if p.state.Load() != 0 {
+	for p.state.Load() == 0 {
+		d := time.Until(deadline)
+		if d <= 0 {
+			if p.pc != nil {
+				p.pc.peer.stats.Timeouts.Add(1)
+			}
 			t.consume()
-			return p.res[t.i], p.res[t.i].Err
+			return ring.Result{Err: ring.ErrTimeout}, ring.ErrTimeout
 		}
-		if p.pc != nil {
-			p.pc.peer.stats.Timeouts.Add(1)
+		if t.Read(d) {
+			continue
 		}
-		t.consume()
-		return ring.Result{Err: ring.ErrTimeout}, ring.ErrTimeout
+		select {
+		case <-p.done:
+		case <-turn:
+			if p.state.Load() != 0 && p.pc.take() {
+				p.pc.leave() // resolved meanwhile: the turn was another waiter's
+			}
+		case <-time.After(d):
+		}
 	}
+	t.consume()
+	return p.res[t.i], p.res[t.i].Err
 }
 
 // pconnTimeout returns the owning peer's default completion bound.

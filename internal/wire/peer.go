@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -110,7 +111,7 @@ func NewPeer(idx int, cfg PeerConfig) (*Peer, error) {
 		// per connection and per process: clients whose links one server
 		// restart severed together do not redial in lockstep.
 		id := linkID()
-		pr.conns[i] = &pconn{peer: pr, id: id, rng: id}
+		pr.conns[i] = &pconn{peer: pr, id: id, rng: id, turn: make(chan struct{}, 1), pending: make(map[uint32]*Pending)}
 	}
 	return pr, nil
 }
@@ -173,10 +174,10 @@ func (pr *Peer) Stats() obs.PeerMetrics {
 	}
 }
 
-// pconn is one pooled connection: a mutex-serialized writer, a reader
-// goroutine resolving pendings by sequence number, a heartbeat goroutine
-// probing idle links, and a redialer goroutine retransmitting queued
-// bursts after failures.
+// pconn is one pooled connection: a mutex-serialized writer, a reader role
+// that the threads waiting on the connection take in turn (read), a heartbeat
+// goroutine probing idle links, and a redialer goroutine retransmitting
+// queued bursts after failures.
 type pconn struct {
 	peer *Peer
 	id   uint64 // link identity, sent in the ident frame; dedup key half
@@ -187,7 +188,6 @@ type pconn struct {
 	// redialing flag live under it too: new bursts must observe a
 	// non-empty queue and line up behind it, or per-link order breaks.
 	mu     sync.Mutex
-	c      net.Conn
 	seq    uint32 // monotonic per link, never reset on reconnect
 	dialed bool   // a dial has succeeded at least once (reconnects count from here)
 	// retryq is handed between failing writers, publish, shutdown and the
@@ -202,11 +202,27 @@ type pconn struct {
 	// the live connection; the heartbeat loop reads it to detect silence.
 	lastRecv atomic.Int64
 
-	// pmu guards pending. Separate from mu so the reader resolving
+	// cur is the live connection, nil while the link is down; it changes
+	// under mu. reading is the reader role: only its holder touches cur's
+	// frame reader. turn hands the role to a Tok.Await that found it held.
+	cur     atomic.Pointer[conn]
+	reading atomic.Bool
+	turn    chan struct{}
+
+	// pmu guards pending. Separate from mu so a reader resolving
 	// completions never contends with a sender mid-write.
 	pmu     sync.Mutex
 	pending map[uint32]*Pending
-	gen     uint64 // bumped per established connection; the reader exits when it changes
+	gen     uint64 // bumped per established connection
+}
+
+// conn is one established connection: the socket, the frame reader and the
+// frame it decodes into, and its generation.
+type conn struct {
+	c   net.Conn
+	fr  *frameReader
+	f   Frame
+	gen uint64
 }
 
 // takeBuf hands out a recycled frame buffer (or nil — the claim path
@@ -239,8 +255,8 @@ func (pc *pconn) putBuf(b []byte) {
 // ensureConn returns the live connection, dialing if necessary. Caller
 // holds pc.mu.
 func (pc *pconn) ensureConn() (net.Conn, error) {
-	if pc.c != nil {
-		return pc.c, nil
+	if cur := pc.cur.Load(); cur != nil {
+		return cur.c, nil
 	}
 	if pc.peer.closed.Load() {
 		return nil, ring.ErrClosed
@@ -273,23 +289,19 @@ func (pc *pconn) ensureConn() (net.Conn, error) {
 	pc.pmu.Lock()
 	pc.gen++
 	gen := pc.gen
-	if pc.pending == nil {
-		pc.pending = make(map[uint32]*Pending)
-	}
 	pc.pmu.Unlock()
-	pc.c = c
+	pc.cur.Store(&conn{c: c, fr: fr, gen: gen})
 	pc.lastRecv.Store(time.Now().UnixNano())
-	go pc.readLoop(c, fr, gen)
 	go pc.heartbeat(c, gen)
 	return c, nil
 }
 
 // readHello reads and validates the hello frame the serving side leads
-// with, through the frame reader the connection's read loop carries on with.
+// with, through the frame reader the connection's readers carry on with.
 func (pc *pconn) readHello(c net.Conn, fr *frameReader) error {
 	cfg := &pc.peer.cfg
+	// The deadline bounds the hello; every later read sets its own.
 	c.SetReadDeadline(time.Now().Add(dialTimeout))
-	defer c.SetReadDeadline(time.Time{})
 	f := Frame{Type: FrameIdent} // not a hello until a frame says it is
 	_, _, err := fr.next(&f)
 	if f.Type == FrameHello && errors.Is(err, ErrCorrupt) {
@@ -318,46 +330,91 @@ func (pc *pconn) readHello(c net.Conn, fr *frameReader) error {
 	return nil
 }
 
-// readLoop resolves in-flight bursts as their response frames arrive.
-// One goroutine per established connection; it exits when the connection
-// dies (moving pendings to the retry queue) or is superseded.
-// Every arrival — responses or pongs, however many frames one read
-// delivered — refreshes the liveness clock once.
-func (pc *pconn) readLoop(c net.Conn, fr *frameReader, gen uint64) {
-	var f Frame
-	for {
-		size, fresh, err := fr.next(&f)
-		if err != nil {
-			pc.linkDown(c, gen)
-			return
+// take claims the reader role of a live connection, and reports whether it
+// did. A link that is down has nothing to read: its redialer hands the role
+// on once it has retransmitted.
+func (pc *pconn) take() bool {
+	return pc.cur.Load() != nil && pc.reading.CompareAndSwap(false, true)
+}
+
+// leave gives the reader role up and hands it on to the waiters of the
+// connection's unresolved bursts: it wakes the park slot each of them names
+// (Link.WakeOn), and one Tok.Await through turn. A waiter that found the role
+// held armed its slot before it tried, and the role is free before the scan,
+// so either the scan wakes the waiter or its take succeeds.
+func (pc *pconn) leave() {
+	pc.reading.Store(false)
+	pc.pmu.Lock()
+	for _, p := range pc.pending {
+		if p.wake != nil {
+			p.wake.Wake(p.wslot)
 		}
-		if fresh {
-			pc.lastRecv.Store(time.Now().UnixNano())
-		}
-		pc.peer.stats.FramesRecvd.Add(1)
-		pc.peer.stats.BytesRecvd.Add(uint64(size))
-		if f.Type == FramePong {
-			continue
-		}
-		if f.Type != FrameResponse {
-			pc.linkDown(c, gen)
-			return
-		}
-		pc.pmu.Lock()
-		p := pc.pending[f.Seq]
-		delete(pc.pending, f.Seq)
-		pc.pmu.Unlock()
-		if p == nil {
-			continue // abandoned burst: its awaiters already timed out
-		}
-		p.resolve(&f)
 	}
+	if len(pc.pending) > 0 {
+		select {
+		case pc.turn <- struct{}{}:
+		default:
+		}
+	}
+	pc.pmu.Unlock()
+}
+
+// read takes the reader role, if it is free and the link is up, and reports
+// whether it did. Holding it, read decodes frames off the live connection and
+// resolves every burst they answer, until p resolves (p nil: until one frame
+// arrives, the heartbeat's proof of life) or until passes, and then leaves the
+// role. Every arrival — responses or pongs, however many frames one socket
+// read delivered — refreshes the liveness clock once. A connection that fails
+// is torn down (its bursts move to the retry queue), and the read carries on
+// on its successor if the redialer has established one.
+func (pc *pconn) read(p *Pending, until time.Time) bool {
+	if !pc.take() {
+		return false
+	}
+	defer pc.leave()
+	for cur := pc.cur.Load(); cur != nil; cur = pc.cur.Load() {
+		cur.c.SetReadDeadline(until)
+		for {
+			if p != nil && p.state.Load() != 0 {
+				return true
+			}
+			size, fresh, err := cur.fr.next(&cur.f)
+			if errors.Is(err, os.ErrDeadlineExceeded) {
+				return true
+			}
+			if err != nil || (cur.f.Type != FrameResponse && cur.f.Type != FramePong) {
+				pc.linkDown(cur.c, cur.gen)
+				break
+			}
+			if fresh {
+				pc.lastRecv.Store(time.Now().UnixNano())
+			}
+			pc.peer.stats.FramesRecvd.Add(1)
+			pc.peer.stats.BytesRecvd.Add(uint64(size))
+			if cur.f.Type == FrameResponse {
+				pc.pmu.Lock()
+				q := pc.pending[cur.f.Seq]
+				delete(pc.pending, cur.f.Seq)
+				pc.pmu.Unlock()
+				if q != nil { // nil: an abandoned burst, its awaiters already timed out
+					q.resolve(&cur.f)
+				}
+			}
+			if p == nil {
+				return true
+			}
+		}
+	}
+	return true
 }
 
 // heartbeat probes the connection while it is idle: no inbound frame for
 // an interval sends a ping; no inbound frame for heartbeatMisses
 // intervals declares the link dead and trips the retry machinery — that
-// is what bounds dead-link detection below the op timeout.
+// is what bounds dead-link detection below the op timeout. When no waiter
+// holds the reader role, the heartbeat reads the answer to its ping itself
+// (resolving whatever response frames come first), so a link that is idle
+// and healthy is never declared dead.
 func (pc *pconn) heartbeat(c net.Conn, gen uint64) {
 	const deadAfter = heartbeatMisses * heartbeatInterval
 	var ping []byte
@@ -367,7 +424,7 @@ func (pc *pconn) heartbeat(c net.Conn, gen uint64) {
 			return
 		}
 		pc.mu.Lock()
-		if pc.c != c {
+		if cur := pc.cur.Load(); cur == nil || cur.c != c {
 			pc.mu.Unlock()
 			return // superseded or already torn down
 		}
@@ -388,6 +445,9 @@ func (pc *pconn) heartbeat(c net.Conn, gen uint64) {
 			pc.peer.stats.HeartbeatsSent.Add(1)
 		}
 		pc.mu.Unlock()
+		if idle >= heartbeatInterval {
+			pc.read(nil, time.Now().Add(heartbeatInterval))
+		}
 	}
 }
 
@@ -395,14 +455,14 @@ func (pc *pconn) heartbeat(c net.Conn, gen uint64) {
 // budget move to the retry queue (in sequence order, ahead of anything
 // staged later); the rest expire — they were
 // written at least once, so they fail with ErrTimeout ("may have
-// executed"), never ErrPeerDown. Safe to call from the reader, the
+// executed"), never ErrPeerDown. Safe to call from a reader, the
 // heartbeat and the writer; only the call matching the live generation
 // moves pendings.
 func (pc *pconn) linkDown(c net.Conn, gen uint64) {
 	c.Close()
 	pc.mu.Lock()
-	if pc.c == c {
-		pc.c = nil
+	if cur := pc.cur.Load(); cur != nil && cur.c == c {
+		pc.cur.Store(nil)
 	}
 	var moved []*Pending
 	pc.pmu.Lock()
@@ -509,7 +569,7 @@ func (pc *pconn) redial() {
 				continue
 			}
 			// Snapshot the frame and mark it resent before registering p:
-			// the instant the write lands, the reader may resolve p and
+			// the instant the write lands, a reader may resolve p and
 			// its last consumer clears p.frame.
 			frame := p.frame
 			p.resent = true
@@ -540,6 +600,9 @@ func (pc *pconn) redial() {
 		pc.redialing = false
 		pc.mu.Unlock()
 		pc.expire(expired)
+		if pc.take() {
+			pc.leave()
+		}
 		return
 	}
 }
@@ -575,13 +638,12 @@ func (pc *pconn) jitter(d time.Duration) time.Duration {
 // queued bursts.
 func (pc *pconn) shutdown(err error) {
 	pc.mu.Lock()
-	c := pc.c
-	pc.c = nil
+	cur := pc.cur.Swap(nil)
 	q := pc.retryq // the redialer finds the queue empty and exits
 	pc.retryq = nil
 	pc.mu.Unlock()
-	if c != nil {
-		c.Close()
+	if cur != nil {
+		cur.c.Close()
 	}
 	pc.failPending(0, err)
 	for _, p := range q {

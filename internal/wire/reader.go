@@ -14,8 +14,9 @@ const readBufSize = 16 << 10
 // each wakeup costs one Read: next decodes every complete frame the buffer
 // holds before it reads again, so a pipelined peer's N frames in one segment
 // cost one syscall, and a lone frame costs one, not a length read and a body
-// read. Both ends of a link read through it — pconn.readLoop (hello included)
-// and Server.serveConn.
+// read. Both ends of a link read through it — on the sending side the dial
+// (the hello) and then whoever holds the connection's reader role
+// (pconn.read), on the serving side Server.serveConn.
 //
 // A decoded Frame sub-slices the reader's buffer and is valid until the next
 // call to next, which may move or overwrite the bytes behind it. The buffer
@@ -36,7 +37,9 @@ func newFrameReader(c io.Reader) *frameReader {
 // whether f is the first frame of a new arrival, the reader's once-per-read
 // signal for its caller's liveness clock. A stream that ends, a length
 // outside the wire limits and a frame DecodeFrame rejects all return an
-// error; the stream is unusable afterwards.
+// error; the stream is unusable afterwards. A read that passes the
+// connection's deadline returns its error too, but keeps what was read: the
+// next call carries on where it stopped.
 func (fr *frameReader) next(f *Frame) (size int, fresh bool, err error) {
 	for {
 		size, err = FrameLen(fr.buf[fr.r:fr.w])

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -326,5 +327,82 @@ func TestPeerRetryUnderChaosDrops(t *testing.T) {
 	}
 	if st.Retries == 0 {
 		t.Fatalf("drops without retries: %+v", st)
+	}
+}
+
+// TestIdleLinkKeepsConnection: with nobody waiting on it, a healthy link's
+// only reader is its heartbeat, which reads the answers to its own pings; a
+// link idle for several heartbeat intervals keeps its connection.
+func TestIdleLinkKeepsConnection(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &echoHandler{}
+	srv := NewServer(ln, 2, []int{0, 1}, h)
+	go srv.Serve()
+	defer srv.Close()
+	pr, err := NewPeer(0, PeerConfig{Addr: ln.Addr().String(), Parts: []int{1}, Partitions: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pr.Close()
+	l := pr.NewLink(0)
+	if res, err := stageOne(t, l, 1); err != nil || res.U != 101 {
+		t.Fatalf("first op: U=%d err=%v", res.U, err)
+	}
+	time.Sleep(4*heartbeatInterval + heartbeatInterval/2)
+	st := pr.Stats()
+	if st.HeartbeatsSent == 0 || st.HeartbeatsMissed != 0 || st.Reconnects != 0 {
+		t.Fatalf("idle link: %d heartbeats sent, %d missed, %d reconnects; want >0, 0, 0", st.HeartbeatsSent, st.HeartbeatsMissed, st.Reconnects)
+	}
+	if res, err := stageOne(t, l, 2); err != nil || res.U != 102 {
+		t.Fatalf("op after the idle spell: U=%d err=%v", res.U, err)
+	}
+}
+
+// TestAwaitersShareConnection: Tok.Await callers whose links share one
+// connection read it in turn, and a reader that leaves with another's burst
+// unresolved hands the role on through the connection's turn channel. Without
+// the hand-off that burst waits for the heartbeat's read of an idle link, so
+// a busy link that sent a heartbeat shows it.
+func TestAwaitersShareConnection(t *testing.T) {
+	const senders, rounds = 4, 2000
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(ln, 2, []int{0, 1}, &echoHandler{})
+	go srv.Serve()
+	defer srv.Close()
+	pr, err := NewPeer(0, PeerConfig{Addr: ln.Addr().String(), Parts: []int{1}, Partitions: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pr.Close()
+	var wg sync.WaitGroup
+	for i := 0; i < senders; i++ {
+		l := pr.NewLink(i * numConns) // every link on connection 0
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				key := uint64(1000*i + r)
+				tok, err := l.Stage(ring.StagedOp{Part: 1, Code: 1, Key: key, U: [4]uint64{100}})
+				if err != nil {
+					t.Errorf("sender %d: stage: %v", i, err)
+					return
+				}
+				l.Flush()
+				if res, err := tok.Await(time.Time{}); err != nil || res.U != key+100 {
+					t.Errorf("sender %d round %d: U=%d err=%v, want %d", i, r, res.U, err, key+100)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if st := pr.Stats(); st.HeartbeatsSent != 0 || st.Timeouts != 0 {
+		t.Fatalf("%d heartbeats sent, %d timeouts on a busy link; want 0 and 0", st.HeartbeatsSent, st.Timeouts)
 	}
 }

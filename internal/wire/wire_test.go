@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"io"
 	"net"
 	"reflect"
 	"runtime"
@@ -549,5 +550,50 @@ func TestPeerClosedFailsFast(t *testing.T) {
 	l := pr.NewLink(0)
 	if _, err := l.Stage(ring.StagedOp{Part: 0}); !errors.Is(err, ring.ErrClosed) {
 		t.Fatalf("stage after close: %v", err)
+	}
+}
+
+// BenchmarkLoopbackPingPong is the floor under the wire tier's round trip: a
+// 128-byte echo over loopback TCP in which the sender writes and then reads
+// its own reply — no framing, no runtime on either side, no other goroutine
+// in between. internal/core's BenchmarkPeerSyncRTT is the same round trip
+// through a Link and a PeerServer (make bench-compare runs both).
+func BenchmarkLoopbackPingPong(b *testing.B) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		buf := make([]byte, 128)
+		for {
+			if _, err := io.ReadFull(c, buf); err != nil {
+				return
+			}
+			if _, err := c.Write(buf); err != nil {
+				return
+			}
+		}
+	}()
+	c, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	msg, reply := make([]byte, 128), make([]byte, 128)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Write(msg); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := io.ReadFull(c, reply); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
