@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -528,9 +529,16 @@ func readFrame(t *testing.T, c net.Conn, f *wire.Frame) {
 	}
 }
 
+// TestRemoteCompletionPolling: polling a peer operation reads its connection,
+// so a lone poller's completion resolves within a round trip or so, not when
+// the heartbeat next reads the idle link (heartbeatInterval, 250 ms).
 func TestRemoteCompletionPolling(t *testing.T) {
 	_, th := startCluster(t, nil)
+	if res := th.ExecuteSync(3, remoteLen, Args{}); res.Err != nil {
+		t.Fatal(res.Err) // the connection is up before the clock starts
+	}
 	var c Completion
+	start := time.Now()
 	th.ExecuteInto(&c, 3, remotePut, Args{P: []byte("poll")})
 	for {
 		if res, ok := c.Ready(); ok {
@@ -539,6 +547,9 @@ func TestRemoteCompletionPolling(t *testing.T) {
 			}
 			break
 		}
+	}
+	if took := time.Since(start); took > 50*time.Millisecond {
+		t.Fatalf("polled completion resolved after %v, want within 50ms", took)
 	}
 	if res := th.ExecuteSync(3, remoteGet, Args{}); res.Err != nil || res.U != 1 {
 		t.Fatalf("get: U=%d err=%v", res.U, res.Err)
@@ -1153,10 +1164,10 @@ func shareConnection(th *Thread, i, n, rounds, keys int) error {
 }
 
 // TestReadingWaiterLeavesLocalityUnattended: a thread waiting on a peer reads
-// the connection itself, and while it is blocked in that read it is parked
-// for the rings — in its locality's parked set, armed like any park — so an
-// operation another thread sends toward its locality runs inline on that
-// sender: no ring send and no wake.
+// the connection itself, and while it is blocked in that read it counts as
+// parked toward its locality's unattended rule, so an operation another thread
+// sends toward its locality runs inline on that sender: no ring send and no
+// wake.
 func TestReadingWaiterLeavesLocalityUnattended(t *testing.T) {
 	blockPeer = make(chan struct{})
 	client, a := startCluster(t, nil)
@@ -1194,4 +1205,50 @@ func TestReadingWaiterLeavesLocalityUnattended(t *testing.T) {
 	}
 	t.Fatalf("UnattendedExecs +%d, Wakes +%d, RemoteSends +%d, want +1, +0, +0: the reading waiter's locality was attended",
 		m.UnattendedExecs, m.Wakes, m.RemoteSends)
+}
+
+// TestPublishTowardReadingWaiter: a sender that is not caught up publishes
+// toward the locality of a thread blocked in a peer connection's read. No wake
+// reaches that read, so the publish must not pick the thread (a pick would
+// also clear its parked mark and leave the locality looking attended): the
+// sender finds the locality unattended and runs its own burst, well inside
+// the reader's millisecond read.
+func TestPublishTowardReadingWaiter(t *testing.T) {
+	const rounds = 5
+	blockPeer = make(chan struct{})
+	client, a := startCluster(t, nil)
+	defer close(blockPeer)
+	b, err := client.RegisterAt(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Unregister()
+	took := make([]time.Duration, rounds)
+	for r := range took {
+		// Staged while a is out of any wait: the put stays in b's open slot
+		// toward locality 0, so b is not caught up there.
+		b.ExecuteAsync(0, remotePut, Args{P: []byte("x")})
+		waited := make(chan Result, 1)
+		go func() { waited <- a.ExecuteSync(2, remoteBlock, Args{}) }()
+		time.Sleep(10 * time.Millisecond) // a reads in 1 ms slices by now
+		before := client.Metrics()
+		start := time.Now()
+		res := b.ExecuteSync(0, remoteLen, Args{})
+		took[r] = time.Since(start)
+		m := client.Metrics().Delta(before).Totals
+		blockPeer <- struct{}{}
+		if res := <-waited; res.Err != nil {
+			t.Fatalf("round %d: blocked operation: %v", r, res.Err)
+		}
+		if res.Err != nil || res.U != 1 {
+			t.Fatalf("round %d: len U=%d err=%v, want 1", r, res.U, res.Err)
+		}
+		if m.Wakes != 0 {
+			t.Fatalf("round %d: publish woke %d threads of a locality whose only thread was reading, want 0", r, m.Wakes)
+		}
+	}
+	slices.Sort(took)
+	if med := took[rounds/2]; med > 500*time.Microsecond {
+		t.Fatalf("median latency toward the reading thread's locality %v (all %v), want under 500µs", med, took)
+	}
 }

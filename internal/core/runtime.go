@@ -217,13 +217,16 @@ type Partition struct {
 	bell *ring.Doorbell
 
 	// workers counts threads currently registered to this locality; parked
-	// is the bitmap of those parked idle, and idle counts those under an
-	// Idle mark (outside every call, so serving nothing until their next
-	// one). Together they decide unattended. An idle locality costs ~zero
-	// CPU, yet an operation toward it waits out no sleep quantum: it runs
-	// on its sender, or its publish picks one parked thread and wakes it.
+	// is the bitmap of those parked idle, reading counts those blocked in a
+	// peer connection's read instead (Thread.park), out of reach of a wake,
+	// and idle counts those under an Idle mark (outside every call, so
+	// serving nothing until their next one). Together they decide
+	// unattended. An idle locality costs ~zero CPU, yet an operation toward
+	// it waits out no sleep quantum: it runs on its sender, or its publish
+	// picks one parked thread and wakes it.
 	workers atomic.Int32
 	parked  *ring.ParkSet
+	reading atomic.Int32
 	idle    atomic.Int32
 
 	// peer is non-nil when the partition is owned by a peer process
@@ -235,12 +238,12 @@ type Partition struct {
 }
 
 // unattended reports whether no thread of the locality will serve a burst
-// toward it: every registered thread is parked or Idle, which includes none
-// being registered. It is the one statement of when a sender runs an
+// toward it: every registered thread is parked (on its slot or in a peer
+// connection's read) or Idle, which includes none being registered. It is the one statement of when a sender runs an
 // operation toward the locality itself — at issue (Thread.issue), or off its
 // own ring while it waits (Thread.selfServe). Local partitions only.
 func (p *Partition) unattended() bool {
-	return p.parked.Count()+int(p.idle.Load()) >= int(p.workers.Load())
+	return p.parked.Count()+int(p.reading.Load()+p.idle.Load()) >= int(p.workers.Load())
 }
 
 // ID returns the partition's index in [0, Partitions).

@@ -882,10 +882,11 @@ func (t *Thread) ServeWait(d time.Duration) int {
 // still pending, Ready serves one pass of requests delegated to the calling
 // thread's locality — the overlap that lets all cores make progress on
 // data-structure work (§4.3) — and, toward a locality with no running
-// thread, executes the thread's own ring to it (the wait loop's stage 3); it
-// returns false if the operation is still pending after that. Polling a
-// completion publishes every open burst of the thread first, so a packed
-// operation can always be awaited.
+// thread, executes the thread's own ring to it (the wait loop's stage 3), or,
+// toward a peer's partition, reads the connection for waitPollRead unless
+// another thread is reading it; it returns false if the operation is still
+// pending after that. Polling a completion publishes every open burst of the
+// thread first, so a packed operation can always be awaited.
 //
 // Ready panics with ErrUnregistered when the issuing thread has been
 // unregistered while the completion was pending: the completion's serving
@@ -905,6 +906,7 @@ func (c *Completion) Ready() (Result, bool) {
 	if c.pending() {
 		t.serve()
 		t.selfServe(c.p, c.slot)
+		c.tok.Read(waitPollRead)
 	}
 	switch {
 	case !c.pending():

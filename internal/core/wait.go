@@ -62,7 +62,8 @@ import (
 //     handed the reading on — or a timeout fires. A waiter on a wire token
 //     whose connection nobody reads blocks in the socket read instead
 //     (wire.Tok.Read), with the timeout as the read's deadline, resolving
-//     whatever bursts it reads; it is parked for the rings all the same.
+//     whatever bursts it reads; it counts as parked toward its locality's
+//     unattended rule (the reading count, which no publish picks from).
 //     Timeouts double from waitParkMin to waitParkMax, so even a lost wake
 //     costs at most ~1ms of latency — and a timed-out park forces the
 //     thread's next serve pass to be a full ring scan, so a doorbell bit lost
@@ -89,6 +90,9 @@ const (
 	// chaos fault) therefore costs at most ~1ms before the waiter
 	// rechecks on its own.
 	waitParkMax = 1024 * time.Microsecond
+	// waitPollRead is how long Completion.Ready reads a pending wire token's
+	// connection: time for one socket read of what has arrived, not a wait.
+	waitPollRead = 5 * time.Microsecond
 	// waitStallParks is how many parks pass between progress samples.
 	// With timeouts capped at waitParkMax (and servers waking parked
 	// waiters well before timeout when live), a stall is declared after
@@ -249,31 +253,47 @@ func (w *waiter) pause() {
 // state and then calls Wake, so it either sees the armed slot (and wakes us)
 // or ran before we armed — in which case the re-check observes its published
 // state and the thread never blocks; park then reports false. A wait on a
-// wire token whose connection nobody reads reads it for d instead of
-// blocking on the slot, armed and advertised all the same. A park that times
-// out with no wake — or a read that ends with the token still pending —
-// assumes a lost signal and makes the next serve pass a full ring scan, so a
-// dropped doorbell bit is rediscovered within one park timeout instead of the
-// full serveFullScanEvery cadence.
+// wire token reads its connection for d instead, if nobody else does
+// (Tok.Read). No wake reaches a thread in that read, so it advertises itself
+// through its locality's reading count, where a publish cannot pick it, and
+// a sender runs an operation toward the locality itself; if another thread
+// holds the reading, the wait parks on its slot after all, which that reader
+// wakes when it leaves. A park that times out with no wake — or a read that
+// ends with the token still pending — assumes a lost signal and makes the
+// next serve pass a full ring scan, so a dropped doorbell bit is rediscovered
+// within one park timeout instead of the full serveFullScanEvery cadence.
 func (t *Thread) park(on *target, part int, d time.Duration) bool {
 	rt := t.rt
 	myloc := rt.parts[t.locality]
+	quiet := func() bool { return !rt.down.Load() && !myloc.bell.Any() && (on == nil || on.pending()) }
 	rt.parker.Prepare(t.id)
-	myloc.parked.Set(t.id)
-	blocked := !rt.down.Load() && !myloc.bell.Any() && (on == nil || on.pending())
-	if !blocked {
-		rt.parker.Cancel(t.id)
+	reads := on != nil && !on.tok.Zero()
+	if reads {
+		myloc.reading.Add(1)
 	} else {
+		myloc.parked.Set(t.id)
+	}
+	blocked := quiet()
+	if reads && blocked && !on.tok.Read(d) {
+		// Another thread holds the reading: park on the slot it wakes.
+		myloc.parked.Set(t.id)
+		myloc.reading.Add(-1)
+		reads, blocked = false, quiet()
+	}
+	if !blocked || reads {
+		rt.parker.Cancel(t.id)
+	}
+	if blocked {
 		rt.rec.Add(t.id, part, obs.Parks, 1)
-		read := on != nil && on.tok.Read(d)
-		if read {
-			rt.parker.Cancel(t.id)
-		}
-		if read && on.pending() || !read && !rt.parker.Park(t.id, &t.parkTimer, d) {
+		if reads && on.pending() || !reads && !rt.parker.Park(t.id, &t.parkTimer, d) {
 			t.forceFullScan()
 		}
 	}
-	myloc.parked.Clear(t.id)
+	if reads {
+		myloc.reading.Add(-1)
+	} else {
+		myloc.parked.Clear(t.id)
+	}
 	return blocked
 }
 

@@ -36,7 +36,7 @@
 // on arrival), serve is the peer process decoding the burst and applying it
 // through its normal serve path, and completion is a response frame matched
 // to the request's sequence number. The sender reads that frame itself while
-// it waits, parked for this tier; while another waiter holds the
+// it waits, counted as parked for this tier; while another waiter holds the
 // connection's reader role, that reader resolves the burst and wakes the
 // sender's Parker slot.
 //

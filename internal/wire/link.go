@@ -196,16 +196,12 @@ func (t Tok) Read(d time.Duration) bool {
 // runtime's sync and drain paths do so.
 //
 // The wait reads the connection itself (Read); while another waiter holds
-// the reader role it blocks until that reader resolves the burst or hands
-// the role on.
+// the reader role it blocks until that reader resolves the burst, for at
+// most awaitSlice at a time, and then tries the role again.
 func (t Tok) Await(deadline time.Time) (ring.Result, error) {
 	p := t.p
 	if deadline.IsZero() {
 		deadline = time.Now().Add(p.pconnTimeout())
-	}
-	var turn chan struct{}
-	if p.pc != nil {
-		turn = p.pc.turn
 	}
 	for p.state.Load() == 0 {
 		d := time.Until(deadline)
@@ -216,16 +212,11 @@ func (t Tok) Await(deadline time.Time) (ring.Result, error) {
 			t.consume()
 			return ring.Result{Err: ring.ErrTimeout}, ring.ErrTimeout
 		}
-		if t.Read(d) {
-			continue
-		}
-		select {
-		case <-p.done:
-		case <-turn:
-			if p.state.Load() != 0 && p.pc.take() {
-				p.pc.leave() // resolved meanwhile: the turn was another waiter's
+		if d = min(d, awaitSlice); !t.Read(d) {
+			select {
+			case <-p.done:
+			case <-time.After(d):
 			}
-		case <-time.After(d):
 		}
 	}
 	t.consume()

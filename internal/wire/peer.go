@@ -40,6 +40,10 @@ const (
 	// the default op deadline governs.
 	heartbeatInterval = 250 * time.Millisecond
 	heartbeatMisses   = 3
+	// awaitSlice bounds each block of a Tok.Await whose connection another
+	// waiter reads: past it the awaiter tries the reader role again, so a
+	// role left with its burst unresolved is taken up within a slice.
+	awaitSlice = time.Millisecond
 	// retryBackoff is the redialer's first sleep after a link failure; it
 	// doubles per failed attempt up to retryBackoffMax, with jitter so a
 	// fleet of clients does not redial in lockstep. The cap is also the
@@ -111,7 +115,7 @@ func NewPeer(idx int, cfg PeerConfig) (*Peer, error) {
 		// per connection and per process: clients whose links one server
 		// restart severed together do not redial in lockstep.
 		id := linkID()
-		pr.conns[i] = &pconn{peer: pr, id: id, rng: id, turn: make(chan struct{}, 1), pending: make(map[uint32]*Pending)}
+		pr.conns[i] = &pconn{peer: pr, id: id, rng: id, pending: make(map[uint32]*Pending)}
 	}
 	return pr, nil
 }
@@ -204,10 +208,9 @@ type pconn struct {
 
 	// cur is the live connection, nil while the link is down; it changes
 	// under mu. reading is the reader role: only its holder touches cur's
-	// frame reader. turn hands the role to a Tok.Await that found it held.
+	// frame reader.
 	cur     atomic.Pointer[conn]
 	reading atomic.Bool
-	turn    chan struct{}
 
 	// pmu guards pending. Separate from mu so a reader resolving
 	// completions never contends with a sender mid-write.
@@ -337,23 +340,18 @@ func (pc *pconn) take() bool {
 	return pc.cur.Load() != nil && pc.reading.CompareAndSwap(false, true)
 }
 
-// leave gives the reader role up and hands it on to the waiters of the
-// connection's unresolved bursts: it wakes the park slot each of them names
-// (Link.WakeOn), and one Tok.Await through turn. A waiter that found the role
-// held armed its slot before it tried, and the role is free before the scan,
-// so either the scan wakes the waiter or its take succeeds.
+// leave gives the reader role up and hands it on: it wakes the first parked
+// owner of an unresolved burst on the connection (the park slot Link.WakeOn
+// named), which takes the role. A waiter that found the role held armed its
+// slot before it tried, and the role is free before the scan, so either the
+// scan finds the waiter armed or its take succeeds. A Tok.Await that found it
+// held tries again after awaitSlice.
 func (pc *pconn) leave() {
 	pc.reading.Store(false)
 	pc.pmu.Lock()
 	for _, p := range pc.pending {
-		if p.wake != nil {
-			p.wake.Wake(p.wslot)
-		}
-	}
-	if len(pc.pending) > 0 {
-		select {
-		case pc.turn <- struct{}{}:
-		default:
+		if p.wake != nil && p.wake.Wake(p.wslot) {
+			break
 		}
 	}
 	pc.pmu.Unlock()

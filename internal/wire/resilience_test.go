@@ -362,10 +362,10 @@ func TestIdleLinkKeepsConnection(t *testing.T) {
 }
 
 // TestAwaitersShareConnection: Tok.Await callers whose links share one
-// connection read it in turn, and a reader that leaves with another's burst
-// unresolved hands the role on through the connection's turn channel. Without
-// the hand-off that burst waits for the heartbeat's read of an idle link, so
-// a busy link that sent a heartbeat shows it.
+// connection read it in turn, and one whose burst a reader left unresolved
+// takes the role up within awaitSlice. An awaiter that waited out its whole
+// deadline instead would leave that burst to the heartbeat's read of an idle
+// link, so a busy link that sent a heartbeat shows it.
 func TestAwaitersShareConnection(t *testing.T) {
 	const senders, rounds = 4, 2000
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -404,5 +404,79 @@ func TestAwaitersShareConnection(t *testing.T) {
 	wg.Wait()
 	if st := pr.Stats(); st.HeartbeatsSent != 0 || st.Timeouts != 0 {
 		t.Fatalf("%d heartbeats sent, %d timeouts on a busy link; want 0 and 0", st.HeartbeatsSent, st.Timeouts)
+	}
+}
+
+// TestReaderRoleHandOff: a reader that leaves the role while another link's
+// burst on the connection is unresolved wakes that burst's parked owner (the
+// slot Link.WakeOn named), which takes the role and reads its own response;
+// a Tok.Await that found the role held takes it up within awaitSlice once it
+// is free. Without the wake the owner would sleep out its park timeout, and
+// an awaiter blocked for its whole deadline would wait for the heartbeat to
+// read the idle link.
+func TestReaderRoleHandOff(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &countHandler{applied: make(map[uint64]int), block: make(chan struct{}), entered: make(chan struct{}, 3)}
+	srv := NewServer(ln, 2, []int{0, 1}, h)
+	go srv.Serve()
+	defer srv.Close()
+	defer close(h.block) // a failed run leaves a burst in the handler
+	pr, err := NewPeer(0, PeerConfig{Addr: ln.Addr().String(), Parts: []int{1}, Partitions: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pr.Close()
+	pk := ring.NewParker(1)
+	// Three links on connection 0; the server answers their bursts in order.
+	lx, ly, lz := pr.NewLink(0), pr.NewLink(numConns), pr.NewLink(2*numConns)
+	ly.WakeOn(pk, 0)
+	stage := func(l *Link) Tok {
+		tok, err := l.Stage(ring.StagedOp{Part: 1, Code: 1, Key: blockKey})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.Flush()
+		return tok
+	}
+	tx := stage(lx)
+	<-h.entered // x holds the server
+	read := make(chan struct{})
+	go func() { tx.Read(5 * time.Second); close(read) }()
+	for !lx.pc.reading.Load() {
+		time.Sleep(100 * time.Microsecond)
+	}
+	ty, tz := stage(ly), stage(lz)
+	awaited := make(chan error, 1)
+	go func() { _, err := tz.Await(time.Time{}); awaited <- err }()
+	time.Sleep(10 * time.Millisecond) // z's awaiter finds the role held
+	pk.Prepare(0)
+	if ty.Read(time.Second) {
+		t.Fatal("took the reader role while another reader held it")
+	}
+	h.block <- struct{}{} // x answers: its reader resolves it and leaves
+	var tm *time.Timer
+	if !pk.Park(0, &tm, 2*time.Second) {
+		t.Fatal("the reader left without waking the parked owner of the connection's unresolved burst")
+	}
+	<-read
+	<-h.entered
+	h.block <- struct{}{}
+	if _, err := ty.Await(time.Time{}); err != nil {
+		t.Fatalf("y: %v", err)
+	}
+	<-h.entered
+	start := time.Now()
+	h.block <- struct{}{} // z answers with nobody reading but its awaiter
+	if err := <-awaited; err != nil {
+		t.Fatalf("z: %v", err)
+	}
+	if took := time.Since(start); took > 100*time.Millisecond {
+		t.Fatalf("z's awaiter took the free reader role after %v, want within 100ms", took)
+	}
+	if _, err := tx.Await(time.Time{}); err != nil {
+		t.Fatalf("x: %v", err)
 	}
 }
