@@ -415,11 +415,20 @@ func BenchmarkFig13Memcached(b *testing.B) {
 		}
 	})
 	b.Run("dps-stock", func(b *testing.B) {
-		d, err := mcd.NewDPS(mcd.DPSConfig{Partitions: 2, MaxThreads: 8})
+		st, err := mcd.Open("dps", mcd.Config{Partitions: 2, MaxThreads: 8})
 		if err != nil {
 			b.Fatal(err)
 		}
-		h2, err := d.Register()
+		defer st.Close()
+		h, err := st.Session()
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer h.Close()
+		// A raw runtime thread serves the other locality, so the session's
+		// operations toward it are delegations rather than inline runs (a
+		// session between calls is Idle).
+		srv, err := st.(interface{ Runtime() *dps.Runtime }).Runtime().RegisterAt(1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -428,19 +437,14 @@ func BenchmarkFig13Memcached(b *testing.B) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer h2.Close()
+			defer srv.Unregister()
 			for !stopped.Load() {
-				if h2.Serve() == 0 {
+				if srv.Serve() == 0 {
 					runtime.Gosched()
 				}
 			}
 		}()
 		defer func() { stopped.Store(true); wg.Wait() }()
-		h, err := d.Register()
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer h.Close()
 		for k := uint64(1); k <= items; k++ {
 			h.SetAsync(k, val)
 		}

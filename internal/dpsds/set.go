@@ -48,12 +48,8 @@ type Config struct {
 	// the shard's read path tolerates cross-locality readers (lock-free
 	// or optimistic reads) — which all sets in this repository do.
 	LocalReads bool
-	// Hash overrides the key hash (defaults to the runtime's Mix64).
-	Hash func(uint64) uint64
 	// MaxThreads bounds concurrent handles (defaults per core.Config).
 	MaxThreads int
-	// Tracer is passed to the underlying runtime (see core.Config.Tracer).
-	Tracer core.Tracer
 	// Chaos installs a fault injector on the underlying runtime (see
 	// core.Config.Chaos). For chaos benchmarking, not production use.
 	Chaos *chaos.Injector
@@ -76,9 +72,7 @@ func NewSet(cfg Config) (*Set, error) {
 	}
 	rt, err := core.New(core.Config{
 		Partitions: cfg.Partitions,
-		Hash:       cfg.Hash,
 		MaxThreads: cfg.MaxThreads,
-		Tracer:     cfg.Tracer,
 		Chaos:      cfg.Chaos,
 		Init:       func(p *core.Partition) any { return cfg.NewShard() },
 	})

@@ -2,79 +2,58 @@ package mcd
 
 import (
 	"fmt"
+	"net"
+	"sync"
 	"time"
 
-	"dps/internal/chaos"
 	"dps/internal/core"
-	"dps/internal/ffwd"
+	"dps/internal/obs"
 )
 
-// DPS partitions a memcached variant across DPS localities, the §5.3 port:
-// "partitions not only the hash table, but also all associated
-// data-structures [LRU, slab]. It also asynchronously delegates set
-// requests to remote partitions, while get requests remain synchronous
-// delegations." With LocalGets (the DPS-ParSec configuration), gets run on
-// the calling thread against the owning partition's shard instead — §4.4's
-// local-execution optimization, valid because the ParSec shard's get path
-// is safe for cross-locality readers.
-type DPS struct {
-	rt        *core.Runtime
-	localGets bool
-}
-
-// DPSConfig parameterizes the partitioned cache.
-type DPSConfig struct {
-	// Partitions is the locality count (one full cache shard per
-	// locality — hash table, LRU and slab all partition together).
-	Partitions int
-	// NewShard builds one partition's cache (each gets 1/Partitions of
-	// the memory budget). Defaults to Stock shards.
-	NewShard func() (Cache, error)
-	// LocalGets executes gets on the calling thread (DPS-ParSec mode).
-	// Only safe when the shard's Get is concurrency-safe for readers
-	// outside the owning locality.
-	LocalGets bool
-	// MaxThreads bounds registered handles.
-	MaxThreads int
-	// Peers hands ownership of some partitions to peer processes: their
-	// shards live in the owning process, and operations on their keys
-	// travel the wire tier. Every process in the cluster must use the
-	// same Partitions count (the hello handshake verifies it) and the
-	// default key hash.
-	Peers []core.Peer
-	// OpTimeout is the runtime's core.Config.OpTimeout: Get, Set, Delete
-	// and every get of a Wave end in core.ErrTimeout once they outlive it.
-	// 0 means no bound.
-	OpTimeout time.Duration
-	// Chaos installs a fault injector on the runtime's delegation paths
-	// (tests only).
-	Chaos *chaos.Injector
-}
+// The dps variants partition a memcached variant across DPS localities, the
+// §5.3 port: "partitions not only the hash table, but also all associated
+// data-structures [LRU, slab]. It also asynchronously delegates set requests
+// to remote partitions, while get requests remain synchronous delegations."
+// dps-parsec runs gets on the calling thread against the owning partition's
+// ParSec shard instead — §4.4's local-execution optimization, valid because
+// the ParSec shard's get path is safe for cross-locality readers.
 
 // Wire codes of the cache operations, identical in every process of a
-// cluster (NewDPS registers them unconditionally, so any two DPS caches
+// cluster (openDPS registers them unconditionally, so any two dps stores
 // interoperate).
 const (
 	opCodeGet    uint16 = 1
 	opCodeSet    uint16 = 2
 	opCodeDelete uint16 = 3
-	opCodeLen    uint16 = 4
 )
 
-// NewDPS creates the partitioned cache.
-func NewDPS(cfg DPSConfig) (*DPS, error) {
-	if cfg.NewShard == nil {
-		cfg.NewShard = func() (Cache, error) { return NewStock(StockConfig{}) }
+// openDPS builds the partitioned store: one runtime whose every local
+// partition holds a shard from newShard, given its even share of the memory
+// and bucket budgets.
+func openDPS(cfg Config, localGets bool, newShard func(mem int64, buckets int) (Cache, error)) (Store, error) {
+	parts := cfg.Partitions
+	maxThreads := cfg.MaxThreads
+	// The peer server's threads, one per local partition, ride on top of
+	// the caller's session budget.
+	if cfg.PeerListen != "" {
+		if maxThreads == 0 {
+			maxThreads = core.DefaultMaxThreads
+		}
+		maxThreads += parts
+		for _, p := range cfg.Peers {
+			maxThreads -= len(p.Parts)
+		}
 	}
+	mem, buckets := cfg.MemLimit/int64(parts), max(cfg.Buckets/parts, 1)
 	var shardErr error
 	rt, err := core.New(core.Config{
-		Partitions: cfg.Partitions,
-		MaxThreads: cfg.MaxThreads,
+		Partitions: parts,
+		MaxThreads: maxThreads,
 		Peers:      cfg.Peers,
 		OpTimeout:  cfg.OpTimeout,
 		Chaos:      cfg.Chaos,
 		Init: func(p *core.Partition) any {
-			c, err := cfg.NewShard()
+			c, err := newShard(mem, buckets)
 			if err != nil && shardErr == nil {
 				shardErr = err
 			}
@@ -84,80 +63,153 @@ func NewDPS(cfg DPSConfig) (*DPS, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Every failure below releases the runtime the construction claimed:
+	// callers only ever see the error, so they cannot close it themselves.
 	if shardErr != nil {
-		// Release the runtime the failed construction claimed — callers
-		// only ever see the error, so they cannot close it themselves.
 		_ = rt.Close()
 		return nil, fmt.Errorf("mcd: shard init: %w", shardErr)
 	}
-	// Register the cache ops under their wire codes so this cache can
-	// delegate to peers and serve for them. Registration is idempotent
-	// and cheap, so it is unconditional — single-process caches just
-	// never use the table.
+	// Register the cache ops under their wire codes so this store can
+	// delegate to peers and serve for them. Single-process stores just never
+	// use the table.
 	for _, reg := range []struct {
 		code uint16
 		op   core.Op
-	}{{opCodeGet, opGet}, {opCodeSet, opSet}, {opCodeDelete, opDelete}, {opCodeLen, opLen}} {
+	}{{opCodeGet, opGet}, {opCodeSet, opSet}, {opCodeDelete, opDelete}} {
 		if err := rt.RegisterOp(reg.code, reg.op); err != nil {
 			_ = rt.Close()
 			return nil, fmt.Errorf("mcd: registering op %d: %w", reg.code, err)
 		}
 	}
-	return &DPS{rt: rt, localGets: cfg.LocalGets}, nil
+	st := &dpsStore{rt: rt, localGets: localGets, drainTimeout: cfg.DrainTimeout}
+	if cfg.PeerListen != "" {
+		ln, err := net.Listen("tcp", cfg.PeerListen)
+		if err != nil {
+			_ = rt.Close()
+			return nil, fmt.Errorf("mcd: peer listen: %w", err)
+		}
+		ps, err := rt.NewPeerServer(ln)
+		if err != nil {
+			ln.Close()
+			_ = rt.Close()
+			return nil, fmt.Errorf("mcd: peer server: %w", err)
+		}
+		st.ps = ps
+		go ps.Serve()
+	}
+	return st, nil
 }
 
-// Runtime exposes the underlying DPS runtime.
-func (d *DPS) Runtime() *core.Runtime { return d.rt }
+// dpsStore fronts the DPS-partitioned cache. Its sessions are registered
+// DPS threads, and nothing else serves: a session serves its locality while it
+// waits inside a call (§4.3), and between calls it is Idle, so an operation
+// toward a locality whose sessions are all between calls runs on its sender,
+// at issue (core.Thread.Idle). The peer server's pooled threads are Idle too.
+type dpsStore struct {
+	rt           *core.Runtime
+	localGets    bool
+	ps           *core.PeerServer
+	drainTimeout time.Duration
+	closeOnce    sync.Once
+	closeErr     error
+}
 
-// DPSHandle is a registered, locality-bound accessor (one goroutine at a
-// time, like core.Thread). It is the dps variants' Session and Waver. Its
-// errors are the runtime's — core.ErrTimeout past DPSConfig.OpTimeout,
-// core.ErrClosed after shutdown, core.ErrPeerDown — except a Set's verdict
-// (cache full, oversized value).
+// PeerAddr reports the bound peer-serving address ("" when the store was
+// opened without PeerListen).
+func (s *dpsStore) PeerAddr() string {
+	if s.ps == nil {
+		return ""
+	}
+	return s.ps.Addr().String()
+}
+
+// BouncePeer restarts the peer listener on its own address after holding
+// it down for the given duration (see PeerListener).
+func (s *dpsStore) BouncePeer(down time.Duration) error {
+	if s.ps == nil {
+		return fmt.Errorf("mcd: no peer listener configured")
+	}
+	addr := s.ps.Addr().String()
+	if err := s.ps.Stop(); err != nil {
+		return err
+	}
+	time.Sleep(down)
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return fmt.Errorf("mcd: peer rebind %s: %w", addr, err)
+	}
+	if err := s.ps.Rebind(ln); err != nil {
+		ln.Close()
+		return err
+	}
+	go s.ps.Serve()
+	return nil
+}
+
+// Session registers a thread on the least-loaded locality.
+func (s *dpsStore) Session() (Session, error) {
+	t, err := s.rt.Register()
+	if err != nil {
+		return nil, err
+	}
+	t.Idle()
+	return &dpsSession{t: t, localGets: s.localGets}, nil
+}
+
+// Len sums shard item counts directly (quiescent use, like Cache.Len): a
+// registration-free gauge read that cannot fail at the thread budget.
+// Peer-owned partitions have no shard here and are skipped — Len counts
+// this process's items.
+func (s *dpsStore) Len() int {
+	n := 0
+	for i := 0; i < s.rt.Partitions(); i++ {
+		if p := s.rt.Partition(i); !p.Remote() {
+			n += p.Data().(Cache).Len()
+		}
+	}
+	return n
+}
+
+func (s *dpsStore) Metrics() obs.Snapshot { return s.rt.Metrics() }
+
+// Runtime exposes the store's DPS runtime.
+func (s *dpsStore) Runtime() *core.Runtime { return s.rt }
+
+// Close stops the peer server, then shuts the runtime down gracefully —
+// draining in-flight delegations within DrainTimeout.
+func (s *dpsStore) Close() error {
+	s.closeOnce.Do(func() {
+		if s.ps != nil {
+			s.ps.Close()
+		}
+		_, s.closeErr = s.rt.Shutdown(s.drainTimeout)
+	})
+	return s.closeErr
+}
+
+// dpsSession is a registered, locality-bound accessor (one goroutine at a
+// time, like core.Thread): the dps variants' Session and Waver. Its errors
+// are the runtime's — core.ErrTimeout past Config.OpTimeout, core.ErrClosed
+// after shutdown, core.ErrPeerDown — except a Set's verdict (cache full,
+// oversized value).
 //
-// A handle serves its locality only while it waits inside a call, so outside
+// A session serves its locality only while it waits inside a call, so outside
 // its calls it is under core.Thread.Idle's mark: from registration on and at
-// the end of every method. An operation toward a locality whose handles are
+// the end of every method. An operation toward a locality whose sessions are
 // all between calls therefore runs on its sender, and no other thread has to
-// serve a handle that sits unused.
-type DPSHandle struct {
-	t *core.Thread
-	d *DPS
+// serve a session that sits unused.
+type dpsSession struct {
+	t         *core.Thread
+	localGets bool
 	// wave holds the completion records of the gets Wave has in flight.
 	wave [MaxWave]core.Completion
 }
 
-// Register binds the caller to the least-loaded locality.
-func (d *DPS) Register() (*DPSHandle, error) {
-	t, err := d.rt.Register()
-	if err != nil {
-		return nil, err
-	}
-	t.Idle()
-	return &DPSHandle{t: t, d: d}, nil
-}
+// Close drains outstanding asynchronous sets and unregisters the session.
+func (h *dpsSession) Close() { h.t.Unregister() }
 
-// RegisterAt binds the caller to locality loc.
-func (d *DPS) RegisterAt(loc int) (*DPSHandle, error) {
-	t, err := d.rt.RegisterAt(loc)
-	if err != nil {
-		return nil, err
-	}
-	t.Idle()
-	return &DPSHandle{t: t, d: d}, nil
-}
-
-// Close drains outstanding asynchronous sets and unregisters the handle.
-func (h *DPSHandle) Close() { h.t.Unregister() }
-
-// Serve processes requests pending on the handle's locality.
-func (h *DPSHandle) Serve() int {
-	defer h.t.Idle()
-	return h.t.Serve()
-}
-
-// Drain waits for the handle's asynchronous sets to complete.
-func (h *DPSHandle) Drain() {
+// Drain waits for the session's asynchronous sets to complete.
+func (h *dpsSession) Drain() {
 	defer h.t.Idle()
 	h.t.Drain()
 }
@@ -182,10 +234,6 @@ func opDelete(p *core.Partition, key uint64, _ *core.Args) core.Result {
 	return core.Result{U: boolU(p.Data().(Cache).Delete(key))}
 }
 
-func opLen(p *core.Partition, _ uint64, _ *core.Args) core.Result {
-	return core.Result{U: uint64(p.Data().(Cache).Len())}
-}
-
 func boolU(b bool) uint64 {
 	if b {
 		return 1
@@ -194,11 +242,11 @@ func boolU(b bool) uint64 {
 }
 
 // Get fetches key's value: synchronous delegation to the owning locality,
-// or local execution in LocalGets mode.
-func (h *DPSHandle) Get(key uint64) ([]byte, bool, error) {
+// or local execution on dps-parsec.
+func (h *dpsSession) Get(key uint64) ([]byte, bool, error) {
 	defer h.t.Idle()
 	var res core.Result
-	if h.d.localGets {
+	if h.localGets {
 		res = h.t.ExecuteLocal(key, opGet, core.Args{})
 	} else {
 		res = h.t.ExecuteSync(key, opGet, core.Args{})
@@ -212,10 +260,10 @@ func (h *DPSHandle) Get(key uint64) ([]byte, bool, error) {
 // wire frame) before the first is awaited, then the results are
 // collected in request order. At most min(MaxWave, ring depth) gets are in
 // flight — a completion holds its ring slot until collected, so a deeper
-// wave could wait on a slot only this handle can free — and longer op lists
+// wave could wait on a slot only this session can free — and longer op lists
 // run as consecutive waves. Each issue and each collect is a call of its own
 // under OpTimeout.
-func (h *DPSHandle) Wave(ops []WaveOp) {
+func (h *dpsSession) Wave(ops []WaveOp) {
 	defer h.t.Idle()
 	depth := min(MaxWave, h.t.Runtime().RingDepth())
 	for len(ops) > 0 {
@@ -225,14 +273,14 @@ func (h *DPSHandle) Wave(ops []WaveOp) {
 	}
 }
 
-// issueWave starts every op's get. LocalGets lookups of locally-owned
+// issueWave starts every op's get. dps-parsec lookups of locally-owned
 // partitions run here, on the calling thread; the returned mask has bit i set
 // for each op answered that way.
-func (h *DPSHandle) issueWave(ops []WaveOp) (answered uint16) {
+func (h *dpsSession) issueWave(ops []WaveOp) (answered uint16) {
 	rt := h.t.Runtime()
 	for i := range ops {
 		o := &ops[i]
-		if h.d.localGets && !rt.PartitionForKey(o.Key).Remote() {
+		if h.localGets && !rt.PartitionForKey(o.Key).Remote() {
 			o.Val, o.OK = valOK(h.t.ExecuteLocal(o.Key, opGet, core.Args{}))
 			o.Err = nil
 			answered |= 1 << i
@@ -244,7 +292,7 @@ func (h *DPSHandle) issueWave(ops []WaveOp) (answered uint16) {
 }
 
 // collectWave awaits the delegated gets in request order.
-func (h *DPSHandle) collectWave(ops []WaveOp, answered uint16) {
+func (h *dpsSession) collectWave(ops []WaveOp, answered uint16) {
 	for i := range ops {
 		if answered&(1<<i) != 0 {
 			continue
@@ -268,144 +316,34 @@ func valOK(res core.Result) ([]byte, bool) {
 }
 
 // Set stores key->val and waits for the result (synchronous delegation).
-func (h *DPSHandle) Set(key uint64, val []byte) error {
+func (h *dpsSession) Set(key uint64, val []byte) error {
 	defer h.t.Idle()
 	return h.t.ExecuteSync(key, opSet, core.Args{P: val}).Err
 }
 
 // SetAsync stores key->val asynchronously (fire-and-forget delegation).
-// Ordering to the same partition is FIFO, so this handle's later Get of the
+// Ordering to the same partition is FIFO, so this session's later Get of the
 // same key observes the set (§3.3 read-your-writes). Errors from
 // asynchronous sets (cache full, oversized value) are dropped; use Set when
 // the caller must observe them. Flush publishes buffered sets, Drain awaits
 // them. The set may stay buffered past the call, which consecutive sets to
 // the same partition pack beside; val is the runtime's until the set has
 // run, so the caller must not modify it before Drain returns.
-func (h *DPSHandle) SetAsync(key uint64, val []byte) {
+func (h *dpsSession) SetAsync(key uint64, val []byte) {
 	defer h.t.Idle()
 	h.t.ExecuteAsync(key, opSet, core.Args{P: val})
 }
 
-// Flush publishes this handle's buffered asynchronous sets without waiting
+// Flush publishes this session's buffered asynchronous sets without waiting
 // for their execution.
-func (h *DPSHandle) Flush() {
+func (h *dpsSession) Flush() {
 	defer h.t.Idle()
 	h.t.Flush()
 }
 
 // Delete removes key (synchronous), reporting whether it was present.
-func (h *DPSHandle) Delete(key uint64) (bool, error) {
+func (h *dpsSession) Delete(key uint64) (bool, error) {
 	defer h.t.Idle()
 	res := h.t.ExecuteSync(key, opDelete, core.Args{})
 	return res.U == 1, res.Err
-}
-
-// Len sums shard sizes with a broadcast.
-func (h *DPSHandle) Len() int {
-	defer h.t.Idle()
-	res := h.t.ExecuteAll(opLen, core.Args{}, func(rs []core.Result) core.Result {
-		var sum uint64
-		for _, r := range rs {
-			sum += r.U
-		}
-		return core.Result{U: sum}
-	})
-	return int(res.U)
-}
-
-// FFWD wraps a single unsynchronized cache shard behind one ffwd server —
-// the §5.3 ffwd memcached, "where all get and set operations are delegated
-// to a single server without any synchronization".
-type FFWD struct {
-	sys *ffwd.System
-}
-
-// NewFFWD creates the single-server delegated cache.
-func NewFFWD(shard Cache) (*FFWD, error) {
-	sys, err := ffwd.New(ffwd.Config{
-		Servers:   1,
-		ShardInit: func(int) any { return shard },
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &FFWD{sys: sys}, nil
-}
-
-// Close stops the server.
-func (f *FFWD) Close() { f.sys.Close() }
-
-// FFWDHandle is a registered client.
-type FFWDHandle struct {
-	c *ffwd.Client
-}
-
-// Register adds a client.
-func (f *FFWD) Register() (*FFWDHandle, error) {
-	c, err := f.sys.Register()
-	if err != nil {
-		return nil, err
-	}
-	return &FFWDHandle{c: c}, nil
-}
-
-// Unregister releases the client.
-func (h *FFWDHandle) Unregister() { h.c.Unregister() }
-
-func ffwdGet(shard any, key uint64, _ *ffwd.Args) ffwd.Result {
-	v, ok := shard.(Cache).Get(key)
-	return ffwd.Result{P: v, U: boolU(ok)}
-}
-
-func ffwdSet(shard any, key uint64, args *ffwd.Args) ffwd.Result {
-	if err := shard.(Cache).Set(key, args.P.([]byte)); err != nil {
-		return ffwd.Result{Err: err}
-	}
-	return ffwd.Result{}
-}
-
-func ffwdDelete(shard any, key uint64, _ *ffwd.Args) ffwd.Result {
-	return ffwd.Result{U: boolU(shard.(Cache).Delete(key))}
-}
-
-func ffwdLen(shard any, _ uint64, _ *ffwd.Args) ffwd.Result {
-	return ffwd.Result{U: uint64(shard.(Cache).Len())}
-}
-
-// Get fetches key through the server.
-func (h *FFWDHandle) Get(key uint64) ([]byte, bool) {
-	res := h.c.Call(key, ffwdGet, ffwd.Args{})
-	if res.U == 0 {
-		return nil, false
-	}
-	return res.P.([]byte), true
-}
-
-// Set stores key->val through the server.
-func (h *FFWDHandle) Set(key uint64, val []byte) error {
-	return h.c.Call(key, ffwdSet, ffwd.Args{P: val}).Err
-}
-
-// SetAsync mirrors DPSHandle.SetAsync on the ffwd variant. The ffwd channel
-// is a single synchronous request slot per client, so the call completes
-// before returning; the error is dropped to match the asynchronous
-// contract.
-func (h *FFWDHandle) SetAsync(key uint64, val []byte) {
-	_ = h.c.Call(key, ffwdSet, ffwd.Args{P: val})
-}
-
-// Flush is a no-op: ffwd calls complete synchronously.
-func (h *FFWDHandle) Flush() {}
-
-// Drain is a no-op: ffwd calls complete synchronously.
-func (h *FFWDHandle) Drain() {}
-
-// Delete removes key through the server.
-func (h *FFWDHandle) Delete(key uint64) bool {
-	return h.c.Call(key, ffwdDelete, ffwd.Args{}).U == 1
-}
-
-// Len reports the shard's item count through the server.
-func (h *FFWDHandle) Len() int {
-	return int(h.c.Call(0, ffwdLen, ffwd.Args{}).U)
 }

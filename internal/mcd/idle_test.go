@@ -69,14 +69,14 @@ func TestSessionBetweenCallsLeavesLocalityUnattended(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer st.Close()
-			rt := st.(*dpsStore).d.Runtime()
+			rt := st.(*dpsStore).Runtime()
 			var sess [2]Session
 			for i := range sess {
 				if sess[i], err = st.Session(); err != nil {
 					t.Fatal(err)
 				}
 				defer sess[i].Close()
-				if loc := sess[i].(*DPSHandle).t.Locality(); loc != i {
+				if loc := sess[i].(*dpsSession).t.Locality(); loc != i {
 					t.Fatalf("session %d registered at locality %d", i, loc)
 				}
 			}
@@ -109,7 +109,7 @@ func TestTwoSessionsRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	rt := st.(*dpsStore).d.Runtime()
+	rt := st.(*dpsStore).Runtime()
 	keys := keysOf(rt, 8)
 	var sess [2]Session
 	for i := range sess {

@@ -211,82 +211,90 @@ func TestParSecGetInUnderQuiescence(t *testing.T) {
 	th.Exit()
 }
 
+// TestDPSStockVariant: a session's delegated sets and gets reach a locality a
+// raw core thread serves, and the shards are genuinely partitioned.
 func TestDPSStockVariant(t *testing.T) {
 	t.Parallel()
-	d, err := NewDPS(DPSConfig{Partitions: 2, MaxThreads: 16})
+	st, err := Open("dps", Config{Partitions: 2, MaxThreads: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := d.Register()
+	defer st.Close()
+	sess, err := st.Session()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer h.Close()
-	h2, err := d.Register()
+	defer sess.Close()
+	// A raw core thread in a Serve loop keeps the other locality attended (a
+	// session between calls is Idle), so operations toward it cross the ring.
+	rt := st.(*dpsStore).Runtime()
+	srv, err := rt.RegisterAt(1 - sess.(*dpsSession).t.Locality())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer h2.Close()
-
 	done := make(chan struct{})
 	stop := make(chan struct{})
 	go func() {
 		defer close(done)
+		defer srv.Unregister()
 		for {
 			select {
 			case <-stop:
 				return
 			default:
-				if h2.Serve() == 0 {
+				if srv.Serve() == 0 {
 					runtime.Gosched()
 				}
 			}
 		}
 	}()
+	defer func() { close(stop); <-done }()
 
 	const n = 300
 	for i := 0; i < n; i++ {
-		h.SetAsync(uint64(i), val(i))
+		sess.SetAsync(uint64(i), val(i))
 	}
-	h.Drain()
+	sess.Drain()
 	for i := 0; i < n; i++ {
-		if v, ok, err := h.Get(uint64(i)); err != nil || !ok || !bytes.Equal(v, val(i)) {
+		if v, ok, err := sess.Get(uint64(i)); err != nil || !ok || !bytes.Equal(v, val(i)) {
 			t.Fatalf("Get(%d) = (%q,%v,%v)", i, v, ok, err)
 		}
 	}
-	if got := h.Len(); got != n {
+	if got := st.Len(); got != n {
 		t.Fatalf("Len() = %d, want %d", got, n)
 	}
-	if first, err := h.Delete(5); err != nil || !first {
+	if first, err := sess.Delete(5); err != nil || !first {
 		t.Fatalf("first Delete = (%v,%v), want (true,nil)", first, err)
 	}
-	if again, err := h.Delete(5); err != nil || again {
+	if again, err := sess.Delete(5); err != nil || again {
 		t.Fatalf("second Delete = (%v,%v), want (false,nil)", again, err)
 	}
 	// The shards must be genuinely partitioned: both hold items.
 	for p := 0; p < 2; p++ {
-		if d.Runtime().Partition(p).Data().(Cache).Len() == 0 {
+		if rt.Partition(p).Data().(Cache).Len() == 0 {
 			t.Errorf("partition %d holds no items", p)
 		}
 	}
-	close(stop)
-	<-done
+	if sends := st.Metrics().Totals.RemoteSends; sends == 0 {
+		t.Error("no operation crossed a ring: the served locality ran everything inline")
+	}
 }
 
 func TestDPSReadYourWritesAcrossAsyncSets(t *testing.T) {
 	t.Parallel()
-	d, err := NewDPS(DPSConfig{Partitions: 4, MaxThreads: 16})
+	st, err := Open("dps", Config{Partitions: 4, MaxThreads: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := d.Register()
+	defer st.Close()
+	sess, err := st.Session()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer h.Close()
+	defer sess.Close()
 	for i := 0; i < 200; i++ {
-		h.SetAsync(42, val(i))
-		if v, ok, err := h.Get(42); err != nil || !ok || !bytes.Equal(v, val(i)) {
+		sess.SetAsync(42, val(i))
+		if v, ok, err := sess.Get(42); err != nil || !ok || !bytes.Equal(v, val(i)) {
 			t.Fatalf("iteration %d: read-your-writes violated: (%q,%v,%v)", i, v, ok, err)
 		}
 	}
@@ -294,61 +302,29 @@ func TestDPSReadYourWritesAcrossAsyncSets(t *testing.T) {
 
 func TestDPSParSecLocalGets(t *testing.T) {
 	t.Parallel()
-	d, err := NewDPS(DPSConfig{
-		Partitions: 2,
-		MaxThreads: 16,
-		LocalGets:  true,
-		NewShard:   func() (Cache, error) { return NewParSec(ParSecConfig{}) },
-	})
+	st, err := Open("dps-parsec", Config{Partitions: 2, MaxThreads: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := d.Register()
+	defer st.Close()
+	sess, err := st.Session()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer h.Close()
+	defer sess.Close()
 	for i := 0; i < 100; i++ {
-		if err := h.Set(uint64(i), val(i)); err != nil {
+		if err := sess.Set(uint64(i), val(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	before := d.Runtime().Metrics().Totals.RemoteSends
+	before := st.Metrics().Totals.RemoteSends
 	for i := 0; i < 100; i++ {
-		if v, ok, err := h.Get(uint64(i)); err != nil || !ok || !bytes.Equal(v, val(i)) {
+		if v, ok, err := sess.Get(uint64(i)); err != nil || !ok || !bytes.Equal(v, val(i)) {
 			t.Fatalf("Get(%d) = (%q,%v,%v)", i, v, ok, err)
 		}
 	}
-	if after := d.Runtime().Metrics().Totals.RemoteSends; after != before {
+	if after := st.Metrics().Totals.RemoteSends; after != before {
 		t.Fatalf("local gets sent %d delegations", after-before)
-	}
-}
-
-func TestFFWDVariant(t *testing.T) {
-	t.Parallel()
-	shard, err := NewStock(StockConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := NewFFWD(shard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	h, err := f.Register()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Unregister()
-	for i := 0; i < 100; i++ {
-		if err := h.Set(uint64(i), val(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 100; i++ {
-		if v, ok := h.Get(uint64(i)); !ok || !bytes.Equal(v, val(i)) {
-			t.Fatalf("Get(%d) = (%q,%v)", i, v, ok)
-		}
 	}
 }
 
@@ -364,11 +340,12 @@ func TestTraceReplayAcrossVariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dpsC, err := NewDPS(DPSConfig{Partitions: 2, MaxThreads: 8})
+	dpsC, err := Open("dps", Config{Partitions: 2, MaxThreads: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := dpsC.Register()
+	defer dpsC.Close()
+	h, err := dpsC.Session()
 	if err != nil {
 		t.Fatal(err)
 	}

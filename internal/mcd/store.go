@@ -2,19 +2,18 @@ package mcd
 
 import (
 	"fmt"
-	"net"
 	"sort"
-	"sync"
 	"time"
 
 	"dps/internal/chaos"
 	"dps/internal/core"
+	"dps/internal/ffwd"
 	"dps/internal/obs"
 	"dps/internal/parsec"
 )
 
 // Store is the variant-agnostic cache API: one interface implemented by all
-// four memcached variants (stock, parsec, ffwd, dps, dps-parsec), so servers
+// five memcached variants (stock, parsec, ffwd, dps, dps-parsec), so servers
 // and benchmarks select a distribution strategy by name instead of binding
 // to variant-specific structs. The distribution strategy — bucket locks, a
 // quiescence domain, a dedicated delegation server, or DPS peer delegation —
@@ -113,9 +112,6 @@ type Config struct {
 	// MemLimit caps stored bytes across the whole store (default 64 MiB).
 	// Partitioned variants split it evenly across shards.
 	MemLimit int64
-	// MaxValue is the largest storable value in bytes (default: the
-	// variant's own default, 1 MiB for stock shards).
-	MaxValue int
 	// Buckets is the hash-bucket count across the store (default 1024).
 	Buckets int
 	// MaxThreads bounds concurrently live Sessions on the delegated
@@ -157,7 +153,12 @@ type PeerListener interface {
 	BouncePeer(down time.Duration) error
 }
 
-func (c *Config) setDefaults() {
+// setDefaults fills the zero fields and rejects a negative one, before any
+// variant is built.
+func (c *Config) setDefaults() error {
+	if c.Partitions < 0 || c.MemLimit < 0 || c.Buckets < 0 || c.MaxThreads < 0 || c.OpTimeout < 0 || c.DrainTimeout < 0 {
+		return fmt.Errorf("mcd: negative config value")
+	}
 	if c.Partitions == 0 {
 		c.Partitions = 4
 	}
@@ -170,6 +171,7 @@ func (c *Config) setDefaults() {
 	if c.DrainTimeout == 0 {
 		c.DrainTimeout = 5 * time.Second
 	}
+	return nil
 }
 
 // Variants returns the registered variant names, sorted.
@@ -179,7 +181,9 @@ func Variants() []string {
 	return v
 }
 
-// Open constructs the named variant behind the Store interface:
+// Open constructs the named variant behind the Store interface; it is the
+// only constructor of a Store. It rejects a negative Config field before
+// building any variant. The variants:
 //
 //	stock      — bucket-locked table, LRU and slab locks (memcached 1.5.x)
 //	parsec     — store-free gets under quiescence, CLOCK eviction
@@ -187,10 +191,12 @@ func Variants() []string {
 //	dps        — DPS-partitioned stock shards, peer-delegated operations
 //	dps-parsec — DPS-partitioned parsec shards with local gets (§5.3)
 func Open(variant string, cfg Config) (Store, error) {
-	cfg.setDefaults()
+	if err := cfg.setDefaults(); err != nil {
+		return nil, err
+	}
 	switch variant {
 	case "stock":
-		c, err := NewStock(StockConfig{MemLimit: cfg.MemLimit, MaxValue: cfg.MaxValue, Buckets: cfg.Buckets})
+		c, err := NewStock(StockConfig{MemLimit: cfg.MemLimit, Buckets: cfg.Buckets})
 		if err != nil {
 			return nil, err
 		}
@@ -202,17 +208,23 @@ func Open(variant string, cfg Config) (Store, error) {
 		}
 		return &parsecStore{c: c}, nil
 	case "ffwd":
-		shard, err := NewStock(StockConfig{MemLimit: cfg.MemLimit, MaxValue: cfg.MaxValue, Buckets: cfg.Buckets})
+		shard, err := NewStock(StockConfig{MemLimit: cfg.MemLimit, Buckets: cfg.Buckets})
 		if err != nil {
 			return nil, err
 		}
-		f, err := NewFFWD(shard)
+		sys, err := ffwd.New(ffwd.Config{Servers: 1, ShardInit: func(int) any { return shard }})
 		if err != nil {
 			return nil, err
 		}
-		return &ffwdStore{f: f, shard: shard}, nil
-	case "dps", "dps-parsec":
-		return openDPS(variant == "dps-parsec", cfg)
+		return &ffwdStore{sys: sys, shard: shard}, nil
+	case "dps":
+		return openDPS(cfg, false, func(mem int64, buckets int) (Cache, error) {
+			return NewStock(StockConfig{MemLimit: mem, Buckets: buckets})
+		})
+	case "dps-parsec":
+		return openDPS(cfg, true, func(mem int64, buckets int) (Cache, error) {
+			return NewParSec(ParSecConfig{MemLimit: mem, Buckets: buckets})
+		})
 	default:
 		return nil, fmt.Errorf("mcd: unknown variant %q (have %v)", variant, Variants())
 	}
@@ -276,178 +288,55 @@ func (s *parsecSession) Close()                           { s.th.Unregister() }
 
 // ---- ffwd ----
 
+// ffwdStore is the §5.3 ffwd memcached, "where all get and set operations
+// are delegated to a single server without any synchronization": one ffwd
+// server owns an unsynchronized stock shard.
 type ffwdStore struct {
-	f     *FFWD
+	sys   *ffwd.System
 	shard *Stock
 }
 
 func (s *ffwdStore) Session() (Session, error) {
-	h, err := s.f.Register()
+	c, err := s.sys.Register()
 	if err != nil {
 		return nil, err
 	}
-	return ffwdSession{h: h}, nil
+	return ffwdSession{c: c}, nil
 }
 func (s *ffwdStore) Len() int              { return s.shard.Len() }
 func (s *ffwdStore) Metrics() obs.Snapshot { return obs.Snapshot{} }
-func (s *ffwdStore) Close() error          { s.f.Close(); return nil }
+func (s *ffwdStore) Close() error          { s.sys.Close(); return nil }
 
-type ffwdSession struct{ h *FFWDHandle }
+// ffwdSession is a registered ffwd client. Its channel is a single
+// synchronous request slot, so SetAsync completes before returning (its
+// error dropped, as the asynchronous contract says) and Flush/Drain are
+// no-ops.
+type ffwdSession struct{ c *ffwd.Client }
 
 func (s ffwdSession) Get(key uint64) ([]byte, bool, error) {
-	v, ok := s.h.Get(key)
+	v, ok := valOK(s.c.Call(key, ffwdGet, ffwd.Args{}))
 	return v, ok, nil
 }
-func (s ffwdSession) Set(key uint64, val []byte) error { return s.h.Set(key, val) }
-func (s ffwdSession) SetAsync(key uint64, val []byte)  { s.h.SetAsync(key, val) }
-func (s ffwdSession) Delete(key uint64) (bool, error)  { return s.h.Delete(key), nil }
-func (s ffwdSession) Flush()                           { s.h.Flush() }
-func (s ffwdSession) Drain()                           { s.h.Drain() }
-func (s ffwdSession) Close()                           { s.h.Unregister() }
+func (s ffwdSession) Set(key uint64, val []byte) error {
+	return s.c.Call(key, ffwdSet, ffwd.Args{P: val}).Err
+}
+func (s ffwdSession) SetAsync(key uint64, val []byte) { _ = s.Set(key, val) }
+func (s ffwdSession) Delete(key uint64) (bool, error) {
+	return s.c.Call(key, ffwdDelete, ffwd.Args{}).U == 1, nil
+}
+func (s ffwdSession) Flush() {}
+func (s ffwdSession) Drain() {}
+func (s ffwdSession) Close() { s.c.Unregister() }
 
-// ---- dps / dps-parsec ----
-
-func openDPS(localGets bool, cfg Config) (Store, error) {
-	parts := cfg.Partitions
-	dcfg := DPSConfig{
-		Partitions: parts,
-		LocalGets:  localGets,
-		MaxThreads: cfg.MaxThreads,
-		Peers:      cfg.Peers,
-		OpTimeout:  cfg.OpTimeout,
-		Chaos:      cfg.Chaos,
-	}
-	// The peer server's threads, one per local partition, ride on top of
-	// the caller's session budget.
-	if cfg.PeerListen != "" {
-		if dcfg.MaxThreads == 0 {
-			dcfg.MaxThreads = core.DefaultMaxThreads
-		}
-		dcfg.MaxThreads += parts
-		for _, p := range cfg.Peers {
-			dcfg.MaxThreads -= len(p.Parts)
-		}
-	}
-	perShardMem := cfg.MemLimit / int64(parts)
-	perShardBuckets := cfg.Buckets / parts
-	if perShardBuckets == 0 {
-		perShardBuckets = 1
-	}
-	if localGets {
-		dcfg.NewShard = func() (Cache, error) {
-			return NewParSec(ParSecConfig{MemLimit: perShardMem, Buckets: perShardBuckets})
-		}
-	} else {
-		dcfg.NewShard = func() (Cache, error) {
-			return NewStock(StockConfig{MemLimit: perShardMem, MaxValue: cfg.MaxValue, Buckets: perShardBuckets})
-		}
-	}
-	d, err := NewDPS(dcfg)
-	if err != nil {
-		return nil, err
-	}
-	st := &dpsStore{d: d, drainTimeout: cfg.DrainTimeout}
-	if cfg.PeerListen != "" {
-		rt := d.Runtime()
-		ln, err := net.Listen("tcp", cfg.PeerListen)
-		if err != nil {
-			_ = rt.Close()
-			return nil, fmt.Errorf("mcd: peer listen: %w", err)
-		}
-		ps, err := rt.NewPeerServer(ln)
-		if err != nil {
-			ln.Close()
-			_ = rt.Close()
-			return nil, fmt.Errorf("mcd: peer server: %w", err)
-		}
-		st.ps = ps
-		go ps.Serve()
-	}
-	return st, nil
+func ffwdGet(shard any, key uint64, _ *ffwd.Args) ffwd.Result {
+	v, ok := shard.(Cache).Get(key)
+	return ffwd.Result{P: v, U: boolU(ok)}
 }
 
-// dpsStore fronts the DPS-partitioned cache. Its sessions are registered
-// DPS threads, and nothing else serves: a session serves its locality while it
-// waits inside a call (§4.3), and between calls it is Idle, so an operation
-// toward a locality whose sessions are all between calls runs on its sender,
-// at issue (core.Thread.Idle). The peer server's pooled threads are Idle too.
-type dpsStore struct {
-	d            *DPS
-	ps           *core.PeerServer
-	drainTimeout time.Duration
-	closeOnce    sync.Once
-	closeErr     error
+func ffwdSet(shard any, key uint64, args *ffwd.Args) ffwd.Result {
+	return ffwd.Result{Err: shard.(Cache).Set(key, args.P.([]byte))}
 }
 
-// PeerAddr reports the bound peer-serving address ("" when the store was
-// opened without PeerListen).
-func (s *dpsStore) PeerAddr() string {
-	if s.ps == nil {
-		return ""
-	}
-	return s.ps.Addr().String()
-}
-
-// BouncePeer restarts the peer listener on its own address after holding
-// it down for the given duration (see PeerListener).
-func (s *dpsStore) BouncePeer(down time.Duration) error {
-	if s.ps == nil {
-		return fmt.Errorf("mcd: no peer listener configured")
-	}
-	addr := s.ps.Addr().String()
-	if err := s.ps.Stop(); err != nil {
-		return err
-	}
-	time.Sleep(down)
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("mcd: peer rebind %s: %w", addr, err)
-	}
-	if err := s.ps.Rebind(ln); err != nil {
-		ln.Close()
-		return err
-	}
-	go s.ps.Serve()
-	return nil
-}
-
-func (s *dpsStore) Session() (Session, error) {
-	h, err := s.d.Register()
-	if err != nil {
-		return nil, err
-	}
-	return h, nil
-}
-
-// Len sums shard item counts directly (quiescent use, like Cache.Len): a
-// registration-free gauge read that cannot fail at the thread budget.
-// Peer-owned partitions have no shard here and are skipped — Len counts
-// this process's items; cluster totals go through a Session broadcast.
-func (s *dpsStore) Len() int {
-	n := 0
-	rt := s.d.Runtime()
-	for i := 0; i < rt.Partitions(); i++ {
-		if p := rt.Partition(i); !p.Remote() {
-			n += p.Data().(Cache).Len()
-		}
-	}
-	return n
-}
-
-func (s *dpsStore) Metrics() obs.Snapshot { return s.d.Runtime().Metrics() }
-
-// Runtime exposes the store's DPS runtime.
-func (s *dpsStore) Runtime() *core.Runtime { return s.d.Runtime() }
-
-// Close stops the peer server, then shuts the runtime down gracefully —
-// draining in-flight delegations within DrainTimeout.
-func (s *dpsStore) Close() error {
-	s.closeOnce.Do(func() {
-		if s.ps != nil {
-			s.ps.Close()
-		}
-		_, err := s.d.Runtime().Shutdown(s.drainTimeout)
-		s.closeErr = err
-	})
-	return s.closeErr
+func ffwdDelete(shard any, key uint64, _ *ffwd.Args) ffwd.Result {
+	return ffwd.Result{U: boolU(shard.(Cache).Delete(key))}
 }

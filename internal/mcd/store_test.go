@@ -207,16 +207,39 @@ func TestSessionBudgetExhaustion(t *testing.T) {
 	}
 }
 
-// TestNewDPSShardInitFailure: a failing shard constructor must not leak the
-// runtime (the rt is closed internally; a second Open must succeed with the
-// same budget).
-func TestNewDPSShardInitFailure(t *testing.T) {
+// TestOpenRejectsNegativeConfig: every variant refuses a negative memory or
+// bucket budget, instead of a default (dps: each shard's share truncated to 0)
+// or a store that keeps nothing (parsec: a negative capacity).
+func TestOpenRejectsNegativeConfig(t *testing.T) {
+	for _, variant := range Variants() {
+		for _, tc := range []struct {
+			name string
+			cfg  Config
+		}{
+			{"MemLimit", Config{MemLimit: -1}},
+			{"Buckets", Config{Buckets: -1}},
+		} {
+			t.Run(variant+"/"+tc.name, func(t *testing.T) {
+				st, err := Open(variant, tc.cfg)
+				if err == nil {
+					st.Close()
+					t.Fatalf("Open(%s, %s: -1) succeeded", variant, tc.name)
+				}
+			})
+		}
+	}
+}
+
+// TestOpenDPSShardInitFailure: a failing shard constructor must not leak the
+// runtime (openDPS closes it before it returns the error).
+func TestOpenDPSShardInitFailure(t *testing.T) {
 	boom := errors.New("shard boom")
-	_, err := NewDPS(DPSConfig{
-		Partitions: 2,
-		NewShard:   func() (Cache, error) { return nil, boom },
-	})
+	cfg := Config{}
+	if err := cfg.setDefaults(); err != nil {
+		t.Fatal(err)
+	}
+	_, err := openDPS(cfg, false, func(int64, int) (Cache, error) { return nil, boom })
 	if !errors.Is(err, boom) {
-		t.Fatalf("NewDPS error = %v, want %v", err, boom)
+		t.Fatalf("openDPS error = %v, want %v", err, boom)
 	}
 }

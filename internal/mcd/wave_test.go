@@ -116,7 +116,7 @@ func TestWaveTimeoutHitsOnlyTheWedgedLocality(t *testing.T) {
 	}
 	defer sessA.Close()
 
-	rt := st.(*dpsStore).d.Runtime()
+	rt := st.(*dpsStore).Runtime()
 	var keys [2][]uint64 // by owning partition
 	for k := uint64(0); len(keys[0]) < 2 || len(keys[1]) < 2; k++ {
 		p := rt.PartitionForKey(k).ID()
@@ -161,9 +161,9 @@ func TestWaveTimeoutHitsOnlyTheWedgedLocality(t *testing.T) {
 
 // remoteGets is a wave of eight gets of keys owned by partitions other than
 // h's own locality, so every get is delegated.
-func remoteGets(h *DPSHandle) (ops [8]WaveOp) {
+func remoteGets(h *dpsSession) (ops [8]WaveOp) {
 	for i, k := 0, uint64(1000); i < len(ops); k++ {
-		if h.d.rt.PartitionForKey(k).ID() != h.t.Locality() {
+		if h.t.Runtime().PartitionForKey(k).ID() != h.t.Locality() {
 			ops[i].Key = k
 			i++
 		}
@@ -188,7 +188,7 @@ func TestWaveZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 		w := sess.(Waver)
-		ops := remoteGets(sess.(*DPSHandle))
+		ops := remoteGets(sess.(*dpsSession))
 		for i := 0; i < 100; i++ { // fault in rings, parkers, histograms
 			w.Wave(ops[:])
 		}
@@ -225,12 +225,13 @@ func TestWaveRingFullHonoursOpTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	h := sess.(*DPSHandle)
+	h := sess.(*dpsSession)
 	// A raw core thread at every locality that never calls keeps each one
 	// attended (a handle would be Idle), so the gets are sent into the full
 	// rings rather than run inline on the session.
-	for loc := 0; loc < h.d.rt.Partitions(); loc++ {
-		b, err := h.d.rt.RegisterAt(loc)
+	rt := h.t.Runtime()
+	for loc := 0; loc < rt.Partitions(); loc++ {
+		b, err := rt.RegisterAt(loc)
 		if err != nil {
 			t.Fatal(err)
 		}

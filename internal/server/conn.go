@@ -240,7 +240,7 @@ func (c *conn) dispatch(line []byte) error {
 		return c.doStats()
 	case opVersion:
 		c.srv.stats.CmdOther.Add(1)
-		_, _ = c.bw.WriteString("VERSION " + c.srv.cfg.Version + "\r\n")
+		_, _ = c.bw.WriteString("VERSION " + version + "\r\n")
 		return nil
 	case opQuit:
 		c.srv.stats.CmdOther.Add(1)
@@ -416,7 +416,7 @@ func (c *conn) writeValue(key []byte, flags uint32, data []byte, withCAS bool, e
 func (c *conn) doStore() error {
 	key := c.cmd.keys[0]
 	c.srv.stats.CmdSet.Add(1)
-	if c.cmd.bytes > c.srv.cfg.MaxValue {
+	if c.cmd.bytes > DefaultMaxValue {
 		return c.discardOversized()
 	}
 	// key aliases the read buffer, which reading the data block may refill

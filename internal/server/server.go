@@ -14,13 +14,18 @@ import (
 	"dps/internal/obs"
 )
 
-// Defaults for Config's zero fields.
+// Defaults for Config's zero fields, and the front door's fixed limits.
 const (
 	DefaultMaxConns     = 4096
 	DefaultSessions     = 8
 	DefaultReadTimeout  = 5 * time.Minute
 	DefaultWriteTimeout = 30 * time.Second
-	DefaultMaxValue     = 1 << 20
+	// DefaultMaxValue is the largest data block a set may carry; larger
+	// blocks are swallowed and answered "SERVER_ERROR object too large for
+	// cache".
+	DefaultMaxValue = 1 << 20
+	// version is the "version" command's reply.
+	version = "dps-mcd/1.0"
 	// readBufSize bounds a request line (bufio.ErrBufferFull past it) and
 	// sizes the per-connection buffers.
 	readBufSize  = 16 << 10
@@ -47,12 +52,6 @@ type Config struct {
 	ReadTimeout time.Duration
 	// WriteTimeout bounds each response flush.
 	WriteTimeout time.Duration
-	// MaxValue is the largest data block a set may carry; larger blocks
-	// are swallowed and answered "SERVER_ERROR object too large for
-	// cache".
-	MaxValue int
-	// Version is the "version" command's reply.
-	Version string
 	// Chaos injects operation delays on the dispatch path (tests only).
 	Chaos *chaos.Injector
 }
@@ -69,12 +68,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.WriteTimeout == 0 {
 		c.WriteTimeout = DefaultWriteTimeout
-	}
-	if c.MaxValue == 0 {
-		c.MaxValue = DefaultMaxValue
-	}
-	if c.Version == "" {
-		c.Version = "dps-mcd/1.0"
 	}
 }
 

@@ -204,13 +204,13 @@ func TestCrossConnectionVisibility(t *testing.T) {
 	roundTrip(t, nc2, "get shared\r\n", "VALUE shared 0 3\r\nabc\r\nEND\r\n")
 }
 
-// TestOversizedValue: a data block over MaxValue is swallowed (stream stays
-// aligned) and answered SERVER_ERROR.
+// TestOversizedValue: a data block one byte over DefaultMaxValue is swallowed
+// (stream stays aligned) and answered SERVER_ERROR.
 func TestOversizedValue(t *testing.T) {
-	srv, _ := newTestServer(t, "stock", Config{MaxValue: 1024})
+	srv, _ := newTestServer(t, "stock", Config{})
 	nc := dial(t, srv)
-	big := strings.Repeat("x", 2048)
-	roundTrip(t, nc, "set big 0 0 2048\r\n"+big+"\r\n",
+	big := strings.Repeat("x", DefaultMaxValue+1)
+	roundTrip(t, nc, fmt.Sprintf("set big 0 0 %d\r\n", len(big))+big+"\r\n",
 		"SERVER_ERROR object too large for cache\r\n")
 	// The connection survives and the stream is aligned.
 	roundTrip(t, nc, "set small 0 0 2\r\nok\r\nget small\r\n",

@@ -67,11 +67,9 @@ type Pending struct {
 	n   int32
 	res [MaxBurst]ring.Result
 
-	// state is 0 while in flight and 1 once resolved; done is closed at
-	// resolve time for blocking awaiters. Results are published before
-	// state flips, so a Ready poll that observes state==1 may read res.
+	// state is 0 while in flight and 1 once resolved. Results are published
+	// before state flips, so a Ready poll that observes state==1 may read res.
 	state atomic.Uint32
-	done  chan struct{}
 
 	// consumed counts tokens whose Await has returned. When all n have
 	// been consumed and the burst never resolved (a lost frame), the
@@ -122,13 +120,11 @@ func (p *Pending) fail(err error) {
 	p.wakeAwaiters()
 }
 
-// wakeAwaiters follows the state store of resolve and fail: it releases
-// Tok.Await's blocked callers and wakes the staging thread if it parked on
-// its Parker slot. The parked thread armed its slot before re-checking
-// state, so the store above is either seen by that re-check or followed by
-// this wake.
+// wakeAwaiters follows the state store of resolve and fail: it wakes the
+// staging thread if it parked on its Parker slot. The parked thread armed its
+// slot before re-checking state, so the store above is either seen by that
+// re-check or followed by this wake. Tok.Await callers poll state.
 func (p *Pending) wakeAwaiters() {
-	close(p.done)
 	if p.wake != nil {
 		p.wake.Wake(p.wslot)
 	}
@@ -195,9 +191,10 @@ func (t Tok) Read(d time.Duration) bool {
 // a peer process's shard). Each token must be awaited exactly once; the
 // runtime's sync and drain paths do so.
 //
-// The wait reads the connection itself (Read); while another waiter holds
-// the reader role it blocks until that reader resolves the burst, for at
-// most awaitSlice at a time, and then tries the role again.
+// The wait reads the connection itself (Read), for at most awaitSlice at a
+// time; while another waiter holds the reader role, which resolves every
+// burst it reads, it sleeps for awaitPoll and then looks at the burst and
+// tries the role again.
 func (t Tok) Await(deadline time.Time) (ring.Result, error) {
 	p := t.p
 	if deadline.IsZero() {
@@ -212,11 +209,8 @@ func (t Tok) Await(deadline time.Time) (ring.Result, error) {
 			t.consume()
 			return ring.Result{Err: ring.ErrTimeout}, ring.ErrTimeout
 		}
-		if d = min(d, awaitSlice); !t.Read(d) {
-			select {
-			case <-p.done:
-			case <-time.After(d):
-			}
+		if !t.Read(min(d, awaitSlice)) {
+			time.Sleep(min(d, awaitPoll))
 		}
 	}
 	t.consume()
@@ -309,7 +303,7 @@ func (l *Link) claim() {
 	l.buf = grow(l.buf[:0], 4+hdrSize)
 	l.buf[4] = FrameRequest
 	l.n = 0
-	l.pend = &Pending{done: make(chan struct{}), wake: l.wake, wslot: l.wslot}
+	l.pend = &Pending{wake: l.wake, wslot: l.wslot}
 }
 
 // Flush publishes the open burst, if any: the frame's length and op

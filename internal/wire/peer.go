@@ -40,10 +40,13 @@ const (
 	// the default op deadline governs.
 	heartbeatInterval = 250 * time.Millisecond
 	heartbeatMisses   = 3
-	// awaitSlice bounds each block of a Tok.Await whose connection another
-	// waiter reads: past it the awaiter tries the reader role again, so a
-	// role left with its burst unresolved is taken up within a slice.
+	// awaitSlice bounds each read of a Tok.Await that holds the reader role,
+	// so the awaiter looks at its deadline between slices. awaitPoll is how
+	// long an awaiter that found the role held sleeps before it looks at its
+	// burst and tries the role again, so a role left with its burst
+	// unresolved is taken up within a poll.
 	awaitSlice = time.Millisecond
+	awaitPoll  = 50 * time.Microsecond
 	// retryBackoff is the redialer's first sleep after a link failure; it
 	// doubles per failed attempt up to retryBackoffMax, with jitter so a
 	// fleet of clients does not redial in lockstep. The cap is also the
@@ -345,7 +348,7 @@ func (pc *pconn) take() bool {
 // named), which takes the role. A waiter that found the role held armed its
 // slot before it tried, and the role is free before the scan, so either the
 // scan finds the waiter armed or its take succeeds. A Tok.Await that found it
-// held tries again after awaitSlice.
+// held tries again after awaitPoll.
 func (pc *pconn) leave() {
 	pc.reading.Store(false)
 	pc.pmu.Lock()

@@ -223,7 +223,7 @@ func TestFrameLifetime(t *testing.T) {
 	if _, _, err := fr.next(&f); err != nil {
 		t.Fatal(err)
 	}
-	p := &Pending{n: 1, done: make(chan struct{})}
+	p := &Pending{n: 1}
 	p.resolve(&f)
 	aliased := f.Resp[0].Data
 	if _, _, err := fr.next(&f); err != nil {

@@ -363,7 +363,7 @@ func TestIdleLinkKeepsConnection(t *testing.T) {
 
 // TestAwaitersShareConnection: Tok.Await callers whose links share one
 // connection read it in turn, and one whose burst a reader left unresolved
-// takes the role up within awaitSlice. An awaiter that waited out its whole
+// takes the role up within awaitPoll. An awaiter that waited out its whole
 // deadline instead would leave that burst to the heartbeat's read of an idle
 // link, so a busy link that sent a heartbeat shows it.
 func TestAwaitersShareConnection(t *testing.T) {
@@ -410,7 +410,7 @@ func TestAwaitersShareConnection(t *testing.T) {
 // TestReaderRoleHandOff: a reader that leaves the role while another link's
 // burst on the connection is unresolved wakes that burst's parked owner (the
 // slot Link.WakeOn named), which takes the role and reads its own response;
-// a Tok.Await that found the role held takes it up within awaitSlice once it
+// a Tok.Await that found the role held takes it up within awaitPoll once it
 // is free. Without the wake the owner would sleep out its park timeout, and
 // an awaiter blocked for its whole deadline would wait for the heartbeat to
 // read the idle link.

@@ -392,7 +392,7 @@ func TestResolvePublishesResults(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for round := 0; round < 50; round++ {
-				p := &Pending{n: int32(len(tc.want)), done: make(chan struct{})}
+				p := &Pending{n: int32(len(tc.want))}
 				seen := make([]ring.Result, len(tc.want))
 				polled := make(chan struct{})
 				go func() {
