@@ -328,6 +328,51 @@ func TestDPSParSecLocalGets(t *testing.T) {
 	}
 }
 
+// TestFFWDVariant: concurrent sessions of the ffwd store all delegate to its
+// one server, whose single unsynchronized shard ends up holding every key.
+func TestFFWDVariant(t *testing.T) {
+	t.Parallel()
+	st, err := Open("ffwd", Config{MaxThreads: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	const sessions, perSession = 4, 50
+	var wg sync.WaitGroup
+	errs := make(chan error, sessions)
+	for s := 0; s < sessions; s++ {
+		sess, err := st.Session()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func(base int) {
+			defer wg.Done()
+			defer sess.Close()
+			for i := base; i < base+perSession; i++ {
+				if err := sess.Set(uint64(i), val(i)); err != nil {
+					errs <- err
+					return
+				}
+			}
+			for i := base; i < base+perSession; i++ {
+				if v, ok, err := sess.Get(uint64(i)); err != nil || !ok || !bytes.Equal(v, val(i)) {
+					errs <- fmt.Errorf("Get(%d) = (%q,%v,%v)", i, v, ok, err)
+					return
+				}
+			}
+		}(s * perSession)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if n := st.(*ffwdStore).shard.Len(); n != sessions*perSession {
+		t.Fatalf("server shard holds %d keys, want %d", n, sessions*perSession)
+	}
+}
+
 func TestTraceReplayAcrossVariants(t *testing.T) {
 	t.Parallel()
 	// Replay the same YCSB-style trace against Stock and DPS; both must
